@@ -18,8 +18,8 @@ every iteration is kept, so repeated runs share a consistent ensemble size.
 
 The training loop keeps running caches of the three component values on both
 group sets and only evaluates each new learner once per iteration, so the
-cost per iteration is one learner fit plus O(n) bookkeeping plus the
-per-group likelihood work, which is batched over groups of equal size.
+cost per iteration is one learner fit plus O(n) bookkeeping plus one call of
+the stacked likelihood kernel, which handles groups of any sizes at once.
 """
 
 from __future__ import annotations
@@ -268,7 +268,6 @@ class _GroupSet:
     """Stacked arrays plus component caches for one set of groups."""
 
     def __init__(self, ds: GroupedDataset):
-        self.ds = ds
         st = ds.stacked()
         self.y = st.y
         self.X = st.X
@@ -278,12 +277,6 @@ class _GroupSet:
         self.Xt = ds.x_tilde_matrix()
         self.n = self.y.shape[0]
         self.C = ds.n_groups
-        # buckets of equal group size, canonical order inside each bucket
-        self.buckets = []
-        for size in np.unique(self.sizes):
-            members = np.flatnonzero(self.sizes == size)
-            rows = (self.starts[members][:, None] + np.arange(size)[None, :])
-            self.buckets.append((int(size), members, rows))
 
     def init_caches(self, f0: float, factor0: np.ndarray, logr0: float):
         self.mu = np.full(self.n, f0)
@@ -291,33 +284,17 @@ class _GroupSet:
         self.logr = np.full(self.n, logr0)
 
 
-def _bucketize(sizes, starts, members):
-    out = []
-    for size in np.unique(sizes[members]):
-        sel = members[sizes[members] == size]
-        rows = starts[sel][:, None] + np.arange(size)[None, :]
-        out.append((int(size), sel, rows))
-    return out
-
-
 def _set_loglik(gs: _GroupSet, q: int) -> float:
     """Total log-likelihood of a group set from its caches."""
-    total = 0.0
-    L_all = factors_from_entries(gs.factor_entries, q)
-    for size, members, rows in gs.buckets:
-        S = gs.y[rows] - gs.mu[rows]
-        Zb = gs.Z[rows.ravel()].reshape(len(members), size, -1)
-        Rb = np.exp(gs.logr[rows])
-        Lb = L_all[members]
-        try:
-            ll, _, _, _ = lik.batched_quantities(S, Zb, Lb, Rb, want_gradients=False)
-            total += float(np.sum(ll))
-        except np.linalg.LinAlgError:
-            for j, gi in enumerate(members):
-                g = gs.ds.groups[gi]
-                Sigma = lik.marginal_covariance(Zb[j], Lb[j] @ Lb[j].T, Rb[j])
-                total += lik.group_loglik(g.y, gs.mu[rows[j]], Sigma, g.group_id)
-    return total
+    ll, _, _, _ = lik.batched_quantities(
+        factors_from_entries(gs.factor_entries, q),
+        gs.y - gs.mu,
+        gs.Z,
+        np.exp(gs.logr),
+        gs.sizes,
+        want_gradients=False,
+    )
+    return float(np.sum(ll))
 
 
 def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
@@ -332,6 +309,9 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     """
     if train.n_groups < 2:
         raise DataError("need at least two groups to fit")
+    for g in train.groups:
+        if not np.all(np.isfinite(g.y)):
+            raise DataError(f"group {g.group_id!r}: training responses must all be finite")
     if not train.has_summaries():
         train = summarize_groups(train)
     q = train.q
@@ -364,45 +344,20 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     for m in range(1, config.n_iterations + 1):
         g_idx, feats = sample_iteration(rng, gb.C, p, config)
 
-        # gradients at the current iterate for the sampled groups
-        k_total = len(g_idx)
-        grad_factor = np.empty((k_total, T))
-        grad_mu_parts = {}
-        grad_logr_parts = {}
-        pos_of = {int(gi): j for j, gi in enumerate(g_idx)}
-        L_sel = factors_from_entries(gb.factor_entries[g_idx], q)
-        for size, members, rows in _bucketize(gb.sizes, gb.starts, g_idx):
-            S = gb.y[rows] - gb.mu[rows]
-            Zb = gb.Z[rows.ravel()].reshape(len(members), size, -1)
-            Rb = np.exp(gb.logr[rows])
-            Lb = L_sel[[pos_of[int(gi)] for gi in members]]
-            try:
-                _, d_mu, d_F, d_logr = lik.batched_quantities(S, Zb, Lb, Rb)
-            except np.linalg.LinAlgError:
-                d_mu = np.empty_like(S)
-                d_logr = np.empty_like(S)
-                d_F = np.empty((len(members), q, q))
-                for j, gi in enumerate(members):
-                    g = gb.ds.groups[gi]
-                    gset = lik.group_gradients(
-                        g.y, gb.mu[rows[j]], Zb[j], Lb[j], Rb[j], g.group_id
-                    )
-                    d_mu[j] = gset.mean
-                    d_F[j] = gset.cov_factor
-                    d_logr[j] = gset.log_resid_var
-            if not (np.all(np.isfinite(d_mu)) and np.all(np.isfinite(d_F)) and np.all(np.isfinite(d_logr))):
-                raise NumericalError(f"non-finite gradient at iteration {m}")
-            for j, gi in enumerate(members):
-                jj = pos_of[int(gi)]
-                grad_mu_parts[jj] = d_mu[j]
-                grad_logr_parts[jj] = d_logr[j]
-                grad_factor[jj] = d_F[j][rows_t, cols_t]
-
-        row_idx = np.concatenate(
-            [np.arange(gb.starts[gi], gb.starts[gi] + gb.sizes[gi]) for gi in g_idx]
+        # gradients at the current iterate for the sampled groups' rows
+        sizes = gb.sizes[g_idx]
+        offsets = np.cumsum(sizes) - sizes
+        row_idx = np.arange(int(sizes.sum())) + np.repeat(gb.starts[g_idx] - offsets, sizes)
+        _, pseudo_mu, d_F, pseudo_logr = lik.batched_quantities(
+            factors_from_entries(gb.factor_entries[g_idx], q),
+            gb.y[row_idx] - gb.mu[row_idx],
+            gb.Z[row_idx],
+            np.exp(gb.logr[row_idx]),
+            sizes,
         )
-        pseudo_mu = np.concatenate([grad_mu_parts[j] for j in range(k_total)])
-        pseudo_logr = np.concatenate([grad_logr_parts[j] for j in range(k_total)])
+        if not all(np.all(np.isfinite(a)) for a in (pseudo_mu, d_F, pseudo_logr)):
+            raise NumericalError(f"non-finite gradient at iteration {m}")
+        grad_factor = d_F[:, rows_t, cols_t]
         X_rows = gb.X[row_idx]
         Xt_rows = gb.Xt[g_idx]
 

@@ -118,19 +118,21 @@ def build_run_config(values: dict) -> RunConfig:
         treatment_col=values.get("treatment_col"),
     )
 
+    d = FitConfig()  # the single source of defaults
+    spec = LearnerSpec()
+
     def spec_for(key: str, default_kind: str) -> LearnerSpec:
         return LearnerSpec(
             kind=values.get(key, default_kind),
-            tree_max_depth=values.get("tree_max_depth", 3),
-            tree_min_parent=values.get("tree_min_parent", 10),
-            tree_min_child=values.get("tree_min_child", 5),
-            ridge_epsilon=values.get("ridge_epsilon", 1e-8),
+            tree_max_depth=values.get("tree_max_depth", spec.tree_max_depth),
+            tree_min_parent=values.get("tree_min_parent", spec.tree_min_parent),
+            tree_min_child=values.get("tree_min_child", spec.tree_min_child),
+            ridge_epsilon=values.get("ridge_epsilon", spec.ridge_epsilon),
         )
 
-    variant = values.get("variant", "grboost")
-    g_default = "tree" if variant in ("gboost", "grboost") else "constant"
-    r_default = "tree" if variant in ("rboost", "grboost") else "constant"
-    lr_all = values.get("learning_rate", 0.03)
+    variant = values.get("variant", d.variant)
+    g_default = spec.kind if variant in ("gboost", "grboost") else "constant"
+    r_default = spec.kind if variant in ("rboost", "grboost") else "constant"
 
     feature_cols = schema.feature_cols
     force: set[int] = set()
@@ -145,22 +147,22 @@ def build_run_config(values: dict) -> RunConfig:
 
     fit = FitConfig(
         variant=variant,
-        n_iterations=values.get("iterations", 500),
-        lr_mean=values.get("lr_mean", lr_all),
-        lr_gcov=values.get("lr_gcov", lr_all),
-        lr_rvar=values.get("lr_rvar", lr_all),
-        group_fraction=values.get("group_fraction", 0.2),
-        feature_fraction=values.get("feature_fraction", 0.7),
-        mean_learner=spec_for("mean_learner", "tree"),
+        n_iterations=values.get("iterations", d.n_iterations),
+        lr_mean=values.get("lr_mean", values.get("learning_rate", d.lr_mean)),
+        lr_gcov=values.get("lr_gcov", values.get("learning_rate", d.lr_gcov)),
+        lr_rvar=values.get("lr_rvar", values.get("learning_rate", d.lr_rvar)),
+        group_fraction=values.get("group_fraction", d.group_fraction),
+        feature_fraction=values.get("feature_fraction", d.feature_fraction),
+        mean_learner=spec_for("mean_learner", spec.kind),
         gcov_learner=spec_for("gcov_learner", g_default),
         rvar_learner=spec_for("rvar_learner", r_default),
-        lookback=values.get("lookback", 25),
-        tolerance=values.get("tolerance", 1e-3),
-        early_stopping=values.get("early_stopping", True),
-        eval_fraction=values.get("eval_fraction", 0.25),
-        seed=values.get("seed", 0),
+        lookback=values.get("lookback", d.lookback),
+        tolerance=values.get("tolerance", d.tolerance),
+        early_stopping=values.get("early_stopping", d.early_stopping),
+        eval_fraction=values.get("eval_fraction", d.eval_fraction),
+        seed=values.get("seed", d.seed),
         force_include=tuple(sorted(force)),
-        verbose=values.get("verbose", False),
+        verbose=values.get("verbose", d.verbose),
     )
     return RunConfig(schema=schema, fit=fit, model_out=values.get("model_out"))
 

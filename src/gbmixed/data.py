@@ -14,6 +14,7 @@ group-level learners see the same feature names as row-level learners.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -195,13 +196,16 @@ class StackedData:
         return slice(self.starts[gi], self.starts[gi] + self.sizes[gi])
 
 
-def _parse_cell(text: str, column: str, line_no: int) -> float:
+def _parse_cell(text: str, column: str, line_no: int, allow_nan: bool = False) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(
             f"line {line_no}: cannot parse {text!r} in column {column!r} as a number"
         ) from None
+    if not (math.isfinite(value) or (allow_nan and math.isnan(value))):
+        raise DataError(f"line {line_no}: non-finite value {text!r} in column {column!r}")
+    return value
 
 
 def _parse_group_id(text: str):
@@ -218,8 +222,10 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
     """Load a CSV file into a GroupedDataset.
 
     The header must contain every column the schema names; extra columns are
-    ignored. Numeric cells that fail to parse raise a DataError carrying the
-    1-based line number. Group blocks preserve row order within each group.
+    ignored. Numeric cells that fail to parse or are non-finite raise a
+    DataError naming the 1-based line number and the column; the one exception
+    is a nan response, which marks an unobserved row for prediction. Group
+    blocks preserve row order within each group.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -247,7 +253,7 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
             if len(row) < len(header):
                 raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
             gid = _parse_group_id(row[gi].strip())
-            y = _parse_cell(row[yi], schema.response_col, line_no)
+            y = _parse_cell(row[yi], schema.response_col, line_no, allow_nan=True)
             x = [_parse_cell(row[j], header[j], line_no) for j in fis]
             if gid not in by_group:
                 by_group[gid] = []

@@ -30,4 +30,9 @@ class NumericalError(GBMixedError):
 
 
 class SingularCovarianceError(NumericalError):
-    """A marginal covariance matrix stayed non-positive-definite after jitter."""
+    """A group's marginal covariance stayed non-positive-definite after jitter.
+
+    Raised by the per-group likelihood functions and the BLUP path, which
+    factor the n_i x n_i covariance. The stacked kernel used in fitting
+    factors only I + W' R^{-1} W and applies no jitter.
+    """

@@ -18,11 +18,24 @@ Gradients, with a = Sigma^{-1} s:
     dl/dlog r_j    = dl/dr_j * r_j
     dl/dsigma2     = sum_j dl/dr_j                      (pooled residual variance)
 
-Everything goes through one Cholesky factorization of Sigma per group; solves
-reuse the factor and no explicit inverse of Sigma is formed except the
-factor-based solve against the identity needed for diag(Sigma^{-1}). When the
-factorization fails, a small diagonal jitter proportional to the mean of
-diag(Sigma) is added and doubled up to three times before giving up.
+The per-group functions below factor the n x n Sigma once per group by
+Cholesky; solves reuse the factor and no explicit inverse of Sigma is formed
+except the factor-based solve against the identity needed for
+diag(Sigma^{-1}). When the factorization fails, a small diagonal jitter
+proportional to the mean of diag(Sigma) is added and doubled up to three
+times before giving up. They serve as test oracles, and chol_with_jitter also
+factors the covariances behind the BLUPs in prediction.
+
+Fitting goes through batched_quantities instead, which never forms Sigma.
+With G = L L' and W = Z L, let M = I_q + W' R^{-1} W. The Woodbury identity
+and the matrix determinant lemma give
+
+    Sigma^{-1}    = R^{-1} - R^{-1} W M^{-1} W' R^{-1}
+    log det Sigma = sum_j log r_j + log det M
+
+so every group costs O(n_i q^2) plus one q x q Cholesky factorization. M >= I,
+so that factorization cannot fail in exact arithmetic while every r_j > 0, and
+no jitter applies in fit.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DataError, SingularCovarianceError
+from .errors import DataError, NumericalError, SingularCovarianceError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 JITTER_SCALE = 1e-8
@@ -195,56 +208,59 @@ def total_loglik(ds, mus, Sigmas) -> float:
     return total
 
 
-# Batched kernel for buckets of groups sharing one group size. numpy's
-# cholesky and solve broadcast over a leading axis, which keeps the per-group
-# work out of the Python loop; results match the per-group functions above.
-
 def batched_quantities(
-    S: np.ndarray,       # (k, n) residuals y - mu
-    Zb: np.ndarray,      # (k, n, q)
-    Lb: np.ndarray,      # (k, q, q) lower factors of G
-    Rb: np.ndarray,      # (k, n) residual variances
+    L: np.ndarray,       # (k, q, q) lower factors of G, one per group
+    s: np.ndarray,       # (n,) stacked residuals y - mu, groups contiguous
+    Z: np.ndarray,       # (n, q) stacked random-effect design
+    r: np.ndarray,       # (n,) stacked residual variances, all positive
+    sizes: np.ndarray,   # (k,) rows per group, each at least 1
     want_gradients: bool = True,
 ):
-    """Log-likelihoods (and optionally gradients) for k groups of equal size.
+    """Log-likelihoods (and optionally gradients) for k groups of any sizes.
 
-    Returns (loglik (k,), d_mean (k,n), d_factor (k,q,q), d_logr (k,n)); the
-    gradient entries are None when want_gradients is False. Raises
-    numpy.linalg.LinAlgError when any matrix in the batch fails to factor;
-    callers fall back to the per-group path with its jitter policy.
+    Works on the q x q systems M_i = I + W_i' R_i^-1 W_i, W_i = Z_i L_i, so
+    the cost is linear in the stacked rows and no n_i x n_i matrix is formed.
+    With c = M^-1 W' R^-1 s and P = Z' R^-1 W, per group:
+
+        a               = R^-1 (s - W c)
+        dl/dL           = tril(-P M^-1 + (Z' a) c')
+        (Sigma^-1)_jj   = 1/r_j - w_j' M^-1 w_j / r_j^2
+
+    and every per-group sum is one np.add.reduceat over the stacked rows.
+    Returns (loglik (k,), d_mean (n,), d_factor (k,q,q), d_logr (n,)); the
+    gradient entries are None when want_gradients is False. Results match
+    group_gradients group by group.
     """
-    k, n = S.shape
-    q = Zb.shape[2]
-    Gb = Lb @ np.swapaxes(Lb, 1, 2)
-    Sigma = np.einsum("knq,kqr,kmr->knm", Zb, Gb, Zb)
-    idx = np.arange(n)
-    Sigma[:, idx, idx] += Rb
-    Lc = np.linalg.cholesky(Sigma)
-    logdet = 2.0 * np.sum(np.log(Lc[:, idx, idx]), axis=1)
+    k, q = L.shape[:2]
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    seg = np.repeat(np.arange(k), sizes)
+    W = np.einsum("na,nab->nb", Z, L[seg])
+    Wr = W / r[:, None]
+    M = np.eye(q) + np.add.reduceat(W[:, :, None] * Wr[:, None, :], starts)
+    try:
+        Lm = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        # M >= I in exact arithmetic; rounding breaks that only when a group's
+        # W' R^-1 W is rank-deficient (fewer rows than q, or collinear Z
+        # columns) at a scale above about 1e16
+        raise NumericalError(
+            "I + W' R^-1 W lost positive definiteness to rounding; residual "
+            "variances are negligible against the random-effect covariance"
+        ) from None
+    Minv = np.linalg.inv(M)
+    c = np.einsum("kab,kb->ka", Minv, np.add.reduceat(Wr * s[:, None], starts))
+    alpha = (s - np.einsum("na,na->n", W, c[seg])) / r
 
-    if want_gradients:
-        eye = np.broadcast_to(np.eye(n), (k, n, n))
-        B = np.concatenate([S[:, :, None], Zb, eye], axis=2)
-    else:
-        B = S[:, :, None]
-    # two triangular systems off the factor: Sigma X = B
-    W = np.linalg.solve(Lc, B)
-    V = np.linalg.solve(np.swapaxes(Lc, 1, 2), W)
-
-    alpha = V[:, :, 0]
-    quad = np.sum(S * alpha, axis=1)
-    ll = -0.5 * (n * LOG_2PI + logdet + quad)
+    d = np.arange(q)
+    logdet = np.add.reduceat(np.log(r), starts) + 2.0 * np.sum(np.log(Lm[:, d, d]), axis=1)
+    quad = np.add.reduceat(s * alpha, starts)
+    ll = -0.5 * (sizes * LOG_2PI + logdet + quad)
     if not want_gradients:
         return ll, None, None, None
 
-    SinvZ = V[:, :, 1 : 1 + q]
-    Sinv_diag = V[:, idx, 1 + q + idx]
-    r_vec = np.einsum("knq,kn->kq", Zb, alpha)
-    ZtSinvZ = np.einsum("knq,knr->kqr", Zb, SinvZ)
-    dG = -0.5 * (ZtSinvZ - r_vec[:, :, None] * r_vec[:, None, :])
-    dF = 2.0 * dG @ Lb
-    tri = np.tril(np.ones((q, q), dtype=bool))
-    dF = np.where(tri, dF, 0.0)
-    dr = -0.5 * (Sinv_diag - alpha**2)
-    dlogr = dr * Rb
+    P = np.add.reduceat(Z[:, :, None] * Wr[:, None, :], starts)
+    Za = np.add.reduceat(Z * alpha[:, None], starts)
+    dF = np.tril(-P @ Minv + Za[:, :, None] * c[:, None, :])
+    Sinv_diag = (1.0 - np.einsum("na,nab,nb->n", W, Minv[seg], W) / r) / r
+    dlogr = -0.5 * (Sinv_diag - alpha**2) * r
     return ll, alpha, dF, dlogr

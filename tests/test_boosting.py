@@ -216,6 +216,16 @@ class TestFit:
         with pytest.raises(DataError):
             fit(ds, small_config())
 
+    def test_non_finite_response_names_group(self):
+        rng = np.random.default_rng(5)
+        ds = clustered_dataset(rng, n_groups=8, p=2)
+        groups = list(ds.groups)
+        g = groups[3]
+        groups[3] = GroupBlock(group_id=g.group_id, y=np.array([g.y[0], np.nan]), X=g.X, Z=g.Z)
+        bad = GroupedDataset(groups=tuple(groups), feature_names=ds.feature_names)
+        with pytest.raises(DataError, match="group 3"):
+            fit(bad, small_config())
+
     def test_force_include_out_of_range(self):
         rng = np.random.default_rng(5)
         ds = clustered_dataset(rng, n_groups=8, p=2)

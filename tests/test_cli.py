@@ -121,6 +121,18 @@ class TestFit:
         )
         assert rc == 3
 
+    def test_unobserved_training_response_is_data_error(self, workdir, capsys):
+        data = (workdir / "train.csv").read_text().splitlines()
+        cells = data[3].split(",")
+        cells[1] = "nan"
+        data[3] = ",".join(cells)
+        (workdir / "gap.csv").write_text("\n".join(data) + "\n")
+        rc = main(
+            ["fit", "--config", str(workdir / "run.cfg"), "--data", str(workdir / "gap.csv")]
+        )
+        assert rc == 3
+        assert f"group {int(cells[0])}" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_training_groups_get_conditional_means(self, workdir):

@@ -1,7 +1,10 @@
 """Flat key = value configuration parsing and FitConfig assembly."""
 
+from dataclasses import fields
+
 import pytest
 
+from gbmixed.boosting import FitConfig
 from gbmixed.config import build_run_config, load_run_config, parse_config_text
 from gbmixed.errors import ConfigError
 
@@ -72,6 +75,9 @@ class TestBuild:
         assert run.fit.early_stopping is True
         assert run.model_out is None
         assert run.schema.z_cols == ("intercept",)
+        defaults = FitConfig()
+        for field in fields(FitConfig):
+            assert getattr(run.fit, field.name) == getattr(defaults, field.name), field.name
 
     def test_variant_drives_learner_kinds(self):
         run = build_run_config(parse_config_text(minimal("variant = base\n")))

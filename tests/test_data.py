@@ -138,6 +138,21 @@ class TestCsv:
         with pytest.raises(DataError, match=r"line 3.*'oops'.*'y'"):
             load_csv(path, schema)
 
+    def test_non_finite_cells_name_line_and_column(self, tmp_path):
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
+        path = tmp_path / "nf.csv"
+        for body, where in [
+            ("1,0.5,nan\n", r"line 3.*'nan'.*'x1'"),
+            ("1,0.5,-inf\n", r"line 3.*'-inf'.*'x1'"),
+            ("1,inf,2.0\n", r"line 3.*'inf'.*'y'"),
+        ]:
+            path.write_text("g,y,x1\n1,0.5,2.0\n" + body)
+            with pytest.raises(DataError, match=where):
+                load_csv(path, schema)
+        # a nan response marks an unobserved row and stays legal
+        path.write_text("g,y,x1\n1,nan,2.0\n")
+        assert np.isnan(load_csv(path, schema).groups[0].y[0])
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("g,y\n1,0.5\n")

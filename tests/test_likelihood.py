@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbmixed.data import GroupBlock, GroupedDataset
-from gbmixed.errors import DataError, SingularCovarianceError
+from gbmixed.errors import DataError, NumericalError, SingularCovarianceError
 from gbmixed.likelihood import (
     LOG_2PI,
     batched_quantities,
@@ -224,41 +224,71 @@ class TestGroupGradients:
             )
 
 
+def random_stacked(rng, sizes, q):
+    """Stacked residuals, design and variances plus k lower factors."""
+    n = int(np.sum(sizes))
+    L = np.tril(rng.standard_normal((len(sizes), q, q)))
+    idx = np.arange(q)
+    L[:, idx, idx] = np.abs(L[:, idx, idx]) + 0.5
+    return L, rng.standard_normal(n), rng.standard_normal((n, q)), rng.uniform(0.3, 1.5, size=n)
+
+
 class TestBatchedKernel:
     def test_matches_per_group_path(self):
+        # mixed group sizes in one call, one long group among them
         rng = np.random.default_rng(61)
-        for n in (1, 2, 4):
-            for q in (1, 2):
-                k = 7
-                S = rng.standard_normal((k, n))
-                Zb = rng.standard_normal((k, n, q))
-                Lb = np.tril(rng.standard_normal((k, q, q)))
-                idx = np.arange(q)
-                Lb[:, idx, idx] = np.abs(Lb[:, idx, idx]) + 0.5
-                Rb = rng.uniform(0.3, 1.5, size=(k, n))
-                ll, d_mean, d_factor, d_logr = batched_quantities(S, Zb, Lb, Rb)
-                for i in range(k):
-                    gs = group_gradients(S[i], np.zeros(n), Zb[i], Lb[i], Rb[i])
-                    assert ll[i] == pytest.approx(gs.loglik, rel=1e-11, abs=1e-11)
-                    np.testing.assert_allclose(d_mean[i], gs.mean, rtol=1e-10, atol=1e-12)
-                    np.testing.assert_allclose(
-                        d_factor[i], gs.cov_factor, rtol=1e-10, atol=1e-12
-                    )
-                    np.testing.assert_allclose(
-                        d_logr[i], gs.log_resid_var, rtol=1e-10, atol=1e-12
-                    )
+        for q in (1, 2, 3):
+            sizes = np.concatenate([rng.integers(1, 7, size=12), [200]])
+            rng.shuffle(sizes)
+            L, s, Z, r = random_stacked(rng, sizes, q)
+            ll, d_mean, d_factor, d_logr = batched_quantities(L, s, Z, r, sizes)
+            starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+            for i, (a, n) in enumerate(zip(starts, sizes)):
+                rows = slice(a, a + n)
+                gs = group_gradients(s[rows], np.zeros(n), Z[rows], L[i], r[rows])
+                assert ll[i] == pytest.approx(gs.loglik, rel=1e-10, abs=1e-12)
+                np.testing.assert_allclose(d_mean[rows], gs.mean, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(d_factor[i], gs.cov_factor, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(
+                    d_logr[rows], gs.log_resid_var, rtol=1e-10, atol=1e-12
+                )
 
     def test_loglik_only_mode(self):
         rng = np.random.default_rng(62)
-        k, n, q = 5, 3, 1
-        S = rng.standard_normal((k, n))
-        Zb = np.ones((k, n, q))
-        Lb = np.full((k, q, q), 0.9)
-        Rb = rng.uniform(0.5, 1.0, size=(k, n))
-        ll_full, _, _, _ = batched_quantities(S, Zb, Lb, Rb)
-        ll_only, a, b, c = batched_quantities(S, Zb, Lb, Rb, want_gradients=False)
+        sizes = np.array([3, 1, 5, 2])
+        L, s, Z, r = random_stacked(rng, sizes, 2)
+        ll_full, _, _, _ = batched_quantities(L, s, Z, r, sizes)
+        ll_only, a, b, c = batched_quantities(L, s, Z, r, sizes, want_gradients=False)
         np.testing.assert_allclose(ll_only, ll_full, rtol=1e-14)
         assert a is None and b is None and c is None
+
+    def test_group_whose_dense_covariance_cannot_be_factored(self):
+        # Sigma = 11' + r I with r = 1e-18 rounds to the singular 11', so the
+        # dense Cholesky fails; the kernel only factors M = 1 + 3/r
+        r_val = 1e-18
+        s = np.array([0.3, -0.1, 0.2])
+        Z = np.ones((3, 1))
+        r = np.full(3, r_val)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(Z @ Z.T + np.diag(r))
+        ll, d_mean, d_factor, d_logr = batched_quantities(
+            np.ones((1, 1, 1)), s, Z, r, np.array([3])
+        )
+        assert np.all(np.isfinite(d_mean))
+        assert np.all(np.isfinite(d_factor))
+        assert np.all(np.isfinite(d_logr))
+        logdet = 2.0 * np.log(r_val) + np.log(3.0 + r_val)
+        quad = (s @ s - s.sum() ** 2 / (3.0 + r_val)) / r_val
+        assert ll[0] == pytest.approx(-0.5 * (3 * LOG_2PI + logdet + quad), rel=1e-14)
+
+    def test_rounding_failure_is_numerical_error(self):
+        # one row, q = 2, w = (1, 1), r = 2^-70: 1 + 2^70 rounds to 2^70, so
+        # M = I + 2^70 11' is computed as the exactly singular 2^70 11'
+        with pytest.raises(NumericalError, match="positive definiteness"):
+            batched_quantities(
+                np.eye(2)[None], np.array([0.3]), np.ones((1, 2)),
+                np.array([2.0**-70]), np.array([1]),
+            )
 
 
 class TestDegenerateCovariance:
