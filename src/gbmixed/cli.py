@@ -12,15 +12,15 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import config as config_mod
 from . import diagnostics, model_io, simulate
-from .boosting import FittedModel, config_for_variant, fit
+from .boosting import FittedModel, fit
 from .data import ColumnSchema, load_csv, save_csv, summarize_groups
 from .errors import ConfigError, DataError, GBMixedError
-from .learners import LearnerSpec
 from .prediction import cate, interval_halfwidth, ite_variance, predict_dataset
 
 
@@ -82,8 +82,7 @@ def cmd_predict(args) -> int:
     extra = []
     if args.cate:
         st = ds.stacked()
-        sizes = np.asarray([g.n for g in ds.groups])
-        xt_rows = np.repeat(ds.x_tilde_matrix(), sizes, axis=0)
+        xt_rows = np.repeat(ds.x_tilde_matrix(), st.sizes, axis=0)
         tau = cate(model, st.X)
         ivar = ite_variance(model, st.X, st.Z, xt_rows)
         half = interval_halfwidth(ivar, args.alpha)
@@ -140,7 +139,6 @@ def _simulate_config(scenario: simulate.Scenario, sets: list[str]):
             raise ConfigError(f"--set {key}: cannot parse value {raw.strip()!r}") from None
     variant = values.pop("variant", scenario.variant)
     tree_kwargs = {k: values.pop(k) for k in list(values) if k in _SIM_TREE_KEYS}
-    row_spec = LearnerSpec(kind="tree", **tree_kwargs)
     kwargs = {}
     if "learning_rate" in values:
         lr = values.pop("learning_rate")
@@ -148,22 +146,8 @@ def _simulate_config(scenario: simulate.Scenario, sets: list[str]):
     for key, field in _SIM_FIT_KEYS.items():
         if key in values:
             kwargs[field] = values.pop(key)
-    defaults = scenario.default_config()
-    base = dict(
-        n_iterations=defaults.n_iterations,
-        lr_mean=defaults.lr_mean,
-        lr_gcov=defaults.lr_gcov,
-        lr_rvar=defaults.lr_rvar,
-        group_fraction=defaults.group_fraction,
-        feature_fraction=defaults.feature_fraction,
-        lookback=defaults.lookback,
-        tolerance=defaults.tolerance,
-        early_stopping=defaults.early_stopping,
-        eval_fraction=defaults.eval_fraction,
-        force_include=defaults.force_include,
-    )
-    base.update(kwargs)
-    return config_for_variant(variant, row_spec, **base)
+    learner = replace(scenario.learner, **tree_kwargs)
+    return replace(scenario, variant=variant, learner=learner).default_config(**kwargs)
 
 
 def _sim_schema(scenario: simulate.Scenario) -> ColumnSchema:

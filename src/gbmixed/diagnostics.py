@@ -18,6 +18,10 @@ from .errors import ConfigError
 COMPONENTS = ("mean", "G", "R")
 DEFAULT_GRID_SIZE = 25
 GRID_PERCENTILES = (2.0, 98.0)
+# Partial dependence evaluates the background once per grid point, stacking as
+# many grid copies per ensemble call as fit in this many cells (rows x
+# features, 2 MB of float64), so memory stays bounded for large backgrounds.
+_CHUNK_CELLS = 2**18
 
 
 def _component_learners(model: FittedModel, component: str):
@@ -95,13 +99,17 @@ def partial_dependence(
         raise ConfigError(f"g_entry {g_entry} out of range for q={model.q}")
 
     values = np.empty(grid.shape[0])
-    work = bg.copy()
-    for i, v in enumerate(grid):
-        work[:, f] = v
+    n = bg.shape[0]
+    step = max(1, _CHUNK_CELLS // max(bg.size, 1))
+    for lo in range(0, grid.shape[0], step):
+        chunk = grid[lo : lo + step]
+        work = np.tile(bg, (chunk.shape[0], 1))
+        work[:, f] = np.repeat(chunk, n)
         if component == "mean":
-            values[i] = float(np.mean(eval_mean(model, work)))
+            out = eval_mean(model, work)
         elif component == "R":
-            values[i] = float(np.mean(eval_resid_var(model, work)))
+            out = eval_resid_var(model, work)
         else:
-            values[i] = float(np.mean(eval_gcov_rows(model, work)[:, a, b]))
+            out = eval_gcov_rows(model, work)[:, a, b]
+        values[lo : lo + chunk.shape[0]] = out.reshape(chunk.shape[0], n).mean(axis=1)
     return grid, values

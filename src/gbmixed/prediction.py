@@ -21,6 +21,17 @@ column. The variance of an individual effect Y(1) - Y(0) is
 where z1 and z0 equal z with any treatment random-slope entry set to 1 and
 0. With intercept-only random effects z1 = z0, the G terms cancel and the
 variance is r(x, 1) + r(x, 0).
+
+Every ensemble runs once per call over stacked rows, never once per group:
+predict_dataset evaluates f and r on all served rows and G on all served
+summaries, the BLUPs of all known groups share one evaluation over their
+finite-response rows, and the two treatment arms of cate and ite_variance
+share one call. Tree predictions and ensemble sums are row by row, so tree
+ensembles give the same values however rows are batched (a linear learner's
+matrix product may round differently). The BLUP solve alone stays per
+group: it factors each group's dense Sigma_i (marginal_covariance,
+chol_with_jitter), which costs milliseconds for clusters of a few hundred
+rows, against the ensemble evaluations that dominate prediction.
 """
 
 from __future__ import annotations
@@ -67,22 +78,42 @@ def summarize_rows(model: FittedModel, X: np.ndarray) -> np.ndarray:
     return summarize_matrix(X, model.categorical_features)
 
 
+def _summary(model: FittedModel, group: GroupBlock) -> np.ndarray:
+    """The group's x_tilde, or the summary of all its rows when none is attached."""
+    return group.x_tilde if group.x_tilde is not None else summarize_rows(model, group.X)
+
+
+def _blups(model: FittedModel, groups) -> np.ndarray:
+    """(k, q) random-effect predictors of k groups; zero rows where no response is finite.
+
+    A group's BLUP uses only its finite-response rows and its own summary.
+    The ensembles run once over the finite rows of all groups and once over
+    their summaries; the solve against the dense Sigma_i stays per group.
+    """
+    u = np.zeros((len(groups), model.q))
+    keep = [np.isfinite(g.y) for g in groups]
+    live = [i for i, k in enumerate(keep) if k.any()]
+    if not live:
+        return u
+    X = np.vstack([groups[i].X[keep[i]] for i in live])
+    mu = eval_mean(model, X)
+    r = eval_resid_var(model, X)
+    G = eval_gcov_rows(model, np.stack([_summary(model, groups[i]) for i in live]))
+    stop = 0
+    for i, Gi in zip(live, G):
+        g, k = groups[i], keep[i]
+        rows = slice(stop, stop + int(k.sum()))
+        stop = rows.stop
+        Z = g.Z[k]
+        factor = chol_with_jitter(marginal_covariance(Z, Gi, r[rows]), g.group_id)
+        alpha = cho_solve(factor, g.y[k] - mu[rows], check_finite=False)
+        u[i] = Gi @ (Z.T @ alpha)
+    return u
+
+
 def blup(model: FittedModel, group: GroupBlock) -> np.ndarray:
     """Random-effect predictor for one group with observed responses."""
-    keep = np.isfinite(group.y)
-    if not np.any(keep):
-        return np.zeros(model.q)
-    X = group.X[keep]
-    Z = group.Z[keep]
-    y = group.y[keep]
-    xt = group.x_tilde if group.x_tilde is not None else summarize_rows(model, group.X)
-    mu = eval_mean(model, X)
-    G = eval_gcov_rows(model, np.asarray(xt, dtype=float)[None, :])[0]
-    r = eval_resid_var(model, X)
-    Sigma = marginal_covariance(Z, G, r)
-    factor = chol_with_jitter(Sigma, group.group_id)
-    alpha = cho_solve(factor, y - mu, check_finite=False)
-    return G @ (Z.T @ alpha)
+    return _blups(model, [group])[0]
 
 
 @dataclass(frozen=True)
@@ -105,38 +136,6 @@ def interval_halfwidth(var_total: np.ndarray, alpha: float) -> np.ndarray:
     return z * np.sqrt(var_total)
 
 
-def predict_group_rows(
-    model: FittedModel,
-    X: np.ndarray,
-    Z: np.ndarray,
-    x_tilde: np.ndarray | None,
-    u_hat: np.ndarray | None,
-    alpha: float = 0.1,
-    reduced_new_group_variance: bool = False,
-):
-    """Predictions for rows that share one group (or no group).
-
-    u_hat of None marks an unknown group: zero BLUP, conditional equal to
-    marginal, and optionally the reduced variance without the z' G z term.
-    """
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != (X.shape[0], model.q):
-        raise DataError(f"Z must be {X.shape[0]}x{model.q}")
-    mu, G, r = evaluate_components(model, X, x_tilde)
-    known = u_hat is not None
-    zGz = np.einsum("nq,qr,nr->n", Z, G, Z)
-    if known:
-        mu_cond = mu + Z @ np.asarray(u_hat, dtype=float)
-        var = zGz + r
-    else:
-        mu_cond = mu.copy()
-        var = r.copy() if reduced_new_group_variance else zGz + r
-    center = mu_cond if known else mu
-    half = interval_halfwidth(var, alpha)
-    return mu, mu_cond, var, center - half, center + half
-
-
 def predict_dataset(
     model: FittedModel,
     ds: GroupedDataset,
@@ -149,39 +148,41 @@ def predict_dataset(
     training_groups supplies the observed responses that drive the BLUPs;
     when omitted, the prediction dataset itself plays that role (the usual
     longitudinal setting: predict for clusters whose history is in hand).
-    Groups without any finite response get a zero BLUP.
+    A group is known when its source rows hold a finite response; unknown
+    groups get a zero BLUP, and reduced_new_group_variance drops the z' G z
+    term from their variance only. Intervals use G at the served group's
+    summary, the BLUP the source group's.
     """
     if tuple(ds.feature_names) != tuple(model.feature_names):
         raise DataError("dataset feature names do not match the model")
     source = training_groups if training_groups is not None else ds
-    known: dict = {}
-    for g in source.groups:
-        if np.any(np.isfinite(g.y)):
-            known[g.group_id] = g
+    for d in (ds, source):
+        if d.q != model.q:
+            raise DataError(f"dataset has {d.q} random-effect columns, the model {model.q}")
+    history = {g.group_id: g for g in source.groups if np.any(np.isfinite(g.y))}
+    known = np.array([g.group_id in history for g in ds.groups])
+    u = np.zeros((ds.n_groups, model.q))
+    u[known] = _blups(model, [history[g.group_id] for g in ds.groups if g.group_id in history])
 
-    ids, mu_m, mu_c, var, lo, hi, flags = [], [], [], [], [], [], []
-    for g in ds.groups:
-        src = known.get(g.group_id)
-        u = blup(model, src) if src is not None else None
-        xt = g.x_tilde if g.x_tilde is not None else None
-        m, c, v, l, h = predict_group_rows(
-            model, g.X, g.Z, xt, u, alpha, reduced_new_group_variance
-        )
-        ids.extend([g.group_id] * g.n)
-        mu_m.append(m)
-        mu_c.append(c)
-        var.append(v)
-        lo.append(l)
-        hi.append(h)
-        flags.append(np.full(g.n, src is not None))
+    st = ds.stacked()
+    seg = np.repeat(np.arange(ds.n_groups), st.sizes)
+    mu = eval_mean(model, st.X)
+    r = eval_resid_var(model, st.X)
+    G = eval_gcov_rows(model, np.stack([_summary(model, g) for g in ds.groups]))[seg]
+    known_rows = known[seg]
+    mu_cond = np.where(known_rows, mu + np.einsum("nq,nq->n", st.Z, u[seg]), mu)
+    var = np.einsum("nq,nqr,nr->n", st.Z, G, st.Z) + r
+    if reduced_new_group_variance:
+        var = np.where(known_rows, var, r)
+    half = interval_halfwidth(var, alpha)
     return PredictionTable(
-        group_ids=ids,
-        mu_marginal=np.concatenate(mu_m),
-        mu_conditional=np.concatenate(mu_c),
-        var_total=np.concatenate(var),
-        lo=np.concatenate(lo),
-        hi=np.concatenate(hi),
-        known_group=np.concatenate(flags),
+        group_ids=[g.group_id for g in ds.groups for _ in range(g.n)],
+        mu_marginal=mu,
+        mu_conditional=mu_cond,
+        var_total=var,
+        lo=mu_cond - half,
+        hi=mu_cond + half,
+        known_group=known_rows,
     )
 
 
@@ -203,11 +204,12 @@ def cate(
     """Conditional average treatment effect: mean at levels[0] minus levels[1]."""
     t = _treatment_index(model, treatment_index)
     X = np.asarray(X, dtype=float)
-    Xa = X.copy()
-    Xa[:, t] = levels[0]
-    Xb = X.copy()
-    Xb[:, t] = levels[1]
-    return eval_mean(model, Xa) - eval_mean(model, Xb)
+    n = X.shape[0]
+    both = np.vstack([X, X])
+    both[:n, t] = levels[0]
+    both[n:, t] = levels[1]
+    m = eval_mean(model, both)
+    return m[:n] - m[n:]
 
 
 def ite_variance(
@@ -234,12 +236,11 @@ def ite_variance(
         raise DataError(f"Z must be {n}x{model.q}")
     if x_tilde_rows.shape != (n, X.shape[1]):
         raise DataError("x_tilde_rows must align with X")
-    X1 = X.copy()
-    X1[:, t] = 1.0
-    X0 = X.copy()
-    X0[:, t] = 0.0
-    r1 = eval_resid_var(model, X1)
-    r0 = eval_resid_var(model, X0)
+    both = np.vstack([X, X])
+    both[:n, t] = 1.0
+    both[n:, t] = 0.0
+    r = eval_resid_var(model, both)
+    r1, r0 = r[:n], r[n:]
     z1 = Z.copy()
     z0 = Z.copy()
     if z_treatment_index is not None:

@@ -440,8 +440,7 @@ def score(model: FittedModel, test: GroupedDataset, truth: GroundTruth, alpha: f
     """
     st = test.stacked()
     Xt_groups = test.x_tilde_matrix()
-    sizes = np.asarray([g.n for g in test.groups])
-    Xt_rows = np.repeat(Xt_groups, sizes, axis=0)
+    Xt_rows = np.repeat(Xt_groups, st.sizes, axis=0)
     tau_hat = cate(model, st.X)
     var_delta = ite_variance(model, st.X, st.Z, Xt_rows)
     kwargs = {}

@@ -5,7 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from gbmixed.cli import main
+from gbmixed import simulate
+from gbmixed.cli import _simulate_config, main
 
 Z90 = 1.6448536269514722
 Z95 = 1.959963984540054
@@ -350,6 +351,21 @@ class TestSimulate:
         )
         assert rc == 0
         assert "variant=base" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(simulate.SCENARIOS))
+    def test_config_defaults_to_the_scenario(self, name):
+        sc = simulate.scenario_by_name(name)
+        assert _simulate_config(sc, []) == sc.default_config()
+
+    def test_tree_keys_apply_over_the_scenario_learner(self):
+        sc = simulate.scenario_by_name("expC")
+        cfg = _simulate_config(sc, ["tree_min_child=7", "iterations=3", "variant=rboost"])
+        assert cfg.variant == "rboost" and cfg.n_iterations == 3
+        assert cfg.mean_learner == cfg.rvar_learner
+        assert cfg.mean_learner.tree_min_child == 7
+        assert cfg.mean_learner.tree_min_parent == sc.learner.tree_min_parent == 40
+        assert cfg.gcov_learner.kind == "constant"
+        assert cfg.lookback == sc.default_config().lookback == 60
 
 
 class TestDiagnose:

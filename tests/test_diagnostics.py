@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gbmixed import diagnostics
 from gbmixed.boosting import FitConfig, FittedModel
 from gbmixed.diagnostics import default_grid, partial_dependence, variable_importance
 from gbmixed.errors import ConfigError
@@ -151,6 +152,22 @@ class TestPartialDependence:
         grid = np.array([0.0])
         _, vals = partial_dependence(model, "mean", "x1", bg, grid=grid)
         assert vals[0] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("component", ["mean", "R", "G"])
+    def test_chunks_match_one_call(self, component, monkeypatch):
+        model = build_model(
+            mean_learners=[stump(0, 0.3), stump(1, -0.2), stump(2, 0.1)],
+            gcov_learners=([stump(0, -0.4), stump(2, 0.2)],),
+            rvar_learners=[stump(0, 0.1), stump(1, 0.5)],
+        )
+        bg = np.random.default_rng(8).standard_normal((13, 3))
+        whole = partial_dependence(model, component, "x1", bg)[1]
+        # 4 grid points of 13 x 3 cells per chunk: 25 points in 6 chunks of 4 and one of 1
+        monkeypatch.setattr(diagnostics, "_CHUNK_CELLS", 4 * bg.size + 2)
+        grid, chunked = partial_dependence(model, component, "x1", bg)
+        assert grid.shape == (25,)
+        assert np.ptp(whole) > 0.0
+        assert np.array_equal(chunked, whole)
 
     def test_validation(self):
         model = build_model()

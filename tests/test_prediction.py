@@ -1,12 +1,26 @@
 """Prediction math on hand-built models with known component values."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
+from scipy.stats import norm
 
-from gbmixed.boosting import FitConfig, FittedModel
-from gbmixed.data import GroupBlock, GroupedDataset, summarize_groups
+from gbmixed import prediction
+from gbmixed.boosting import (
+    FitConfig,
+    FittedModel,
+    config_for_variant,
+    eval_gcov_rows,
+    eval_mean,
+    eval_resid_var,
+    fit,
+)
+from gbmixed.data import GroupBlock, GroupedDataset, summarize_groups, summarize_matrix
 from gbmixed.errors import ConfigError, DataError
 from gbmixed.learners import LearnerSpec, LinearLearner
+from gbmixed.likelihood import chol_with_jitter, marginal_covariance
 from gbmixed.prediction import (
     ate,
     blup,
@@ -15,7 +29,6 @@ from gbmixed.prediction import (
     interval_halfwidth,
     ite_variance,
     predict_dataset,
-    predict_group_rows,
 )
 
 Z90 = 1.6448536269514722   # standard normal quantile at 0.95
@@ -139,29 +152,29 @@ class TestIntervals:
             interval_halfwidth(np.ones(1), 1.0)
 
     def test_known_group_interval(self):
+        # q = 1, Z = 1: u_hat = g * n * mean(y - mu) / (g * n + r)
         g_var, r_var = 0.25, 0.75
         model = const_model(f0=0.0, L_entries=(0.5,), logr0=np.log(r_var))
-        X = np.zeros((2, 2))
-        Z = np.ones((2, 1))
-        u = np.array([0.4])
-        mu, cond, var, lo, hi = predict_group_rows(model, X, Z, None, u, alpha=0.1)
-        np.testing.assert_allclose(cond, np.full(2, 0.4))
-        np.testing.assert_allclose(var, np.full(2, g_var + r_var))
-        np.testing.assert_allclose(hi - cond, Z90 * np.sqrt(g_var + r_var))
-        np.testing.assert_allclose(cond - lo, Z90 * np.sqrt(g_var + r_var))
+        y = np.array([0.9, 0.7])
+        ds = GroupedDataset(groups=(make_group(0, y, np.zeros((2, 2))),), feature_names=("x1", "x2"))
+        table = predict_dataset(model, ds, alpha=0.1)
+        u = g_var * 2 * y.mean() / (g_var * 2 + r_var)
+        np.testing.assert_allclose(table.mu_conditional, np.full(2, u))
+        np.testing.assert_allclose(table.var_total, np.full(2, g_var + r_var))
+        np.testing.assert_allclose(table.hi - table.mu_conditional, Z90 * np.sqrt(g_var + r_var))
+        np.testing.assert_allclose(table.mu_conditional - table.lo, Z90 * np.sqrt(g_var + r_var))
 
     def test_unknown_group_variants(self):
         g_var, r_var = 0.25, 0.75
         model = const_model(f0=0.2, L_entries=(0.5,), logr0=np.log(r_var))
-        X = np.zeros((3, 2))
-        Z = np.ones((3, 1))
-        mu, cond, var, lo, hi = predict_group_rows(model, X, Z, None, None, alpha=0.1)
-        np.testing.assert_allclose(cond, mu)
-        np.testing.assert_allclose(var, np.full(3, g_var + r_var))
-        _, _, var_red, _, _ = predict_group_rows(
-            model, X, Z, None, None, alpha=0.1, reduced_new_group_variance=True
-        )
-        np.testing.assert_allclose(var_red, np.full(3, r_var))
+        unseen = make_group(0, np.full(3, np.nan), np.zeros((3, 2)))
+        ds = GroupedDataset(groups=(unseen,), feature_names=("x1", "x2"))
+        table = predict_dataset(model, ds, alpha=0.1)
+        assert not table.known_group.any()
+        np.testing.assert_allclose(table.mu_conditional, table.mu_marginal)
+        np.testing.assert_allclose(table.var_total, np.full(3, g_var + r_var))
+        reduced = predict_dataset(model, ds, alpha=0.1, reduced_new_group_variance=True)
+        np.testing.assert_allclose(reduced.var_total, np.full(3, r_var))
 
 
 class TestPredictDataset:
@@ -208,6 +221,126 @@ class TestPredictDataset:
         model = const_model(p=3)
         with pytest.raises(DataError):
             predict_dataset(model, ds)
+
+    def test_random_effect_width_mismatch(self):
+        rng = np.random.default_rng(3)
+        ds = self.build_ds([1, 2], rng)
+        model = const_model(L_entries=(1.0, 0.0, 1.0), q=2)
+        with pytest.raises(DataError):
+            predict_dataset(model, ds)
+
+
+def reference_table(model, ds, training_groups=None, alpha=0.1, reduced=False):
+    """Group-by-group predictions: the marginal covariance and a dense solve per group."""
+    source = training_groups if training_groups is not None else ds
+    history = {g.group_id: g for g in source.groups if np.isfinite(g.y).any()}
+    z = norm.ppf(1.0 - alpha / 2.0)
+
+    def summary(g):
+        return g.x_tilde if g.x_tilde is not None else summarize_matrix(g.X)
+
+    cols = {k: [] for k in ("mu_marginal", "mu_conditional", "var_total", "lo", "hi", "known_group")}
+    for g in ds.groups:
+        mu = eval_mean(model, g.X)
+        G = eval_gcov_rows(model, summary(g)[None, :])[0]
+        r = eval_resid_var(model, g.X)
+        var = np.einsum("nq,qr,nr->n", g.Z, G, g.Z) + r
+        h = history.get(g.group_id)
+        if h is None:
+            cond = mu.copy()
+            if reduced:
+                var = r.copy()
+        else:
+            keep = np.isfinite(h.y)
+            Gh = eval_gcov_rows(model, summary(h)[None, :])[0]
+            Zh = h.Z[keep]
+            Sigma = marginal_covariance(Zh, Gh, eval_resid_var(model, h.X[keep]))
+            resid = h.y[keep] - eval_mean(model, h.X[keep])
+            u = Gh @ (Zh.T @ cho_solve(chol_with_jitter(Sigma, h.group_id), resid))
+            cond = mu + g.Z @ u
+        half = z * np.sqrt(var)
+        for name, col in zip(cols, (mu, cond, var, cond - half, cond + half, np.full(g.n, h is not None))):
+            cols[name].append(col)
+    ids = [g.group_id for g in ds.groups for _ in range(g.n)]
+    return ids, {name: np.concatenate(parts) for name, parts in cols.items()}
+
+
+def slope_groups(rng, ids, nan_rows=(), all_nan=()):
+    """Groups of 3-6 rows with Z = [1, x1]; some responses replaced by nan."""
+    groups = []
+    for gid in ids:
+        n = 3 + gid % 4
+        X = rng.standard_normal((n, 3))
+        Z = np.column_stack([np.ones(n), X[:, 0]])
+        y = X[:, 1] + rng.standard_normal() + 0.5 * rng.standard_normal() * X[:, 0]
+        y = y + 0.5 * rng.standard_normal(n)
+        if gid in nan_rows:
+            y[::2] = np.nan
+        if gid in all_nan:
+            y[:] = np.nan
+        groups.append(GroupBlock(group_id=gid, y=y, X=X, Z=Z))
+    return GroupedDataset(groups=tuple(groups), feature_names=("x1", "x2", "x3"))
+
+
+@pytest.fixture(scope="module")
+def slope_model():
+    train = summarize_groups(slope_groups(np.random.default_rng(11), range(30)))
+    spec = LearnerSpec(kind="tree", tree_min_child=2, tree_min_parent=4)
+    cfg = config_for_variant("grboost", spec, n_iterations=8, early_stopping=False, seed=0)
+    return fit(train, cfg)
+
+
+class TestStackedPrediction:
+    """predict_dataset against the group-by-group reference, value for value."""
+
+    def served_and_history(self, summarized):
+        rng = np.random.default_rng(12)
+        # history: 2 has some nan responses, 5 has none finite, 100 is never served;
+        # served: 8-11 have no history at all
+        history = slope_groups(rng, [0, 1, 2, 3, 4, 5, 6, 7, 100], nan_rows=(2,), all_nan=(5,))
+        served = slope_groups(rng, range(2, 12))
+        if summarized:
+            # attached summaries that no aggregation of the rows would give
+            history, served = (
+                GroupedDataset(
+                    groups=tuple(replace(g, x_tilde=g.X[-1] + 0.5) for g in d.groups),
+                    feature_names=d.feature_names,
+                )
+                for d in (history, served)
+            )
+        return served, history
+
+    @pytest.mark.parametrize("summarized", [True, False])
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_matches_reference_with_training_groups(self, slope_model, summarized, reduced):
+        served, history = self.served_and_history(summarized)
+        table = predict_dataset(
+            slope_model, served, training_groups=history, reduced_new_group_variance=reduced
+        )
+        ids, ref = reference_table(slope_model, served, history, reduced=reduced)
+        assert table.group_ids == ids
+        for name, col in ref.items():
+            assert np.array_equal(getattr(table, name), col), name
+        known = {gid for gid, k in zip(table.group_ids, table.known_group) if k}
+        assert known == {2, 3, 4, 6, 7}
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_matches_reference_on_own_history(self, slope_model, reduced):
+        rng = np.random.default_rng(13)
+        ds = summarize_groups(slope_groups(rng, [4, 1, 3, 2], nan_rows=(1,), all_nan=(3,)))
+        table = predict_dataset(slope_model, ds, alpha=0.05, reduced_new_group_variance=reduced)
+        ids, ref = reference_table(slope_model, ds, alpha=0.05, reduced=reduced)
+        assert table.group_ids == ids == [1] * 4 + [2] * 5 + [3] * 6 + [4] * 3
+        for name, col in ref.items():
+            assert np.array_equal(getattr(table, name), col), name
+
+    def test_blup_is_one_row_of_the_batch(self, slope_model):
+        _, history = self.served_and_history(summarized=True)
+        batch = prediction._blups(slope_model, history.groups)
+        assert batch.shape == (history.n_groups, 2)
+        for g, row in zip(history.groups, batch):
+            assert np.array_equal(blup(slope_model, g), row)
+        np.testing.assert_array_equal(batch[history.group_ids().index(5)], np.zeros(2))
 
 
 class TestTreatmentEffects:
