@@ -67,6 +67,8 @@ class FitConfig:
         if self.n_iterations < 0:
             raise ConfigError("n_iterations must be nonnegative")
         for name in ("lr_mean", "lr_gcov", "lr_rvar"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if not (0.0 < self.group_fraction <= 1.0):
@@ -75,6 +77,8 @@ class FitConfig:
             raise ConfigError("feature_fraction must be in (0, 1]")
         if self.lookback < 1:
             raise ConfigError("lookback must be at least 1")
+        if not np.isfinite(self.tolerance):
+            raise ConfigError("tolerance must be finite")
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         if not (0.0 < self.eval_fraction < 1.0):

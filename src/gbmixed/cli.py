@@ -53,14 +53,7 @@ def _load_for_model(path: str, model: FittedModel, schema: ColumnSchema | None, 
             "through the library API"
         )
     if group_col is not None:
-        schema = ColumnSchema(
-            group_col=group_col,
-            response_col=schema.response_col,
-            feature_cols=schema.feature_cols,
-            z_cols=schema.z_cols,
-            categorical_cols=schema.categorical_cols,
-            treatment_col=schema.treatment_col,
-        )
+        schema = replace(schema, group_col=group_col)
     ds = load_csv(path, schema)
     return summarize_groups(ds), schema
 
@@ -106,21 +99,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-_SIM_FIT_KEYS = {
-    "iterations": "n_iterations",
-    "lr_mean": "lr_mean",
-    "lr_gcov": "lr_gcov",
-    "lr_rvar": "lr_rvar",
-    "group_fraction": "group_fraction",
-    "feature_fraction": "feature_fraction",
-    "lookback": "lookback",
-    "tolerance": "tolerance",
-    "early_stopping": "early_stopping",
-    "eval_fraction": "eval_fraction",
-}
-_SIM_TREE_KEYS = ("tree_max_depth", "tree_min_parent", "tree_min_child", "ridge_epsilon")
-
-
 def _simulate_config(scenario: simulate.Scenario, sets: list[str]):
     values = {}
     for item in sets:
@@ -128,26 +106,17 @@ def _simulate_config(scenario: simulate.Scenario, sets: list[str]):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
         key = key.strip()
-        allowed = set(_SIM_FIT_KEYS) | set(_SIM_TREE_KEYS) | {"variant", "learning_rate"}
-        if key not in allowed:
-            raise ConfigError(f"--set key {key!r} not recognized (allowed: {sorted(allowed)})")
+        if key not in config_mod.SIMULATE_KEYS:
+            raise ConfigError(
+                f"--set key {key!r} not recognized (allowed: {sorted(config_mod.SIMULATE_KEYS)})"
+            )
         if key in values:
             raise ConfigError(f"duplicate --set key {key!r}")
         try:
-            values[key] = config_mod._convert(key, raw.strip(), 0)
+            values[key] = config_mod.parse_value(key, raw.strip())
         except ConfigError:
             raise ConfigError(f"--set {key}: cannot parse value {raw.strip()!r}") from None
-    variant = values.pop("variant", scenario.variant)
-    tree_kwargs = {k: values.pop(k) for k in list(values) if k in _SIM_TREE_KEYS}
-    kwargs = {}
-    if "learning_rate" in values:
-        lr = values.pop("learning_rate")
-        kwargs.update(lr_mean=lr, lr_gcov=lr, lr_rvar=lr)
-    for key, field in _SIM_FIT_KEYS.items():
-        if key in values:
-            kwargs[field] = values.pop(key)
-    learner = replace(scenario.learner, **tree_kwargs)
-    return replace(scenario, variant=variant, learner=learner).default_config(**kwargs)
+    return config_mod.apply_settings(scenario.default_config(), values)
 
 
 def _sim_schema(scenario: simulate.Scenario) -> ColumnSchema:
@@ -224,7 +193,12 @@ def cmd_diagnose(args) -> int:
             parts = args.g_entry.split(",")
             if len(parts) != 2:
                 raise ConfigError("--g-entry expects 'row,col'")
-            g_entry = (int(parts[0]), int(parts[1]))
+            try:
+                g_entry = (int(parts[0]), int(parts[1]))
+            except ValueError:
+                raise ConfigError(
+                    f"--g-entry expects integers 'row,col', got {args.g_entry!r}"
+                ) from None
         grid, values = diagnostics.partial_dependence(
             model,
             args.component,

@@ -1,20 +1,24 @@
-"""Flat key = value run configuration for the command line.
+"""Flat key = value run configuration, and the one vocabulary of fit settings.
 
 One option per line, values after '=', '#' starts a comment anywhere.
 Unknown and duplicated keys are rejected so typos cannot silently fall back
 to defaults. The file both names the data columns and sets the fit
 hyperparameters; learning_rate is a convenience that sets all three
 component rates at once unless an individual rate overrides it.
+
+This module owns the setting keys of both commands: `gbmixed fit` reads them
+from its config file over `FitConfig()`, and `gbmixed simulate --set`
+applies the SIMULATE_KEYS subset over a scenario's settings, both through
+parse_value and apply_settings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
-from .boosting import FitConfig
+from .boosting import FitConfig, config_for_variant
 from .data import ColumnSchema
 from .errors import ConfigError
-from .learners import LearnerSpec
 
 _STR, _INT, _FLOAT, _BOOL, _LIST = "str", "int", "float", "bool", "list"
 
@@ -54,8 +58,35 @@ _KEYS = {
 
 _REQUIRED = ("group_col", "response_col", "feature_cols")
 
+# setting key -> the FitConfig field it sets, for the keys that set one field
+_FIELD_KEYS = {
+    "iterations": "n_iterations",
+    "lr_mean": "lr_mean",
+    "lr_gcov": "lr_gcov",
+    "lr_rvar": "lr_rvar",
+    "group_fraction": "group_fraction",
+    "feature_fraction": "feature_fraction",
+    "lookback": "lookback",
+    "tolerance": "tolerance",
+    "early_stopping": "early_stopping",
+    "eval_fraction": "eval_fraction",
+    "seed": "seed",
+    "verbose": "verbose",
+}
+_RATE_FIELDS = ("lr_mean", "lr_gcov", "lr_rvar")
+_LEARNER_KEYS = ("mean_learner", "gcov_learner", "rvar_learner")
+_TREE_KEYS = ("tree_max_depth", "tree_min_parent", "tree_min_child", "ridge_epsilon")
 
-def _convert(key: str, raw: str, line_no: int):
+# the keys `gbmixed simulate --set` takes: a scenario fixes its columns,
+# learner kinds and forced features, and --seed gives the seed
+SIMULATE_KEYS = tuple(
+    k for k in ("variant", "learning_rate", *_FIELD_KEYS, *_TREE_KEYS)
+    if k not in ("seed", "verbose")
+)
+
+
+def parse_value(key: str, raw: str):
+    """Convert a raw string to the value type of a known key."""
     kind = _KEYS[key]
     try:
         if kind == _INT:
@@ -73,9 +104,7 @@ def _convert(key: str, raw: str, line_no: int):
             return tuple(s.strip() for s in raw.split(",") if s.strip())
         return raw
     except ValueError:
-        raise ConfigError(
-            f"line {line_no}: cannot parse {raw!r} as {kind} for key {key!r}"
-        ) from None
+        raise ConfigError(f"cannot parse {raw!r} as {kind} for key {key!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -93,8 +122,34 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate config key {key!r}")
-        values[key] = _convert(key, raw, line_no)
+        try:
+            values[key] = parse_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
     return values
+
+
+def apply_settings(base: FitConfig, values: dict) -> FitConfig:
+    """base with the fit-setting keys of values applied; other keys are ignored.
+
+    variant re-derives the learner kinds from base's mean learner, then
+    learning_rate sets all three rates, then the one-field keys (the
+    per-rate ones among them) override, then the tree keys go to all three
+    learners, and last the *_learner keys set their learner's kind.
+    """
+    cfg = base
+    if "variant" in values:
+        derived = config_for_variant(values["variant"], cfg.mean_learner)
+        cfg = replace(cfg, **{k: getattr(derived, k) for k in ("variant", *_LEARNER_KEYS)})
+    if "learning_rate" in values:
+        cfg = replace(cfg, **dict.fromkeys(_RATE_FIELDS, values["learning_rate"]))
+    cfg = replace(cfg, **{field: values[k] for k, field in _FIELD_KEYS.items() if k in values})
+    tree = {k: values[k] for k in _TREE_KEYS if k in values}
+    learners = {}
+    for k in _LEARNER_KEYS:
+        spec = replace(getattr(cfg, k), **tree)
+        learners[k] = replace(spec, kind=values[k]) if k in values else spec
+    return replace(cfg, **learners)
 
 
 @dataclass(frozen=True)
@@ -110,29 +165,8 @@ def build_run_config(values: dict) -> RunConfig:
             raise ConfigError(f"missing required config key {key!r}")
 
     schema = ColumnSchema(
-        group_col=values["group_col"],
-        response_col=values["response_col"],
-        feature_cols=tuple(values["feature_cols"]),
-        z_cols=tuple(values.get("z_cols", ("intercept",))),
-        categorical_cols=tuple(values.get("categorical_cols", ())),
-        treatment_col=values.get("treatment_col"),
+        **{f.name: values[f.name] for f in fields(ColumnSchema) if f.name in values}
     )
-
-    d = FitConfig()  # the single source of defaults
-    spec = LearnerSpec()
-
-    def spec_for(key: str, default_kind: str) -> LearnerSpec:
-        return LearnerSpec(
-            kind=values.get(key, default_kind),
-            tree_max_depth=values.get("tree_max_depth", spec.tree_max_depth),
-            tree_min_parent=values.get("tree_min_parent", spec.tree_min_parent),
-            tree_min_child=values.get("tree_min_child", spec.tree_min_child),
-            ridge_epsilon=values.get("ridge_epsilon", spec.ridge_epsilon),
-        )
-
-    variant = values.get("variant", d.variant)
-    g_default = spec.kind if variant in ("gboost", "grboost") else "constant"
-    r_default = spec.kind if variant in ("rboost", "grboost") else "constant"
 
     feature_cols = schema.feature_cols
     force: set[int] = set()
@@ -145,25 +179,7 @@ def build_run_config(values: dict) -> RunConfig:
             raise ConfigError("force_include_treatment set but no treatment_col given")
         force.add(feature_cols.index(schema.treatment_col))
 
-    fit = FitConfig(
-        variant=variant,
-        n_iterations=values.get("iterations", d.n_iterations),
-        lr_mean=values.get("lr_mean", values.get("learning_rate", d.lr_mean)),
-        lr_gcov=values.get("lr_gcov", values.get("learning_rate", d.lr_gcov)),
-        lr_rvar=values.get("lr_rvar", values.get("learning_rate", d.lr_rvar)),
-        group_fraction=values.get("group_fraction", d.group_fraction),
-        feature_fraction=values.get("feature_fraction", d.feature_fraction),
-        mean_learner=spec_for("mean_learner", spec.kind),
-        gcov_learner=spec_for("gcov_learner", g_default),
-        rvar_learner=spec_for("rvar_learner", r_default),
-        lookback=values.get("lookback", d.lookback),
-        tolerance=values.get("tolerance", d.tolerance),
-        early_stopping=values.get("early_stopping", d.early_stopping),
-        eval_fraction=values.get("eval_fraction", d.eval_fraction),
-        seed=values.get("seed", d.seed),
-        force_include=tuple(sorted(force)),
-        verbose=values.get("verbose", d.verbose),
-    )
+    fit = replace(apply_settings(FitConfig(), values), force_include=tuple(sorted(force)))
     return RunConfig(schema=schema, fit=fit, model_out=values.get("model_out"))
 
 

@@ -44,6 +44,8 @@ class LearnerSpec:
             raise ConfigError("tree_min_parent must be at least 2")
         if self.tree_min_child < 1:
             raise ConfigError("tree_min_child must be at least 1")
+        if not np.isfinite(self.ridge_epsilon):
+            raise ConfigError("ridge_epsilon must be finite")
         if self.ridge_epsilon < 0:
             raise ConfigError("ridge_epsilon must be nonnegative")
 

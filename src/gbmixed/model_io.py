@@ -20,6 +20,8 @@ are rejected, not guessed at.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .data import ColumnSchema
 from .errors import DataError
 from .learners import (
     ConstantLearner,
-    LearnerSpec,
     LinearLearner,
     TreeLeaf,
     TreeLearner,
@@ -43,45 +44,19 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _spec_payload(spec: LearnerSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "tree_max_depth": spec.tree_max_depth,
-        "tree_min_parent": spec.tree_min_parent,
-        "tree_min_child": spec.tree_min_child,
-        "ridge_epsilon": spec.ridge_epsilon,
-    }
+def _from_record(cls, record: dict):
+    """Rebuild a dataclass written with asdict: JSON lists become tuples again
+    and nested records the dataclasses their fields are annotated with."""
+    if not isinstance(record, dict):
+        raise TypeError(f"expected a {cls.__name__} record, got {record!r}")
+    hints = get_type_hints(cls)
 
+    def value(key, v):
+        if is_dataclass(hints[key]):
+            return _from_record(hints[key], v)
+        return tuple(v) if isinstance(v, list) else v
 
-def _config_payload(cfg: FitConfig) -> dict:
-    return {
-        "variant": cfg.variant,
-        "n_iterations": cfg.n_iterations,
-        "lr_mean": cfg.lr_mean,
-        "lr_gcov": cfg.lr_gcov,
-        "lr_rvar": cfg.lr_rvar,
-        "group_fraction": cfg.group_fraction,
-        "feature_fraction": cfg.feature_fraction,
-        "mean_learner": _spec_payload(cfg.mean_learner),
-        "gcov_learner": _spec_payload(cfg.gcov_learner),
-        "rvar_learner": _spec_payload(cfg.rvar_learner),
-        "lookback": cfg.lookback,
-        "tolerance": cfg.tolerance,
-        "early_stopping": cfg.early_stopping,
-        "eval_fraction": cfg.eval_fraction,
-        "seed": cfg.seed,
-        "force_include": list(cfg.force_include),
-        "verbose": cfg.verbose,
-    }
-
-
-def _config_from(payload: dict) -> FitConfig:
-    specs = {
-        k: LearnerSpec(**payload[k]) for k in ("mean_learner", "gcov_learner", "rvar_learner")
-    }
-    fields = {k: v for k, v in payload.items() if not k.endswith("_learner")}
-    fields["force_include"] = tuple(fields.get("force_include", []))
-    return FitConfig(**fields, **specs)
+    return cls(**{k: value(k, v) for k, v in record.items()})
 
 
 def _node_payload(node):
@@ -141,7 +116,7 @@ def _learner_from(payload: dict):
 def save_model(path: str, model: FittedModel, schema: ColumnSchema | None = None) -> None:
     """Write a model file; schema, when given, lets the CLI reload data files."""
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
-    lines.append("config " + _dump(_config_payload(model.config)))
+    lines.append("config " + _dump(asdict(model.config)))
     meta = {
         "feature_names": list(model.feature_names),
         "q": model.q,
@@ -153,15 +128,10 @@ def save_model(path: str, model: FittedModel, schema: ColumnSchema | None = None
         "history": [float(v) for v in model.history],
         "best_iteration": model.best_iteration,
         "n_iterations_run": model.n_iterations_run,
+        # the feature columns are the model's feature_names
         "schema": None
         if schema is None
-        else {
-            "group_col": schema.group_col,
-            "response_col": schema.response_col,
-            "z_cols": list(schema.z_cols),
-            "categorical_cols": list(schema.categorical_cols),
-            "treatment_col": schema.treatment_col,
-        },
+        else {k: v for k, v in asdict(schema).items() if k != "feature_cols"},
     }
     lines.append("meta " + _dump(meta))
     for h in model.mean_learners:
@@ -208,7 +178,7 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
         tag, _, rest = line.partition(" ")
         try:
             if tag == "config":
-                config = _config_from(json.loads(rest))
+                config = _from_record(FitConfig, json.loads(rest))
             elif tag == "meta":
                 meta = json.loads(rest)
             elif tag == "mean_learner":
@@ -254,12 +224,5 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
     schema = None
     stored = meta.get("schema")
     if stored is not None:
-        schema = ColumnSchema(
-            group_col=stored["group_col"],
-            response_col=stored["response_col"],
-            feature_cols=model.feature_names,
-            z_cols=tuple(stored["z_cols"]),
-            categorical_cols=tuple(stored["categorical_cols"]),
-            treatment_col=stored["treatment_col"],
-        )
+        schema = _from_record(ColumnSchema, {**stored, "feature_cols": model.feature_names})
     return model, schema

@@ -35,7 +35,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
 from .boosting import (
     FitConfig,
@@ -48,7 +47,7 @@ from .boosting import (
 from .data import GroupBlock, GroupedDataset, split_by_groups, summarize_groups
 from .errors import ConfigError
 from .learners import LearnerSpec
-from .prediction import cate, ite_variance
+from .prediction import cate, interval_halfwidth, ite_variance
 
 TRAIN_FRACTION = 0.6
 SIGMOID_SLOPE = 20.0
@@ -419,8 +418,7 @@ def score_predictions(
     g_true: np.ndarray | None = None,
 ) -> ScoreRow:
     """Pure metric computation from predictions and truth."""
-    z = norm.ppf(1.0 - alpha / 2.0)
-    half = z * np.sqrt(var_delta)
+    half = interval_halfwidth(var_delta, alpha)
     inside = np.abs(realized_delta - tau_hat) <= half
     row = ScoreRow(
         cate_mse=float(np.mean((tau_hat - tau_true) ** 2)),

@@ -1,12 +1,17 @@
 """Command line behavior: files in, files out, exit codes, determinism."""
 
 import csv
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from gbmixed import config as config_mod
 from gbmixed import simulate
+from gbmixed.boosting import FitConfig
 from gbmixed.cli import _simulate_config, main
+from gbmixed.config import build_run_config, parse_config_text
+from gbmixed.errors import ConfigError
 
 Z90 = 1.6448536269514722
 Z95 = 1.959963984540054
@@ -43,6 +48,17 @@ def write_cfg(path, extra=""):
         "early_stopping = false\n"
         "seed = 3\n" + extra
     )
+
+
+def config_leaves(cfg):
+    """FitConfig as a flat dict, learner fields as 'mean_learner.kind' etc."""
+    leaves = {}
+    for name, value in asdict(cfg).items():
+        if isinstance(value, dict):
+            leaves.update({f"{name}.{k}": v for k, v in value.items()})
+        else:
+            leaves[name] = value
+    return leaves
 
 
 def read_table(path):
@@ -352,6 +368,56 @@ class TestSimulate:
         assert rc == 0
         assert "variant=base" in capsys.readouterr().out
 
+    def test_alpha_out_of_range(self, tmp_path, capsys):
+        args = self.args(tmp_path, "--alpha", "1.5")
+        args[args.index("--reps") + 1] = "1"
+        rc = main(args)
+        assert rc == 2
+        assert "alpha" in capsys.readouterr().err
+
+    # a value for every --set key that differs from FitConfig() or from expB's settings
+    SET_VALUES = {
+        "variant": "gboost",
+        "learning_rate": "0.2",
+        "iterations": "7",
+        "lr_mean": "0.2",
+        "lr_gcov": "0.2",
+        "lr_rvar": "0.2",
+        "group_fraction": "0.5",
+        "feature_fraction": "0.5",
+        "lookback": "4",
+        "tolerance": "1e-5",
+        "early_stopping": "false",
+        "eval_fraction": "0.1",
+        "tree_max_depth": "2",
+        "tree_min_parent": "12",
+        "tree_min_child": "3",
+        "ridge_epsilon": "1e-4",
+    }
+
+    def test_set_values_cover_every_set_key(self):
+        assert sorted(self.SET_VALUES) == sorted(config_mod.SIMULATE_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(SET_VALUES))
+    def test_set_key_means_what_the_config_key_means(self, key):
+        sc = simulate.scenario_by_name("expB")
+        value = self.SET_VALUES[key]
+        text = f"group_col = g\nresponse_col = y\nfeature_cols = x1\n{key} = {value}\n"
+        from_file = config_leaves(build_run_config(parse_config_text(text)).fit)
+        from_set = config_leaves(_simulate_config(sc, [f"{key}={value}"]))
+        changed = {p for p, v in config_leaves(FitConfig()).items() if from_file[p] != v}
+        changed |= {p for p, v in config_leaves(sc.default_config()).items() if from_set[p] != v}
+        assert changed
+        assert {p: from_file[p] for p in changed} == {p: from_set[p] for p in changed}
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key", [k for k in config_mod.SIMULATE_KEYS if config_mod._KEYS[k] == "float"]
+    )
+    def test_non_finite_set_value(self, key, raw):
+        with pytest.raises(ConfigError):
+            _simulate_config(simulate.scenario_by_name("expB"), [f"{key}={raw}"])
+
     @pytest.mark.parametrize("name", sorted(simulate.SCENARIOS))
     def test_config_defaults_to_the_scenario(self, name):
         sc = simulate.scenario_by_name(name)
@@ -494,3 +560,25 @@ class TestDiagnose:
             ]
         )
         assert rc == 2
+
+    def test_g_entry_not_integers(self, workdir, capsys):
+        model = fit_model(workdir)
+        rc = main(
+            [
+                "diagnose",
+                "--model",
+                str(model),
+                "--data",
+                str(workdir / "train.csv"),
+                "--component",
+                "G",
+                "--feature",
+                "x1",
+                "--g-entry",
+                "a,b",
+                "--out",
+                str(workdir / "d.csv"),
+            ]
+        )
+        assert rc == 2
+        assert "--g-entry" in capsys.readouterr().err

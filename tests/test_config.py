@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from gbmixed import config as config_mod
 from gbmixed.boosting import FitConfig
 from gbmixed.config import build_run_config, load_run_config, parse_config_text
 from gbmixed.errors import ConfigError
@@ -147,6 +148,17 @@ class TestBuild:
     def test_model_out(self):
         run = build_run_config(parse_config_text(minimal("model_out = fit.model\n")))
         assert run.model_out == "fit.model"
+
+
+FLOAT_KEYS = sorted(k for k, kind in config_mod._KEYS.items() if kind == "float")
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_rejected(self, key, raw):
+        with pytest.raises(ConfigError):
+            build_run_config(parse_config_text(minimal(f"{key} = {raw}\n")))
 
 
 class TestLoadFile:

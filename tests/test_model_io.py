@@ -1,5 +1,7 @@
 """Model files: bit-identical round trips, byte-identical saves, version gate."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,44 @@ class TestRoundTrip:
         assert back.feature_cols == model.feature_names
         assert back.categorical_cols == (model.feature_names[1],)
         assert back.treatment_col is None
+
+
+# The config record of one fixed FitConfig, as files of format version 1 hold it.
+GOLDEN_CONFIG_LINE = (
+    'config {"early_stopping":false,"eval_fraction":0.3,"feature_fraction":1.0,'
+    '"force_include":[2,0],"gcov_learner":{"kind":"constant","ridge_epsilon":0.5,'
+    '"tree_max_depth":4,"tree_min_child":5,"tree_min_parent":10},"group_fraction":0.5,'
+    '"lookback":9,"lr_gcov":0.0,"lr_mean":0.25,"lr_rvar":0.125,"mean_learner":{"kind":'
+    '"linear","ridge_epsilon":0.5,"tree_max_depth":4,"tree_min_child":5,"tree_min_parent":10},'
+    '"n_iterations":7,"rvar_learner":{"kind":"linear","ridge_epsilon":0.5,"tree_max_depth":4,'
+    '"tree_min_child":5,"tree_min_parent":10},"seed":3,"tolerance":0.0001,"variant":"rboost",'
+    '"verbose":true}'
+)
+
+
+def test_config_record_golden(tmp_path):
+    cfg = config_for_variant(
+        "rboost",
+        LearnerSpec(kind="linear", tree_max_depth=4, ridge_epsilon=0.5),
+        n_iterations=7,
+        lr_mean=0.25,
+        lr_gcov=0.0,
+        lr_rvar=0.125,
+        group_fraction=0.5,
+        feature_fraction=1.0,
+        lookback=9,
+        tolerance=1e-4,
+        early_stopping=False,
+        eval_fraction=0.3,
+        seed=3,
+        force_include=(2, 0),
+        verbose=True,
+    )
+    model, _ = fitted("base", "constant", np.random.default_rng(9), n_iterations=1)
+    path = tmp_path / "m.txt"
+    save_model(path, replace(model, config=cfg))
+    assert path.read_text().splitlines()[1] == GOLDEN_CONFIG_LINE
+    assert load_model(path)[0].config == cfg
 
 
 class TestFormatGuards:

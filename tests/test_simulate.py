@@ -221,6 +221,17 @@ class TestScoring:
         assert row.coverage == pytest.approx(50.0)
         assert row.r_mse is None and row.g_mse is None
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_score_predictions_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            score_predictions(
+                tau_hat=np.zeros(2),
+                var_delta=np.ones(2),
+                realized_delta=np.zeros(2),
+                tau_true=np.zeros(2),
+                alpha=alpha,
+            )
+
     def test_variance_metrics(self):
         row = score_predictions(
             tau_hat=np.zeros(2),
