@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import GroupedDataset, split_by_groups, summarize_groups
 from .errors import ConfigError, DataError, NumericalError
-from .learners import FittedLearner, LearnerSpec, fit_learner
+from .learners import FittedLearner, LearnerSpec, SortedColumns, fit_learner
 from . import likelihood as lik
 
 VARIANTS = ("base", "rboost", "gboost", "grboost")
@@ -365,12 +365,15 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
         X_rows = gb.X[row_idx]
         Xt_rows = gb.Xt[g_idx]
 
-        h_mu = fit_learner(X_rows, pseudo_mu, feats, config.mean_learner)
+        # trees on the same rows share one sort, done by the first tree fit
+        rows_sorted = SortedColumns(X_rows, feats)
+        groups_sorted = SortedColumns(Xt_rows, feats)
+        h_mu = fit_learner(X_rows, pseudo_mu, feats, config.mean_learner, rows_sorted)
         h_gcov = [
-            fit_learner(Xt_rows, grad_factor[:, t], feats, config.gcov_learner)
+            fit_learner(Xt_rows, grad_factor[:, t], feats, config.gcov_learner, groups_sorted)
             for t in range(T)
         ]
-        h_rvar = fit_learner(X_rows, pseudo_logr, feats, config.rvar_learner)
+        h_rvar = fit_learner(X_rows, pseudo_logr, feats, config.rvar_learner, rows_sorted)
 
         mean_learners.append(h_mu)
         for t in range(T):

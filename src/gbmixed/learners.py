@@ -13,6 +13,19 @@ Tree details that the rest of the package depends on:
   - ties in gain break toward the lower feature index, then lower threshold,
   - zero-gain splits are not made, so a constant pseudo-response yields a
     single leaf.
+
+A tree sorts each of its feature columns once, at the root (SortedColumns;
+trees fitted to the same rows and features share that sort). Every child
+takes the stable partition of its parent's sorted index arrays, which keeps
+rows ordered by value and then by row position, exactly as a fresh stable
+argsort of the child's rows would. Cumulative sums, gains and thresholds
+are therefore the same bits whichever way the node's order was reached.
+
+The tie rule is exact only for gains that are equal in floating point. Two
+features that induce the same partition of a node have equal gains in exact
+arithmetic, but their cumulative sums add the pseudo-responses in different
+orders, so rounding, not the feature index, decides between them; a change
+in the last bits of the pseudo-responses can flip such a split.
 """
 
 from __future__ import annotations
@@ -203,67 +216,115 @@ def _check_feature_range(feats, p):
         raise ConfigError(f"feature index out of range for {p} columns")
 
 
-def fit_tree(X, pseudo, features: Sequence[int], spec: LearnerSpec) -> TreeLearner:
+class SortedColumns:
+    """The columns X[:, features] of one row set, each stably sorted once.
+
+    Trees fitted to the same rows and features share one instance, so they
+    share one sort; every tree node then takes stable partitions of these
+    index arrays. The sort runs on the first tree fit, so constant and linear
+    learners never pay for it.
+    """
+
+    def __init__(self, X, features: Sequence[int]):
+        self.X = np.asarray(X, dtype=float)
+        self.features = sorted(int(f) for f in features)
+        self._sorted = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, n) feature-major columns and the stable argsort of each of them."""
+        if self._sorted is None:
+            cols = self.X.T[self.features]
+            self._sorted = cols, np.argsort(cols, axis=1, kind="stable")
+        return self._sorted
+
+
+def fit_tree(
+    X, pseudo, features: Sequence[int], spec: LearnerSpec, presort: SortedColumns | None = None
+) -> TreeLearner:
+    """Exact greedy tree on X[:, features].
+
+    presort, when given, must be built on this very X and feature set; trees
+    fitted to the same rows then share one sort. Without it the tree sorts
+    for itself.
+    """
     X, pseudo = _check_training_inputs(X, pseudo)
     feats = sorted(int(f) for f in features)
     _check_feature_range(feats, X.shape[1])
-    Xn = X[:, feats]
-    root = _grow(Xn, pseudo, np.asarray(feats, dtype=np.int64), 0, spec)
+    if presort is None:
+        presort = SortedColumns(X, feats)
+    elif presort.X is not X or presort.features != feats:
+        raise DataError("presorted columns belong to another matrix or feature set")
+    cols, order = presort.arrays()
+    side = np.empty(X.shape[0], dtype=bool)   # scratch: split side of each row
+    root = _grow(cols, pseudo, feats, spec, side, np.arange(X.shape[0]), order, None, 0)
     return TreeLearner(root=root, n_features=X.shape[1])
 
 
-def _grow(Xn, y, feats, depth, spec: LearnerSpec) -> TreeNode:
-    n = y.shape[0]
+def _grow(cols, pseudo, feats, spec: LearnerSpec, side, rows, parent_idx, keep, depth) -> TreeNode:
+    """Grow the node holding rows, in ascending order.
+
+    The node's rows sorted per feature are the stable partition
+    parent_idx[keep] (parent_idx itself at the root), taken only when the
+    node is searched. side is scratch space for the split side of each row.
+    A module-level function rather than a closure: a recursive closure is a
+    reference cycle that would hold each tree's arrays until the cycle
+    collector runs.
+    """
+    y = pseudo[rows]
     value = float(np.mean(y))
+    n = rows.shape[0]
     if depth >= spec.tree_max_depth or n < spec.tree_min_parent or n < 2 * spec.tree_min_child:
         return TreeLeaf(value)
-    found = _best_split(Xn, y, spec.tree_min_child)
+    idx = parent_idx if keep is None else parent_idx[keep].reshape(len(feats), n)
+    found = _best_split(cols, pseudo, y, idx, spec.tree_min_child)
     if found is None:
         return TreeLeaf(value)
     j, thr = found
-    go_left = Xn[:, j] < thr
-    left = _grow(Xn[go_left], y[go_left], feats, depth + 1, spec)
-    right = _grow(Xn[~go_left], y[~go_left], feats, depth + 1, spec)
-    return TreeSplit(feature=int(feats[j]), threshold=thr, left=left, right=right)
+    go_left = cols[j, rows] < thr
+    side[rows] = go_left
+    on_left = side[idx]
+    left = _grow(cols, pseudo, feats, spec, side, rows[go_left], idx, on_left, depth + 1)
+    right = _grow(cols, pseudo, feats, spec, side, rows[~go_left], idx, ~on_left, depth + 1)
+    return TreeSplit(feature=feats[j], threshold=thr, left=left, right=right)
 
 
-def _best_split(Xn, y, min_child):
-    """Exact greedy scan over all features and midpoints at once.
+def _best_split(cols, pseudo, y, idx, min_child):
+    """Exact greedy scan over all features and midpoints of one node at once.
 
-    Gains live in an (n-1, F) matrix; the argmax is taken in column-major
-    order so equal gains resolve to the lower feature index first and the
-    lower threshold second. Returns (local feature index, threshold) or None
-    when no split has positive gain.
+    cols is the tree's (F, N) feature-major matrix, idx the node's (F, n)
+    rows sorted per feature and y the node's pseudo-responses in row order.
+    Gains live in an (F, n-1) matrix whose row-major argmax resolves equal
+    gains to the lower feature index first and the lower threshold second.
+    Returns (local feature index, threshold) or None when no split has
+    positive gain.
     """
-    n, F = Xn.shape
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    total = csum[-1]
-    m = np.arange(1, n, dtype=float)[:, None]     # left-child sizes
-    cl = csum[:-1]
+    n = idx.shape[1]
+    xs = np.take_along_axis(cols, idx, axis=1)
+    csum = np.cumsum(pseudo[idx], axis=1)
+    total = csum[:, -1:]
+    m = np.arange(1, n, dtype=float)              # left-child sizes
+    cl = csum[:, :-1]
     gains = cl**2 / m + (total - cl) ** 2 / (n - m) - total**2 / n
-    valid = xs[:-1] < xs[1:]
+    valid = xs[:, :-1] < xs[:, 1:]
     if min_child > 1:
-        lo = min_child - 1
-        hi = n - min_child
-        valid[:lo] = False
-        valid[hi:] = False
+        valid[:, : min_child - 1] = False
+        valid[:, n - min_child :] = False
     gains = np.where(valid, gains, -np.inf)
-    flat = np.argmax(gains.ravel(order="F"))
-    best_j, best_i = divmod(int(flat), n - 1)
-    best_gain = gains[best_i, best_j]
+    best_j, best_i = divmod(int(np.argmax(gains)), n - 1)
+    best_gain = gains[best_j, best_i]
     floor = 1e-12 * (float(np.sum(y * y)) + 1e-300)
     if not np.isfinite(best_gain) or best_gain <= floor:
         return None
-    thr = 0.5 * (xs[best_i, best_j] + xs[best_i + 1, best_j])
+    thr = 0.5 * (xs[best_j, best_i] + xs[best_j, best_i + 1])
     return best_j, float(thr)
 
 
-def fit_learner(X, pseudo, features: Sequence[int], spec: LearnerSpec) -> FittedLearner:
+def fit_learner(
+    X, pseudo, features: Sequence[int], spec: LearnerSpec, presort: SortedColumns | None = None
+) -> FittedLearner:
+    """Fit the learner kind of spec; presort serves only trees (see fit_tree)."""
     if spec.kind == "constant":
         return fit_constant(pseudo)
     if spec.kind == "linear":
         return fit_linear(X, pseudo, features, spec)
-    return fit_tree(X, pseudo, features, spec)
+    return fit_tree(X, pseudo, features, spec, presort)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .boosting import FitConfig, FittedModel
 from .data import ColumnSchema
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .learners import (
     ConstantLearner,
     LinearLearner,
@@ -113,6 +113,34 @@ def _learner_from(payload: dict):
     raise DataError(f"unknown learner kind {kind!r} in model file")
 
 
+def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners):
+    """The model and its stored schema (or None) from the parsed records."""
+    q = int(meta["q"])
+    T = q * (q + 1) // 2
+    gcov_learners = tuple(gcov_by_entry.get(t, []) for t in range(T))
+    t_idx = meta["treatment_index"]
+    model = FittedModel(
+        config=config,
+        feature_names=tuple(meta["feature_names"]),
+        q=q,
+        treatment_index=None if t_idx is None else int(t_idx),
+        categorical_features=tuple(int(c) for c in meta["categorical_features"]),
+        mean_init=float(meta["mean_init"]),
+        mean_learners=mean_learners,
+        gcov_init=np.asarray([float(v) for v in meta["gcov_init"]]),
+        gcov_learners=gcov_learners,
+        logrvar_init=float(meta["logrvar_init"]),
+        rvar_learners=rvar_learners,
+        history=[float(v) for v in meta["history"]],
+        best_iteration=int(meta["best_iteration"]),
+        n_iterations_run=int(meta["n_iterations_run"]),
+    )
+    stored = meta.get("schema")
+    if stored is None:
+        return model, None
+    return model, _from_record(ColumnSchema, {**stored, "feature_cols": model.feature_names})
+
+
 def save_model(path: str, model: FittedModel, schema: ColumnSchema | None = None) -> None:
     """Write a model file; schema, when given, lets the CLI reload data files."""
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
@@ -180,7 +208,7 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
             if tag == "config":
                 config = _from_record(FitConfig, json.loads(rest))
             elif tag == "meta":
-                meta = json.loads(rest)
+                meta, meta_line = json.loads(rest), line_no
             elif tag == "mean_learner":
                 mean_learners.append(_learner_from(json.loads(rest)))
             elif tag == "gcov_learner":
@@ -201,28 +229,7 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
     if config is None or meta is None:
         raise DataError(f"{path}: missing config or meta record")
 
-    q = int(meta["q"])
-    T = q * (q + 1) // 2
-    gcov_learners = tuple(gcov_by_entry.get(t, []) for t in range(T))
-    t_idx = meta["treatment_index"]
-    model = FittedModel(
-        config=config,
-        feature_names=tuple(meta["feature_names"]),
-        q=q,
-        treatment_index=None if t_idx is None else int(t_idx),
-        categorical_features=tuple(int(c) for c in meta["categorical_features"]),
-        mean_init=float(meta["mean_init"]),
-        mean_learners=mean_learners,
-        gcov_init=np.asarray([float(v) for v in meta["gcov_init"]]),
-        gcov_learners=gcov_learners,
-        logrvar_init=float(meta["logrvar_init"]),
-        rvar_learners=rvar_learners,
-        history=[float(v) for v in meta["history"]],
-        best_iteration=int(meta["best_iteration"]),
-        n_iterations_run=int(meta["n_iterations_run"]),
-    )
-    schema = None
-    stored = meta.get("schema")
-    if stored is not None:
-        schema = _from_record(ColumnSchema, {**stored, "feature_cols": model.feature_names})
-    return model, schema
+    try:
+        return _model_from(config, meta, mean_learners, gcov_by_entry, rvar_learners)
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: malformed record at line {meta_line}: {exc}") from None

@@ -25,8 +25,9 @@ variance is r(x, 1) + r(x, 0).
 Every ensemble runs once per call over stacked rows, never once per group:
 predict_dataset evaluates f and r on all served rows and G on all served
 summaries, the BLUPs of all known groups share one evaluation over their
-finite-response rows, and the two treatment arms of cate and ite_variance
-share one call. Tree predictions and ensemble sums are row by row, so tree
+finite-response rows (or reuse the served evaluation when the dataset is its
+own history), and the two treatment arms of cate and ite_variance share one
+call. Tree predictions and ensemble sums are row by row, so tree
 ensembles give the same values however rows are batched (a linear learner's
 matrix product may round differently). The BLUP solve alone stays per
 group: it factors each group's dense Sigma_i (marginal_covariance,
@@ -83,22 +84,29 @@ def _summary(model: FittedModel, group: GroupBlock) -> np.ndarray:
     return group.x_tilde if group.x_tilde is not None else summarize_rows(model, group.X)
 
 
-def _blups(model: FittedModel, groups) -> np.ndarray:
+def _blups(model: FittedModel, groups, components=None) -> np.ndarray:
     """(k, q) random-effect predictors of k groups; zero rows where no response is finite.
 
     A group's BLUP uses only its finite-response rows and its own summary.
-    The ensembles run once over the finite rows of all groups and once over
-    their summaries; the solve against the dense Sigma_i stays per group.
+    components, when given, are f and r on all rows of the groups stacked in
+    order and G at each group's summary, already evaluated by the caller;
+    otherwise the ensembles run once over the finite rows of all groups and
+    once over their summaries. The solve against the dense Sigma_i stays per
+    group.
     """
     u = np.zeros((len(groups), model.q))
     keep = [np.isfinite(g.y) for g in groups]
     live = [i for i, k in enumerate(keep) if k.any()]
     if not live:
         return u
-    X = np.vstack([groups[i].X[keep[i]] for i in live])
-    mu = eval_mean(model, X)
-    r = eval_resid_var(model, X)
-    G = eval_gcov_rows(model, np.stack([_summary(model, groups[i]) for i in live]))
+    if components is None:
+        X = np.vstack([groups[i].X[keep[i]] for i in live])
+        mu = eval_mean(model, X)
+        r = eval_resid_var(model, X)
+        G = eval_gcov_rows(model, np.stack([_summary(model, groups[i]) for i in live]))
+    else:
+        finite = np.concatenate(keep)
+        mu, r, G = components[0][finite], components[1][finite], components[2][live]
     stop = 0
     for i, Gi in zip(live, G):
         g, k = groups[i], keep[i]
@@ -159,17 +167,22 @@ def predict_dataset(
     for d in (ds, source):
         if d.q != model.q:
             raise DataError(f"dataset has {d.q} random-effect columns, the model {model.q}")
-    history = {g.group_id: g for g in source.groups if np.any(np.isfinite(g.y))}
-    known = np.array([g.group_id in history for g in ds.groups])
-    u = np.zeros((ds.n_groups, model.q))
-    u[known] = _blups(model, [history[g.group_id] for g in ds.groups if g.group_id in history])
-
     st = ds.stacked()
     seg = np.repeat(np.arange(ds.n_groups), st.sizes)
     mu = eval_mean(model, st.X)
     r = eval_resid_var(model, st.X)
-    G = eval_gcov_rows(model, np.stack([_summary(model, g) for g in ds.groups]))[seg]
+    G_groups = eval_gcov_rows(model, np.stack([_summary(model, g) for g in ds.groups]))
+    G = G_groups[seg]
+
+    history = {g.group_id: g for g in source.groups if np.any(np.isfinite(g.y))}
+    known = np.array([g.group_id in history for g in ds.groups])
     known_rows = known[seg]
+    if training_groups is None:
+        # the served groups are their own history: the BLUPs reuse f, r and G
+        u = _blups(model, ds.groups, (mu, r, G_groups))
+    else:
+        u = np.zeros((ds.n_groups, model.q))
+        u[known] = _blups(model, [history[g.group_id] for g in ds.groups if g.group_id in history])
     mu_cond = np.where(known_rows, mu + np.einsum("nq,nq->n", st.Z, u[seg]), mu)
     var = np.einsum("nq,nqr,nr->n", st.Z, G, st.Z) + r
     if reduced_new_group_variance:

@@ -276,6 +276,35 @@ class TestPredict:
         assert rc == 3
 
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            ('"group_col":"g",', ""),
+            ('"q":1,', ""),
+            ('"z_cols":["intercept"]', '"z_cols":[]'),
+        ],
+    )
+    def test_damaged_meta_exits_3(self, workdir, capsys, damage):
+        model = fit_model(workdir)
+        text = model.read_text()
+        assert damage[0] in text
+        model.write_text(text.replace(damage[0], damage[1], 1))
+        rc = main(
+            [
+                "predict",
+                "--model",
+                str(model),
+                "--data",
+                str(workdir / "train.csv"),
+                "--out",
+                str(workdir / "x.csv"),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "malformed record at line 3" in err and "Traceback" not in err
+
+
 class TestSimulate:
     def args(self, workdir, *extra):
         return [

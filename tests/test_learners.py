@@ -9,7 +9,9 @@ from gbmixed.errors import ConfigError, DataError
 from gbmixed.learners import (
     ConstantLearner,
     LearnerSpec,
+    SortedColumns,
     TreeLeaf,
+    TreeLearner,
     TreeSplit,
     fit_constant,
     fit_learner,
@@ -205,6 +207,153 @@ class TestDispatcher:
             fit_tree(X, y, features=(0, 0), spec=tree_spec())
         with pytest.raises(ConfigError):
             fit_tree(X, y, features=(2,), spec=tree_spec())
+
+
+def reference_tree(X, y, features, spec):
+    """The exact greedy search that sorts again at every node.
+
+    fit_tree sorts once per tree and partitions; this per-node argsort
+    version is its oracle: both must build equal trees, bit for bit.
+    """
+    feats = np.asarray(sorted(features), dtype=np.int64)
+    root = _reference_grow(X[:, feats], y, feats, 0, spec)
+    return TreeLearner(root=root, n_features=X.shape[1])
+
+
+def _reference_grow(Xn, y, feats, depth, spec):
+    n = y.shape[0]
+    value = float(np.mean(y))
+    if depth >= spec.tree_max_depth or n < spec.tree_min_parent or n < 2 * spec.tree_min_child:
+        return TreeLeaf(value)
+    found = _reference_best_split(Xn, y, spec.tree_min_child)
+    if found is None:
+        return TreeLeaf(value)
+    j, thr = found
+    go_left = Xn[:, j] < thr
+    left = _reference_grow(Xn[go_left], y[go_left], feats, depth + 1, spec)
+    right = _reference_grow(Xn[~go_left], y[~go_left], feats, depth + 1, spec)
+    return TreeSplit(feature=int(feats[j]), threshold=thr, left=left, right=right)
+
+
+def _reference_best_split(Xn, y, min_child):
+    n, F = Xn.shape
+    order = np.argsort(Xn, axis=0, kind="stable")
+    xs = np.take_along_axis(Xn, order, axis=0)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)
+    total = csum[-1]
+    m = np.arange(1, n, dtype=float)[:, None]
+    cl = csum[:-1]
+    gains = cl**2 / m + (total - cl) ** 2 / (n - m) - total**2 / n
+    valid = xs[:-1] < xs[1:]
+    if min_child > 1:
+        valid[: min_child - 1] = False
+        valid[n - min_child :] = False
+    gains = np.where(valid, gains, -np.inf)
+    best_j, best_i = divmod(int(np.argmax(gains.ravel(order="F"))), n - 1)
+    best_gain = gains[best_i, best_j]
+    floor = 1e-12 * (float(np.sum(y * y)) + 1e-300)
+    if not np.isfinite(best_gain) or best_gain <= floor:
+        return None
+    return best_j, float(0.5 * (xs[best_i, best_j] + xs[best_i + 1, best_j]))
+
+
+def oracle_case(rng, kind, n, p):
+    """A feature matrix of one kind and a pseudo-response with heavy ties."""
+    if kind == "ties":
+        X = rng.integers(0, 4, size=(n, p)) * 0.25 + rng.standard_normal(p)
+    elif kind == "integers":
+        X = rng.integers(-50, 50, size=(n, p)).astype(float)
+    elif kind == "duplicates":
+        base = rng.standard_normal((n, 2))
+        X = base[:, rng.integers(0, 2, size=p)]     # every column a copy of one of two
+    elif kind == "same_partition":
+        # columns that split the rows alike at 0 but order each side differently
+        x = rng.standard_normal(n)
+        u = rng.random((n, p))
+        X = np.where(x[:, None] > 0, 1.0 + u, -1.0 - u)
+        X[:, 0] = x
+    elif kind == "coarsened":
+        # tied levels and coarser copies of them: the same partitions reached
+        # through different orders within each side
+        level = rng.integers(0, 6, size=n).astype(float)
+        cuts = rng.integers(1, 6, size=p)
+        X = (level[:, None] >= cuts).astype(float) + (level[:, None] // 3)
+        X[:, 0] = level
+        return X, rng.standard_normal(n) + level
+    else:
+        X = rng.standard_normal((n, p))
+    y = np.round(rng.standard_normal(n), 1) + 0.3 * (X[:, 0] > np.median(X[:, 0]))
+    return X, y
+
+
+class TestTreeOracle:
+    """fit_tree against the per-node argsort search, compared with ==."""
+
+    @pytest.mark.parametrize(
+        "kind", ["ties", "integers", "duplicates", "same_partition", "coarsened", "continuous"]
+    )
+    @pytest.mark.parametrize("min_child", [1, 5, 20])
+    def test_equal_to_per_node_sort(self, kind, min_child):
+        rng = np.random.default_rng(min_child * 7 + len(kind))
+        for _ in range(6):
+            n = int(rng.integers(2, 300))
+            p = int(rng.integers(2, 7))
+            X, y = oracle_case(rng, kind, n, p)
+            k = int(rng.integers(1, p + 1))
+            feats = tuple(int(f) for f in rng.choice(p, size=k, replace=False))
+            for depth in (1, 2, 3, 4):
+                spec = tree_spec(
+                    tree_max_depth=depth,
+                    tree_min_child=min_child,
+                    tree_min_parent=max(2, 2 * min_child),
+                )
+                got = fit_tree(X, y, feats, spec)
+                assert got == reference_tree(X, y, feats, spec)
+
+    def test_subsets_not_starting_at_zero(self):
+        rng = np.random.default_rng(11)
+        X, y = oracle_case(rng, "ties", 200, 6)
+        spec = tree_spec(tree_max_depth=4)
+        for feats in [(1, 2), (3, 5), (5,), (2, 4, 5)]:
+            got = fit_tree(X, y, feats, spec)
+            assert got == reference_tree(X, y, feats, spec)
+            assert got.split_counts(6)[: min(feats)].sum() == 0.0
+
+    def test_constant_response(self):
+        rng = np.random.default_rng(12)
+        X, _ = oracle_case(rng, "ties", 50, 3)
+        y = np.full(50, -1.25)
+        got = fit_tree(X, y, (0, 1, 2), tree_spec())
+        assert got == reference_tree(X, y, (0, 1, 2), tree_spec())
+        assert isinstance(got.root, TreeLeaf)
+
+    def test_shared_presort_equals_own_sort(self):
+        rng = np.random.default_rng(13)
+        X, y = oracle_case(rng, "duplicates", 150, 5)
+        feats = (1, 3, 4)
+        shared = SortedColumns(X, feats)
+        spec = tree_spec(tree_max_depth=3, tree_min_child=5, tree_min_parent=10)
+        for target in (y, -2.0 * y, np.sin(X[:, 2])):
+            assert fit_tree(X, target, feats, spec, shared) == fit_tree(X, target, feats, spec)
+
+    def test_sort_is_lazy(self):
+        X = np.arange(12.0).reshape(6, 2)
+        y = np.arange(6.0)
+        shared = SortedColumns(X, (0, 1))
+        fit_learner(X, y, (0, 1), LearnerSpec(kind="constant"), shared)
+        fit_learner(X, y, (0, 1), LearnerSpec(kind="linear"), shared)
+        assert shared._sorted is None
+        fit_learner(X, y, (0, 1), tree_spec(), shared)
+        assert shared._sorted is not None
+
+    def test_presort_must_match(self):
+        X = np.arange(12.0).reshape(6, 2)
+        y = np.arange(6.0)
+        with pytest.raises(DataError):
+            fit_tree(X, y, (0,), tree_spec(), SortedColumns(X, (0, 1)))
+        with pytest.raises(DataError):
+            fit_tree(X, y, (0, 1), tree_spec(), SortedColumns(X.copy(), (0, 1)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import json
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,53 @@ class TestFormatGuards:
         path.write_text("gbmixed-model 1\nend\n")
         with pytest.raises(DataError, match="missing config or meta"):
             load_model(path)
+
+
+def edit_meta(path, change):
+    """Rewrite a saved model's meta record through change(meta)."""
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("meta ")
+    meta = json.loads(lines[2][len("meta "):])
+    change(meta)
+    lines[2] = "meta " + json.dumps(meta)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def with_schema(tmp_path):
+    rng = np.random.default_rng(9)
+    model, _ = fitted("base", "constant", rng, n_iterations=2)
+    schema = ColumnSchema(
+        group_col="g", response_col="y", feature_cols=model.feature_names
+    )
+    path = tmp_path / "m.txt"
+    save_model(path, model, schema)
+    return path
+
+
+# each edit damages a meta record whose JSON still parses
+DAMAGED_META = {
+    "schema_without_group_col": lambda m: m["schema"].pop("group_col"),
+    "meta_without_q": lambda m: m.pop("q"),
+    "schema_failing_its_checks": lambda m: m["schema"].update(z_cols=[]),
+    "schema_not_a_record": lambda m: m.update(schema=[1, 2]),
+    "q_not_a_number": lambda m: m.update(q="two"),
+    "meta_emptied": lambda m: m.clear(),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_META))
+def test_damaged_meta_is_data_error(tmp_path, damage):
+    path = with_schema(tmp_path)
+    assert load_model(path)[1] is not None
+    edit_meta(path, DAMAGED_META[damage])
+    with pytest.raises(DataError, match=rf"{path.name}: malformed record at line 3"):
+        load_model(path)
+
+
+def test_meta_that_is_not_an_object(tmp_path):
+    path = with_schema(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2] = "meta [1, 2]"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="line 3"):
+        load_model(path)

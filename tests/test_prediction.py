@@ -334,6 +334,26 @@ class TestStackedPrediction:
         for name, col in ref.items():
             assert np.array_equal(getattr(table, name), col), name
 
+    @pytest.mark.parametrize("own_history", [True, False])
+    def test_each_row_evaluated_once(self, slope_model, monkeypatch, own_history):
+        rng = np.random.default_rng(14)
+        ds = summarize_groups(slope_groups(rng, [4, 1, 3, 2], nan_rows=(1,), all_nan=(3,)))
+        calls = {"mean": [], "rvar": []}
+
+        def counted(name, fn):
+            def wrapper(model, X, *args, **kw):
+                calls[name].append(len(X))
+                return fn(model, X, *args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(prediction, "eval_mean", counted("mean", eval_mean))
+        monkeypatch.setattr(prediction, "eval_resid_var", counted("rvar", eval_resid_var))
+        predict_dataset(slope_model, ds, training_groups=None if own_history else ds)
+        n = ds.n_obs
+        finite = sum(int(np.isfinite(g.y).sum()) for g in ds.groups)
+        expected = [n] if own_history else [n, finite]
+        assert sorted(calls["mean"]) == sorted(calls["rvar"]) == sorted(expected)
+
     def test_blup_is_one_row_of_the_batch(self, slope_model):
         _, history = self.served_and_history(summarized=True)
         batch = prediction._blups(slope_model, history.groups)
