@@ -29,12 +29,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import GroupedDataset, split_by_groups, summarize_groups
+from .data import GroupedDataset, split_by_groups
 from .errors import ConfigError, DataError, NumericalError
 from .learners import FittedLearner, LearnerSpec, SortedColumns, fit_learner
 from . import likelihood as lik
 
-VARIANTS = ("base", "rboost", "gboost", "grboost")
+# the variance components each variant boosts; the others keep their constant start
+VARIANT_COMPONENTS = {"base": (), "rboost": ("R",), "gboost": ("G",), "grboost": ("G", "R")}
 FACTOR_DIAG_FLOOR = 1e-6
 INIT_VAR_FLOOR_FRACTION = 0.01
 
@@ -62,7 +63,7 @@ class FitConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in VARIANT_COMPONENTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.n_iterations < 0:
             raise ConfigError("n_iterations must be nonnegative")
@@ -83,20 +84,14 @@ class FitConfig:
             raise ConfigError("tolerance must be positive")
         if not (0.0 < self.eval_fraction < 1.0):
             raise ConfigError("eval_fraction must be in (0, 1)")
-        gcov_varies = self.gcov_learner.kind != "constant"
-        rvar_varies = self.rvar_learner.kind != "constant"
-        want_g = self.variant in ("gboost", "grboost")
-        want_r = self.variant in ("rboost", "grboost")
-        if gcov_varies != want_g:
-            raise ConfigError(
-                f"variant {self.variant!r} requires a "
-                f"{'non-constant' if want_g else 'constant'} gcov_learner"
-            )
-        if rvar_varies != want_r:
-            raise ConfigError(
-                f"variant {self.variant!r} requires a "
-                f"{'non-constant' if want_r else 'constant'} rvar_learner"
-            )
+        boosted = VARIANT_COMPONENTS[self.variant]
+        for component, name in (("G", "gcov_learner"), ("R", "rvar_learner")):
+            wanted = component in boosted
+            if (getattr(self, name).kind != "constant") != wanted:
+                raise ConfigError(
+                    f"variant {self.variant!r} requires a "
+                    f"{'non-constant' if wanted else 'constant'} {name}"
+                )
         if len(set(self.force_include)) != len(self.force_include):
             raise ConfigError("duplicate force_include indices")
         for f in self.force_include:
@@ -111,15 +106,16 @@ def config_for_variant(variant: str, row_learner: LearnerSpec | None = None, **o
     (default: depth-3 tree); components a variant holds constant get constant
     learners. Extra keyword arguments override FitConfig fields.
     """
-    if variant not in VARIANTS:
+    if variant not in VARIANT_COMPONENTS:
         raise ConfigError(f"unknown variant {variant!r}")
     base = row_learner if row_learner is not None else LearnerSpec(kind="tree")
     const = replace(base, kind="constant")
+    boosted = VARIANT_COMPONENTS[variant]
     cfg = dict(
         variant=variant,
         mean_learner=base,
-        gcov_learner=base if variant in ("gboost", "grboost") else const,
-        rvar_learner=base if variant in ("rboost", "grboost") else const,
+        gcov_learner=base if "G" in boosted else const,
+        rvar_learner=base if "R" in boosted else const,
     )
     cfg.update(overrides)
     return FitConfig(**cfg)
@@ -316,8 +312,6 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     for g in train.groups:
         if not np.all(np.isfinite(g.y)):
             raise DataError(f"group {g.group_id!r}: training responses must all be finite")
-    if not train.has_summaries():
-        train = summarize_groups(train)
     q = train.q
     p = train.n_features
     for f in config.force_include:

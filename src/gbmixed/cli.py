@@ -19,7 +19,7 @@ import numpy as np
 from . import config as config_mod
 from . import diagnostics, model_io, simulate
 from .boosting import FittedModel, fit
-from .data import ColumnSchema, load_csv, save_csv, summarize_groups
+from .data import ColumnSchema, load_csv, save_csv
 from .errors import ConfigError, DataError, GBMixedError
 from .prediction import cate, interval_halfwidth, ite_variance, predict_dataset
 
@@ -31,7 +31,6 @@ def _fmt(v: float) -> str:
 def cmd_fit(args) -> int:
     run = config_mod.load_run_config(args.config)
     ds = load_csv(args.data, run.schema)
-    ds = summarize_groups(ds)
     t0 = time.perf_counter()
     model = fit(ds, run.fit)
     elapsed = time.perf_counter() - t0
@@ -54,8 +53,7 @@ def _load_for_model(path: str, model: FittedModel, schema: ColumnSchema | None, 
         )
     if group_col is not None:
         schema = replace(schema, group_col=group_col)
-    ds = load_csv(path, schema)
-    return summarize_groups(ds), schema
+    return load_csv(path, schema), schema
 
 
 def cmd_predict(args) -> int:

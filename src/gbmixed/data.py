@@ -9,6 +9,10 @@ Group-level covariates x_tilde summarize each group's rows: per-feature mean
 for continuous features, mode for categorical ones (ties broken toward the
 smallest value). The summary vector has one entry per feature column, so
 group-level learners see the same feature names as row-level learners.
+
+Every group of a GroupedDataset carries its x_tilde: load_csv and the
+simulators attach it as they build each block, and the dataset summarizes any
+other block under its own categorical features. Fitting reads the summaries.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class GroupBlock:
     y: np.ndarray        # (n_i,)
     X: np.ndarray        # (n_i, p)
     Z: np.ndarray        # (n_i, q)
-    x_tilde: np.ndarray | None = None  # (p,) group summary, set by summarize_groups
+    x_tilde: np.ndarray | None = None  # (p,) group summary, or set by the dataset
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -112,7 +116,8 @@ class GroupedDataset:
 
     feature_names gives the column names of X (and of x_tilde). q is the
     width of Z. treatment_index, when set, points at the feature column that
-    holds the treatment indicator.
+    holds the treatment indicator. Blocks without an x_tilde get
+    summarize_matrix(X, categorical_features); attached ones are kept.
     """
 
     groups: tuple[GroupBlock, ...]
@@ -134,10 +139,17 @@ class GroupedDataset:
             if g.group_id in ids:
                 raise DataError(f"duplicate group id {g.group_id!r}")
             ids.add(g.group_id)
-        ordered = tuple(sorted(self.groups, key=lambda g: _id_sort_key(g.group_id)))
-        object.__setattr__(self, "groups", ordered)
         if self.treatment_index is not None and not (0 <= self.treatment_index < p):
             raise DataError("treatment_index out of range")
+        cat = tuple(sorted(set(int(c) for c in self.categorical_features)))
+        if cat and not (0 <= cat[0] and cat[-1] < p):
+            raise ConfigError(f"categorical feature indices {list(cat)} out of range")
+        object.__setattr__(self, "categorical_features", cat)
+        ordered = sorted(self.groups, key=lambda g: _id_sort_key(g.group_id))
+        object.__setattr__(self, "groups", tuple(
+            g if g.x_tilde is not None else replace(g, x_tilde=summarize_matrix(g.X, cat))
+            for g in ordered
+        ))
 
     @property
     def n_groups(self) -> int:
@@ -158,13 +170,8 @@ class GroupedDataset:
     def group_ids(self) -> list:
         return [g.group_id for g in self.groups]
 
-    def has_summaries(self) -> bool:
-        return all(g.x_tilde is not None for g in self.groups)
-
     def x_tilde_matrix(self) -> np.ndarray:
         """Group summaries stacked into a (n_groups, p) matrix."""
-        if not self.has_summaries():
-            raise DataError("group summaries not computed; call summarize_groups first")
         return np.stack([g.x_tilde for g in self.groups])
 
     def stacked(self) -> "StackedData":
@@ -208,11 +215,14 @@ def _parse_cell(text: str, column: str, line_no: int, allow_nan: bool = False) -
     return value
 
 
-def _parse_group_id(text: str):
+def _parse_group_id(text: str, column: str, line_no: int):
     try:
         f = float(text)
     except ValueError:
         return text
+    if math.isnan(f):
+        # nan != nan, so every such row would become a group of its own
+        raise DataError(f"line {line_no}: group id {text!r} in column {column!r} is nan")
     if f.is_integer():
         return int(f)
     return f
@@ -224,8 +234,8 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
     The header must contain every column the schema names; extra columns are
     ignored. Numeric cells that fail to parse or are non-finite raise a
     DataError naming the 1-based line number and the column; the one exception
-    is a nan response, which marks an unobserved row for prediction. Group
-    blocks preserve row order within each group.
+    is a nan response, which marks an unobserved row for prediction (a nan
+    group id is an error). Group blocks preserve row order within each group.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -252,7 +262,7 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
                 continue
             if len(row) < len(header):
                 raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-            gid = _parse_group_id(row[gi].strip())
+            gid = _parse_group_id(row[gi].strip(), schema.group_col, line_no)
             y = _parse_cell(row[yi], schema.response_col, line_no, allow_nan=True)
             x = [_parse_cell(row[j], header[j], line_no) for j in fis]
             if gid not in by_group:
@@ -264,13 +274,14 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
             raise DataError(f"{path}: no data rows")
 
     feat_pos = {c: k for k, c in enumerate(schema.feature_cols)}
+    cat = schema.categorical_indices
     groups = []
     for gid in order:
         rows = by_group[gid]
         y = np.array([r[0] for r in rows])
         X = np.array([r[1] for r in rows])
         Z = _build_z(X, schema, feat_pos)
-        groups.append(GroupBlock(group_id=gid, y=y, X=X, Z=Z))
+        groups.append(GroupBlock(group_id=gid, y=y, X=X, Z=Z, x_tilde=summarize_matrix(X, cat)))
     t_idx = feat_pos[schema.treatment_col] if schema.treatment_col is not None else None
     return GroupedDataset(
         groups=tuple(groups),
@@ -324,27 +335,16 @@ def summarize_matrix(X: np.ndarray, categorical: Sequence[int] = ()) -> np.ndarr
 
 
 def summarize_groups(ds: GroupedDataset, categorical: Sequence[int] | None = None) -> GroupedDataset:
-    """Attach group summary vectors x_tilde to every group.
+    """Recompute every group's x_tilde under a categorical set (default: the dataset's).
 
-    Continuous features aggregate by mean, categorical ones (given as feature
-    indices) by mode with ties toward the smallest value. Idempotent: the
-    summary of a summary is itself.
+    Categorical features (given as feature indices) aggregate by mode with ties
+    toward the smallest value, the others by mean. Idempotent.
     """
-    if categorical is None:
-        categorical = ds.categorical_features
-    cat = set(int(c) for c in categorical)
-    for c in cat:
-        if not (0 <= c < ds.n_features):
-            raise ConfigError(f"categorical feature index {c} out of range")
-    new_groups = []
-    for g in ds.groups:
-        new_groups.append(replace(g, x_tilde=summarize_matrix(g.X, cat)))
-    return GroupedDataset(
-        groups=tuple(new_groups),
-        feature_names=ds.feature_names,
-        treatment_index=ds.treatment_index,
-        categorical_features=tuple(sorted(cat)),
-    )
+    if categorical is not None:
+        ds = replace(ds, categorical_features=categorical)   # checked by the dataset
+    cat = ds.categorical_features
+    return replace(ds, groups=tuple(replace(g, x_tilde=summarize_matrix(g.X, cat))
+                                    for g in ds.groups))
 
 
 def split_by_groups(ds: GroupedDataset, fraction: float, seed: int) -> tuple[GroupedDataset, GroupedDataset]:
@@ -367,10 +367,4 @@ def split_by_groups(ds: GroupedDataset, fraction: float, seed: int) -> tuple[Gro
     first_idx = set(perm[:n_first].tolist())
     a = [g for i, g in enumerate(ds.groups) if i in first_idx]
     b = [g for i, g in enumerate(ds.groups) if i not in first_idx]
-    make = lambda gs: GroupedDataset(
-        groups=tuple(gs),
-        feature_names=ds.feature_names,
-        treatment_index=ds.treatment_index,
-        categorical_features=ds.categorical_features,
-    )
-    return make(a), make(b)
+    return replace(ds, groups=tuple(a)), replace(ds, groups=tuple(b))

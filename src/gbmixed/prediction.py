@@ -33,6 +33,10 @@ matrix product may round differently). The BLUP solve alone stays per
 group: it factors each group's dense Sigma_i (marginal_covariance,
 chol_with_jitter), which costs milliseconds for clusters of a few hundred
 rows, against the ensemble evaluations that dominate prediction.
+
+G reads the summaries x~ that every GroupedDataset carries under its own
+categorical features, so predict_dataset raises DataError for a dataset whose
+categorical features, like its feature names, differ from the model's.
 """
 
 from __future__ import annotations
@@ -58,13 +62,14 @@ def evaluate_components(model: FittedModel, X: np.ndarray, x_tilde: np.ndarray |
     """Mean vector, group covariance matrix, and residual variances.
 
     X holds observation rows of one group; x_tilde is that group's summary
-    vector (computed from X by the aggregation rule when omitted).
+    vector (the summary of X under the model's categorical features when
+    omitted).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise DataError(f"expected {len(model.feature_names)} feature columns")
     if x_tilde is None:
-        x_tilde = summarize_rows(model, X)
+        x_tilde = summarize_matrix(X, model.categorical_features)
     x_tilde = np.asarray(x_tilde, dtype=float)
     if x_tilde.shape != (X.shape[1],):
         raise DataError("x_tilde must have one entry per feature")
@@ -74,18 +79,8 @@ def evaluate_components(model: FittedModel, X: np.ndarray, x_tilde: np.ndarray |
     return mu, G, r
 
 
-def summarize_rows(model: FittedModel, X: np.ndarray) -> np.ndarray:
-    """Group summary of rows under the model's aggregation rule."""
-    return summarize_matrix(X, model.categorical_features)
-
-
-def _summary(model: FittedModel, group: GroupBlock) -> np.ndarray:
-    """The group's x_tilde, or the summary of all its rows when none is attached."""
-    return group.x_tilde if group.x_tilde is not None else summarize_rows(model, group.X)
-
-
 def _blups(model: FittedModel, groups, components=None) -> np.ndarray:
-    """(k, q) random-effect predictors of k groups; zero rows where no response is finite.
+    """(k, q) random-effect predictors of k dataset groups; zero rows where no response is finite.
 
     A group's BLUP uses only its finite-response rows and its own summary.
     components, when given, are f and r on all rows of the groups stacked in
@@ -103,7 +98,7 @@ def _blups(model: FittedModel, groups, components=None) -> np.ndarray:
         X = np.vstack([groups[i].X[keep[i]] for i in live])
         mu = eval_mean(model, X)
         r = eval_resid_var(model, X)
-        G = eval_gcov_rows(model, np.stack([_summary(model, groups[i]) for i in live]))
+        G = eval_gcov_rows(model, np.stack([groups[i].x_tilde for i in live]))
     else:
         finite = np.concatenate(keep)
         mu, r, G = components[0][finite], components[1][finite], components[2][live]
@@ -121,7 +116,9 @@ def _blups(model: FittedModel, groups, components=None) -> np.ndarray:
 
 def blup(model: FittedModel, group: GroupBlock) -> np.ndarray:
     """Random-effect predictor for one group with observed responses."""
-    return _blups(model, [group])[0]
+    ds = GroupedDataset((group,), model.feature_names,
+                        categorical_features=model.categorical_features)
+    return _blups(model, ds.groups)[0]
 
 
 @dataclass(frozen=True)
@@ -161,17 +158,19 @@ def predict_dataset(
     term from their variance only. Intervals use G at the served group's
     summary, the BLUP the source group's.
     """
-    if tuple(ds.feature_names) != tuple(model.feature_names):
-        raise DataError("dataset feature names do not match the model")
     source = training_groups if training_groups is not None else ds
     for d in (ds, source):
+        if tuple(d.feature_names) != tuple(model.feature_names):
+            raise DataError("dataset feature names do not match the model")
         if d.q != model.q:
             raise DataError(f"dataset has {d.q} random-effect columns, the model {model.q}")
+        if d.categorical_features != tuple(model.categorical_features):
+            raise DataError("dataset categorical features do not match the model")
     st = ds.stacked()
     seg = np.repeat(np.arange(ds.n_groups), st.sizes)
     mu = eval_mean(model, st.X)
     r = eval_resid_var(model, st.X)
-    G_groups = eval_gcov_rows(model, np.stack([_summary(model, g) for g in ds.groups]))
+    G_groups = eval_gcov_rows(model, ds.x_tilde_matrix())
     G = G_groups[seg]
 
     history = {g.group_id: g for g in source.groups if np.any(np.isfinite(g.y))}

@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .boosting import (
+    VARIANT_COMPONENTS,
     FitConfig,
     FittedModel,
     config_for_variant,
@@ -44,7 +45,7 @@ from .boosting import (
     eval_resid_var,
     fit,
 )
-from .data import GroupBlock, GroupedDataset, split_by_groups, summarize_groups
+from .data import GroupBlock, GroupedDataset, split_by_groups, summarize_matrix
 from .errors import ConfigError
 from .learners import LearnerSpec
 from .prediction import cate, interval_halfwidth, ite_variance
@@ -368,10 +369,10 @@ def generate(scenario: Scenario, n_obs: int, seed: int | None = None) -> tuple[G
                 y=y[rows],
                 X=Xw[rows],
                 Z=np.ones((2, 1)),
+                x_tilde=summarize_matrix(Xw[rows]),
             )
         )
     ds = GroupedDataset(groups=tuple(groups), feature_names=names, treatment_index=p)
-    ds = summarize_groups(ds)
     truth = GroundTruth(
         tau=tau, y0=y0, y1=y1, resid_var=r_var, group_var=g_var, alpha=alpha
     )
@@ -442,10 +443,11 @@ def score(model: FittedModel, test: GroupedDataset, truth: GroundTruth, alpha: f
     tau_hat = cate(model, st.X)
     var_delta = ite_variance(model, st.X, st.Z, Xt_rows)
     kwargs = {}
-    if model.config.variant in ("rboost", "grboost"):
+    boosted = VARIANT_COMPONENTS[model.config.variant]
+    if "R" in boosted:
         kwargs["r_hat"] = eval_resid_var(model, st.X)
         kwargs["r_true"] = truth.resid_var
-    if model.config.variant in ("gboost", "grboost"):
+    if "G" in boosted:
         kwargs["g_hat"] = eval_gcov_rows(model, Xt_groups)[:, 0, 0]
         kwargs["g_true"] = truth.group_var
     return score_predictions(
@@ -559,7 +561,7 @@ def run_replications(
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
                 results = list(ex.map(_rep_task, tasks))
-        except (OSError, PermissionError):
+        except OSError:
             results = [_rep_task(t) for t in tasks]
     else:
         results = [_rep_task(t) for t in tasks]

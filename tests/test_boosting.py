@@ -17,7 +17,7 @@ from gbmixed.boosting import (
     initialize,
     sample_iteration,
 )
-from gbmixed.data import GroupBlock, GroupedDataset, split_by_groups, summarize_groups
+from gbmixed.data import GroupBlock, GroupedDataset, split_by_groups
 from gbmixed.errors import ConfigError, DataError, NumericalError
 from gbmixed.learners import ConstantLearner, LearnerSpec, TreeLearner, fit_learner
 from util import clustered_dataset, model_total_loglik
@@ -430,9 +430,7 @@ class TestVariantNesting:
             alpha = 0.5 * rng.standard_normal()
             y = alpha + sd * rng.standard_normal(3)
             groups.append(GroupBlock(group_id=i, y=y, X=X, Z=np.ones((3, 1))))
-        ds = summarize_groups(
-            GroupedDataset(groups=tuple(groups), feature_names=("x1", "x2"))
-        )
+        ds = GroupedDataset(groups=tuple(groups), feature_names=("x1", "x2"))
         tree = LearnerSpec(kind="tree", tree_min_parent=6, tree_min_child=3)
         shared = dict(
             n_iterations=60,

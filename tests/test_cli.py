@@ -150,6 +150,18 @@ class TestFit:
         assert rc == 3
         assert f"group {int(cells[0])}" in capsys.readouterr().err
 
+    def test_nan_group_id_is_data_error(self, workdir, capsys):
+        data = (workdir / "train.csv").read_text().splitlines()
+        for i in (3, 4, 7):
+            data[i] = "nan" + data[i][data[i].index(","):]
+        (workdir / "nan_ids.csv").write_text("\n".join(data) + "\n")
+        rc = main(
+            ["fit", "--config", str(workdir / "run.cfg"), "--data", str(workdir / "nan_ids.csv")]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "line 4" in err and "'g'" in err
+
 
 class TestPredict:
     def test_training_groups_get_conditional_means(self, workdir):

@@ -178,6 +178,13 @@ class TestCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(path, schema)
 
+    def test_nan_group_id_names_line_and_column(self, tmp_path):
+        path = tmp_path / "nan_ids.csv"
+        path.write_text("pair,y,x1\n1,0.1,0\nnan,0.2,0\n1,0.3,0\nNaN,0.4,0\n")
+        schema = ColumnSchema(group_col="pair", response_col="y", feature_cols=("x1",))
+        with pytest.raises(DataError, match=r"line 3.*'nan'.*'pair'"):
+            load_csv(path, schema)
+
     def test_group_id_parsing(self, tmp_path):
         path = tmp_path / "ids.csv"
         path.write_text("g,y,x1\n2.0,0.1,0\nsite_a,0.2,0\n10,0.3,0\n")
@@ -213,17 +220,57 @@ class TestSummaries:
         np.testing.assert_array_equal(ds.x_tilde_matrix(), again.x_tilde_matrix())
         assert again.categorical_features == (0,)
 
-    def test_x_tilde_requires_summaries(self):
+    def test_blocks_summarized_at_construction(self):
         rng = np.random.default_rng(3)
-        ds = toy_dataset(rng)
-        assert not ds.has_summaries()
-        with pytest.raises(DataError):
-            ds.x_tilde_matrix()
+        groups = []
+        for i in range(6):
+            n = 2 + i % 3
+            X = np.column_stack([rng.standard_normal(n), rng.integers(0, 3, n), rng.random(n)])
+            groups.append(GroupBlock(group_id=i, y=rng.standard_normal(n), X=X, Z=np.ones((n, 1))))
+        ds = GroupedDataset(groups=tuple(groups), feature_names=("a", "b", "c"),
+                            categorical_features=(1,))
+        for g in ds.groups:
+            assert np.array_equal(g.x_tilde, summarize_matrix(g.X, (1,)))    # mean, mode, mean
+        assert any(g.x_tilde[1] != g.X[:, 1].mean() for g in ds.groups)
+
+    def test_attached_summaries_survive(self):
+        rng = np.random.default_rng(7)
+        # summaries that no aggregation of the rows would give
+        groups = tuple(
+            GroupBlock(group_id=g.group_id, y=g.y, X=g.X, Z=g.Z, x_tilde=g.X[-1] + 0.5)
+            for g in toy_dataset(rng, n_groups=8).groups
+        )
+        ds = GroupedDataset(groups=groups, feature_names=("x1", "x2"), categorical_features=(0,))
+        for a, b in zip(groups, ds.groups):
+            assert b.x_tilde is a.x_tilde
+        first, second = split_by_groups(ds, 0.5, seed=1)
+        for part in (first, second):
+            for g in part.groups:
+                assert np.array_equal(g.x_tilde, g.X[-1] + 0.5)
+
+    def test_load_csv_attaches_summaries(self, tmp_path):
+        # load_csv attaches the summary it would compute, so recomputing changes nothing
+        path = tmp_path / "cat.csv"
+        path.write_text("g,y,a,b\n1,0.1,0.25,2\n1,0.2,0.5,1\n1,0.3,2.0,2\n2,0.4,1.5,3\n")
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("a", "b"),
+                              categorical_cols=("b",))
+        ds = load_csv(path, schema)
+        np.testing.assert_array_equal(ds.x_tilde_matrix(), [[0.9166666666666666, 2.0], [1.5, 3.0]])
+        for g in ds.groups:
+            assert np.array_equal(g.x_tilde, summarize_matrix(g.X, (1,)))
+        again = summarize_groups(ds)
+        assert np.array_equal(again.x_tilde_matrix(), ds.x_tilde_matrix())
+        assert again.categorical_features == ds.categorical_features == (1,)
 
     def test_bad_categorical_index(self):
         rng = np.random.default_rng(4)
+        ds = toy_dataset(rng, p=2)
         with pytest.raises(ConfigError):
-            summarize_groups(toy_dataset(rng, p=2), categorical=(5,))
+            summarize_groups(ds, categorical=(5,))
+        for bad in ((2,), (-1,), (0, 5)):
+            with pytest.raises(ConfigError, match="out of range"):
+                GroupedDataset(groups=ds.groups, feature_names=ds.feature_names,
+                               categorical_features=bad)
 
 
 class TestSplit:

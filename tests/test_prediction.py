@@ -17,7 +17,7 @@ from gbmixed.boosting import (
     eval_resid_var,
     fit,
 )
-from gbmixed.data import GroupBlock, GroupedDataset, summarize_groups, summarize_matrix
+from gbmixed.data import GroupBlock, GroupedDataset, summarize_groups
 from gbmixed.errors import ConfigError, DataError
 from gbmixed.learners import LearnerSpec, LinearLearner
 from gbmixed.likelihood import chol_with_jitter, marginal_covariance
@@ -183,9 +183,7 @@ class TestPredictDataset:
             make_group(gid, rng.standard_normal(n_per), rng.standard_normal((n_per, 2)))
             for gid in ids
         ]
-        return summarize_groups(
-            GroupedDataset(groups=tuple(groups), feature_names=("x1", "x2"))
-        )
+        return GroupedDataset(groups=tuple(groups), feature_names=("x1", "x2"))
 
     def test_self_history_and_row_order(self):
         rng = np.random.default_rng(1)
@@ -221,6 +219,9 @@ class TestPredictDataset:
         model = const_model(p=3)
         with pytest.raises(DataError):
             predict_dataset(model, ds)
+        renamed = GroupedDataset(groups=ds.groups, feature_names=("x1", "z"))
+        with pytest.raises(DataError, match="feature names"):
+            predict_dataset(const_model(), ds, training_groups=renamed)
 
     def test_random_effect_width_mismatch(self):
         rng = np.random.default_rng(3)
@@ -229,6 +230,18 @@ class TestPredictDataset:
         with pytest.raises(DataError):
             predict_dataset(model, ds)
 
+    def test_categorical_mismatch(self):
+        # a dataset's summaries follow its own categorical features, so they must be the model's
+        rng = np.random.default_rng(3)
+        ds = self.build_ds([1, 2], rng)
+        model = replace(const_model(), categorical_features=(1,))
+        with pytest.raises(DataError, match="categorical"):
+            predict_dataset(model, ds)
+        tagged = summarize_groups(ds, categorical=(1,))
+        assert predict_dataset(model, tagged).known_group.all()
+        with pytest.raises(DataError, match="categorical"):
+            predict_dataset(model, tagged, training_groups=ds)
+
 
 def reference_table(model, ds, training_groups=None, alpha=0.1, reduced=False):
     """Group-by-group predictions: the marginal covariance and a dense solve per group."""
@@ -236,13 +249,10 @@ def reference_table(model, ds, training_groups=None, alpha=0.1, reduced=False):
     history = {g.group_id: g for g in source.groups if np.isfinite(g.y).any()}
     z = norm.ppf(1.0 - alpha / 2.0)
 
-    def summary(g):
-        return g.x_tilde if g.x_tilde is not None else summarize_matrix(g.X)
-
     cols = {k: [] for k in ("mu_marginal", "mu_conditional", "var_total", "lo", "hi", "known_group")}
     for g in ds.groups:
         mu = eval_mean(model, g.X)
-        G = eval_gcov_rows(model, summary(g)[None, :])[0]
+        G = eval_gcov_rows(model, g.x_tilde[None, :])[0]
         r = eval_resid_var(model, g.X)
         var = np.einsum("nq,qr,nr->n", g.Z, G, g.Z) + r
         h = history.get(g.group_id)
@@ -252,7 +262,7 @@ def reference_table(model, ds, training_groups=None, alpha=0.1, reduced=False):
                 var = r.copy()
         else:
             keep = np.isfinite(h.y)
-            Gh = eval_gcov_rows(model, summary(h)[None, :])[0]
+            Gh = eval_gcov_rows(model, h.x_tilde[None, :])[0]
             Zh = h.Z[keep]
             Sigma = marginal_covariance(Zh, Gh, eval_resid_var(model, h.X[keep]))
             resid = h.y[keep] - eval_mean(model, h.X[keep])
@@ -284,7 +294,7 @@ def slope_groups(rng, ids, nan_rows=(), all_nan=()):
 
 @pytest.fixture(scope="module")
 def slope_model():
-    train = summarize_groups(slope_groups(np.random.default_rng(11), range(30)))
+    train = slope_groups(np.random.default_rng(11), range(30))
     spec = LearnerSpec(kind="tree", tree_min_child=2, tree_min_parent=4)
     cfg = config_for_variant("grboost", spec, n_iterations=8, early_stopping=False, seed=0)
     return fit(train, cfg)
@@ -327,7 +337,7 @@ class TestStackedPrediction:
     @pytest.mark.parametrize("reduced", [False, True])
     def test_matches_reference_on_own_history(self, slope_model, reduced):
         rng = np.random.default_rng(13)
-        ds = summarize_groups(slope_groups(rng, [4, 1, 3, 2], nan_rows=(1,), all_nan=(3,)))
+        ds = slope_groups(rng, [4, 1, 3, 2], nan_rows=(1,), all_nan=(3,))
         table = predict_dataset(slope_model, ds, alpha=0.05, reduced_new_group_variance=reduced)
         ids, ref = reference_table(slope_model, ds, alpha=0.05, reduced=reduced)
         assert table.group_ids == ids == [1] * 4 + [2] * 5 + [3] * 6 + [4] * 3
@@ -337,7 +347,7 @@ class TestStackedPrediction:
     @pytest.mark.parametrize("own_history", [True, False])
     def test_each_row_evaluated_once(self, slope_model, monkeypatch, own_history):
         rng = np.random.default_rng(14)
-        ds = summarize_groups(slope_groups(rng, [4, 1, 3, 2], nan_rows=(1,), all_nan=(3,)))
+        ds = slope_groups(rng, [4, 1, 3, 2], nan_rows=(1,), all_nan=(3,))
         calls = {"mean": [], "rvar": []}
 
         def counted(name, fn):

@@ -9,7 +9,7 @@ for the product-form treatment effect on uniform covariates.
 import numpy as np
 import pytest
 
-from gbmixed.data import split_by_groups
+from gbmixed.data import split_by_groups, summarize_matrix
 from gbmixed.errors import ConfigError
 from gbmixed.simulate import (
     SCENARIOS,
@@ -130,8 +130,8 @@ class TestGenerate:
         assert ds.n_groups == 200 and ds.n_obs == 400
         assert ds.feature_names[-1] == "w"
         assert ds.treatment_index == 30
-        assert ds.has_summaries()
         for g in ds.groups:
+            assert np.array_equal(g.x_tilde, summarize_matrix(g.X))
             assert g.n == 2
             w = g.X[:, -1]
             assert sorted(w.tolist()) == [0.0, 1.0]    # exactly one treated per pair

@@ -3,14 +3,12 @@
 import numpy as np
 
 from gbmixed.boosting import eval_gcov_rows, eval_mean, eval_resid_var
-from gbmixed.data import GroupBlock, GroupedDataset, summarize_groups
+from gbmixed.data import GroupBlock, GroupedDataset
 from gbmixed.likelihood import group_loglik, marginal_covariance
 
 
 def model_total_loglik(model, ds, upto=None) -> float:
     """Total marginal log-likelihood of a dataset under a truncated model."""
-    if not ds.has_summaries():
-        ds = summarize_groups(ds)
     G_all = eval_gcov_rows(model, ds.x_tilde_matrix(), upto=upto)
     total = 0.0
     for gi, g in enumerate(ds.groups):
@@ -39,4 +37,4 @@ def clustered_dataset(
         y = m + alpha + resid_sd * rng.standard_normal(n_per)
         groups.append(GroupBlock(group_id=i, y=y, X=X, Z=np.ones((n_per, 1))))
     names = tuple(f"x{j + 1}" for j in range(p))
-    return summarize_groups(GroupedDataset(groups=tuple(groups), feature_names=names))
+    return GroupedDataset(groups=tuple(groups), feature_names=names)
