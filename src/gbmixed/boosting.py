@@ -156,9 +156,11 @@ def tril_positions(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ensemble_sum(learners, X, lr, out, upto=None):
+    """out += lr * h(X) for each learner in turn; trees share one feature-major copy of X."""
     sel = learners if upto is None else learners[:upto]
+    cols = np.ascontiguousarray(X.T)
     for h in sel:
-        out += lr * h.predict(X)
+        out += lr * h.predict(X, cols)
     return out
 
 
@@ -265,7 +267,11 @@ def check_convergence(history, lookback: int, tolerance: float) -> bool:
 
 
 class _GroupSet:
-    """Stacked arrays plus component caches for one set of groups."""
+    """Stacked arrays plus component caches for one set of groups.
+
+    cols and cols_t are the feature-major copies of X and Xt that every new
+    tree reads when the caches are updated.
+    """
 
     def __init__(self, ds: GroupedDataset):
         st = ds.stacked()
@@ -275,6 +281,8 @@ class _GroupSet:
         self.starts = st.starts
         self.sizes = st.sizes
         self.Xt = ds.x_tilde_matrix()
+        self.cols = np.ascontiguousarray(self.X.T)
+        self.cols_t = np.ascontiguousarray(self.Xt.T)
         self.n = self.y.shape[0]
         self.C = ds.n_groups
 
@@ -376,10 +384,10 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
 
         # parallel shrunken updates of all cached component values
         for gs in (gb, ge):
-            gs.mu += config.lr_mean * h_mu.predict(gs.X)
+            gs.mu += config.lr_mean * h_mu.predict(gs.X, gs.cols)
             for t in range(T):
-                gs.factor_entries[:, t] += config.lr_gcov * h_gcov[t].predict(gs.Xt)
-            gs.logr += config.lr_rvar * h_rvar.predict(gs.X)
+                gs.factor_entries[:, t] += config.lr_gcov * h_gcov[t].predict(gs.Xt, gs.cols_t)
+            gs.logr += config.lr_rvar * h_rvar.predict(gs.X, gs.cols)
 
         ll_eval = _set_loglik(ge, q)
         if not np.isfinite(ll_eval):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import diagnostics, model_io, simulate
-from .boosting import FittedModel, fit
+from .boosting import fit
 from .data import ColumnSchema, load_csv, save_csv
 from .errors import ConfigError, DataError, GBMixedError
 from .prediction import cate, interval_halfwidth, ite_variance, predict_dataset
@@ -45,7 +45,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _load_for_model(path: str, model: FittedModel, schema: ColumnSchema | None, group_col: str | None):
+def _load_for_model(path: str, schema: ColumnSchema | None, group_col: str | None):
     if schema is None:
         raise ConfigError(
             "model file carries no data schema; refit with this version or pass data "
@@ -58,10 +58,10 @@ def _load_for_model(path: str, model: FittedModel, schema: ColumnSchema | None, 
 
 def cmd_predict(args) -> int:
     model, schema = model_io.load_model(args.model)
-    ds, schema = _load_for_model(args.data, model, schema, args.group_col)
+    ds, schema = _load_for_model(args.data, schema, args.group_col)
     train_ds = None
     if args.train is not None:
-        train_ds, _ = _load_for_model(args.train, model, schema, None)
+        train_ds, _ = _load_for_model(args.train, schema, None)
     table = predict_dataset(
         model,
         ds,
@@ -168,7 +168,7 @@ def _write_truth(path: str, truth: simulate.GroundTruth) -> None:
 
 def cmd_diagnose(args) -> int:
     model, schema = model_io.load_model(args.model)
-    ds, _ = _load_for_model(args.data, model, schema, args.group_col)
+    ds, _ = _load_for_model(args.data, schema, args.group_col)
     if not args.importance and args.feature is None:
         raise ConfigError("diagnose needs --importance and/or --feature")
     wrote = []

@@ -27,12 +27,14 @@ predict_dataset evaluates f and r on all served rows and G on all served
 summaries, the BLUPs of all known groups share one evaluation over their
 finite-response rows (or reuse the served evaluation when the dataset is its
 own history), and the two treatment arms of cate and ite_variance share one
-call. Tree predictions and ensemble sums are row by row, so tree
-ensembles give the same values however rows are batched (a linear learner's
-matrix product may round differently). The BLUP solve alone stays per
-group: it factors each group's dense Sigma_i (marginal_covariance,
-chol_with_jitter), which costs milliseconds for clusters of a few hundred
-rows, against the ensemble evaluations that dominate prediction.
+call. Each ensemble call makes one feature-major copy of its rows that all
+of its trees read (see learners). Tree predictions and ensemble sums are row
+by row, so tree ensembles give the same values however rows are batched (a
+linear learner's matrix product may round differently). The BLUP solve
+alone stays per group: it factors each group's dense Sigma_i
+(marginal_covariance, chol_with_jitter), which costs milliseconds for
+clusters of a few hundred rows, against the ensemble evaluations that
+dominate prediction.
 
 G reads the summaries x~ that every GroupedDataset carries under its own
 categorical features, so predict_dataset raises DataError for a dataset whose

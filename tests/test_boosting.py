@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gbmixed.boosting import (
     FitConfig,
+    _ensemble_sum,
     check_convergence,
     config_for_variant,
     eval_gcov_rows,
@@ -19,7 +20,13 @@ from gbmixed.boosting import (
 )
 from gbmixed.data import GroupBlock, GroupedDataset, split_by_groups
 from gbmixed.errors import ConfigError, DataError, NumericalError
-from gbmixed.learners import ConstantLearner, LearnerSpec, TreeLearner, fit_learner
+from gbmixed.learners import (
+    ConstantLearner,
+    LearnerSpec,
+    LinearLearner,
+    TreeLearner,
+    fit_learner,
+)
 from util import clustered_dataset, model_total_loglik
 
 
@@ -415,6 +422,32 @@ class TestReferenceLoop:
                 )
                 start += g.n
             assert model.history[m] == pytest.approx(expected, rel=1e-10)
+
+
+class TestEnsembleSum:
+    def test_mixed_learners_equal_one_call_each(self):
+        """One shared feature-major copy changes no bit against predicting
+        with each learner on its own."""
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((300, 4))
+        X[::7, 2] = np.nan
+        y = np.sin(2.0 * X[:, 0]) + X[:, 1] * np.nan_to_num(X[:, 2])
+        tree = LearnerSpec(kind="tree", tree_max_depth=4, tree_min_parent=4, tree_min_child=2)
+        linear = LearnerSpec(kind="linear")
+        learners = [
+            fit_learner(X, y + k * X[:, 3], feats, spec)
+            for k, (feats, spec) in enumerate(
+                [((0, 1, 2), tree), ((1, 3), linear), ((0, 2, 3), tree), ((0, 1, 3), linear),
+                 ((3,), tree)]
+            )
+        ]
+        learners.append(ConstantLearner(0.25))
+        assert {type(h) for h in learners} == {TreeLearner, LinearLearner, ConstantLearner}
+        Xf = np.asfortranarray(X)
+        expected = np.full(300, 1.5)
+        for h in learners:
+            expected += 0.1 * h.predict(Xf)
+        assert np.array_equal(_ensemble_sum(learners, Xf, 0.1, np.full(300, 1.5)), expected)
 
 
 class TestVariantNesting:

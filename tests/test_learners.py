@@ -356,6 +356,115 @@ class TestTreeOracle:
             fit_tree(X, y, (0, 1), tree_spec(), SortedColumns(X.copy(), (0, 1)))
 
 
+def reference_predict(tree, X):
+    """The recursive row gather that TreeLearner.predict replaced.
+
+    Every split gathers its rows' feature values and compresses the row
+    index array into its two children; leaves scatter their value. It is the
+    oracle for the branch-free evaluation: both must agree bit for bit.
+    """
+    X = np.asarray(X, dtype=float)
+    out = np.empty(X.shape[0])
+    _reference_fill(tree.root, X, np.arange(X.shape[0]), out)
+    return out
+
+
+def _reference_fill(node, X, rows, out):
+    if isinstance(node, TreeLeaf):
+        out[rows] = node.value
+        return
+    go_left = X[rows, node.feature] < node.threshold
+    _reference_fill(node.left, X, rows[go_left], out)
+    _reference_fill(node.right, X, rows[~go_left], out)
+
+
+THRESHOLDS = (-1.5, -0.25, 0.0, 0.5, 2.0)
+
+
+def random_tree(rng, depth, p):
+    """A tree of exactly this depth: the first child on a random side of every
+    split is grown to full depth, the other stops early at random."""
+    if depth == 0:
+        return TreeLeaf(float(rng.standard_normal()))
+    deep = random_tree(rng, depth - 1, p)
+    other = random_tree(rng, int(rng.integers(0, depth)), p)
+    left, right = (deep, other) if rng.random() < 0.5 else (other, deep)
+    return TreeSplit(
+        feature=int(rng.integers(0, p)),
+        threshold=float(rng.choice(THRESHOLDS)),
+        left=left,
+        right=right,
+    )
+
+
+def awkward_rows(rng, n, p):
+    """Normal draws mixed with NaN, +-inf, -0.0 and values exactly at thresholds."""
+    X = rng.standard_normal((n, p))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, *THRESHOLDS])
+    mask = rng.random((n, p)) < 0.3
+    X[mask] = rng.choice(special, size=int(mask.sum()))
+    return X
+
+
+class TestTreePrediction:
+    """TreeLearner.predict against the recursive row gather, compared with ==."""
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_random_trees_equal_reference(self, depth):
+        rng = np.random.default_rng(depth)
+        p = 4
+        for _ in range(3):
+            tree = TreeLearner(root=random_tree(rng, depth, p), n_features=p)
+            assert tree.depth() == depth
+            for n in (0, 1, 2000):
+                X = awkward_rows(rng, n, p)
+                got = tree.predict(X)
+                assert got.shape == (n,)
+                assert np.array_equal(got, reference_predict(tree, X))
+                assert np.array_equal(tree.predict(X, np.ascontiguousarray(X.T)), got)
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 8])
+    def test_fitted_trees_equal_reference(self, depth):
+        rng = np.random.default_rng(20 + depth)
+        X, y = oracle_case(rng, "ties", 600, 5)
+        tree = fit_tree(X, y, range(5), tree_spec(tree_max_depth=depth))
+        Xnew = np.vstack([X, awkward_rows(rng, 300, 5)])
+        assert np.array_equal(tree.predict(Xnew), reference_predict(tree, Xnew))
+
+    def test_root_leaf(self):
+        tree = TreeLearner(root=TreeLeaf(-0.75), n_features=2)
+        for n in (0, 1, 7):
+            X = awkward_rows(np.random.default_rng(n), n, 2)
+            assert np.array_equal(tree.predict(X), np.full(n, -0.75))
+            assert np.array_equal(tree.predict(X), reference_predict(tree, X))
+
+    def test_nan_goes_right_and_threshold_is_strict(self):
+        stump = TreeLearner(
+            root=TreeSplit(feature=1, threshold=0.5, left=TreeLeaf(1.0), right=TreeLeaf(2.0)),
+            n_features=2,
+        )
+        X = np.array([[0.0, np.nan], [0.0, 0.5], [0.0, np.nextafter(0.5, 0.0)],
+                      [0.0, -np.inf], [0.0, np.inf], [0.0, -0.0]])
+        assert np.array_equal(stump.predict(X), [2.0, 2.0, 1.0, 1.0, 2.0, 1.0])
+
+    def test_memory_layouts_and_integer_input(self):
+        rng = np.random.default_rng(30)
+        tree = TreeLearner(root=random_tree(rng, 5, 3), n_features=3)
+        X = awkward_rows(rng, 500, 6)
+        ints = rng.integers(-3, 4, size=(400, 3))
+        for Xv in (np.asfortranarray(X[:, :3]), X[::3, ::2], X[::-2, 1:4], ints):
+            assert np.array_equal(tree.predict(Xv), reference_predict(tree, Xv))
+
+    def test_feature_major_copy_must_match(self):
+        tree = TreeLearner(root=random_tree(np.random.default_rng(31), 2, 3), n_features=3)
+        X = np.zeros((5, 3))
+        for cols in (X, np.zeros((3, 4)), np.zeros(15), np.zeros((3, 5, 1))):
+            with pytest.raises(DataError):
+                tree.predict(X, cols)
+        with pytest.raises(DataError):
+            tree.predict(np.zeros((5, 2)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_tree_invariants_property(seed):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 from scipy.stats import norm
 
@@ -371,6 +373,22 @@ class TestStackedPrediction:
         for g, row in zip(history.groups, batch):
             assert np.array_equal(blup(slope_model, g), row)
         np.testing.assert_array_equal(batch[history.group_ids().index(5)], np.zeros(2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_tree_ensembles_are_batch_invariant(slope_model, seed):
+    """Tree ensembles evaluated on stacked rows equal the same calls on any
+    chunking of those rows, empty chunks included, bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 150))
+    X = rng.standard_normal((n, 3))
+    X[rng.random((n, 3)) < 0.05] = np.nan
+    cuts = np.sort(rng.integers(0, n + 1, size=int(rng.integers(0, 6))))
+    for fn in (eval_mean, eval_resid_var, eval_gcov_rows):
+        whole = fn(slope_model, X)
+        parts = np.concatenate([fn(slope_model, chunk) for chunk in np.split(X, cuts)])
+        assert np.array_equal(whole, parts)
 
 
 class TestTreatmentEffects:
