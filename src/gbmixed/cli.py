@@ -19,7 +19,7 @@ import numpy as np
 from . import config as config_mod
 from . import diagnostics, model_io, simulate
 from .boosting import fit
-from .data import ColumnSchema, load_csv, save_csv
+from .data import ColumnSchema, GroupedDataset, load_csv, save_csv
 from .errors import ConfigError, DataError, GBMixedError
 from .prediction import cate, interval_halfwidth, ite_variance, predict_dataset
 
@@ -98,29 +98,18 @@ def cmd_predict(args) -> int:
 
 
 def _simulate_config(scenario: simulate.Scenario, sets: list[str]):
-    values = {}
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in config_mod.SIMULATE_KEYS:
-            raise ConfigError(
-                f"--set key {key!r} not recognized (allowed: {sorted(config_mod.SIMULATE_KEYS)})"
-            )
-        if key in values:
-            raise ConfigError(f"duplicate --set key {key!r}")
-        try:
-            values[key] = config_mod.parse_value(key, raw.strip())
-        except ConfigError:
-            raise ConfigError(f"--set {key}: cannot parse value {raw.strip()!r}") from None
+    items = ((f"--set {item}", item) for item in sets)
+    values = config_mod.parse_items(items, config_mod.SIMULATE_KEYS)
     return config_mod.apply_settings(scenario.default_config(), values)
 
 
-def _sim_schema(scenario: simulate.Scenario) -> ColumnSchema:
-    names = tuple(f"x{j + 1}" for j in range(scenario.n_features)) + ("w",)
+def _sim_schema(ds: GroupedDataset) -> ColumnSchema:
+    names = ds.feature_names
     return ColumnSchema(
-        group_col="pair", response_col="y", feature_cols=names, treatment_col="w"
+        group_col="pair",
+        response_col="y",
+        feature_cols=names,
+        treatment_col=names[ds.treatment_index],
     )
 
 
@@ -128,10 +117,9 @@ def cmd_simulate(args) -> int:
     scenario = simulate.scenario_by_name(args.scenario, seed=args.seed)
     config = _simulate_config(scenario, args.set or [])
     if args.emit_data:
-        schema = _sim_schema(scenario)
         for rep in range(args.reps):
             ds, truth = simulate.generate(scenario, args.n, seed=scenario.seed + rep)
-            save_csv(f"{args.emit_data}_rep{rep}.csv", ds, schema)
+            save_csv(f"{args.emit_data}_rep{rep}.csv", ds, _sim_schema(ds))
             _write_truth(f"{args.emit_data}_rep{rep}_truth.csv", truth)
     report = simulate.run_replications(
         scenario, n_obs=args.n, reps=args.reps, config=config, alpha=args.alpha

@@ -6,10 +6,12 @@ to defaults. The file both names the data columns and sets the fit
 hyperparameters; learning_rate is a convenience that sets all three
 component rates at once unless an individual rate overrides it.
 
-This module owns the setting keys of both commands: `gbmixed fit` reads them
-from its config file over `FitConfig()`, and `gbmixed simulate --set`
-applies the SIMULATE_KEYS subset over a scenario's settings, both through
-parse_value and apply_settings.
+This module owns the setting keys of both commands and of the simulate
+scenarios: `gbmixed fit` reads them from its config file over `FitConfig()`,
+a scenario declares its fit settings as (key, value) pairs in them, and
+`gbmixed simulate --set` applies the SIMULATE_KEYS subset over those. Config
+lines and --set items share the item parser parse_items; all three reach a
+FitConfig through apply_settings.
 """
 
 from __future__ import annotations
@@ -107,26 +109,32 @@ def parse_value(key: str, raw: str):
         raise ConfigError(f"cannot parse {raw!r} as {kind} for key {key!r}") from None
 
 
-def parse_config_text(text: str) -> dict:
+def parse_items(items, keys=_KEYS) -> dict:
+    """Values of 'key = value' items, given as (location, text) pairs.
+
+    A missing '=', a key outside keys, a repeated key and a value that does
+    not parse are ConfigErrors that start with the item's location.
+    """
     values: dict = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
-        key, _, raw = line.partition("=")
+    for where, item in items:
+        if "=" not in item:
+            raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+        key, _, raw = item.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"line {line_no}: unknown config key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r} (allowed: {', '.join(sorted(keys))})")
         if key in values:
-            raise ConfigError(f"line {line_no}: duplicate config key {key!r}")
+            raise ConfigError(f"{where}: duplicate key {key!r}")
         try:
-            values[key] = parse_value(key, raw)
+            values[key] = parse_value(key, raw.strip())
         except ConfigError as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
     return values
+
+
+def parse_config_text(text: str) -> dict:
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return parse_items((f"line {n}", line) for n, line in enumerate(lines, start=1) if line)
 
 
 def apply_settings(base: FitConfig, values: dict) -> FitConfig:
@@ -185,8 +193,8 @@ def build_run_config(values: dict) -> RunConfig:
 
 def load_run_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return build_run_config(parse_config_text(text))

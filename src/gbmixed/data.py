@@ -228,6 +228,14 @@ def _parse_group_id(text: str, column: str, line_no: int):
     return f
 
 
+def _utf8_lines(fh, path: str):
+    """The lines of a text file opened as UTF-8; other bytes are a DataError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file ({exc})") from None
+
+
 def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
     """Load a CSV file into a GroupedDataset.
 
@@ -237,8 +245,8 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
     is a nan response, which marks an unobserved row for prediction (a nan
     group id is an error). Group blocks preserve row order within each group.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -310,7 +318,7 @@ def save_csv(path: str, ds: GroupedDataset, schema: ColumnSchema) -> None:
     """
     if tuple(schema.feature_cols) != tuple(ds.feature_names):
         raise ConfigError("schema feature columns do not match dataset feature names")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([schema.group_col, schema.response_col, *schema.feature_cols])
         for g in ds.groups:

@@ -165,34 +165,21 @@ class GradientSet:
 
 
 def group_gradients(y, mu, Z, L, r_diag, group_id=None) -> GradientSet:
-    """Log-likelihood and all gradients for one group, one factorization.
+    """Log-likelihood and all gradients for one group, from the functions above.
 
     L parameterizes G = L L'; r_diag holds per-observation residual
     variances. Raises a numerical error when gradients come out non-finite.
     """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    Z = np.asarray(Z, dtype=float)
     L = np.asarray(L, dtype=float)
     r = np.asarray(r_diag, dtype=float)
-    n = y.shape[0]
     Sigma = marginal_covariance(Z, L @ L.T, r)
-    factor = chol_with_jitter(Sigma, group_id)
-    s = y - mu
-    alpha = cho_solve(factor, s, check_finite=False)
-    SinvZ = cho_solve(factor, Z, check_finite=False)
-    Sinv = cho_solve(factor, np.eye(n), check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    ll = -0.5 * (n * LOG_2PI + logdet + float(s @ alpha))
-    r_vec = Z.T @ alpha
-    dG = -0.5 * (Z.T @ SinvZ - np.outer(r_vec, r_vec))
-    dL = np.tril(2.0 * dG @ L)
-    dr = -0.5 * (np.diag(Sinv) - alpha**2)
-    dlogr = dr * r
-    out = GradientSet(mean=alpha, cov_factor=dL, log_resid_var=dlogr, loglik=ll)
-    if not (
-        np.all(np.isfinite(alpha)) and np.all(np.isfinite(dL)) and np.all(np.isfinite(dlogr))
-    ):
+    out = GradientSet(
+        mean=grad_mean(y, mu, Sigma, group_id),
+        cov_factor=grad_cov_factor(y, mu, Z, L, r, group_id),
+        log_resid_var=grad_log_resid_var(y, mu, Sigma, r, group_id),
+        loglik=group_loglik(y, mu, Sigma, group_id),
+    )
+    if not all(np.all(np.isfinite(g)) for g in (out.mean, out.cov_factor, out.log_resid_var)):
         raise SingularCovarianceError(f"non-finite gradient for group {group_id!r}")
     return out
 

@@ -176,8 +176,11 @@ def save_model(path: str, model: FittedModel, schema: ColumnSchema | None = None
 
 def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
     """Read a model file back; returns the model and the stored schema, if any."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file ({exc})") from None
     if not lines:
         raise DataError(f"{path}: empty model file")
     head = lines[0].split()
@@ -196,6 +199,7 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
     meta = None
     mean_learners = []
     gcov_by_entry: dict[int, list] = {}
+    gcov_lines: dict[int, int] = {}    # entry -> line of its first learner
     rvar_learners = []
     saw_end = False
     for line_no, line in enumerate(lines[1:], start=2):
@@ -216,6 +220,7 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
                 gcov_by_entry.setdefault(int(entry_s), []).append(
                     _learner_from(json.loads(payload))
                 )
+                gcov_lines.setdefault(int(entry_s), line_no)
             elif tag == "rvar_learner":
                 rvar_learners.append(_learner_from(json.loads(rest)))
             elif tag == "end":
@@ -230,6 +235,22 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
         raise DataError(f"{path}: missing config or meta record")
 
     try:
-        return _model_from(config, meta, mean_learners, gcov_by_entry, rvar_learners)
+        model, schema = _model_from(config, meta, mean_learners, gcov_by_entry, rvar_learners)
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: malformed record at line {meta_line}: {exc}") from None
+    # fit writes every ensemble cut to best_iteration, one per factor entry
+    T = model.n_factor_entries
+    for t, line_no in gcov_lines.items():
+        if not 0 <= t < T:
+            raise DataError(
+                f"{path}: gcov_learner entry {t} at line {line_no} is outside 0..{T - 1}"
+            )
+    ensembles = {"mean": model.mean_learners, "rvar": model.rvar_learners}
+    ensembles.update({f"gcov entry {t}": e for t, e in enumerate(model.gcov_learners)})
+    for name, ensemble in ensembles.items():
+        if len(ensemble) != model.best_iteration:
+            raise DataError(
+                f"{path}: {name} ensemble has {len(ensemble)} learners, but best_iteration "
+                f"at line {meta_line} is {model.best_iteration}"
+            )
+    return model, schema

@@ -40,14 +40,13 @@ from .boosting import (
     VARIANT_COMPONENTS,
     FitConfig,
     FittedModel,
-    config_for_variant,
     eval_gcov_rows,
     eval_resid_var,
     fit,
 )
+from .config import apply_settings
 from .data import GroupBlock, GroupedDataset, split_by_groups, summarize_matrix
 from .errors import ConfigError
-from .learners import LearnerSpec
 from .prediction import cate, interval_halfwidth, ite_variance
 
 TRAIN_FRACTION = 0.6
@@ -60,13 +59,23 @@ def steep_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-SIGMOID_SLOPE * (np.asarray(x, dtype=float) - SIGMOID_CENTER)))
 
 
+# What every scenario's fit changes from FitConfig(): a fixed iteration count
+# without early stopping, and a 5% internal evaluation split so the boost set
+# covers nearly the whole training block, mirroring the benchmark protocol
+# where the held-out 40% handles validation.
+_SHARED_SETTINGS = (("early_stopping", False), ("eval_fraction", 0.05))
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A matched-pair data generating process.
+    """A matched-pair data generating process and its benchmark fit settings.
 
     mean_fn and tau_fn map an (n, p) covariate matrix to vectors;
     resid_var_fn does the same for per-observation residual variances, and
     group_var_fn maps pair summaries (C, p) to per-pair intercept variances.
+    settings holds (key, value) pairs in the keys of a `gbmixed fit` config
+    file and of `simulate --set` (variant, learning_rate, iterations,
+    tree_min_child, ...); they apply over the settings all scenarios share.
     """
 
     name: str
@@ -76,40 +85,19 @@ class Scenario:
     resid_var_fn: Callable
     group_var_fn: Callable
     covariates: Callable            # (rng, n_pairs) -> (n_pairs, p), one shared row per pair
-    variant: str
-    learning_rate: float
+    settings: tuple                 # ((key, value), ...) over _SHARED_SETTINGS
     seed: int = 0
-    learner: LearnerSpec = LearnerSpec(kind="tree")
-    config_overrides: tuple = ()    # ((key, value), ...) applied over the shared defaults
 
     def default_config(self, **overrides) -> FitConfig:
         """Fit settings used in the benchmark runs of this scenario.
 
-        The shared baseline is 500 iterations without early stopping, 20%
-        group and 70% feature subsampling, depth-3 trees, the scenario's
-        learning rate for all components, and the treatment column forced
-        into every iteration's feature sample (it sits at index
-        n_features). The internal evaluation split is kept to 5% so the
-        boost set covers nearly the whole training block, mirroring the
-        benchmark protocol where the held-out 40% handles validation.
-        A scenario can replace the learner and override any of the
-        baseline settings via its config_overrides pairs; keyword
-        arguments passed here win over both.
+        FitConfig() with the shared settings and then the scenario's applied
+        by config.apply_settings, and the treatment column (index
+        n_features) forced into every iteration's feature sample. Keyword
+        arguments are FitConfig fields and win over both.
         """
-        defaults = dict(
-            n_iterations=500,
-            lr_mean=self.learning_rate,
-            lr_gcov=self.learning_rate,
-            lr_rvar=self.learning_rate,
-            group_fraction=0.2,
-            feature_fraction=0.7,
-            eval_fraction=0.05,
-            early_stopping=False,
-            force_include=(self.n_features,),
-        )
-        defaults.update(dict(self.config_overrides))
-        defaults.update(overrides)
-        return config_for_variant(self.variant, self.learner, **defaults)
+        cfg = apply_settings(FitConfig(), dict(_SHARED_SETTINGS + self.settings))
+        return replace(cfg, force_include=(self.n_features,), **overrides)
 
 
 @dataclass(frozen=True)
@@ -192,8 +180,7 @@ def expa_scenario(seed: int = 0) -> Scenario:
         resid_var_fn=partial(_constant_per_row, value=0.47),
         group_var_fn=partial(_constant_per_row, value=2.25),
         covariates=partial(_expa_covariates, p=p),
-        variant="base",
-        learning_rate=0.03,
+        settings=(("variant", "base"), ("learning_rate", 0.03)),
         seed=seed,
     )
 
@@ -208,8 +195,7 @@ def expb_scenario(seed: int = 0) -> Scenario:
         resid_var_fn=_expb_resid_var,
         group_var_fn=partial(_constant_per_row, value=0.25),
         covariates=partial(_uniform_covariates, p=p),
-        variant="rboost",
-        learning_rate=0.01,
+        settings=(("variant", "rboost"), ("learning_rate", 0.01)),
         seed=seed,
     )
 
@@ -220,8 +206,10 @@ def expb_scenario(seed: int = 0) -> Scenario:
 # leaves, drop feature subsampling (the treatment interaction needs its
 # partner covariates available in every tree), and let the evaluation
 # likelihood pick the stopping point instead of running a fixed count.
-_FULL_FACTOR_OVERRIDES = (
-    ("n_iterations", 800),
+_FULL_FACTOR_SETTINGS = (
+    ("variant", "grboost"),
+    ("learning_rate", 0.03),
+    ("iterations", 800),
     ("lr_gcov", 0.01),
     ("lr_rvar", 0.01),
     ("group_fraction", 0.4),
@@ -229,8 +217,9 @@ _FULL_FACTOR_OVERRIDES = (
     ("early_stopping", True),
     ("lookback", 60),
     ("tolerance", 1e-4),
+    ("tree_min_child", 20),
+    ("tree_min_parent", 40),
 )
-_FULL_FACTOR_LEARNER = LearnerSpec(kind="tree", tree_min_child=20, tree_min_parent=40)
 
 
 # Settings for fits whose purpose is reading component shapes off the model
@@ -239,12 +228,14 @@ _FULL_FACTOR_LEARNER = LearnerSpec(kind="tree", tree_min_child=20, tree_min_pare
 # zero gain) only wins split races reliably when trees see many rows, so
 # these fits keep every iteration of a long run at a faster variance rate
 # and skip feature subsampling.
-_DIAGNOSTIC_OVERRIDES = (
-    ("n_iterations", 1000),
+_DIAGNOSTIC_SETTINGS = (
+    ("iterations", 1000),
     ("lr_gcov", 0.01),
     ("lr_rvar", 0.03),
     ("group_fraction", 0.4),
     ("feature_fraction", 1.0),
+    ("tree_min_child", 20),
+    ("tree_min_parent", 40),
 )
 
 
@@ -254,12 +245,7 @@ def expb_diagnostic_scenario(seed: int = 0) -> Scenario:
     dependence), not for benchmark scores. Intended for larger samples
     than the benchmark runs."""
     sc = expb_scenario(seed=seed)
-    return replace(
-        sc,
-        name="expB_diagnostic",
-        learner=_FULL_FACTOR_LEARNER,
-        config_overrides=_DIAGNOSTIC_OVERRIDES,
-    )
+    return replace(sc, name="expB_diagnostic", settings=sc.settings + _DIAGNOSTIC_SETTINGS)
 
 
 def expc_scenario(seed: int = 0) -> Scenario:
@@ -272,11 +258,8 @@ def expc_scenario(seed: int = 0) -> Scenario:
         resid_var_fn=_expc_resid_var,
         group_var_fn=_expc_group_var,
         covariates=partial(_uniform_covariates, p=p),
-        variant="grboost",
-        learning_rate=0.03,
+        settings=_FULL_FACTOR_SETTINGS,
         seed=seed,
-        learner=_FULL_FACTOR_LEARNER,
-        config_overrides=_FULL_FACTOR_OVERRIDES,
     )
 
 
@@ -296,11 +279,8 @@ def two_group_sd_scenario(sd_low: float = 0.5, sd_high: float = 2.0, seed: int =
         resid_var_fn=partial(_constant_per_row, value=0.25),
         group_var_fn=partial(_two_level_group_var, low_var=sd_low**2, high_var=sd_high**2),
         covariates=partial(_uniform_covariates, p=p),
-        variant="grboost",
-        learning_rate=0.03,
+        settings=_FULL_FACTOR_SETTINGS,
         seed=seed,
-        learner=_FULL_FACTOR_LEARNER,
-        config_overrides=_FULL_FACTOR_OVERRIDES,
     )
 
 
@@ -567,7 +547,7 @@ def run_replications(
         results = [_rep_task(t) for t in tasks]
     results.sort(key=lambda r: r[0])
     rows = tuple(r[1] for r in results)
-    variant = (config.variant if config is not None else scenario.variant)
+    variant = (config or scenario.default_config()).variant
     report = ReplicationReport(scenario=scenario.name, variant=variant, rows=rows)
     if keep_models:
         return report, [r[2] for r in results]

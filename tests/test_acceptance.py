@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import record_acceptance
-from util import clustered_dataset
+from util import clustered_dataset, staged_prefixes
 
 from gbmixed.boosting import (
     config_for_variant,
@@ -454,12 +454,18 @@ def test_8_determinism_and_round_trip(tmp_path):
 
 
 def _prefix_positivity(model, X, Xt):
-    """R > 0 and G factorizable at every ensemble prefix."""
-    for m in range(model.best_iteration + 1):
-        r = eval_resid_var(model, X, upto=m)
+    """R > 0 and G factorizable at every ensemble prefix.
+
+    The prefixes come from running sums; the first, middle and last are
+    checked bit for bit against the upto=m evaluation.
+    """
+    spot = {0, model.best_iteration // 2, model.best_iteration}
+    for m, r, G in staged_prefixes(model, X, Xt):
+        if m in spot:
+            assert np.array_equal(r, eval_resid_var(model, X, upto=m), equal_nan=True), m
+            assert np.array_equal(G, eval_gcov_rows(model, Xt, upto=m), equal_nan=True), m
         if not (np.all(np.isfinite(r)) and np.all(r > 0.0)):
             return False, m
-        G = eval_gcov_rows(model, Xt, upto=m)
         if not np.all(np.isfinite(G)):
             return False, m
         try:

@@ -1,6 +1,7 @@
 """Command line behavior: files in, files out, exit codes, determinism."""
 
 import csv
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -162,6 +163,21 @@ class TestFit:
         err = capsys.readouterr().err
         assert "line 4" in err and "'g'" in err
 
+    def test_config_not_utf8_is_config_error(self, workdir, capsys):
+        cfg = workdir / "run.cfg"
+        cfg.write_bytes(cfg.read_bytes() + b"# \xff\xfe\n")
+        rc = main(["fit", "--config", str(cfg), "--data", str(workdir / "train.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "run.cfg" in err and "Traceback" not in err
+
+    def test_data_not_utf8_is_data_error(self, workdir, capsys):
+        data = workdir / "train.csv"
+        data.write_bytes(data.read_bytes() + b"\xff\xfe\n")
+        rc = main(["fit", "--config", str(workdir / "run.cfg"), "--data", str(data)])
+        assert rc == 3
+        assert "train.csv: not a UTF-8 text file" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_training_groups_get_conditional_means(self, workdir):
@@ -287,6 +303,41 @@ class TestPredict:
         )
         assert rc == 3
 
+    def predict_rc(self, workdir, model):
+        return main(
+            [
+                "predict",
+                "--model",
+                str(model),
+                "--data",
+                str(workdir / "train.csv"),
+                "--out",
+                str(workdir / "x.csv"),
+            ]
+        )
+
+    def test_model_not_utf8_is_data_error(self, workdir, capsys):
+        model = fit_model(workdir)
+        model.write_bytes(model.read_bytes().replace(b"end\n", b"\xff\xfe\nend\n"))
+        assert self.predict_rc(workdir, model) == 3
+        assert "model.txt: not a UTF-8 text file" in capsys.readouterr().err
+
+    def test_gcov_entry_outside_the_factor_exits_3(self, workdir, capsys):
+        model = fit_model(workdir)
+        lines = model.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("gcov_learner 0 "))
+        lines.insert(i, lines[i].replace("gcov_learner 0 ", "gcov_learner 4 ", 1))
+        model.write_text("\n".join(lines) + "\n")
+        assert self.predict_rc(workdir, model) == 3
+        assert f"entry 4 at line {i + 1} is outside 0..0" in capsys.readouterr().err
+
+    def test_short_ensemble_exits_3(self, workdir, capsys):
+        model = fit_model(workdir)
+        lines = model.read_text().splitlines()
+        del lines[next(i for i, line in enumerate(lines) if line.startswith("mean_learner "))]
+        model.write_text("\n".join(lines) + "\n")
+        assert self.predict_rc(workdir, model) == 3
+        assert "mean ensemble has 14 learners" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "damage",
@@ -388,6 +439,7 @@ class TestSimulate:
             ]
         )
         assert rc == 2
+        assert "--set iterations=lots: cannot parse 'lots'" in capsys.readouterr().err
 
     def test_variant_override(self, tmp_path, capsys):
         rc = main(
@@ -459,6 +511,18 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             _simulate_config(simulate.scenario_by_name("expB"), [f"{key}={raw}"])
 
+    @pytest.mark.parametrize(
+        "sets,message",
+        [
+            (["iterations"], "--set iterations: expected 'key = value'"),
+            (["iterations=3", "iterations=4"], "--set iterations=4: duplicate key 'iterations'"),
+            (["seed=3"], "--set seed=3: unknown key 'seed'"),
+        ],
+    )
+    def test_set_errors_name_the_item(self, sets, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _simulate_config(simulate.scenario_by_name("expB"), sets)
+
     @pytest.mark.parametrize("name", sorted(simulate.SCENARIOS))
     def test_config_defaults_to_the_scenario(self, name):
         sc = simulate.scenario_by_name(name)
@@ -470,7 +534,8 @@ class TestSimulate:
         assert cfg.variant == "rboost" and cfg.n_iterations == 3
         assert cfg.mean_learner == cfg.rvar_learner
         assert cfg.mean_learner.tree_min_child == 7
-        assert cfg.mean_learner.tree_min_parent == sc.learner.tree_min_parent == 40
+        scenario_learner = sc.default_config().mean_learner
+        assert cfg.mean_learner.tree_min_parent == scenario_learner.tree_min_parent == 40
         assert cfg.gcov_learner.kind == "constant"
         assert cfg.lookback == sc.default_config().lookback == 60
 

@@ -224,6 +224,11 @@ class TestGroupGradients:
             )
 
 
+    def test_non_finite_gradient_raises_with_group_name(self):
+        y = np.array([np.inf, 0.0])
+        with np.errstate(invalid="ignore"), pytest.raises(SingularCovarianceError, match="grp3"):
+            group_gradients(y, np.zeros(2), np.ones((2, 1)), np.eye(1), np.ones(2), "grp3")
+
 def random_stacked(rng, sizes, q):
     """Stacked residuals, design and variances plus k lower factors."""
     n = int(np.sum(sizes))

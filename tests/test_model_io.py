@@ -255,3 +255,49 @@ def test_meta_that_is_not_an_object(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="line 3"):
         load_model(path)
+
+
+class TestEnsembleGuards:
+    """fit writes each ensemble cut to best_iteration, one per factor entry."""
+
+    def write_model(self, tmp_path):
+        model, _ = fitted("grboost", "tree", np.random.default_rng(10), n_iterations=3)
+        assert model.q == 1 and model.best_iteration == 3
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("entry", [1, 4, -1])
+    def test_gcov_entry_outside_the_factor(self, tmp_path, entry):
+        path, lines = self.write_model(tmp_path)
+        i = next(i for i, line in enumerate(lines) if line.startswith("gcov_learner 0 "))
+        lines.insert(i + 1, lines[i].replace("gcov_learner 0 ", f"gcov_learner {entry} ", 1))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"entry {entry} at line {i + 2} is outside 0\.\.0"):
+            load_model(path)
+
+    @pytest.mark.parametrize("tag", ["mean_learner", "gcov_learner 0", "rvar_learner"])
+    def test_ensemble_shorter_than_best_iteration(self, tmp_path, tag):
+        path, lines = self.write_model(tmp_path)
+        i = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
+        del lines[i]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="has 2 learners, but best_iteration at line 3 is 3"):
+            load_model(path)
+
+    def test_ensemble_longer_than_best_iteration(self, tmp_path):
+        path, lines = self.write_model(tmp_path)
+        i = next(i for i, line in enumerate(lines) if line.startswith("rvar_learner "))
+        lines.insert(i, lines[i])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="rvar ensemble has 4 learners"):
+            load_model(path)
+
+
+def test_not_utf8_is_data_error(tmp_path):
+    model, _ = fitted("base", "constant", np.random.default_rng(11), n_iterations=1)
+    path = tmp_path / "m.txt"
+    save_model(path, model)
+    path.write_bytes(path.read_bytes().replace(b"end\n", b"\xff\xfe\nend\n"))
+    with pytest.raises(DataError, match=rf"{path.name}: not a UTF-8 text file"):
+        load_model(path)

@@ -32,6 +32,7 @@ from gbmixed.prediction import (
     ite_variance,
     predict_dataset,
 )
+from util import staged_prefixes
 
 Z90 = 1.6448536269514722   # standard normal quantile at 0.95
 Z95 = 1.959963984540054    # standard normal quantile at 0.975
@@ -389,6 +390,19 @@ def test_tree_ensembles_are_batch_invariant(slope_model, seed):
         whole = fn(slope_model, X)
         parts = np.concatenate([fn(slope_model, chunk) for chunk in np.split(X, cuts)])
         assert np.array_equal(whole, parts)
+
+
+def test_staged_prefixes_equal_truncated_evaluation(slope_model):
+    """The running-sum prefixes of tests/util.py are the upto=m evaluations,
+    bit for bit, at every prefix of a q = 2 model."""
+    ds = slope_groups(np.random.default_rng(13), range(12))
+    X, Xt = ds.stacked().X, ds.x_tilde_matrix()
+    seen = []
+    for m, r, G in staged_prefixes(slope_model, X, Xt):
+        assert np.array_equal(r, eval_resid_var(slope_model, X, upto=m))
+        assert np.array_equal(G, eval_gcov_rows(slope_model, Xt, upto=m))
+        seen.append(m)
+    assert seen == list(range(slope_model.best_iteration + 1))
 
 
 class TestTreatmentEffects:

@@ -9,8 +9,11 @@ for the product-form treatment effect on uniform covariates.
 import numpy as np
 import pytest
 
+from gbmixed.boosting import FitConfig
+from gbmixed.config import SIMULATE_KEYS
 from gbmixed.data import split_by_groups, summarize_matrix
 from gbmixed.errors import ConfigError
+from gbmixed.learners import LearnerSpec
 from gbmixed.simulate import (
     SCENARIOS,
     TRAIN_FRACTION,
@@ -70,7 +73,8 @@ class TestScenarioDefinitions:
         X[2, 1], X[2, 4] = 0.0, 1.0     # r = 0.3 + 0.2 + 0.4
         np.testing.assert_allclose(sc.resid_var_fn(X), [0.3, 0.5, 0.9])
         np.testing.assert_allclose(sc.group_var_fn(np.zeros((2, 30))), [0.25, 0.25])
-        assert sc.variant == "rboost" and sc.learning_rate == 0.01
+        cfg = sc.default_config()
+        assert cfg.variant == "rboost" and cfg.lr_mean == 0.01
 
     def test_expc_variance_functions(self):
         sc = expc_scenario()
@@ -83,7 +87,8 @@ class TestScenarioDefinitions:
         Xt[1, 2] = 0.0
         Xt[2, 2] = 1.0
         np.testing.assert_allclose(sc.group_var_fn(Xt), [0.5, 1.25, 1.25])
-        assert sc.variant == "grboost" and sc.learning_rate == 0.03
+        cfg = sc.default_config()
+        assert cfg.variant == "grboost" and cfg.lr_mean == 0.03
 
     def test_expa_shape_and_constants(self):
         sc = expa_scenario()
@@ -121,6 +126,109 @@ class TestScenarioDefinitions:
         assert cfg.lr_rvar == 0.01
         cfg2 = sc.default_config(n_iterations=7)
         assert cfg2.n_iterations == 7
+
+
+TREE = LearnerSpec(kind="tree")
+CONST = LearnerSpec(kind="constant")
+COARSE_TREE = LearnerSpec(kind="tree", tree_min_parent=40, tree_min_child=20)
+COARSE_CONST = LearnerSpec(kind="constant", tree_min_parent=40, tree_min_child=20)
+FULL_FACTOR = FitConfig(
+    variant="grboost",
+    n_iterations=800,
+    lr_mean=0.03,
+    lr_gcov=0.01,
+    lr_rvar=0.01,
+    group_fraction=0.4,
+    feature_fraction=1.0,
+    mean_learner=COARSE_TREE,
+    gcov_learner=COARSE_TREE,
+    rvar_learner=COARSE_TREE,
+    lookback=60,
+    tolerance=1e-4,
+    early_stopping=True,
+    eval_fraction=0.05,
+    seed=0,
+    force_include=(30,),
+    verbose=False,
+)
+
+# every field written out, so a changed FitConfig default shows up here
+PINNED_CONFIGS = {
+    "expA": FitConfig(
+        variant="base",
+        n_iterations=500,
+        lr_mean=0.03,
+        lr_gcov=0.03,
+        lr_rvar=0.03,
+        group_fraction=0.2,
+        feature_fraction=0.7,
+        mean_learner=TREE,
+        gcov_learner=CONST,
+        rvar_learner=CONST,
+        lookback=25,
+        tolerance=1e-3,
+        early_stopping=False,
+        eval_fraction=0.05,
+        seed=0,
+        force_include=(300,),
+        verbose=False,
+    ),
+    "expB": FitConfig(
+        variant="rboost",
+        n_iterations=500,
+        lr_mean=0.01,
+        lr_gcov=0.01,
+        lr_rvar=0.01,
+        group_fraction=0.2,
+        feature_fraction=0.7,
+        mean_learner=TREE,
+        gcov_learner=CONST,
+        rvar_learner=TREE,
+        lookback=25,
+        tolerance=1e-3,
+        early_stopping=False,
+        eval_fraction=0.05,
+        seed=0,
+        force_include=(30,),
+        verbose=False,
+    ),
+    "expB_diagnostic": FitConfig(
+        variant="rboost",
+        n_iterations=1000,
+        lr_mean=0.01,
+        lr_gcov=0.01,
+        lr_rvar=0.03,
+        group_fraction=0.4,
+        feature_fraction=1.0,
+        mean_learner=COARSE_TREE,
+        gcov_learner=COARSE_CONST,
+        rvar_learner=COARSE_TREE,
+        lookback=25,
+        tolerance=1e-3,
+        early_stopping=False,
+        eval_fraction=0.05,
+        seed=0,
+        force_include=(30,),
+        verbose=False,
+    ),
+    "expC": FULL_FACTOR,
+    "two_group_sd": FULL_FACTOR,
+}
+
+
+class TestScenarioConfigs:
+    def test_every_scenario_is_pinned(self):
+        assert sorted(PINNED_CONFIGS) == sorted(SCENARIOS)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_default_config_is_pinned(self, name):
+        assert scenario_by_name(name).default_config() == PINNED_CONFIGS[name]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_settings_use_the_set_keys(self, name):
+        keys = [k for k, _ in scenario_by_name(name).settings]
+        assert keys and set(keys) <= set(SIMULATE_KEYS)
+        assert len(set(keys)) == len(keys)
 
 
 class TestGenerate:
