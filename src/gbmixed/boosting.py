@@ -24,7 +24,6 @@ the stacked likelihood kernel, which handles groups of any sizes at once.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,7 +59,6 @@ class FitConfig:
     eval_fraction: float = 0.25
     seed: int = 0
     force_include: tuple[int, ...] = ()
-    verbose: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANT_COMPONENTS:
@@ -393,14 +391,6 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
         if not np.isfinite(ll_eval):
             raise NumericalError(f"non-finite evaluation log-likelihood at iteration {m}")
         history.append(ll_eval)
-        if config.verbose:
-            print(
-                f"iter={m} eval_loglik={ll_eval:.6f} "
-                f"mean_step={config.lr_mean * float(np.linalg.norm(h_mu.predict(X_rows))):.4g} "
-                f"gcov_step={config.lr_gcov * float(np.linalg.norm(grad_factor)):.4g} "
-                f"rvar_step={config.lr_rvar * float(np.linalg.norm(h_rvar.predict(X_rows))):.4g}",
-                file=sys.stderr,
-            )
         if config.early_stopping and check_convergence(history, config.lookback, config.tolerance):
             break
 

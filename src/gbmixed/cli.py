@@ -79,7 +79,7 @@ def cmd_predict(args) -> int:
         half = interval_halfwidth(ivar, args.alpha)
         extra = [tau, ivar, tau - half, tau + half]
         header += ["cate", "ite_var", "cate_lo", "cate_hi"]
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(len(table.group_ids)):
@@ -118,14 +118,14 @@ def cmd_simulate(args) -> int:
     config = _simulate_config(scenario, args.set or [])
     if args.emit_data:
         for rep in range(args.reps):
-            ds, truth = simulate.generate(scenario, args.n, seed=scenario.seed + rep)
+            ds, truth = simulate.replication_data(scenario, args.n, rep)
             save_csv(f"{args.emit_data}_rep{rep}.csv", ds, _sim_schema(ds))
             _write_truth(f"{args.emit_data}_rep{rep}_truth.csv", truth)
-    report = simulate.run_replications(
+    report, _ = simulate.run_replications(
         scenario, n_obs=args.n, reps=args.reps, config=config, alpha=args.alpha
     )
     rows = simulate.report_csv_rows(report)
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     cm, cs = report.cate_mse
     cov, cov_s = report.coverage
@@ -145,7 +145,7 @@ def cmd_simulate(args) -> int:
 
 
 def _write_truth(path: str, truth: simulate.GroundTruth) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "y0", "y1", "resid_var"])
         for i in range(truth.tau.shape[0]):
@@ -163,7 +163,7 @@ def cmd_diagnose(args) -> int:
     if args.importance:
         scores = diagnostics.variable_importance(model, args.component)
         path = args.out if args.feature is None else args.out + ".importance.csv"
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["feature", "score"])
             for name in model.feature_names:
@@ -193,7 +193,7 @@ def cmd_diagnose(args) -> int:
             g_entry=g_entry,
         )
         path = args.out if not args.importance else args.out + ".pdp.csv"
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["grid", "value"])
             for g, v in zip(grid, values):

@@ -54,7 +54,6 @@ _KEYS = {
     "seed": _INT,
     "force_include_cols": _LIST,
     "force_include_treatment": _BOOL,
-    "verbose": _BOOL,
     "model_out": _STR,
 }
 
@@ -73,7 +72,6 @@ _FIELD_KEYS = {
     "early_stopping": "early_stopping",
     "eval_fraction": "eval_fraction",
     "seed": "seed",
-    "verbose": "verbose",
 }
 _RATE_FIELDS = ("lr_mean", "lr_gcov", "lr_rvar")
 _LEARNER_KEYS = ("mean_learner", "gcov_learner", "rvar_learner")
@@ -82,8 +80,7 @@ _TREE_KEYS = ("tree_max_depth", "tree_min_parent", "tree_min_child", "ridge_epsi
 # the keys `gbmixed simulate --set` takes: a scenario fixes its columns,
 # learner kinds and forced features, and --seed gives the seed
 SIMULATE_KEYS = tuple(
-    k for k in ("variant", "learning_rate", *_FIELD_KEYS, *_TREE_KEYS)
-    if k not in ("seed", "verbose")
+    k for k in ("variant", "learning_rate", *_FIELD_KEYS, *_TREE_KEYS) if k != "seed"
 )
 
 

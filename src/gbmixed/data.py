@@ -50,6 +50,10 @@ class ColumnSchema:
             raise ConfigError("schema needs at least one feature column")
         if len(set(self.feature_cols)) != len(self.feature_cols):
             raise ConfigError("duplicate feature column names")
+        if self.response_col in self.feature_cols:
+            raise ConfigError(f"response column {self.response_col!r} is also a feature column")
+        if self.group_col == self.response_col:
+            raise ConfigError(f"column {self.group_col!r} is both the group and the response")
         if len(self.z_cols) == 0:
             raise ConfigError("schema needs at least one z column")
         for c in self.categorical_cols:
@@ -239,11 +243,11 @@ def _utf8_lines(fh, path: str):
 def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
     """Load a CSV file into a GroupedDataset.
 
-    The header must contain every column the schema names; extra columns are
-    ignored. Numeric cells that fail to parse or are non-finite raise a
-    DataError naming the 1-based line number and the column; the one exception
-    is a nan response, which marks an unobserved row for prediction (a nan
-    group id is an error). Group blocks preserve row order within each group.
+    The header must contain every column the schema names, each once; extra
+    columns are ignored. Numeric cells that fail to parse or are non-finite
+    raise a DataError naming the 1-based line number and the column; the one
+    exception is a nan response, which marks an unobserved row for prediction
+    (a nan group id is an error). Group blocks preserve row order within each group.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
@@ -258,6 +262,8 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
         for name in needed:
             if name not in col_index:
                 raise DataError(f"{path}: missing required column {name!r}")
+            if header.count(name) > 1:
+                raise DataError(f"{path}: column {name!r} appears more than once in the header")
 
         gi = col_index[schema.group_col]
         yi = col_index[schema.response_col]

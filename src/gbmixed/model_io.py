@@ -170,7 +170,7 @@ def save_model(path: str, model: FittedModel, schema: ColumnSchema | None = None
     for h in model.rvar_learners:
         lines.append("rvar_learner " + _dump(_learner_payload(h)))
     lines.append("end")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -210,7 +210,11 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
         tag, _, rest = line.partition(" ")
         try:
             if tag == "config":
-                config = _from_record(FitConfig, json.loads(rest))
+                record = json.loads(rest)
+                if isinstance(record, dict):
+                    # a display switch that files written before its removal carry
+                    record.pop("verbose", None)
+                config = _from_record(FitConfig, record)
             elif tag == "meta":
                 meta, meta_line = json.loads(rest), line_no
             elif tag == "mean_learner":

@@ -473,6 +473,11 @@ class ReplicationReport:
         return self._agg("g_mse")
 
 
+def replication_data(scenario: Scenario, n_obs: int, rep: int):
+    """Replication rep's draw, (dataset, ground truth), from seed scenario.seed + rep."""
+    return generate(scenario, n_obs, seed=scenario.seed + rep)
+
+
 def run_replication(
     scenario: Scenario,
     n_obs: int,
@@ -486,7 +491,7 @@ def run_replication(
     reproducible in isolation. Returns (model, score row, rep seed).
     """
     rep_seed = scenario.seed + rep
-    ds, truth = generate(scenario, n_obs, seed=rep_seed)
+    ds, truth = replication_data(scenario, n_obs, rep)
     train, test = split_by_groups(ds, TRAIN_FRACTION, seed=rep_seed)
     cfg = config if config is not None else scenario.default_config()
     cfg = replace(cfg, seed=rep_seed)
@@ -510,9 +515,8 @@ def _worker_count(reps: int) -> int:
 
 
 def _rep_task(args):
-    scenario, n_obs, rep, config, alpha, keep = args
-    model, row, _ = run_replication(scenario, n_obs, rep, config, alpha)
-    return rep, row, (model if keep else None)
+    model, row, _ = run_replication(*args)
+    return row, model
 
 
 def run_replications(
@@ -521,20 +525,17 @@ def run_replications(
     reps: int,
     config: FitConfig | None = None,
     alpha: float = 0.1,
-    keep_models: bool = False,
 ):
     """Independent replications, optionally on worker processes.
 
     The worker count is min(reps, cpu count) capped by GBMIXED_THREADS;
-    results are gathered by replication index, so the report never depends
-    on scheduling. Returns a ReplicationReport, plus the per-rep models when
-    keep_models is set.
+    results come back in replication order, so the report never depends on
+    scheduling. Returns (ReplicationReport, per-rep models).
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
-    tasks = [(scenario, n_obs, rep, config, alpha, keep_models) for rep in range(reps)]
+    tasks = [(scenario, n_obs, rep, config, alpha) for rep in range(reps)]
     workers = _worker_count(reps)
-    results = []
     if workers > 1:
         import concurrent.futures
 
@@ -545,13 +546,11 @@ def run_replications(
             results = [_rep_task(t) for t in tasks]
     else:
         results = [_rep_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    rows = tuple(r[1] for r in results)
     variant = (config or scenario.default_config()).variant
-    report = ReplicationReport(scenario=scenario.name, variant=variant, rows=rows)
-    if keep_models:
-        return report, [r[2] for r in results]
-    return report
+    report = ReplicationReport(
+        scenario=scenario.name, variant=variant, rows=tuple(row for row, _ in results)
+    )
+    return report, [model for _, model in results]
 
 
 def report_csv_rows(report: ReplicationReport) -> list[list]:

@@ -129,9 +129,7 @@ def homogeneous_run():
 
 def _benchmark(scenario, reps):
     t0 = time.perf_counter()
-    rep_report, models = run_replications(
-        scenario, BENCH_N, reps, keep_models=True
-    )
+    rep_report, models = run_replications(scenario, BENCH_N, reps)
     wall = time.perf_counter() - t0
     return SimpleNamespace(scenario=scenario, report=rep_report, models=models, wall=wall)
 
@@ -159,9 +157,7 @@ def expb_diag_run():
     faster variance rate, all 1000 iterations kept.
     """
     t0 = time.perf_counter()
-    rep_report, models = run_replications(
-        expb_diagnostic_scenario(), 20000, 1, keep_models=True
-    )
+    rep_report, models = run_replications(expb_diagnostic_scenario(), 20000, 1)
     wall = time.perf_counter() - t0
     return SimpleNamespace(
         scenario=expb_diagnostic_scenario(),

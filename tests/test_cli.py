@@ -1,17 +1,23 @@
 """Command line behavior: files in, files out, exit codes, determinism."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gbmixed
 from gbmixed import config as config_mod
 from gbmixed import simulate
 from gbmixed.boosting import FitConfig
 from gbmixed.cli import _simulate_config, main
 from gbmixed.config import build_run_config, parse_config_text
+from gbmixed.data import ColumnSchema, load_csv
 from gbmixed.errors import ConfigError
 
 Z90 = 1.6448536269514722
@@ -21,7 +27,7 @@ Z95 = 1.959963984540054
 def write_csv(path, rng, n_groups=40, ids=None, nan_y=False):
     """Clustered toy data with a treatment column: y = 2 x1 + 0.4 w + alpha + eps."""
     ids = list(range(n_groups)) if ids is None else ids
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["g", "y", "x1", "x2", "x3", "w"])
         for gid in ids:
@@ -122,6 +128,24 @@ class TestFit:
         )
         assert rc == 2
         assert "learning_rte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("verbose = true\n", "unknown key 'verbose'"),
+            ("feature_cols = x1, y, w\n", "'y' is also a feature"),
+            ("group_col = y\n", "'y' is both the group and the response"),
+        ],
+    )
+    def test_rejected_config_exits_2(self, workdir, capsys, extra, message):
+        text = (workdir / "run.cfg").read_text()
+        key = extra.split(" =")[0]
+        kept = [line for line in text.splitlines(keepends=True) if not line.startswith(key + " ")]
+        (workdir / "bad.cfg").write_text("".join(kept) + extra)
+        cfg, data, out = (str(workdir / f) for f in ("bad.cfg", "train.csv", "bad.model"))
+        rc = main(["fit", "--config", cfg, "--data", data, "--out", out])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_data_file(self, workdir, capsys):
         rc = main(
@@ -409,6 +433,16 @@ class TestSimulate:
             header = next(csv.reader(fh))
         assert header[:2] == ["pair", "y"] and header[-1] == "w"
 
+    def test_emitted_data_is_the_replication_draw(self, tmp_path):
+        assert main(self.args(tmp_path, "--emit-data", str(tmp_path / "sim"))) == 0
+        ds, _ = simulate.replication_data(simulate.expb_scenario(), 120, 1)
+        schema = ColumnSchema(
+            group_col="pair", response_col="y", feature_cols=ds.feature_names, treatment_col="w"
+        )
+        emitted = load_csv(str(tmp_path / "sim_rep1.csv"), schema).stacked()
+        assert np.array_equal(emitted.y, ds.stacked().y)
+        assert np.array_equal(emitted.X, ds.stacked().X)
+
     def test_bad_set_key(self, tmp_path, capsys):
         rc = main(
             [
@@ -688,3 +722,34 @@ class TestDiagnose:
         )
         assert rc == 2
         assert "--g-entry" in capsys.readouterr().err
+
+
+class TestTextEncoding:
+    def test_outputs_are_utf8_under_an_ascii_locale(self, tmp_path):
+        """A non-ASCII group id survives fit and predict when the locale encodes ASCII only."""
+        rng = np.random.default_rng(0)
+        write_csv(tmp_path / "train.csv", rng, ids=["café", *(f"g{i}" for i in range(39))])
+        write_cfg(tmp_path / "run.cfg")
+        src = str(Path(gbmixed.__file__).resolve().parent.parent)
+        env = {
+            **os.environ,
+            "LC_ALL": "C",
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
+        }
+        commands = [
+            ["fit", "--config", "run.cfg", "--data", "train.csv", "--out", "model.txt"],
+            ["predict", "--model", "model.txt", "--data", "train.csv", "--out", "pred.csv"],
+        ]
+        for command in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "gbmixed", *command],
+                cwd=tmp_path,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, done.stderr
+        text = (tmp_path / "pred.csv").read_bytes().decode("utf-8")
+        assert "\ncafé," in text

@@ -55,9 +55,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="early_stopping"):
             parse_config_text("early_stopping = maybe\n")
 
+    def test_verbose_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="line 1: unknown key 'verbose'"):
+            parse_config_text("verbose = true\n")
+
     def test_bool_spellings(self):
         for raw, expected in [("true", True), ("Yes", True), ("1", True), ("false", False), ("no", False), ("0", False)]:
-            assert parse_config_text(f"verbose = {raw}\n")["verbose"] is expected
+            assert parse_config_text(f"early_stopping = {raw}\n")["early_stopping"] is expected
 
 
 class TestBuild:

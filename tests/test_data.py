@@ -53,6 +53,12 @@ class TestSchema:
                 group_col="g", response_col="y", feature_cols=("a",), z_cols=("b",)
             )
 
+    def test_response_is_neither_feature_nor_group(self):
+        with pytest.raises(ConfigError, match="'y' is also a feature"):
+            ColumnSchema(group_col="g", response_col="y", feature_cols=("a", "y"))
+        with pytest.raises(ConfigError, match="'y' is both the group and the response"):
+            ColumnSchema(group_col="y", response_col="y", feature_cols=("a",))
+
     def test_categorical_indices(self):
         schema = ColumnSchema(
             group_col="g",
@@ -159,6 +165,16 @@ class TestCsv:
         schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
         with pytest.raises(DataError, match="x1"):
             load_csv(path, schema)
+
+    def test_repeated_schema_column(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("g,y,x1,x1\n1,0.5,2.0,3.0\n")
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
+        with pytest.raises(DataError, match=r"dup\.csv: column 'x1' appears more than once"):
+            load_csv(path, schema)
+        # a repeated column the schema does not use is ignored like any extra one
+        path.write_text("g,y,x1,note,note\n1,0.5,2.0,a,b\n")
+        assert load_csv(path, schema).groups[0].X[0, 0] == 2.0
 
     def test_empty_file_and_header_only(self, tmp_path):
         schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))

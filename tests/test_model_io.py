@@ -114,8 +114,7 @@ GOLDEN_CONFIG_LINE = (
     '"lookback":9,"lr_gcov":0.0,"lr_mean":0.25,"lr_rvar":0.125,"mean_learner":{"kind":'
     '"linear","ridge_epsilon":0.5,"tree_max_depth":4,"tree_min_child":5,"tree_min_parent":10},'
     '"n_iterations":7,"rvar_learner":{"kind":"linear","ridge_epsilon":0.5,"tree_max_depth":4,'
-    '"tree_min_child":5,"tree_min_parent":10},"seed":3,"tolerance":0.0001,"variant":"rboost",'
-    '"verbose":true}'
+    '"tree_min_child":5,"tree_min_parent":10},"seed":3,"tolerance":0.0001,"variant":"rboost"}'
 )
 
 
@@ -135,13 +134,28 @@ def test_config_record_golden(tmp_path):
         eval_fraction=0.3,
         seed=3,
         force_include=(2, 0),
-        verbose=True,
     )
     model, _ = fitted("base", "constant", np.random.default_rng(9), n_iterations=1)
     path = tmp_path / "m.txt"
     save_model(path, replace(model, config=cfg))
     assert path.read_text().splitlines()[1] == GOLDEN_CONFIG_LINE
     assert load_model(path)[0].config == cfg
+
+
+def test_retired_verbose_key_is_dropped_on_load(tmp_path):
+    """Files written while FitConfig had a verbose field end their config record with it."""
+    model, _ = fitted("rboost", "tree", np.random.default_rng(5))
+    path = tmp_path / "m.txt"
+    save_model(path, model)
+    head, config_line, *rest = path.read_text().splitlines()
+    for flag in ("true", "false"):
+        old = tmp_path / f"old_{flag}.txt"
+        old.write_text("\n".join([head, config_line[:-1] + f',"verbose":{flag}}}', *rest]) + "\n")
+        back, _ = load_model(old)
+        assert back.config == model.config
+        resaved = tmp_path / "resaved.txt"
+        save_model(resaved, back)
+        assert resaved.read_bytes() == path.read_bytes()
 
 
 class TestFormatGuards:

@@ -149,7 +149,6 @@ FULL_FACTOR = FitConfig(
     eval_fraction=0.05,
     seed=0,
     force_include=(30,),
-    verbose=False,
 )
 
 # every field written out, so a changed FitConfig default shows up here
@@ -171,7 +170,6 @@ PINNED_CONFIGS = {
         eval_fraction=0.05,
         seed=0,
         force_include=(300,),
-        verbose=False,
     ),
     "expB": FitConfig(
         variant="rboost",
@@ -190,7 +188,6 @@ PINNED_CONFIGS = {
         eval_fraction=0.05,
         seed=0,
         force_include=(30,),
-        verbose=False,
     ),
     "expB_diagnostic": FitConfig(
         variant="rboost",
@@ -209,7 +206,6 @@ PINNED_CONFIGS = {
         eval_fraction=0.05,
         seed=0,
         force_include=(30,),
-        verbose=False,
     ),
     "expC": FULL_FACTOR,
     "two_group_sd": FULL_FACTOR,
@@ -381,7 +377,7 @@ class TestReplications:
         monkeypatch.setenv("GBMIXED_THREADS", "1")
         sc = expb_scenario()
         cfg = sc.default_config(n_iterations=3)
-        report = run_replications(sc, n_obs=120, reps=2, config=cfg)
+        report, _ = run_replications(sc, n_obs=120, reps=2, config=cfg)
         assert isinstance(report, ReplicationReport)
         assert len(report.rows) == 2
         mean, sd = report.cate_mse
@@ -404,7 +400,7 @@ class TestReplications:
         monkeypatch.setenv("GBMIXED_THREADS", "1")
         sc = expc_scenario(seed=4)
         cfg = sc.default_config(n_iterations=2)
-        report = run_replications(sc, n_obs=120, reps=2, config=cfg)
+        report, _ = run_replications(sc, n_obs=120, reps=2, config=cfg)
         manual = [run_replication(sc, 120, rep=r, config=cfg)[1] for r in range(2)]
         assert list(report.rows) == manual
 
@@ -412,9 +408,9 @@ class TestReplications:
         monkeypatch.setenv("GBMIXED_THREADS", "1")
         sc = expb_scenario()
         cfg = sc.default_config(n_iterations=2)
-        report, models = run_replications(sc, n_obs=120, reps=2, config=cfg, keep_models=True)
+        report, models = run_replications(sc, n_obs=120, reps=2, config=cfg)
         assert len(models) == 2
-        assert all(m is not None for m in models)
+        assert [m.config.seed for m in models] == [sc.seed, sc.seed + 1]
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("GBMIXED_THREADS", "abc")
