@@ -43,7 +43,6 @@ INIT_VAR_FLOOR_FRACTION = 0.01
 class FitConfig:
     """Hyperparameters for one boosting fit."""
 
-    variant: str = "grboost"
     n_iterations: int = 500
     lr_mean: float = 0.03
     lr_gcov: float = 0.03
@@ -61,8 +60,6 @@ class FitConfig:
     force_include: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.variant not in VARIANT_COMPONENTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
         if self.n_iterations < 0:
             raise ConfigError("n_iterations must be nonnegative")
         for name in ("lr_mean", "lr_gcov", "lr_rvar"):
@@ -82,35 +79,36 @@ class FitConfig:
             raise ConfigError("tolerance must be positive")
         if not (0.0 < self.eval_fraction < 1.0):
             raise ConfigError("eval_fraction must be in (0, 1)")
-        boosted = VARIANT_COMPONENTS[self.variant]
-        for component, name in (("G", "gcov_learner"), ("R", "rvar_learner")):
-            wanted = component in boosted
-            if (getattr(self, name).kind != "constant") != wanted:
-                raise ConfigError(
-                    f"variant {self.variant!r} requires a "
-                    f"{'non-constant' if wanted else 'constant'} {name}"
-                )
         if len(set(self.force_include)) != len(self.force_include):
             raise ConfigError("duplicate force_include indices")
         for f in self.force_include:
             if f < 0:
                 raise ConfigError("force_include indices must be nonnegative")
 
+    @property
+    def variant(self) -> str:
+        """The VARIANT_COMPONENTS name of the components whose learners are not constant."""
+        learners = {"G": self.gcov_learner, "R": self.rvar_learner}
+        boosted = tuple(c for c, spec in learners.items() if spec.kind != "constant")
+        return next(name for name, comps in VARIANT_COMPONENTS.items() if comps == boosted)
+
 
 def config_for_variant(variant: str, row_learner: LearnerSpec | None = None, **overrides) -> FitConfig:
     """FitConfig with learner kinds matching the variant.
 
     The mean learner and any non-constant variance learners take row_learner
-    (default: depth-3 tree); components a variant holds constant get constant
-    learners. Extra keyword arguments override FitConfig fields.
+    (default: depth-3 tree; constant only for base); components a variant
+    holds constant get constant learners. Extra keyword arguments override
+    FitConfig fields.
     """
     if variant not in VARIANT_COMPONENTS:
         raise ConfigError(f"unknown variant {variant!r}")
     base = row_learner if row_learner is not None else LearnerSpec(kind="tree")
     const = replace(base, kind="constant")
     boosted = VARIANT_COMPONENTS[variant]
+    if boosted and base.kind == "constant":
+        raise ConfigError(f"variant {variant!r} needs a non-constant row learner")
     cfg = dict(
-        variant=variant,
         mean_learner=base,
         gcov_learner=base if "G" in boosted else const,
         rvar_learner=base if "R" in boosted else const,

@@ -21,7 +21,7 @@ from . import diagnostics, model_io, simulate
 from .boosting import fit
 from .data import ColumnSchema, GroupedDataset, load_csv, save_csv
 from .errors import ConfigError, DataError, GBMixedError
-from .prediction import cate, interval_halfwidth, ite_variance, predict_dataset
+from .prediction import cate, check_alpha, interval_halfwidth, ite_variance, predict_dataset
 
 
 def _fmt(v: float) -> str:
@@ -75,7 +75,10 @@ def cmd_predict(args) -> int:
         st = ds.stacked()
         xt_rows = np.repeat(ds.x_tilde_matrix(), st.sizes, axis=0)
         tau = cate(model, st.X)
-        ivar = ite_variance(model, st.X, st.Z, xt_rows)
+        # a treatment random slope adds (z1 - z0)' G (z1 - z0) to the ITE variance
+        z_cols, t_col = schema.z_cols, schema.treatment_col
+        z_t = z_cols.index(t_col) if t_col in z_cols else None
+        ivar = ite_variance(model, st.X, st.Z, xt_rows, z_treatment_index=z_t)
         half = interval_halfwidth(ivar, args.alpha)
         extra = [tau, ivar, tau - half, tau + half]
         header += ["cate", "ite_var", "cate_lo", "cate_hi"]
@@ -116,6 +119,7 @@ def _sim_schema(ds: GroupedDataset) -> ColumnSchema:
 def cmd_simulate(args) -> int:
     scenario = simulate.scenario_by_name(args.scenario, seed=args.seed)
     config = _simulate_config(scenario, args.set or [])
+    check_alpha(args.alpha)
     if args.emit_data:
         for rep in range(args.reps):
             ds, truth = simulate.replication_data(scenario, args.n, rep)

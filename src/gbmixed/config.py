@@ -137,7 +137,7 @@ def parse_config_text(text: str) -> dict:
 def apply_settings(base: FitConfig, values: dict) -> FitConfig:
     """base with the fit-setting keys of values applied; other keys are ignored.
 
-    variant re-derives the learner kinds from base's mean learner, then
+    variant sets the two variance learners from base's mean learner, then
     learning_rate sets all three rates, then the one-field keys (the
     per-rate ones among them) override, then the tree keys go to all three
     learners, and last the *_learner keys set their learner's kind.
@@ -145,7 +145,7 @@ def apply_settings(base: FitConfig, values: dict) -> FitConfig:
     cfg = base
     if "variant" in values:
         derived = config_for_variant(values["variant"], cfg.mean_learner)
-        cfg = replace(cfg, **{k: getattr(derived, k) for k in ("variant", *_LEARNER_KEYS)})
+        cfg = replace(cfg, gcov_learner=derived.gcov_learner, rvar_learner=derived.rvar_learner)
     if "learning_rate" in values:
         cfg = replace(cfg, **dict.fromkeys(_RATE_FIELDS, values["learning_rate"]))
     cfg = replace(cfg, **{field: values[k] for k, field in _FIELD_KEYS.items() if k in values})

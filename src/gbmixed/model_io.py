@@ -212,8 +212,9 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
             if tag == "config":
                 record = json.loads(rest)
                 if isinstance(record, dict):
-                    # a display switch that files written before its removal carry
+                    # fields that files written before their removal carry
                     record.pop("verbose", None)
+                    record.pop("variant", None)
                 config = _from_record(FitConfig, record)
             elif tag == "meta":
                 meta, meta_line = json.loads(rest), line_no
@@ -231,7 +232,7 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
                 saw_end = True
             else:
                 raise DataError(f"{path}: unknown record {tag!r} at line {line_no}")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, ConfigError) as exc:
             raise DataError(f"{path}: malformed record at line {line_no}: {exc}") from None
     if not saw_end:
         raise DataError(f"{path}: truncated model file (no end marker)")

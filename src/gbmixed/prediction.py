@@ -136,9 +136,14 @@ class PredictionTable:
     known_group: np.ndarray   # bool per row
 
 
-def interval_halfwidth(var_total: np.ndarray, alpha: float) -> np.ndarray:
+def check_alpha(alpha: float) -> None:
+    """Reject an interval miss probability outside (0, 1)."""
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def interval_halfwidth(var_total: np.ndarray, alpha: float) -> np.ndarray:
+    check_alpha(alpha)
     z = norm.ppf(1.0 - alpha / 2.0)
     return z * np.sqrt(var_total)
 

@@ -47,7 +47,7 @@ from .boosting import (
 from .config import apply_settings
 from .data import GroupBlock, GroupedDataset, split_by_groups, summarize_matrix
 from .errors import ConfigError
-from .prediction import cate, interval_halfwidth, ite_variance
+from .prediction import cate, check_alpha, interval_halfwidth, ite_variance
 
 TRAIN_FRACTION = 0.6
 SIGMOID_SLOPE = 20.0
@@ -534,6 +534,7 @@ def run_replications(
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
+    check_alpha(alpha)
     tasks = [(scenario, n_obs, rep, config, alpha) for rep in range(reps)]
     workers = _worker_count(reps)
     if workers > 1:

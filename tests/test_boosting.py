@@ -36,7 +36,6 @@ def constant_spec():
 
 def small_config(**kw):
     base = dict(
-        variant="base",
         n_iterations=5,
         lr_mean=0.1,
         lr_gcov=0.1,
@@ -55,8 +54,6 @@ def small_config(**kw):
 
 class TestFitConfig:
     def test_field_validation(self):
-        with pytest.raises(ConfigError, match="variant"):
-            small_config(variant="boostier")
         with pytest.raises(ConfigError):
             small_config(n_iterations=-1)
         with pytest.raises(ConfigError):
@@ -77,25 +74,27 @@ class TestFitConfig:
             small_config(force_include=(-2,))
 
     def test_variant_learner_coupling(self):
-        # base holds both variance components constant
-        with pytest.raises(ConfigError, match="gcov"):
-            small_config(variant="base", gcov_learner=LearnerSpec(kind="tree"))
-        with pytest.raises(ConfigError, match="rvar"):
-            small_config(variant="base", rvar_learner=LearnerSpec(kind="tree"))
-        # rboost frees the residual variance only
-        with pytest.raises(ConfigError, match="rvar"):
-            small_config(variant="rboost")
-        small_config(variant="rboost", rvar_learner=LearnerSpec(kind="tree"))
-        # gboost frees the random-effect covariance only
-        with pytest.raises(ConfigError, match="gcov"):
-            small_config(variant="gboost")
-        small_config(variant="gboost", gcov_learner=LearnerSpec(kind="tree"))
-        # grboost frees both
-        small_config(
-            variant="grboost",
-            gcov_learner=LearnerSpec(kind="linear"),
-            rvar_learner=LearnerSpec(kind="tree"),
-        )
+        # the variant names the variance components whose learners are not constant
+        names = {
+            ("constant", "constant"): "base",
+            ("constant", "tree"): "rboost",
+            ("constant", "linear"): "rboost",
+            ("tree", "constant"): "gboost",
+            ("linear", "constant"): "gboost",
+            ("tree", "tree"): "grboost",
+            ("tree", "linear"): "grboost",
+            ("linear", "tree"): "grboost",
+            ("linear", "linear"): "grboost",
+        }
+        for (g_kind, r_kind), name in names.items():
+            cfg = small_config(
+                gcov_learner=LearnerSpec(kind=g_kind), rvar_learner=LearnerSpec(kind=r_kind)
+            )
+            assert cfg.variant == name
+        assert FitConfig().variant == "grboost"
+        # the name is read from the kinds, never given
+        with pytest.raises(TypeError):
+            FitConfig(variant="base")
 
     def test_config_for_variant_kinds(self):
         assert config_for_variant("base").gcov_learner.kind == "constant"
@@ -111,6 +110,9 @@ class TestFitConfig:
         assert custom.gcov_learner.kind == "constant"
         with pytest.raises(ConfigError):
             config_for_variant("superboost")
+        # a constant row learner would leave rboost's residual variance unboosted
+        with pytest.raises(ConfigError, match="rboost"):
+            config_for_variant("rboost", LearnerSpec(kind="constant"))
 
 
 class TestInitialize:
@@ -477,8 +479,8 @@ class TestVariantNesting:
             seed=3,
             mean_learner=tree,
         )
-        base = fit(ds, FitConfig(variant="base", gcov_learner=constant_spec(), rvar_learner=constant_spec(), **shared))
-        rb = fit(ds, FitConfig(variant="rboost", gcov_learner=constant_spec(), rvar_learner=tree, **shared))
+        base = fit(ds, FitConfig(gcov_learner=constant_spec(), rvar_learner=constant_spec(), **shared))
+        rb = fit(ds, FitConfig(gcov_learner=constant_spec(), rvar_learner=tree, **shared))
         boost_ds, _ = split_by_groups(ds, 0.75, 3)
         ll_base = model_total_loglik(base, boost_ds)
         ll_rb = model_total_loglik(rb, boost_ds)

@@ -13,12 +13,13 @@ import pytest
 
 import gbmixed
 from gbmixed import config as config_mod
-from gbmixed import simulate
+from gbmixed import model_io, simulate
 from gbmixed.boosting import FitConfig
 from gbmixed.cli import _simulate_config, main
 from gbmixed.config import build_run_config, parse_config_text
 from gbmixed.data import ColumnSchema, load_csv
 from gbmixed.errors import ConfigError
+from gbmixed.prediction import ite_variance
 
 Z90 = 1.6448536269514722
 Z95 = 1.959963984540054
@@ -77,7 +78,9 @@ def read_table(path):
 
 
 @pytest.fixture()
-def workdir(tmp_path):
+def workdir(tmp_path, monkeypatch):
+    # a command given no --out writes into the working directory, never the checkout's
+    monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(0)
     write_csv(tmp_path / "train.csv", rng)
     write_cfg(tmp_path / "run.cfg")
@@ -293,6 +296,26 @@ class TestPredict:
         assert np.all(ivar > 0)
         assert np.all(lo <= tau) and np.all(tau <= hi)
 
+    def test_cate_variance_includes_a_treatment_random_slope(self, workdir):
+        write_cfg(workdir / "run.cfg", extra="z_cols = intercept, w\n")
+        text = (workdir / "run.cfg").read_text().replace("variant = rboost", "variant = gboost")
+        (workdir / "run.cfg").write_text(text)
+        model = fit_model(workdir)
+        out = workdir / "pred_cate.csv"
+        data = str(workdir / "train.csv")
+        rc = main(["predict", "--model", str(model), "--data", data, "--cate", "--out", str(out)])
+        assert rc == 0
+        _, cols = read_table(out)
+        ivar = np.array([float(v) for v in cols["ite_var"]])
+        fitted, schema = model_io.load_model(str(model))
+        assert schema.z_cols == ("intercept", "w") and fitted.config.variant == "gboost"
+        ds = load_csv(data, schema)
+        st = ds.stacked()
+        xt_rows = np.repeat(ds.x_tilde_matrix(), st.sizes, axis=0)
+        with_slope = ite_variance(fitted, st.X, st.Z, xt_rows, z_treatment_index=1)
+        assert np.array_equal(ivar, with_slope)
+        assert np.all(with_slope > ite_variance(fitted, st.X, st.Z, xt_rows))
+
     def test_group_col_override(self, workdir):
         model = fit_model(workdir)
         text = (workdir / "train.csv").read_text()
@@ -362,6 +385,19 @@ class TestPredict:
         model.write_text("\n".join(lines) + "\n")
         assert self.predict_rc(workdir, model) == 3
         assert "mean ensemble has 14 learners" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [('"lr_mean":0.05', '"lr_mean":-0.1'), ('"kind":"tree"', '"kind":"forest"')],
+    )
+    def test_damaged_config_exits_3(self, workdir, capsys, damage):
+        model = fit_model(workdir)
+        text = model.read_text()
+        assert damage[0] in text.splitlines()[1]
+        model.write_text(text.replace(damage[0], damage[1], 1))
+        assert self.predict_rc(workdir, model) == 3
+        err = capsys.readouterr().err
+        assert "model.txt: malformed record at line 2" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "damage",
@@ -501,6 +537,17 @@ class TestSimulate:
         rc = main(args)
         assert rc == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_alpha_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit reached")
+
+        monkeypatch.setattr(simulate, "fit", no_fit)
+        prefix = tmp_path / "sim"
+        rc = main(self.args(tmp_path, "--alpha", "1.5", "--emit-data", str(prefix)))
+        assert rc == 2
+        assert "alpha must be in (0, 1), got 1.5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     # a value for every --set key that differs from FitConfig() or from expB's settings
     SET_VALUES = {

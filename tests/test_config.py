@@ -95,6 +95,19 @@ class TestBuild:
         assert run.fit.gcov_learner.kind == "tree"
         assert run.fit.rvar_learner.kind == "constant"
 
+    def test_learner_keys_override_variant(self):
+        run = build_run_config(parse_config_text(minimal("variant = base\nrvar_learner = tree\n")))
+        assert run.fit.variant == "rboost"
+        assert run.fit.gcov_learner.kind == "constant"
+        run = build_run_config(
+            parse_config_text(minimal("gcov_learner = constant\nvariant = grboost\n"))
+        )
+        assert run.fit.variant == "rboost"
+        run = build_run_config(
+            parse_config_text(minimal("variant = gboost\ngcov_learner = linear\n"))
+        )
+        assert run.fit.variant == "gboost" and run.fit.gcov_learner.kind == "linear"
+
     def test_learning_rate_expansion_and_override(self):
         run = build_run_config(parse_config_text(minimal("learning_rate = 0.1\n")))
         assert run.fit.lr_mean == run.fit.lr_gcov == run.fit.lr_rvar == 0.1

@@ -12,7 +12,6 @@ from gbmixed.learners import LearnerSpec, LinearLearner, TreeLeaf, TreeLearner, 
 
 def build_model(mean_learners=(), gcov_learners=None, rvar_learners=(), p=3, lr=0.5):
     config = FitConfig(
-        variant="base",
         lr_mean=lr,
         lr_gcov=lr,
         lr_rvar=lr,

@@ -114,7 +114,7 @@ GOLDEN_CONFIG_LINE = (
     '"lookback":9,"lr_gcov":0.0,"lr_mean":0.25,"lr_rvar":0.125,"mean_learner":{"kind":'
     '"linear","ridge_epsilon":0.5,"tree_max_depth":4,"tree_min_child":5,"tree_min_parent":10},'
     '"n_iterations":7,"rvar_learner":{"kind":"linear","ridge_epsilon":0.5,"tree_max_depth":4,'
-    '"tree_min_child":5,"tree_min_parent":10},"seed":3,"tolerance":0.0001,"variant":"rboost"}'
+    '"tree_min_child":5,"tree_min_parent":10},"seed":3,"tolerance":0.0001}'
 )
 
 
@@ -143,14 +143,21 @@ def test_config_record_golden(tmp_path):
 
 
 def test_retired_verbose_key_is_dropped_on_load(tmp_path):
-    """Files written while FitConfig had a verbose field end their config record with it."""
+    """Files written while FitConfig had verbose and variant fields end their
+    config record with them, in sorted key order."""
     model, _ = fitted("rboost", "tree", np.random.default_rng(5))
     path = tmp_path / "m.txt"
     save_model(path, model)
     head, config_line, *rest = path.read_text().splitlines()
-    for flag in ("true", "false"):
-        old = tmp_path / f"old_{flag}.txt"
-        old.write_text("\n".join([head, config_line[:-1] + f',"verbose":{flag}}}', *rest]) + "\n")
+    retired = (
+        ',"verbose":true',
+        ',"verbose":false',
+        ',"variant":"rboost"',
+        ',"variant":"rboost","verbose":false',
+    )
+    for i, tail in enumerate(retired):
+        old = tmp_path / f"old_{i}.txt"
+        old.write_text("\n".join([head, config_line[:-1] + tail + "}", *rest]) + "\n")
         back, _ = load_model(old)
         assert back.config == model.config
         resaved = tmp_path / "resaved.txt"
@@ -221,13 +228,13 @@ class TestFormatGuards:
             load_model(path)
 
 
-def edit_meta(path, change):
-    """Rewrite a saved model's meta record through change(meta)."""
+def edit_record(path, tag, change):
+    """Rewrite a saved model's config or meta record through change(record)."""
     lines = path.read_text().splitlines()
-    assert lines[2].startswith("meta ")
-    meta = json.loads(lines[2][len("meta "):])
-    change(meta)
-    lines[2] = "meta " + json.dumps(meta)
+    i = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
+    record = json.loads(lines[i][len(tag) + 1:])
+    change(record)
+    lines[i] = f"{tag} " + json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -257,8 +264,26 @@ DAMAGED_META = {
 def test_damaged_meta_is_data_error(tmp_path, damage):
     path = with_schema(tmp_path)
     assert load_model(path)[1] is not None
-    edit_meta(path, DAMAGED_META[damage])
+    edit_record(path, "meta", DAMAGED_META[damage])
     with pytest.raises(DataError, match=rf"{path.name}: malformed record at line 3"):
+        load_model(path)
+
+
+# each edit damages a config record whose JSON still parses
+DAMAGED_CONFIG = {
+    "negative_rate": lambda c: c.update(lr_mean=-0.1),
+    "eval_fraction_out_of_range": lambda c: c.update(eval_fraction=1.5),
+    "unknown_learner_kind": lambda c: c["mean_learner"].update(kind="forest"),
+    "learner_not_a_record": lambda c: c.update(rvar_learner="tree"),
+    "unknown_field": lambda c: c.update(boost_harder=True),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_CONFIG))
+def test_damaged_config_is_data_error(tmp_path, damage):
+    path = with_schema(tmp_path)
+    edit_record(path, "config", DAMAGED_CONFIG[damage])
+    with pytest.raises(DataError, match=rf"{path.name}: malformed record at line 2"):
         load_model(path)
 
 

@@ -50,7 +50,6 @@ def const_model(
 ):
     """Model with empty or hand-picked ensembles and fixed variance components."""
     config = FitConfig(
-        variant="base",
         lr_mean=lr_mean,
         gcov_learner=LearnerSpec(kind="constant"),
         rvar_learner=LearnerSpec(kind="constant"),

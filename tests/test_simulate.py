@@ -9,6 +9,7 @@ for the product-form treatment effect on uniform covariates.
 import numpy as np
 import pytest
 
+from gbmixed import simulate
 from gbmixed.boosting import FitConfig
 from gbmixed.config import SIMULATE_KEYS
 from gbmixed.data import split_by_groups, summarize_matrix
@@ -133,7 +134,6 @@ CONST = LearnerSpec(kind="constant")
 COARSE_TREE = LearnerSpec(kind="tree", tree_min_parent=40, tree_min_child=20)
 COARSE_CONST = LearnerSpec(kind="constant", tree_min_parent=40, tree_min_child=20)
 FULL_FACTOR = FitConfig(
-    variant="grboost",
     n_iterations=800,
     lr_mean=0.03,
     lr_gcov=0.01,
@@ -154,7 +154,6 @@ FULL_FACTOR = FitConfig(
 # every field written out, so a changed FitConfig default shows up here
 PINNED_CONFIGS = {
     "expA": FitConfig(
-        variant="base",
         n_iterations=500,
         lr_mean=0.03,
         lr_gcov=0.03,
@@ -172,7 +171,6 @@ PINNED_CONFIGS = {
         force_include=(300,),
     ),
     "expB": FitConfig(
-        variant="rboost",
         n_iterations=500,
         lr_mean=0.01,
         lr_gcov=0.01,
@@ -190,7 +188,6 @@ PINNED_CONFIGS = {
         force_include=(30,),
     ),
     "expB_diagnostic": FitConfig(
-        variant="rboost",
         n_iterations=1000,
         lr_mean=0.01,
         lr_gcov=0.01,
@@ -428,6 +425,14 @@ class TestReplications:
     def test_bad_reps(self):
         with pytest.raises(ConfigError):
             run_replications(expb_scenario(), n_obs=100, reps=0)
+
+    def test_bad_alpha_fails_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit reached")
+
+        monkeypatch.setattr(simulate, "fit", no_fit)
+        with pytest.raises(ConfigError, match=r"alpha must be in \(0, 1\)"):
+            run_replications(expb_scenario(), n_obs=100, reps=1, alpha=1.5)
 
 
 class TestReportCsv:
