@@ -9,7 +9,6 @@ command with the same inputs writes byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from dataclasses import replace
@@ -19,13 +18,9 @@ import numpy as np
 from . import config as config_mod
 from . import diagnostics, model_io, simulate
 from .boosting import fit
-from .data import ColumnSchema, GroupedDataset, load_csv, save_csv
+from .data import ColumnSchema, GroupedDataset, load_csv, save_csv, write_csv
 from .errors import ConfigError, DataError, GBMixedError
 from .prediction import cate, check_alpha, interval_halfwidth, ite_variance, predict_dataset
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def cmd_fit(args) -> int:
@@ -70,7 +65,8 @@ def cmd_predict(args) -> int:
         reduced_new_group_variance=args.reduced_new_group_variance,
     )
     header = ["group_id", "mu_marginal", "mu_conditional", "var_total", "lo", "hi"]
-    extra = []
+    cols = [table.group_ids, table.mu_marginal, table.mu_conditional, table.var_total,
+            table.lo, table.hi]
     if args.cate:
         st = ds.stacked()
         xt_rows = np.repeat(ds.x_tilde_matrix(), st.sizes, axis=0)
@@ -80,22 +76,9 @@ def cmd_predict(args) -> int:
         z_t = z_cols.index(t_col) if t_col in z_cols else None
         ivar = ite_variance(model, st.X, st.Z, xt_rows, z_treatment_index=z_t)
         half = interval_halfwidth(ivar, args.alpha)
-        extra = [tau, ivar, tau - half, tau + half]
+        cols += [tau, ivar, tau - half, tau + half]
         header += ["cate", "ite_var", "cate_lo", "cate_hi"]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(table.group_ids)):
-            row = [
-                table.group_ids[i],
-                _fmt(table.mu_marginal[i]),
-                _fmt(table.mu_conditional[i]),
-                _fmt(table.var_total[i]),
-                _fmt(table.lo[i]),
-                _fmt(table.hi[i]),
-            ]
-            row += [_fmt(col[i]) for col in extra]
-            writer.writerow(row)
+    write_csv(args.out, header, zip(*cols))
     print(f"predict: rows={len(table.group_ids)} out={args.out}")
     return 0
 
@@ -124,13 +107,16 @@ def cmd_simulate(args) -> int:
         for rep in range(args.reps):
             ds, truth = simulate.replication_data(scenario, args.n, rep)
             save_csv(f"{args.emit_data}_rep{rep}.csv", ds, _sim_schema(ds))
-            _write_truth(f"{args.emit_data}_rep{rep}_truth.csv", truth)
+            write_csv(
+                f"{args.emit_data}_rep{rep}_truth.csv",
+                ["tau", "y0", "y1", "resid_var"],
+                zip(truth.tau, truth.y0, truth.y1, truth.resid_var),
+            )
     report, _ = simulate.run_replications(
         scenario, n_obs=args.n, reps=args.reps, config=config, alpha=args.alpha
     )
-    rows = simulate.report_csv_rows(report)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    header, *rows = simulate.report_csv_rows(report)
+    write_csv(args.out, header, rows)
     cm, cs = report.cate_mse
     cov, cov_s = report.coverage
     rm, _ = report.r_mse
@@ -148,16 +134,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_truth(path: str, truth: simulate.GroundTruth) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "y0", "y1", "resid_var"])
-        for i in range(truth.tau.shape[0]):
-            writer.writerow(
-                [_fmt(truth.tau[i]), _fmt(truth.y0[i]), _fmt(truth.y1[i]), _fmt(truth.resid_var[i])]
-            )
-
-
 def cmd_diagnose(args) -> int:
     model, schema = model_io.load_model(args.model)
     ds, _ = _load_for_model(args.data, schema, args.group_col)
@@ -167,12 +143,7 @@ def cmd_diagnose(args) -> int:
     if args.importance:
         scores = diagnostics.variable_importance(model, args.component)
         path = args.out if args.feature is None else args.out + ".importance.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "score"])
-            for name in model.feature_names:
-                if name in scores:
-                    writer.writerow([name, _fmt(scores[name])])
+        write_csv(path, ["feature", "score"], scores.items())
         wrote.append(path)
     if args.feature is not None:
         background = (
@@ -197,11 +168,7 @@ def cmd_diagnose(args) -> int:
             g_entry=g_entry,
         )
         path = args.out if not args.importance else args.out + ".pdp.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["grid", "value"])
-            for g, v in zip(grid, values):
-                writer.writerow([_fmt(g), _fmt(v)])
+        write_csv(path, ["grid", "value"], zip(grid, values))
         wrote.append(path)
     print(f"diagnose: component={args.component} wrote={','.join(wrote)}")
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class ColumnSchema:
             raise ConfigError("schema needs at least one feature column")
         if len(set(self.feature_cols)) != len(self.feature_cols):
             raise ConfigError("duplicate feature column names")
+        if len(set(self.z_cols)) != len(self.z_cols):
+            raise ConfigError("duplicate z column names")
         if self.response_col in self.feature_cols:
             raise ConfigError(f"response column {self.response_col!r} is also a feature column")
         if self.group_col == self.response_col:
@@ -274,7 +276,8 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
         for line_no, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
-            if len(row) < len(header):
+            extra = row[len(header):]   # may only be empty cells, as a trailing comma writes
+            if len(row) < len(header) or (extra and any(cell.strip() for cell in extra)):
                 raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
             gid = _parse_group_id(row[gi].strip(), schema.group_col, line_no)
             y = _parse_cell(row[yi], schema.response_col, line_no, allow_nan=True)
@@ -315,6 +318,22 @@ def _build_z(X: np.ndarray, schema: ColumnSchema, feat_pos: dict) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a table as UTF-8 CSV in the csv module's default dialect.
+
+    Float cells, Python or numpy, are written as repr(float(v)), the shortest
+    text that reads back to the same double; any other value is written as csv
+    writes it, so None is an empty cell.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )
+
+
 def save_csv(path: str, ds: GroupedDataset, schema: ColumnSchema) -> None:
     """Write a dataset back to CSV.
 
@@ -324,14 +343,10 @@ def save_csv(path: str, ds: GroupedDataset, schema: ColumnSchema) -> None:
     """
     if tuple(schema.feature_cols) != tuple(ds.feature_names):
         raise ConfigError("schema feature columns do not match dataset feature names")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([schema.group_col, schema.response_col, *schema.feature_cols])
-        for g in ds.groups:
-            for j in range(g.n):
-                writer.writerow(
-                    [g.group_id, repr(float(g.y[j])), *(repr(float(v)) for v in g.X[j])]
-                )
+    rows = (
+        [g.group_id, y, *x] for g in ds.groups for y, x in zip(g.y.tolist(), g.X.tolist())
+    )
+    write_csv(path, [schema.group_col, schema.response_col, *schema.feature_cols], rows)
 
 
 def _mode_smallest(values: np.ndarray) -> float:

@@ -200,6 +200,7 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
     mean_learners = []
     gcov_by_entry: dict[int, list] = {}
     gcov_lines: dict[int, int] = {}    # entry -> line of its first learner
+    seen: dict[str, int] = {}          # config or meta -> the line of that record
     rvar_learners = []
     saw_end = False
     for line_no, line in enumerate(lines[1:], start=2):
@@ -208,6 +209,8 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
         if saw_end:
             raise DataError(f"{path}: content after end marker at line {line_no}")
         tag, _, rest = line.partition(" ")
+        if tag in seen:
+            raise DataError(f"{path}: {tag} record at line {line_no} repeats line {seen[tag]}")
         try:
             if tag == "config":
                 record = json.loads(rest)
@@ -215,9 +218,9 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
                     # fields that files written before their removal carry
                     record.pop("verbose", None)
                     record.pop("variant", None)
-                config = _from_record(FitConfig, record)
+                config, seen[tag] = _from_record(FitConfig, record), line_no
             elif tag == "meta":
-                meta, meta_line = json.loads(rest), line_no
+                meta, seen[tag] = json.loads(rest), line_no
             elif tag == "mean_learner":
                 mean_learners.append(_learner_from(json.loads(rest)))
             elif tag == "gcov_learner":
@@ -238,11 +241,19 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
         raise DataError(f"{path}: truncated model file (no end marker)")
     if config is None or meta is None:
         raise DataError(f"{path}: missing config or meta record")
+    meta_line = seen["meta"]
 
     try:
         model, schema = _model_from(config, meta, mean_learners, gcov_by_entry, rvar_learners)
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: malformed record at line {meta_line}: {exc}") from None
+    # fit records the eval log-likelihood before each iteration and after the last
+    n_history = len(model.history)
+    if n_history != model.n_iterations_run + 1 or model.best_iteration >= n_history:
+        raise DataError(
+            f"{path}: history at line {meta_line} has {n_history} entries, but n_iterations_run "
+            f"is {model.n_iterations_run} and best_iteration is {model.best_iteration}"
+        )
     # fit writes every ensemble cut to best_iteration, one per factor entry
     T = model.n_factor_entries
     for t, line_no in gcov_lines.items():

@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -514,11 +515,6 @@ def _worker_count(reps: int) -> int:
     return max(1, min(reps, cpu))
 
 
-def _rep_task(args):
-    model, row, _ = run_replication(*args)
-    return row, model
-
-
 def run_replications(
     scenario: Scenario,
     n_obs: int,
@@ -535,40 +531,40 @@ def run_replications(
     if reps < 1:
         raise ConfigError("reps must be at least 1")
     check_alpha(alpha)
-    tasks = [(scenario, n_obs, rep, config, alpha) for rep in range(reps)]
+    args = (repeat(scenario), repeat(n_obs), range(reps), repeat(config), repeat(alpha))
     workers = _worker_count(reps)
+    results = None
     if workers > 1:
         import concurrent.futures
 
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(_rep_task, tasks))
+                results = list(ex.map(run_replication, *args))
         except OSError:
-            results = [_rep_task(t) for t in tasks]
-    else:
-        results = [_rep_task(t) for t in tasks]
+            pass  # no worker processes: run serially below
+    if results is None:
+        results = list(map(run_replication, *args))
     variant = (config or scenario.default_config()).variant
     report = ReplicationReport(
-        scenario=scenario.name, variant=variant, rows=tuple(row for row, _ in results)
+        scenario=scenario.name, variant=variant, rows=tuple(row for _, row, _ in results)
     )
-    return report, [model for _, model in results]
+    return report, [model for model, _, _ in results]
 
 
 def report_csv_rows(report: ReplicationReport) -> list[list]:
-    """Rows for the benchmark-table CSV layout.
+    """Header and rows of the benchmark-table CSV, as raw cells for data.write_csv.
 
-    One row per replication with blank spread columns, then an aggregate row
-    with means and standard deviations. None metrics print as empty cells.
+    One row per replication with blank (None) spread columns, then an aggregate
+    row with means and standard deviations. None metrics print as empty cells.
     """
-    fmt = lambda v: "" if v is None else repr(float(v))
     out = [["row", "method", "cate_mse", "cate_mse_sd", "coverage", "coverage_sd", "r_mse", "g_mse"]]
     for i, r in enumerate(report.rows):
         out.append(
-            [f"rep{i}", report.variant, fmt(r.cate_mse), "", fmt(r.coverage), "", fmt(r.r_mse), fmt(r.g_mse)]
+            [f"rep{i}", report.variant, r.cate_mse, None, r.coverage, None, r.r_mse, r.g_mse]
         )
     cm, cs = report.cate_mse
     cov, cov_s = report.coverage
     rm, _ = report.r_mse
     gm, _ = report.g_mse
-    out.append(["aggregate", report.variant, fmt(cm), fmt(cs), fmt(cov), fmt(cov_s), fmt(rm), fmt(gm)])
+    out.append(["aggregate", report.variant, cm, cs, cov, cov_s, rm, gm])
     return out

@@ -1,6 +1,7 @@
 """Command line behavior: files in, files out, exit codes, determinism."""
 
 import csv
+import json
 import os
 import re
 import subprocess
@@ -138,6 +139,7 @@ class TestFit:
             ("verbose = true\n", "unknown key 'verbose'"),
             ("feature_cols = x1, y, w\n", "'y' is also a feature"),
             ("group_col = y\n", "'y' is both the group and the response"),
+            ("z_cols = intercept, intercept\n", "duplicate z column"),
         ],
     )
     def test_rejected_config_exits_2(self, workdir, capsys, extra, message):
@@ -165,6 +167,15 @@ class TestFit:
             ["fit", "--config", str(workdir / "run.cfg"), "--data", str(workdir / "corrupt.csv")]
         )
         assert rc == 3
+
+    def test_cell_past_the_header_is_data_error(self, workdir, capsys):
+        data = (workdir / "train.csv").read_text().splitlines()
+        data[3] += ",4"
+        (workdir / "long.csv").write_text("\n".join(data) + "\n")
+        cfg, out = str(workdir / "run.cfg"), str(workdir / "long.model")
+        rc = main(["fit", "--config", cfg, "--data", str(workdir / "long.csv"), "--out", out])
+        assert rc == 3
+        assert "line 4: expected 6 cells, got 7" in capsys.readouterr().err
 
     def test_unobserved_training_response_is_data_error(self, workdir, capsys):
         data = (workdir / "train.csv").read_text().splitlines()
@@ -386,6 +397,24 @@ class TestPredict:
         assert self.predict_rc(workdir, model) == 3
         assert "mean ensemble has 14 learners" in capsys.readouterr().err
 
+    def test_repeated_meta_exits_3(self, workdir, capsys):
+        model = fit_model(workdir)
+        lines = model.read_text().splitlines()
+        lines.insert(-1, lines[2])
+        model.write_text("\n".join(lines) + "\n")
+        assert self.predict_rc(workdir, model) == 3
+        assert f"meta record at line {len(lines) - 1} repeats line 3" in capsys.readouterr().err
+
+    def test_history_shorter_than_the_run_exits_3(self, workdir, capsys):
+        model = fit_model(workdir)
+        lines = model.read_text().splitlines()
+        meta = json.loads(lines[2][len("meta "):])
+        meta["history"] = meta["history"][:2]
+        lines[2] = "meta " + json.dumps(meta)
+        model.write_text("\n".join(lines) + "\n")
+        assert self.predict_rc(workdir, model) == 3
+        assert "history at line 3 has 2 entries" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "damage",
         [('"lr_mean":0.05', '"lr_mean":-0.1'), ('"kind":"tree"', '"kind":"forest"')],
@@ -452,6 +481,15 @@ class TestSimulate:
         assert len(rows) == 4    # header + 2 reps + aggregate
         assert rows[3][0] == "aggregate"
         assert "coverage=" in capsys.readouterr().out
+
+    def test_g_mse_reported_for_a_g_boosting_scenario(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        args = ["simulate", "expC", "--n", "200", "--reps", "1", "--set", "iterations=2"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert "g_mse=" in capsys.readouterr().out
+        header, cols = read_table(out)
+        assert header[-1] == "g_mse"
+        assert all(float(v) >= 0 for v in cols["g_mse"])
 
     def test_deterministic_report(self, tmp_path):
         main(self.args(tmp_path))

@@ -15,6 +15,7 @@ from gbmixed.data import (
     split_by_groups,
     summarize_groups,
     summarize_matrix,
+    write_csv,
 )
 from gbmixed.errors import ConfigError, DataError
 
@@ -52,6 +53,10 @@ class TestSchema:
             ColumnSchema(
                 group_col="g", response_col="y", feature_cols=("a",), z_cols=("b",)
             )
+        # two equal Z columns leave G unidentified
+        for z_cols in (("intercept", "intercept"), ("a", "a")):
+            with pytest.raises(ConfigError, match="duplicate z column"):
+                ColumnSchema(group_col="g", response_col="y", feature_cols=("a",), z_cols=z_cols)
 
     def test_response_is_neither_feature_nor_group(self):
         with pytest.raises(ConfigError, match="'y' is also a feature"):
@@ -194,6 +199,20 @@ class TestCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(path, schema)
 
+    def test_cell_past_the_header_names_line(self, tmp_path):
+        # an unquoted decimal comma splits one value over two cells
+        path = tmp_path / "long.csv"
+        path.write_text("g,y,a,b\n1,0.5,2,3\n1,0.7,1,5,4\n")
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("a", "b"))
+        with pytest.raises(DataError, match="line 3: expected 4 cells, got 5"):
+            load_csv(path, schema)
+
+    def test_trailing_empty_cells_are_accepted(self, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text("g,y,a,b\n1,0.5,2,3,\n1,0.7,1,5, ,\n")
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("a", "b"))
+        np.testing.assert_array_equal(load_csv(path, schema).groups[0].X, [[2, 3], [1, 5]])
+
     def test_nan_group_id_names_line_and_column(self, tmp_path):
         path = tmp_path / "nan_ids.csv"
         path.write_text("pair,y,x1\n1,0.1,0\nnan,0.2,0\n1,0.3,0\nNaN,0.4,0\n")
@@ -208,6 +227,19 @@ class TestCsv:
         ds = load_csv(path, schema)
         assert ds.group_ids() == [2, 10, "site_a"]
 
+    def test_float_group_ids_and_blank_rows_round_trip(self, tmp_path):
+        rows = "g,y,x1\r\n1.5,0.1,1.0\r\n2.5,0.2,2.0\r\n1.5,0.3,3.0\r\n"
+        path = tmp_path / "f.csv"
+        path.write_text(rows.replace("\r\n2.5", "\r\n\r\n , \r\n2.5"), newline="")
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
+        ds = load_csv(path, schema)
+        assert ds.group_ids() == [1.5, 2.5]
+        np.testing.assert_array_equal(ds.groups[0].y, [0.1, 0.3])
+        save_csv(tmp_path / "back.csv", ds, schema)
+        assert (tmp_path / "back.csv").read_bytes() == rows.replace(
+            "2.5,0.2,2.0\r\n1.5,0.3,3.0", "1.5,0.3,3.0\r\n2.5,0.2,2.0"
+        ).encode()
+
     def test_rows_within_group_keep_order(self, tmp_path):
         path = tmp_path / "o.csv"
         path.write_text("g,y,x1\n5,0.3,0\n1,0.1,0\n5,0.4,0\n1,0.2,0\n")
@@ -216,6 +248,25 @@ class TestCsv:
         assert ds.group_ids() == [1, 5]
         np.testing.assert_array_equal(ds.groups[0].y, [0.1, 0.2])
         np.testing.assert_array_equal(ds.groups[1].y, [0.3, 0.4])
+
+
+class TestWriteCsv:
+    def test_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [
+            ["café", None, np.float32(0.1)],
+            [1.5, -0.0, np.float64(2e300)],
+            [np.int64(3), 5e-324, 1e22],
+            ["a,b", 7, ""],
+        ]
+        write_csv(path, ["id", "v", "w"], rows)
+        assert path.read_bytes() == (
+            "id,v,w\r\n"
+            "café,,0.10000000149011612\r\n"
+            "1.5,-0.0,2e+300\r\n"
+            "3,5e-324,1e+22\r\n"
+            '"a,b",7,\r\n'
+        ).encode("utf-8")
 
 
 class TestSummaries:

@@ -254,6 +254,7 @@ DAMAGED_META = {
     "schema_without_group_col": lambda m: m["schema"].pop("group_col"),
     "meta_without_q": lambda m: m.pop("q"),
     "schema_failing_its_checks": lambda m: m["schema"].update(z_cols=[]),
+    "schema_repeating_a_z_column": lambda m: m["schema"].update(z_cols=["intercept"] * 2),
     "schema_not_a_record": lambda m: m.update(schema=[1, 2]),
     "q_not_a_number": lambda m: m.update(q="two"),
     "meta_emptied": lambda m: m.clear(),
@@ -331,6 +332,47 @@ class TestEnsembleGuards:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="rvar ensemble has 4 learners"):
             load_model(path)
+
+    # the model ran 3 iterations and kept all 3: history holds 4 log-likelihoods
+    @pytest.mark.parametrize(
+        "change,entries,run",
+        [
+            (lambda m: m.update(history=m["history"][:2]), 2, 3),
+            (lambda m: m.update(n_iterations_run=99), 4, 99),
+            (lambda m: m.update(history=m["history"][:3], n_iterations_run=2), 3, 2),
+        ],
+        ids=["history_cut_short", "run_count_too_high", "best_iteration_past_the_history"],
+    )
+    def test_history_disagrees_with_the_iteration_counts(self, tmp_path, change, entries, run):
+        path, _ = self.write_model(tmp_path)
+        edit_record(path, "meta", change)
+        with pytest.raises(
+            DataError,
+            match=rf"history at line 3 has {entries} entries, but n_iterations_run is {run} "
+            "and best_iteration is 3",
+        ):
+            load_model(path)
+
+    @pytest.mark.parametrize("tag,first", [("config", 2), ("meta", 3)])
+    def test_repeated_record_names_both_lines(self, tmp_path, tag, first):
+        path, lines = self.write_model(tmp_path)
+        lines.insert(-1, lines[first - 1])
+        path.write_text("\n".join(lines) + "\n")
+        repeat = len(lines) - 1
+        with pytest.raises(DataError, match=rf"{tag} record at line {repeat} repeats line {first}"):
+            load_model(path)
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    model, ds = fitted("grboost", "tree", np.random.default_rng(12), n_iterations=3)
+    path = tmp_path / "m.txt"
+    save_model(path, model)
+    lines = path.read_text().splitlines()
+    lines[2:2] = ["", "   "]
+    lines.insert(-1, "")
+    path.write_text("\n".join(lines) + "\n")
+    back, _ = load_model(path)
+    assert_same_predictions(model, back, ds)
 
 
 def test_not_utf8_is_data_error(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from gbmixed import simulate
 from gbmixed.boosting import FitConfig
 from gbmixed.config import SIMULATE_KEYS
-from gbmixed.data import split_by_groups, summarize_matrix
+from gbmixed.data import split_by_groups, summarize_matrix, write_csv
 from gbmixed.errors import ConfigError
 from gbmixed.learners import LearnerSpec
 from gbmixed.simulate import (
@@ -409,6 +409,34 @@ class TestReplications:
         assert len(models) == 2
         assert [m.config.seed for m in models] == [sc.seed, sc.seed + 1]
 
+    def test_pool_failure_falls_back_to_serial(self, monkeypatch):
+        import concurrent.futures
+
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                list(zip(*iterables))  # takes the tasks, as submitting them would
+                raise OSError("no worker processes")
+
+        sc = expb_scenario()
+        cfg = sc.default_config(n_iterations=2)
+        monkeypatch.setenv("GBMIXED_THREADS", "1")
+        serial, _ = run_replications(sc, n_obs=120, reps=2, config=cfg)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("GBMIXED_THREADS", "2")
+        report, models = run_replications(sc, n_obs=120, reps=2, config=cfg)
+        assert report.rows == serial.rows
+        assert [m.config.seed for m in models] == [sc.seed, sc.seed + 1]
+
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("GBMIXED_THREADS", "abc")
         with pytest.raises(ConfigError):
@@ -436,20 +464,21 @@ class TestReplications:
 
 
 class TestReportCsv:
-    def test_layout(self):
+    def test_layout(self, tmp_path):
         report = ReplicationReport(
             scenario="expB",
             variant="rboost",
             rows=(
-                ScoreRow(cate_mse=0.1, coverage=90.0, r_mse=0.02),
-                ScoreRow(cate_mse=0.2, coverage=88.0, r_mse=0.04),
+                ScoreRow(cate_mse=0.25, coverage=90.0, r_mse=0.5),
+                ScoreRow(cate_mse=0.75, coverage=88.0, r_mse=0.25),
             ),
         )
-        rows = report_csv_rows(report)
-        assert rows[0][0] == "row"
-        assert len(rows) == 4                     # header, two reps, aggregate
-        assert rows[1][0] == "rep0" and rows[2][0] == "rep1"
-        assert rows[3][0] == "aggregate"
-        assert rows[1][7] == ""                   # no g metric for rboost
-        assert float(rows[3][2]) == pytest.approx(0.15)
-        assert float(rows[3][4]) == pytest.approx(89.0)
+        header, *rows = report_csv_rows(report)
+        write_csv(tmp_path / "report.csv", header, rows)
+        # blank spread columns on the rep rows; no g metric for rboost
+        assert (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines() == [
+            "row,method,cate_mse,cate_mse_sd,coverage,coverage_sd,r_mse,g_mse",
+            "rep0,rboost,0.25,,90.0,,0.5,",
+            "rep1,rboost,0.75,,88.0,,0.25,",
+            "aggregate,rboost,0.5,0.3535533905932738,89.0,1.4142135623730951,0.375,",
+        ]
