@@ -147,10 +147,6 @@ class FittedModel:
         return self.q * (self.q + 1) // 2
 
 
-def tril_positions(q: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.tril_indices(q)
-
-
 def _ensemble_sum(learners, X, lr, out, upto=None):
     """out += lr * h(X) for each learner in turn; trees share one feature-major copy of X."""
     sel = learners if upto is None else learners[:upto]
@@ -166,20 +162,10 @@ def eval_mean(model: FittedModel, X: np.ndarray, upto=None) -> np.ndarray:
     return _ensemble_sum(model.mean_learners, X, model.config.lr_mean, out, upto)
 
 
-def eval_factor_entries(model: FittedModel, Xt: np.ndarray, upto=None) -> np.ndarray:
-    """Raw factor entries at group covariates, (k, T), no diagonal floor."""
-    Xt = np.asarray(Xt, dtype=float)
-    k = Xt.shape[0]
-    out = np.tile(model.gcov_init, (k, 1))
-    for t in range(model.n_factor_entries):
-        _ensemble_sum(model.gcov_learners[t], Xt, model.config.lr_gcov, out[:, t], upto)
-    return out
-
-
 def factors_from_entries(entries: np.ndarray, q: int) -> np.ndarray:
     """(k, T) flattened entries to (k, q, q) lower factors with floored diagonal."""
     k = entries.shape[0]
-    rows, cols = tril_positions(q)
+    rows, cols = np.tril_indices(q)
     L = np.zeros((k, q, q))
     L[:, rows, cols] = entries
     d = np.arange(q)
@@ -187,23 +173,21 @@ def factors_from_entries(entries: np.ndarray, q: int) -> np.ndarray:
     return L
 
 
-def eval_factor_rows(model: FittedModel, Xt: np.ndarray, upto=None) -> np.ndarray:
-    return factors_from_entries(eval_factor_entries(model, Xt, upto), model.q)
-
-
 def eval_gcov_rows(model: FittedModel, Xt: np.ndarray, upto=None) -> np.ndarray:
-    L = eval_factor_rows(model, Xt, upto)
+    """(k, q, q) covariances G = L L' at group covariates, from the floored factors."""
+    Xt = np.asarray(Xt, dtype=float)
+    entries = np.tile(model.gcov_init, (Xt.shape[0], 1))
+    for t in range(model.n_factor_entries):
+        _ensemble_sum(model.gcov_learners[t], Xt, model.config.lr_gcov, entries[:, t], upto)
+    L = factors_from_entries(entries, model.q)
     return L @ np.swapaxes(L, 1, 2)
 
 
-def eval_log_resid_var(model: FittedModel, X: np.ndarray, upto=None) -> np.ndarray:
+def eval_resid_var(model: FittedModel, X: np.ndarray, upto=None) -> np.ndarray:
+    """Residual variances r(x), the exponential of the log-scale ensemble."""
     X = np.asarray(X, dtype=float)
     out = np.full(X.shape[0], model.logrvar_init)
-    return _ensemble_sum(model.rvar_learners, X, model.config.lr_rvar, out, upto)
-
-
-def eval_resid_var(model: FittedModel, X: np.ndarray, upto=None) -> np.ndarray:
-    return np.exp(eval_log_resid_var(model, X, upto))
+    return np.exp(_ensemble_sum(model.rvar_learners, X, model.config.lr_rvar, out, upto))
 
 
 def initialize(train: GroupedDataset, q: int) -> tuple[float, float, float]:
@@ -324,7 +308,7 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
 
     boost_ds, eval_ds = split_by_groups(train, 1.0 - config.eval_fraction, config.seed)
     f0, diag0, logr0 = initialize(boost_ds, q)
-    rows_t, cols_t = tril_positions(q)
+    rows_t, cols_t = np.tril_indices(q)
     T = rows_t.shape[0]
     factor0 = np.zeros(T)
     factor0[rows_t == cols_t] = diag0

@@ -190,7 +190,7 @@ def build_run_config(values: dict) -> RunConfig:
 
 def load_run_config(path: str) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:   # skips a byte-order mark
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

@@ -249,9 +249,12 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
     columns are ignored. Numeric cells that fail to parse or are non-finite
     raise a DataError naming the 1-based line number and the column; the one
     exception is a nan response, which marks an unobserved row for prediction
-    (a nan group id is an error). Group blocks preserve row order within each group.
+    (a nan group id is an error). A group id that parses as a number becomes
+    an int or float, and every row of a group must spell it the same way (`7`
+    and `7.0` in one file are a DataError naming both lines). A leading UTF-8
+    byte-order mark is skipped. Group blocks preserve row order within each group.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
@@ -271,7 +274,8 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
         yi = col_index[schema.response_col]
         fis = [col_index[c] for c in schema.feature_cols]
         by_group: dict[object, list] = {}
-        order: list = []
+        ids: dict[str, object] = {}                   # group id text -> parsed id
+        spelled: dict[object, tuple[str, int]] = {}   # parsed id -> its text and first line
         n_rows = 0
         for line_no, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
@@ -279,12 +283,21 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
             extra = row[len(header):]   # may only be empty cells, as a trailing comma writes
             if len(row) < len(header) or (extra and any(cell.strip() for cell in extra)):
                 raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-            gid = _parse_group_id(row[gi].strip(), schema.group_col, line_no)
+            text = row[gi].strip()
+            gid = ids.get(text)
+            if gid is None:   # a new group, or a group already read under another spelling
+                gid = _parse_group_id(text, schema.group_col, line_no)
+                if gid in spelled:
+                    first, first_line = spelled[gid]
+                    raise DataError(
+                        f"line {line_no}: group id {text!r} in column {schema.group_col!r} is "
+                        f"{first!r} of line {first_line} spelled another way"
+                    )
+                ids[text] = gid
+                spelled[gid] = (text, line_no)
+                by_group[gid] = []
             y = _parse_cell(row[yi], schema.response_col, line_no, allow_nan=True)
             x = [_parse_cell(row[j], header[j], line_no) for j in fis]
-            if gid not in by_group:
-                by_group[gid] = []
-                order.append(gid)
             by_group[gid].append((y, x))
             n_rows += 1
         if n_rows == 0:
@@ -293,8 +306,7 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
     feat_pos = {c: k for k, c in enumerate(schema.feature_cols)}
     cat = schema.categorical_indices
     groups = []
-    for gid in order:
-        rows = by_group[gid]
+    for gid, rows in by_group.items():
         y = np.array([r[0] for r in rows])
         X = np.array([r[1] for r in rows])
         Z = _build_z(X, schema, feat_pos)

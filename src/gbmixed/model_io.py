@@ -14,7 +14,9 @@ Payloads are compact JSON with sorted keys. Floats serialize through
 Python's shortest round-trip repr, so a loaded model predicts bit-identically
 to the one that was saved, and saving the same model twice yields identical
 bytes. The version number on the first line gates loading: unknown versions
-are rejected, not guessed at.
+are rejected, not guessed at. Learner records follow the meta record, and
+load_model checks each against it (feature count, split and linear feature
+indices) as it rebuilds them.
 """
 
 from __future__ import annotations
@@ -70,14 +72,24 @@ def _node_payload(node):
     }
 
 
-def _node_from(payload):
+def _check_features(features, p: int, what: str) -> None:
+    for f in features:
+        if not 0 <= f < p:
+            raise ValueError(f"{what} {f} outside 0..{p - 1}")
+
+
+def _node_from(payload, p: int):
+    """Rebuild a tree node, checking each split feature against the model's p features."""
     if "v" in payload:
         return TreeLeaf(value=float(payload["v"]))
+    feature = int(payload["f"])
+    if not 0 <= feature < p:
+        raise ValueError(f"split feature {feature} outside 0..{p - 1}")
     return TreeSplit(
-        feature=int(payload["f"]),
+        feature=feature,
         threshold=float(payload["t"]),
-        left=_node_from(payload["l"]),
-        right=_node_from(payload["r"]),
+        left=_node_from(payload["l"], p),
+        right=_node_from(payload["r"], p),
     )
 
 
@@ -97,20 +109,26 @@ def _learner_payload(h) -> dict:
     raise DataError(f"cannot serialize learner of type {type(h).__name__}")
 
 
-def _learner_from(payload: dict):
+def _learner_from(payload: dict, p: int):
+    """Rebuild a learner of a model with p features; one that does not fit them is a ValueError."""
     kind = payload["kind"]
     if kind == "constant":
         return ConstantLearner(value=float(payload["value"]))
+    if kind not in ("linear", "tree"):
+        raise ValueError(f"unknown learner kind {kind!r}")
+    n_features = int(payload["n_features"])
+    if n_features != p:
+        raise ValueError(f"learner has n_features {n_features}, the model {p} features")
     if kind == "linear":
+        features = tuple(int(f) for f in payload["features"])
+        _check_features(features, p, "linear feature")
+        coef = np.asarray([float(c) for c in payload["coef"]])
+        if coef.shape != (len(features),):
+            raise ValueError(f"{coef.size} linear coefficients for {len(features)} features")
         return LinearLearner(
-            features=tuple(int(f) for f in payload["features"]),
-            coef=np.asarray([float(c) for c in payload["coef"]]),
-            intercept=float(payload["intercept"]),
-            n_features=int(payload["n_features"]),
+            features=features, coef=coef, intercept=float(payload["intercept"]), n_features=p
         )
-    if kind == "tree":
-        return TreeLearner(root=_node_from(payload["root"]), n_features=int(payload["n_features"]))
-    raise DataError(f"unknown learner kind {kind!r} in model file")
+    return TreeLearner(root=_node_from(payload["root"], p), n_features=p)
 
 
 def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners):
@@ -118,16 +136,24 @@ def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners)
     q = int(meta["q"])
     T = q * (q + 1) // 2
     gcov_learners = tuple(gcov_by_entry.get(t, []) for t in range(T))
+    gcov_init = np.asarray([float(v) for v in meta["gcov_init"]])
+    if gcov_init.shape != (T,):
+        raise ValueError(f"gcov_init has {gcov_init.size} entries, q = {q} needs {T}")
+    p = len(meta["feature_names"])
     t_idx = meta["treatment_index"]
+    t_idx = None if t_idx is None else int(t_idx)
+    categorical = tuple(int(c) for c in meta["categorical_features"])
+    _check_features([] if t_idx is None else [t_idx], p, "treatment_index")
+    _check_features(categorical, p, "categorical feature")
     model = FittedModel(
         config=config,
         feature_names=tuple(meta["feature_names"]),
         q=q,
-        treatment_index=None if t_idx is None else int(t_idx),
-        categorical_features=tuple(int(c) for c in meta["categorical_features"]),
+        treatment_index=t_idx,
+        categorical_features=categorical,
         mean_init=float(meta["mean_init"]),
         mean_learners=mean_learners,
-        gcov_init=np.asarray([float(v) for v in meta["gcov_init"]]),
+        gcov_init=gcov_init,
         gcov_learners=gcov_learners,
         logrvar_init=float(meta["logrvar_init"]),
         rvar_learners=rvar_learners,
@@ -221,16 +247,19 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
                 config, seen[tag] = _from_record(FitConfig, record), line_no
             elif tag == "meta":
                 meta, seen[tag] = json.loads(rest), line_no
+                p = len(meta["feature_names"])
+            elif tag in ("mean_learner", "gcov_learner", "rvar_learner") and meta is None:
+                raise DataError(f"{path}: {tag} at line {line_no} comes before the meta record")
             elif tag == "mean_learner":
-                mean_learners.append(_learner_from(json.loads(rest)))
+                mean_learners.append(_learner_from(json.loads(rest), p))
             elif tag == "gcov_learner":
                 entry_s, _, payload = rest.partition(" ")
                 gcov_by_entry.setdefault(int(entry_s), []).append(
-                    _learner_from(json.loads(payload))
+                    _learner_from(json.loads(payload), p)
                 )
                 gcov_lines.setdefault(int(entry_s), line_no)
             elif tag == "rvar_learner":
-                rvar_learners.append(_learner_from(json.loads(rest)))
+                rvar_learners.append(_learner_from(json.loads(rest), p))
             elif tag == "end":
                 saw_end = True
             else:

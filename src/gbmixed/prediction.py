@@ -13,14 +13,15 @@ mean. A reduced-variance switch drops the z' G z term for unknown groups,
 matching interval definitions that only count residual noise for new
 clusters.
 
-Treatment effects compare the mean ensemble at two values of the treatment
-column. The variance of an individual effect Y(1) - Y(0) is
+Treatment effects compare the mean ensemble at the arms w = 1 and w = 0,
+stacked into one matrix. The individual effect Y(1) - Y(0) shares its
+group's random effects between the arms, so its variance is the contrast's,
 
-    Var = z1' G z1 + r(x, 1) + z0' G z0 + r(x, 0) - 2 z1' G z0
+    Var = r(x, 1) + r(x, 0) + (z1 - z0)' G (z1 - z0),
 
-where z1 and z0 equal z with any treatment random-slope entry set to 1 and
-0. With intercept-only random effects z1 = z0, the G terms cancel and the
-variance is r(x, 1) + r(x, 0).
+with z1 and z0 equal to z with any treatment random-slope entry set to 1 and
+0. The G term is zero without a treatment slope and G_kk(x~) with one at
+column k of Z; both are written directly, so nothing cancels by rounding.
 
 Every ensemble runs once per call over stacked rows, never once per group:
 predict_dataset evaluates f and r on all served rows and G on all served
@@ -214,6 +215,16 @@ def _treatment_index(model: FittedModel, treatment_index=None) -> int:
     return int(t)
 
 
+def _arms(X: np.ndarray, t: int, levels: tuple[float, float] = (1.0, 0.0)) -> np.ndarray:
+    """The rows of X stacked twice, with column t set to levels[0] above and levels[1] below."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    both = np.vstack([X, X])
+    both[:n, t] = levels[0]
+    both[n:, t] = levels[1]
+    return both
+
+
 def cate(
     model: FittedModel,
     X: np.ndarray,
@@ -221,13 +232,8 @@ def cate(
     levels: tuple[float, float] = (1.0, 0.0),
 ) -> np.ndarray:
     """Conditional average treatment effect: mean at levels[0] minus levels[1]."""
-    t = _treatment_index(model, treatment_index)
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    both = np.vstack([X, X])
-    both[:n, t] = levels[0]
-    both[n:, t] = levels[1]
-    m = eval_mean(model, both)
+    m = eval_mean(model, _arms(X, _treatment_index(model, treatment_index), levels))
+    n = m.shape[0] // 2
     return m[:n] - m[n:]
 
 
@@ -241,37 +247,27 @@ def ite_variance(
 ) -> np.ndarray:
     """Variance of the individual effect Y(1) - Y(0) per row.
 
-    x_tilde_rows carries each row's group summary. z_treatment_index points
-    at the treatment column inside Z when the model has a treatment random
-    slope; without one the shared random effects cancel and only the two
-    residual variances remain.
+    The result is r(x, 1) + r(x, 0), plus the slope variance G_kk at each
+    row's group summary x_tilde_rows when z_treatment_index = k points at a
+    treatment random slope in Z; G is not evaluated otherwise. Z enters no
+    arithmetic: it and x_tilde_rows are only checked to align with X.
     """
     t = _treatment_index(model, treatment_index)
     X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
     x_tilde_rows = np.asarray(x_tilde_rows, dtype=float)
     n = X.shape[0]
-    if Z.shape != (n, model.q):
+    if np.shape(Z) != (n, model.q):
         raise DataError(f"Z must be {n}x{model.q}")
     if x_tilde_rows.shape != (n, X.shape[1]):
         raise DataError("x_tilde_rows must align with X")
-    both = np.vstack([X, X])
-    both[:n, t] = 1.0
-    both[n:, t] = 0.0
-    r = eval_resid_var(model, both)
-    r1, r0 = r[:n], r[n:]
-    z1 = Z.copy()
-    z0 = Z.copy()
-    if z_treatment_index is not None:
-        if not (0 <= z_treatment_index < model.q):
-            raise ConfigError(f"z_treatment_index {z_treatment_index} out of range")
-        z1[:, z_treatment_index] = 1.0
-        z0[:, z_treatment_index] = 0.0
-    G = eval_gcov_rows(model, x_tilde_rows)
-    v1 = np.einsum("nq,nqr,nr->n", z1, G, z1)
-    v0 = np.einsum("nq,nqr,nr->n", z0, G, z0)
-    cov = np.einsum("nq,nqr,nr->n", z1, G, z0)
-    return v1 + r1 + v0 + r0 - 2.0 * cov
+    k = z_treatment_index
+    if k is not None and not (0 <= k < model.q):
+        raise ConfigError(f"z_treatment_index {k} out of range")
+    r = eval_resid_var(model, _arms(X, t))
+    var = r[:n] + r[n:]
+    if k is not None:
+        var += eval_gcov_rows(model, x_tilde_rows)[:, k, k]
+    return var
 
 
 def ate(model: FittedModel, X: np.ndarray, treatment_index: int | None = None) -> float:

@@ -20,7 +20,6 @@ from gbmixed.boosting import (
     eval_mean,
     eval_resid_var,
     fit,
-    tril_positions,
 )
 from gbmixed.data import GroupBlock, GroupedDataset, split_by_groups, summarize_groups
 from gbmixed.diagnostics import partial_dependence, variable_importance
@@ -220,7 +219,7 @@ def test_1_gradients_match_finite_differences():
             worst = max(worst, scalar_rel(float(np.sum(g_G * D)), (up - dn) / (2 * FD_STEP)))
 
         g_L = grad_cov_factor(y, mu, Z, L, r)
-        rows, cols = tril_positions(q)
+        rows, cols = np.tril_indices(q)
         fd_L = np.zeros_like(L)
         for a, b in zip(rows, cols):
             E = np.zeros_like(L)

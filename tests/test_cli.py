@@ -201,6 +201,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert "line 4" in err and "'g'" in err
 
+    def test_group_id_spelled_two_ways_is_data_error(self, workdir, capsys):
+        data = (workdir / "train.csv").read_text().splitlines()
+        assert data[1].startswith("0,") and data[2].startswith("0,")
+        data[2] = "0.0" + data[2][1:]
+        (workdir / "ids.csv").write_text("\n".join(data) + "\n")
+        cfg, out = str(workdir / "run.cfg"), str(workdir / "ids.model")
+        rc = main(["fit", "--config", cfg, "--data", str(workdir / "ids.csv"), "--out", out])
+        assert rc == 3
+        assert "line 3: group id '0.0' in column 'g' is '0' of line 2" in capsys.readouterr().err
+
     def test_config_not_utf8_is_config_error(self, workdir, capsys):
         cfg = workdir / "run.cfg"
         cfg.write_bytes(cfg.read_bytes() + b"# \xff\xfe\n")
@@ -396,6 +406,19 @@ class TestPredict:
         model.write_text("\n".join(lines) + "\n")
         assert self.predict_rc(workdir, model) == 3
         assert "mean ensemble has 14 learners" in capsys.readouterr().err
+
+    def test_split_feature_past_the_features_exits_3(self, workdir, capsys):
+        model = fit_model(workdir)
+        lines = model.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("mean_learner ")
+                 and '"root":{"f":' in line)
+        tree = json.loads(lines[i][len("mean_learner "):])
+        tree["root"]["f"] = 9
+        lines[i] = "mean_learner " + json.dumps(tree)
+        model.write_text("\n".join(lines) + "\n")
+        assert self.predict_rc(workdir, model) == 3
+        err = capsys.readouterr().err
+        assert f"line {i + 1}: split feature 9 outside 0..3" in err and "Traceback" not in err
 
     def test_repeated_meta_exits_3(self, workdir, capsys):
         model = fit_model(workdir)

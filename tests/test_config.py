@@ -186,6 +186,11 @@ class TestLoadFile:
         assert run.fit.variant == "rboost"
         assert run.fit.seed == 9
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + minimal("seed = 9\n").encode("utf-8"))
+        assert load_run_config(path).fit.seed == 9
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_run_config(tmp_path / "absent.cfg")

@@ -227,6 +227,25 @@ class TestCsv:
         ds = load_csv(path, schema)
         assert ds.group_ids() == [2, 10, "site_a"]
 
+    @pytest.mark.parametrize("first,second", [("7", "7.0"), ("007", "7")])
+    def test_group_id_spelled_two_ways_names_both_lines(self, tmp_path, first, second):
+        path = tmp_path / "ids.csv"
+        path.write_text(f"g,y,x1\n{first},0.1,0\n3,0.2,0\n{first},0.3,0\n{second},0.4,0\n")
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
+        with pytest.raises(
+            DataError,
+            match=rf"line 5: group id '{second}' in column 'g' is '{first}' of line 2 spelled",
+        ):
+            load_csv(path, schema)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfg,y,x1\n1,0.1,0\n2,0.2,0\n1,0.3,0\n")
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
+        ds = load_csv(path, schema)
+        assert ds.group_ids() == [1, 2]
+        np.testing.assert_array_equal(ds.groups[0].y, [0.1, 0.3])
+
     def test_float_group_ids_and_blank_rows_round_trip(self, tmp_path):
         rows = "g,y,x1\r\n1.5,0.1,1.0\r\n2.5,0.2,2.0\r\n1.5,0.3,3.0\r\n"
         path = tmp_path / "f.csv"

@@ -258,6 +258,11 @@ DAMAGED_META = {
     "schema_not_a_record": lambda m: m.update(schema=[1, 2]),
     "q_not_a_number": lambda m: m.update(q="two"),
     "meta_emptied": lambda m: m.clear(),
+    "gcov_init_one_entry_short": lambda m: m.update(gcov_init=m["gcov_init"][:-1]),
+    "gcov_init_one_entry_long": lambda m: m.update(gcov_init=m["gcov_init"] + [0.5]),
+    "treatment_index_past_the_features": lambda m: m.update(treatment_index=7),
+    "treatment_index_negative": lambda m: m.update(treatment_index=-1),
+    "categorical_feature_past_the_features": lambda m: m.update(categorical_features=[3]),
 }
 
 
@@ -285,6 +290,56 @@ def test_damaged_config_is_data_error(tmp_path, damage):
     path = with_schema(tmp_path)
     edit_record(path, "config", DAMAGED_CONFIG[damage])
     with pytest.raises(DataError, match=rf"{path.name}: malformed record at line 2"):
+        load_model(path)
+
+
+# each edit damages one learner record of a model with 3 features: (learner kind, edit, message)
+DAMAGED_LEARNER = {
+    "split_feature_past_the_features": ("tree", lambda h: h["root"].update(f=9),
+                                        "split feature 9 outside 0..2"),
+    "split_feature_negative": ("tree", lambda h: h["root"].update(f=-1),
+                               "split feature -1 outside 0..2"),
+    "unknown_kind": ("tree", lambda h: h.update(kind="forest"), "unknown learner kind 'forest'"),
+    "tree_n_features": ("tree", lambda h: h.update(n_features=2),
+                        "learner has n_features 2, the model 3 features"),
+    "linear_feature_past_the_features": ("linear", lambda h: h["features"].__setitem__(0, 3),
+                                         "linear feature 3 outside 0..2"),
+    "linear_coef_one_long": ("linear", lambda h: h["coef"].append(0.5),
+                             "4 linear coefficients for 3 features"),
+    "linear_coef_one_short": ("linear", lambda h: h["coef"].pop(),
+                              "2 linear coefficients for 3 features"),
+    "linear_n_features": ("linear", lambda h: h.update(n_features=4),
+                          "learner has n_features 4, the model 3 features"),
+}
+
+
+@pytest.mark.parametrize("tag", ["mean_learner", "gcov_learner 0", "rvar_learner"])
+@pytest.mark.parametrize("damage", sorted(DAMAGED_LEARNER))
+def test_damaged_learner_names_its_line(tmp_path, damage, tag):
+    kind, change, message = DAMAGED_LEARNER[damage]
+    model, _ = fitted("grboost", kind, np.random.default_rng(13), n_iterations=3)
+    path = tmp_path / "m.txt"
+    save_model(path, model)
+    lines = path.read_text().splitlines()
+    # the first linear record, or the first tree record whose root is a split
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith(tag + " ") and '"root":{"v"' not in line)
+    record = json.loads(lines[i][len(tag) + 1:])
+    change(record)
+    lines[i] = f"{tag} " + json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=rf"malformed record at line {i + 1}: {message}"):
+        load_model(path)
+
+
+def test_learner_before_the_meta_record(tmp_path):
+    model, _ = fitted("grboost", "tree", np.random.default_rng(14), n_iterations=2)
+    path = tmp_path / "m.txt"
+    save_model(path, model)
+    lines = path.read_text().splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="mean_learner at line 3 comes before the meta record"):
         load_model(path)
 
 

@@ -465,6 +465,38 @@ class TestTreatmentEffects:
         v = ite_variance(model, X, Z, xt, z_treatment_index=1)
         np.testing.assert_allclose(v, np.full(n, G[1, 1] + 2 * r_var), rtol=1e-12)
 
+    @pytest.mark.parametrize("slope", [False, True])
+    def test_ite_variance_exact_under_a_huge_g(self, slope):
+        # G = 1e12 against r = 1e-4: the shared effects must cancel exactly, not by rounding
+        r_var = 1e-4
+        L, q = ((1e6, 0.0, 1e-3), 2) if slope else ((1e6,), 1)
+        model = const_model(L_entries=L, logr0=np.log(r_var), p=3, q=q, treatment_index=2)
+        n = 6
+        X = np.random.default_rng(8).standard_normal((n, 3))
+        Z = np.column_stack([np.ones(n), X[:, 2]])[:, :q]
+        xt = np.tile(X.mean(axis=0), (n, 1))
+        v = ite_variance(model, X, Z, xt, z_treatment_index=1 if slope else None)
+        expected = 2 * r_var + (1e-6 if slope else 0.0)   # G_11 = 0.0**2 + 1e-3**2
+        np.testing.assert_allclose(v, np.full(n, expected), rtol=1e-12)
+
+    def test_ite_variance_evaluates_g_only_for_a_treatment_slope(self, monkeypatch):
+        model = const_model(L_entries=(1.0, 0.3, 0.7), p=3, q=2, treatment_index=2)
+        n = 4
+        X = np.random.default_rng(9).standard_normal((n, 3))
+        Z = np.column_stack([np.ones(n), X[:, 2]])
+        xt = np.tile(X.mean(axis=0), (n, 1))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eval_gcov_rows(*args, **kwargs)
+
+        monkeypatch.setattr(prediction, "eval_gcov_rows", counted)
+        ite_variance(model, X, Z, xt)
+        assert len(calls) == 0
+        ite_variance(model, X, Z, xt, z_treatment_index=1)
+        assert len(calls) == 1
+
     def test_ite_variance_shape_checks(self):
         model = const_model(p=2, treatment_index=1)
         X = np.zeros((3, 2))
