@@ -12,7 +12,7 @@ from .diagnostics import partial_dependence, variable_importance
 from .errors import ConfigError, DataError, GBMixedError, NumericalError, SingularCovarianceError
 from .learners import LearnerSpec
 from .model_io import load_model, save_model
-from .prediction import PredictionTable, ate, blup, cate, evaluate_components, ite_variance, predict_dataset
+from .prediction import PredictionTable, ate, blup, cate, ite_variance, predict_dataset
 from .simulate import ReplicationReport, Scenario, generate, run_replications, scenario_by_name
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "blup",
     "cate",
     "config_for_variant",
-    "evaluate_components",
     "fit",
     "generate",
     "ite_variance",

@@ -84,6 +84,8 @@ class FitConfig:
         for f in self.force_include:
             if f < 0:
                 raise ConfigError("force_include indices must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def variant(self) -> str:

@@ -133,12 +133,14 @@ def _learner_from(payload: dict, p: int):
 
 def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners):
     """The model and its stored schema (or None) from the parsed records."""
-    q = int(meta["q"])
+    q = meta["q"]
+    if type(q) is not int or q < 1:
+        raise ValueError(f"q must be a positive integer, got {q!r}")
     T = q * (q + 1) // 2
-    gcov_learners = tuple(gcov_by_entry.get(t, []) for t in range(T))
     gcov_init = np.asarray([float(v) for v in meta["gcov_init"]])
     if gcov_init.shape != (T,):
         raise ValueError(f"gcov_init has {gcov_init.size} entries, q = {q} needs {T}")
+    gcov_learners = tuple(gcov_by_entry.get(t, []) for t in range(T))
     p = len(meta["feature_names"])
     t_idx = meta["treatment_index"]
     t_idx = None if t_idx is None else int(t_idx)
@@ -264,7 +266,8 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
                 saw_end = True
             else:
                 raise DataError(f"{path}: unknown record {tag!r} at line {line_no}")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError, ConfigError) as exc:
+            # RecursionError: a record nested deeper than json or the tree rebuild can follow
             raise DataError(f"{path}: malformed record at line {line_no}: {exc}") from None
     if not saw_end:
         raise DataError(f"{path}: truncated model file (no end marker)")

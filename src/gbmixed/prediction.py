@@ -23,11 +23,16 @@ with z1 and z0 equal to z with any treatment random-slope entry set to 1 and
 0. The G term is zero without a treatment slope and G_kk(x~) with one at
 column k of Z; both are written directly, so nothing cancels by rounding.
 
+blup is the one BLUP function: it takes a GroupedDataset and returns one row
+per group. predict_dataset calls it once, on the served dataset when that is
+its own history and otherwise on the histories of the served groups that
+have one, and not at all when no served group has a history.
+
 Every ensemble runs once per call over stacked rows, never once per group:
 predict_dataset evaluates f and r on all served rows and G on all served
-summaries, the BLUPs of all known groups share one evaluation over their
-finite-response rows (or reuse the served evaluation when the dataset is its
-own history), and the two treatment arms of cate and ite_variance share one
+summaries, blup evaluates them once over the finite-response rows of all its
+groups (or reuses the served evaluation when the dataset is its own
+history), and the two treatment arms of cate and ite_variance share one
 call. Each ensemble call makes one feature-major copy of its rows that all
 of its trees read (see learners). Tree predictions and ensemble sums are row
 by row, so tree ensembles give the same values however rows are batched (a
@@ -44,7 +49,7 @@ categorical features, like its feature names, differ from the model's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import norm
@@ -55,43 +60,22 @@ from .boosting import (
     eval_mean,
     eval_resid_var,
 )
-from .data import GroupBlock, GroupedDataset, summarize_matrix
+from .data import GroupedDataset
 from .errors import ConfigError, DataError
 from .likelihood import chol_with_jitter, marginal_covariance
 from scipy.linalg import cho_solve
 
 
-def evaluate_components(model: FittedModel, X: np.ndarray, x_tilde: np.ndarray | None = None):
-    """Mean vector, group covariance matrix, and residual variances.
-
-    X holds observation rows of one group; x_tilde is that group's summary
-    vector (the summary of X under the model's categorical features when
-    omitted).
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(model.feature_names):
-        raise DataError(f"expected {len(model.feature_names)} feature columns")
-    if x_tilde is None:
-        x_tilde = summarize_matrix(X, model.categorical_features)
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    if x_tilde.shape != (X.shape[1],):
-        raise DataError("x_tilde must have one entry per feature")
-    mu = eval_mean(model, X)
-    G = eval_gcov_rows(model, x_tilde[None, :])[0]
-    r = eval_resid_var(model, X)
-    return mu, G, r
-
-
-def _blups(model: FittedModel, groups, components=None) -> np.ndarray:
-    """(k, q) random-effect predictors of k dataset groups; zero rows where no response is finite.
+def blup(model: FittedModel, ds: GroupedDataset, components=None) -> np.ndarray:
+    """(n_groups, q) random-effect predictors of a dataset's groups; zero rows where no response is finite.
 
     A group's BLUP uses only its finite-response rows and its own summary.
-    components, when given, are f and r on all rows of the groups stacked in
-    order and G at each group's summary, already evaluated by the caller;
-    otherwise the ensembles run once over the finite rows of all groups and
-    once over their summaries. The solve against the dense Sigma_i stays per
-    group.
+    components, when given, are f and r on all rows of ds stacked and G at
+    each group's summary, already evaluated by the caller; otherwise the
+    ensembles run once over the finite rows of all groups and once over
+    their summaries. The solve against the dense Sigma_i stays per group.
     """
+    groups = ds.groups
     u = np.zeros((len(groups), model.q))
     keep = [np.isfinite(g.y) for g in groups]
     live = [i for i, k in enumerate(keep) if k.any()]
@@ -115,13 +99,6 @@ def _blups(model: FittedModel, groups, components=None) -> np.ndarray:
         alpha = cho_solve(factor, g.y[k] - mu[rows], check_finite=False)
         u[i] = Gi @ (Z.T @ alpha)
     return u
-
-
-def blup(model: FittedModel, group: GroupBlock) -> np.ndarray:
-    """Random-effect predictor for one group with observed responses."""
-    ds = GroupedDataset((group,), model.feature_names,
-                        categorical_features=model.categorical_features)
-    return _blups(model, ds.groups)[0]
 
 
 @dataclass(frozen=True)
@@ -186,10 +163,13 @@ def predict_dataset(
     known_rows = known[seg]
     if training_groups is None:
         # the served groups are their own history: the BLUPs reuse f, r and G
-        u = _blups(model, ds.groups, (mu, r, G_groups))
+        u = blup(model, ds, (mu, r, G_groups))
     else:
         u = np.zeros((ds.n_groups, model.q))
-        u[known] = _blups(model, [history[g.group_id] for g in ds.groups if g.group_id in history])
+        if known.any():
+            # the served groups' histories, in served order (both sort by group id)
+            served = tuple(history[g.group_id] for g, k in zip(ds.groups, known) if k)
+            u[known] = blup(model, replace(source, groups=served))
     mu_cond = np.where(known_rows, mu + np.einsum("nq,nq->n", st.Z, u[seg]), mu)
     var = np.einsum("nq,nqr,nr->n", st.Z, G, st.Z) + r
     if reduced_new_group_variance:
@@ -206,33 +186,22 @@ def predict_dataset(
     )
 
 
-def _treatment_index(model: FittedModel, treatment_index=None) -> int:
-    t = treatment_index if treatment_index is not None else model.treatment_index
+def _arms(model: FittedModel, X: np.ndarray) -> np.ndarray:
+    """The rows of X stacked twice, with the model's treatment column set to 1 above and 0 below."""
+    t = model.treatment_index
     if t is None:
-        raise ConfigError("model has no treatment column; pass treatment_index")
-    if not (0 <= t < len(model.feature_names)):
-        raise ConfigError(f"treatment_index {t} out of range")
-    return int(t)
-
-
-def _arms(X: np.ndarray, t: int, levels: tuple[float, float] = (1.0, 0.0)) -> np.ndarray:
-    """The rows of X stacked twice, with column t set to levels[0] above and levels[1] below."""
+        raise ConfigError("model has no treatment column")
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     both = np.vstack([X, X])
-    both[:n, t] = levels[0]
-    both[n:, t] = levels[1]
+    both[:n, t] = 1.0
+    both[n:, t] = 0.0
     return both
 
 
-def cate(
-    model: FittedModel,
-    X: np.ndarray,
-    treatment_index: int | None = None,
-    levels: tuple[float, float] = (1.0, 0.0),
-) -> np.ndarray:
-    """Conditional average treatment effect: mean at levels[0] minus levels[1]."""
-    m = eval_mean(model, _arms(X, _treatment_index(model, treatment_index), levels))
+def cate(model: FittedModel, X: np.ndarray) -> np.ndarray:
+    """Conditional average treatment effect: the mean at w = 1 minus the mean at w = 0."""
+    m = eval_mean(model, _arms(model, X))
     n = m.shape[0] // 2
     return m[:n] - m[n:]
 
@@ -242,7 +211,6 @@ def ite_variance(
     X: np.ndarray,
     Z: np.ndarray,
     x_tilde_rows: np.ndarray,
-    treatment_index: int | None = None,
     z_treatment_index: int | None = None,
 ) -> np.ndarray:
     """Variance of the individual effect Y(1) - Y(0) per row.
@@ -252,7 +220,6 @@ def ite_variance(
     treatment random slope in Z; G is not evaluated otherwise. Z enters no
     arithmetic: it and x_tilde_rows are only checked to align with X.
     """
-    t = _treatment_index(model, treatment_index)
     X = np.asarray(X, dtype=float)
     x_tilde_rows = np.asarray(x_tilde_rows, dtype=float)
     n = X.shape[0]
@@ -263,13 +230,13 @@ def ite_variance(
     k = z_treatment_index
     if k is not None and not (0 <= k < model.q):
         raise ConfigError(f"z_treatment_index {k} out of range")
-    r = eval_resid_var(model, _arms(X, t))
+    r = eval_resid_var(model, _arms(model, X))
     var = r[:n] + r[n:]
     if k is not None:
         var += eval_gcov_rows(model, x_tilde_rows)[:, k, k]
     return var
 
 
-def ate(model: FittedModel, X: np.ndarray, treatment_index: int | None = None) -> float:
+def ate(model: FittedModel, X: np.ndarray) -> float:
     """Average treatment effect: mean of the CATE over the given rows."""
-    return float(np.mean(cate(model, X, treatment_index)))
+    return float(np.mean(cate(model, X)))

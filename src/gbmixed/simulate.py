@@ -89,6 +89,10 @@ class Scenario:
     settings: tuple                 # ((key, value), ...) over _SHARED_SETTINGS
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+
     def default_config(self, **overrides) -> FitConfig:
         """Fit settings used in the benchmark runs of this scenario.
 

@@ -21,6 +21,7 @@ from gbmixed.config import build_run_config, parse_config_text
 from gbmixed.data import ColumnSchema, load_csv
 from gbmixed.errors import ConfigError
 from gbmixed.prediction import ite_variance
+from util import deep_tree_text
 
 Z90 = 1.6448536269514722
 Z95 = 1.959963984540054
@@ -140,6 +141,7 @@ class TestFit:
             ("feature_cols = x1, y, w\n", "'y' is also a feature"),
             ("group_col = y\n", "'y' is both the group and the response"),
             ("z_cols = intercept, intercept\n", "duplicate z column"),
+            ("seed = -1\n", "seed must be a non-negative integer, got -1"),
         ],
     )
     def test_rejected_config_exits_2(self, workdir, capsys, extra, message):
@@ -420,6 +422,17 @@ class TestPredict:
         err = capsys.readouterr().err
         assert f"line {i + 1}: split feature 9 outside 0..3" in err and "Traceback" not in err
 
+    def test_tree_nested_too_deeply_exits_3(self, workdir, capsys):
+        model = fit_model(workdir)
+        lines = model.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("mean_learner "))
+        lines[i] = 'mean_learner {"kind":"tree","n_features":4,"root":' + deep_tree_text(1500) + "}"
+        model.write_text("\n".join(lines) + "\n")
+        assert self.predict_rc(workdir, model) == 3
+        err = capsys.readouterr().err
+        assert f"malformed record at line {i + 1}: maximum recursion depth" in err
+        assert "Traceback" not in err
+
     def test_repeated_meta_exits_3(self, workdir, capsys):
         model = fit_model(workdir)
         lines = model.read_text().splitlines()
@@ -608,6 +621,18 @@ class TestSimulate:
         rc = main(self.args(tmp_path, "--alpha", "1.5", "--emit-data", str(prefix)))
         assert rc == 2
         assert "alpha must be in (0, 1), got 1.5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("data drawn or model fitted")
+
+        monkeypatch.setattr(simulate, "fit", unreachable)
+        monkeypatch.setattr(simulate, "generate", unreachable)
+        prefix = tmp_path / "sim"
+        rc = main(self.args(tmp_path, "--seed", "-1", "--emit-data", str(prefix)))
+        assert rc == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     # a value for every --set key that differs from FitConfig() or from expB's settings

@@ -19,7 +19,7 @@ from gbmixed.data import ColumnSchema
 from gbmixed.errors import DataError
 from gbmixed.learners import LearnerSpec
 from gbmixed.model_io import FORMAT_VERSION, load_model, save_model
-from util import clustered_dataset
+from util import clustered_dataset, deep_tree_text
 
 
 def fitted(variant, kind, rng, n_iterations=4):
@@ -263,6 +263,11 @@ DAMAGED_META = {
     "treatment_index_past_the_features": lambda m: m.update(treatment_index=7),
     "treatment_index_negative": lambda m: m.update(treatment_index=-1),
     "categorical_feature_past_the_features": lambda m: m.update(categorical_features=[3]),
+    # a q of 10**8 once built 5e15 per-entry ensembles before checking gcov_init
+    "q_huge": lambda m: m.update(q=10**8),
+    # with a gcov_init of the length they would need, so only the q check can catch them
+    "q_zero": lambda m: m.update(q=0, gcov_init=[]),
+    "q_fractional": lambda m: m.update(q=3.5, gcov_init=[1.0] * 6),
 }
 
 
@@ -282,6 +287,7 @@ DAMAGED_CONFIG = {
     "unknown_learner_kind": lambda c: c["mean_learner"].update(kind="forest"),
     "learner_not_a_record": lambda c: c.update(rvar_learner="tree"),
     "unknown_field": lambda c: c.update(boost_harder=True),
+    "negative_seed": lambda c: c.update(seed=-1),
 }
 
 
@@ -310,7 +316,11 @@ DAMAGED_LEARNER = {
                               "2 linear coefficients for 3 features"),
     "linear_n_features": ("linear", lambda h: h.update(n_features=4),
                           "learner has n_features 4, the model 3 features"),
+    "tree_nested_too_deeply": ("tree", lambda h: h.update(root=DEEP_MARK),
+                               "maximum recursion depth exceeded"),
 }
+# a tree 1500 splits deep, spliced in as text where DEEP_MARK was dumped
+DEEP_MARK = "<deep tree>"
 
 
 @pytest.mark.parametrize("tag", ["mean_learner", "gcov_learner 0", "rvar_learner"])
@@ -326,7 +336,7 @@ def test_damaged_learner_names_its_line(tmp_path, damage, tag):
              if line.startswith(tag + " ") and '"root":{"v"' not in line)
     record = json.loads(lines[i][len(tag) + 1:])
     change(record)
-    lines[i] = f"{tag} " + json.dumps(record)
+    lines[i] = f"{tag} " + json.dumps(record).replace(json.dumps(DEEP_MARK), deep_tree_text(1500))
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=rf"malformed record at line {i + 1}: {message}"):
         load_model(path)

@@ -61,3 +61,11 @@ def clustered_dataset(
         groups.append(GroupBlock(group_id=i, y=y, X=X, Z=np.ones((n_per, 1))))
     names = tuple(f"x{j + 1}" for j in range(p))
     return GroupedDataset(groups=tuple(groups), feature_names=names)
+
+
+def deep_tree_text(depth: int) -> str:
+    """A tree payload's JSON text, splits nested depth deep down the left branch.
+
+    Written as text because json.dumps cannot nest much past the recursion limit.
+    """
+    return '{"f":0,"l":' * depth + '{"v":0.0}' + ',"r":{"v":0.0},"t":0.5}' * depth
