@@ -20,6 +20,9 @@ The training loop keeps running caches of the three component values on both
 group sets and only evaluates each new learner once per iteration, so the
 cost per iteration is one learner fit plus O(n) bookkeeping plus one call of
 the stacked likelihood kernel, which handles groups of any sizes at once.
+Trees sort nothing per iteration: the boosting rows and the group summaries
+are each stably sorted once per fit, when the first tree needs them, and
+every iteration's trees restrict that order to the sampled rows and features.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ class FitConfig:
         for f in self.force_include:
             if f < 0:
                 raise ConfigError("force_include indices must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def variant(self) -> str:
@@ -320,6 +323,10 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     gb.init_caches(f0, factor0, logr0)
     ge.init_caches(f0, factor0, logr0)
 
+    # every iteration's tree presorts restrict these, so each set sorts at most once
+    rows_order = SortedColumns(gb.X, range(p))
+    groups_order = SortedColumns(gb.Xt, range(p))
+
     rng = np.random.default_rng(config.seed)
     # verify the sampling fractions are feasible before looping
     sample_iteration(np.random.default_rng(config.seed), gb.C, p, config)
@@ -346,12 +353,10 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
         if not all(np.all(np.isfinite(a)) for a in (pseudo_mu, d_F, pseudo_logr)):
             raise NumericalError(f"non-finite gradient at iteration {m}")
         grad_factor = d_F[:, rows_t, cols_t]
-        X_rows = gb.X[row_idx]
-        Xt_rows = gb.Xt[g_idx]
-
-        # trees on the same rows share one sort, done by the first tree fit
-        rows_sorted = SortedColumns(X_rows, feats)
-        groups_sorted = SortedColumns(Xt_rows, feats)
+        # row_idx and g_idx ascend, as restrict requires
+        rows_sorted = rows_order.restrict(row_idx, feats)
+        groups_sorted = groups_order.restrict(g_idx, feats)
+        X_rows, Xt_rows = rows_sorted.X, groups_sorted.X
         h_mu = fit_learner(X_rows, pseudo_mu, feats, config.mean_learner, rows_sorted)
         h_gcov = [
             fit_learner(Xt_rows, grad_factor[:, t], feats, config.gcov_learner, groups_sorted)

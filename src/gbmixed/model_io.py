@@ -72,6 +72,13 @@ def _node_payload(node):
     }
 
 
+def _int(value, what: str) -> int:
+    """value itself when it is a JSON integer; 1.5, true and "3" are ValueErrors."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_features(features, p: int, what: str) -> None:
     for f in features:
         if not 0 <= f < p:
@@ -82,7 +89,7 @@ def _node_from(payload, p: int):
     """Rebuild a tree node, checking each split feature against the model's p features."""
     if "v" in payload:
         return TreeLeaf(value=float(payload["v"]))
-    feature = int(payload["f"])
+    feature = _int(payload["f"], "split feature")
     if not 0 <= feature < p:
         raise ValueError(f"split feature {feature} outside 0..{p - 1}")
     return TreeSplit(
@@ -116,11 +123,11 @@ def _learner_from(payload: dict, p: int):
         return ConstantLearner(value=float(payload["value"]))
     if kind not in ("linear", "tree"):
         raise ValueError(f"unknown learner kind {kind!r}")
-    n_features = int(payload["n_features"])
+    n_features = _int(payload["n_features"], "n_features")
     if n_features != p:
         raise ValueError(f"learner has n_features {n_features}, the model {p} features")
     if kind == "linear":
-        features = tuple(int(f) for f in payload["features"])
+        features = tuple(_int(f, "linear feature") for f in payload["features"])
         _check_features(features, p, "linear feature")
         coef = np.asarray([float(c) for c in payload["coef"]])
         if coef.shape != (len(features),):
@@ -133,8 +140,8 @@ def _learner_from(payload: dict, p: int):
 
 def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners):
     """The model and its stored schema (or None) from the parsed records."""
-    q = meta["q"]
-    if type(q) is not int or q < 1:
+    q = _int(meta["q"], "q")
+    if q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
     T = q * (q + 1) // 2
     gcov_init = np.asarray([float(v) for v in meta["gcov_init"]])
@@ -143,8 +150,8 @@ def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners)
     gcov_learners = tuple(gcov_by_entry.get(t, []) for t in range(T))
     p = len(meta["feature_names"])
     t_idx = meta["treatment_index"]
-    t_idx = None if t_idx is None else int(t_idx)
-    categorical = tuple(int(c) for c in meta["categorical_features"])
+    t_idx = None if t_idx is None else _int(t_idx, "treatment_index")
+    categorical = tuple(_int(c, "categorical feature") for c in meta["categorical_features"])
     _check_features([] if t_idx is None else [t_idx], p, "treatment_index")
     _check_features(categorical, p, "categorical feature")
     model = FittedModel(
@@ -160,8 +167,8 @@ def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners)
         logrvar_init=float(meta["logrvar_init"]),
         rvar_learners=rvar_learners,
         history=[float(v) for v in meta["history"]],
-        best_iteration=int(meta["best_iteration"]),
-        n_iterations_run=int(meta["n_iterations_run"]),
+        best_iteration=_int(meta["best_iteration"], "best_iteration"),
+        n_iterations_run=_int(meta["n_iterations_run"], "n_iterations_run"),
     )
     stored = meta.get("schema")
     if stored is None:

@@ -20,6 +20,7 @@ from gbmixed.boosting import (
 )
 from gbmixed.data import GroupBlock, GroupedDataset, split_by_groups
 from gbmixed.errors import ConfigError, DataError, NumericalError
+from gbmixed import learners
 from gbmixed.learners import (
     ConstantLearner,
     LearnerSpec,
@@ -72,6 +73,9 @@ class TestFitConfig:
             small_config(force_include=(1, 1))
         with pytest.raises(ConfigError):
             small_config(force_include=(-2,))
+        for seed in (-1, 2.5, True, "3"):
+            with pytest.raises(ConfigError):
+                small_config(seed=seed)
 
     def test_variant_learner_coupling(self):
         # the variant names the variance components whose learners are not constant
@@ -356,6 +360,40 @@ class TestFit:
         cfg = small_config(n_iterations=60, lr_rvar=80.0)
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             fit(ds, cfg)
+
+
+class TestPresort:
+    """fit stably sorts each group set at most once, and only when a tree needs it."""
+
+    def sorted_shapes(self, monkeypatch, variant, kind, n_iterations):
+        shapes = []
+        real = learners._stable_argsort
+
+        def counted(cols):
+            shapes.append(cols.shape)
+            return real(cols)
+
+        monkeypatch.setattr(learners, "_stable_argsort", counted)
+        ds = clustered_dataset(np.random.default_rng(21), n_groups=40, n_per=3, p=4,
+                               mean_fn=lambda X: X[:, 0])
+        spec = LearnerSpec(kind=kind, tree_min_parent=4, tree_min_child=2)
+        cfg = config_for_variant(variant, spec, n_iterations=n_iterations, group_fraction=0.5,
+                                 feature_fraction=0.5, early_stopping=False, eval_fraction=0.25)
+        fit(ds, cfg)
+        return shapes
+
+    @pytest.mark.parametrize("n_iterations", [3, 30])
+    def test_tree_fit_sorts_each_group_set_once(self, monkeypatch, n_iterations):
+        # 30 boosting groups of 3 rows, all 4 features
+        shapes = self.sorted_shapes(monkeypatch, "grboost", "tree", n_iterations)
+        assert sorted(shapes) == [(4, 30), (4, 90)]
+
+    def test_constant_g_sorts_only_the_rows(self, monkeypatch):
+        assert self.sorted_shapes(monkeypatch, "rboost", "tree", 10) == [(4, 90)]
+
+    @pytest.mark.parametrize("variant,kind", [("base", "linear"), ("grboost", "linear")])
+    def test_constant_and_linear_learners_sort_nothing(self, monkeypatch, variant, kind):
+        assert self.sorted_shapes(monkeypatch, variant, kind, 10) == []
 
 
 class TestReferenceLoop:

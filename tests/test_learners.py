@@ -356,6 +356,48 @@ class TestTreeOracle:
             fit_tree(X, y, (0, 1), tree_spec(), SortedColumns(X.copy(), (0, 1)))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["ties", "duplicates", "same_partition", "coarsened"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_restricted_order_is_the_stable_argsort(kind, seed):
+    """Filtering a presort to ascending rows gives the stable argsort of those
+    rows, ties and signed zeros included, and the tree the per-node oracle grows."""
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(2, 120))
+    p = int(rng.integers(1, 6))
+    X, y = oracle_case(rng, kind, N, p)
+    zeros = rng.random(X.shape) < 0.3
+    X[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+    rows = np.sort(rng.choice(N, size=int(rng.integers(1, N + 1)), replace=False))
+    feats = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
+    held = np.union1d(feats, rng.choice(p, size=int(rng.integers(0, p + 1)), replace=False))
+
+    sub = SortedColumns(X, held).restrict(rows, feats)
+    fresh = SortedColumns(X[rows], feats)
+    assert np.array_equal(sub.X, fresh.X)
+    for got, want in zip(sub.arrays(), fresh.arrays()):
+        assert np.array_equal(got, want)
+    spec = tree_spec(tree_max_depth=3, tree_min_child=2, tree_min_parent=4)
+    assert fit_tree(sub.X, y[rows], feats, spec, sub) == reference_tree(X[rows], y[rows], feats, spec)
+
+    if rows.size > 1:
+        for bad in (rows[::-1], np.sort(np.append(rows, rows[-1]))):
+            with pytest.raises(DataError):
+                SortedColumns(X, held).restrict(bad, feats)
+
+
+def test_restrict_rejects_foreign_rows_and_features():
+    X = np.arange(12.0).reshape(6, 2)
+    full = SortedColumns(X, (0, 1))
+    for rows in ([-1, 2], [3, 6], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(DataError):
+            full.restrict(rows, (0,))
+    with pytest.raises(DataError):
+        SortedColumns(X, (1,)).restrict([0, 2], (0,))
+
+
 def reference_predict(tree, X):
     """The recursive row gather that TreeLearner.predict replaced.
 

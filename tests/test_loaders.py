@@ -23,7 +23,7 @@ from gbmixed.errors import ConfigError, DataError
 from gbmixed.learners import LearnerSpec
 from gbmixed.model_io import load_model, save_model
 
-VALUES = ("text", math.nan, -1, -2.5, 10**8, 1e308)
+VALUES = ("text", math.nan, -1, -2.5, 1.5, True, 10**8, 1e308)
 
 CONFIG = """\
 group_col = g

@@ -268,6 +268,13 @@ DAMAGED_META = {
     # with a gcov_init of the length they would need, so only the q check can catch them
     "q_zero": lambda m: m.update(q=0, gcov_init=[]),
     "q_fractional": lambda m: m.update(q=3.5, gcov_init=[1.0] * 6),
+    # indices and counts that int() would once have truncated or coerced
+    "treatment_index_fractional": lambda m: m.update(treatment_index=1.5),
+    "treatment_index_boolean": lambda m: m.update(treatment_index=True),
+    "treatment_index_a_string": lambda m: m.update(treatment_index="1"),
+    "categorical_feature_fractional": lambda m: m.update(categorical_features=[0.5]),
+    "best_iteration_a_float": lambda m: m.update(best_iteration=float(m["best_iteration"])),
+    "n_iterations_run_a_float": lambda m: m.update(n_iterations_run=float(m["n_iterations_run"])),
 }
 
 
@@ -288,6 +295,8 @@ DAMAGED_CONFIG = {
     "learner_not_a_record": lambda c: c.update(rvar_learner="tree"),
     "unknown_field": lambda c: c.update(boost_harder=True),
     "negative_seed": lambda c: c.update(seed=-1),
+    "fractional_seed": lambda c: c.update(seed=2.5),
+    "boolean_seed": lambda c: c.update(seed=True),
 }
 
 
@@ -305,6 +314,14 @@ DAMAGED_LEARNER = {
                                         "split feature 9 outside 0..2"),
     "split_feature_negative": ("tree", lambda h: h["root"].update(f=-1),
                                "split feature -1 outside 0..2"),
+    "split_feature_fractional": ("tree", lambda h: h["root"].update(f=1.5),
+                                 "split feature must be an integer, got 1.5"),
+    "split_feature_boolean": ("tree", lambda h: h["root"].update(f=True),
+                              "split feature must be an integer, got True"),
+    "tree_n_features_fractional": ("tree", lambda h: h.update(n_features=3.9),
+                                   "n_features must be an integer, got 3.9"),
+    "linear_feature_a_float": ("linear", lambda h: h["features"].__setitem__(0, 0.0),
+                               "linear feature must be an integer, got 0.0"),
     "unknown_kind": ("tree", lambda h: h.update(kind="forest"), "unknown learner kind 'forest'"),
     "tree_n_features": ("tree", lambda h: h.update(n_features=2),
                         "learner has n_features 2, the model 3 features"),
