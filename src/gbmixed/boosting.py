@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import GroupedDataset, split_by_groups
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_fields
 from .learners import FittedLearner, LearnerSpec, SortedColumns, fit_learner
 from . import likelihood as lik
 
@@ -63,11 +63,10 @@ class FitConfig:
     force_include: tuple[int, ...] = ()
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_iterations < 0:
             raise ConfigError("n_iterations must be nonnegative")
         for name in ("lr_mean", "lr_gcov", "lr_rvar"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if not (0.0 < self.group_fraction <= 1.0):
@@ -76,8 +75,6 @@ class FitConfig:
             raise ConfigError("feature_fraction must be in (0, 1]")
         if self.lookback < 1:
             raise ConfigError("lookback must be at least 1")
-        if not np.isfinite(self.tolerance):
-            raise ConfigError("tolerance must be finite")
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         if not (0.0 < self.eval_fraction < 1.0):
@@ -87,7 +84,7 @@ class FitConfig:
         for f in self.force_include:
             if f < 0:
                 raise ConfigError("force_include indices must be nonnegative")
-        if type(self.seed) is not int or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property

@@ -12,6 +12,12 @@ a scenario declares its fit settings as (key, value) pairs in them, and
 `gbmixed simulate --set` applies the SIMULATE_KEYS subset over those. Config
 lines and --set items share the item parser parse_items; all three reach a
 FitConfig through apply_settings.
+
+The key table is read off the annotations of ColumnSchema (every field) and
+of FitConfig and LearnerSpec (every int, float and bool field, n_iterations
+as `iterations`), so a new setting is one annotated field, and the
+dataclasses check their values against the same annotations. Only the keys
+that set no field or several are written out here.
 """
 
 from __future__ import annotations
@@ -20,62 +26,36 @@ from dataclasses import dataclass, fields, replace
 
 from .boosting import FitConfig, config_for_variant
 from .data import ColumnSchema
-from .errors import ConfigError
+from .errors import ConfigError, field_types
+from .learners import LearnerSpec
 
-_STR, _INT, _FLOAT, _BOOL, _LIST = "str", "int", "float", "bool", "list"
+_LEARNER_KEYS = ("mean_learner", "gcov_learner", "rvar_learner")
+_RATE_FIELDS = ("lr_mean", "lr_gcov", "lr_rvar")
+_SCALARS = (int, float, bool)
 
-# key -> value type; None-able strings stay None when absent
+# the int, float and bool fields: of FitConfig, and of LearnerSpec, which the
+# tree keys set on all three learners
+_FIT_TYPES = {k: t for k, (t, _, many) in field_types(FitConfig).items() if t in _SCALARS and not many}
+_TREE_TYPES = {k: t for k, (t, _, _) in field_types(LearnerSpec).items() if t in _SCALARS}
+
+# setting key -> the FitConfig field it sets
+_FIELD_KEYS = {"iterations" if name == "n_iterations" else name: name for name in _FIT_TYPES}
+_TREE_KEYS = tuple(_TREE_TYPES)
+
+# key -> value type (tuple for a list of names); None-able strings stay None when absent
 _KEYS = {
-    "group_col": _STR,
-    "response_col": _STR,
-    "feature_cols": _LIST,
-    "z_cols": _LIST,
-    "categorical_cols": _LIST,
-    "treatment_col": _STR,
-    "variant": _STR,
-    "mean_learner": _STR,
-    "gcov_learner": _STR,
-    "rvar_learner": _STR,
-    "tree_max_depth": _INT,
-    "tree_min_parent": _INT,
-    "tree_min_child": _INT,
-    "ridge_epsilon": _FLOAT,
-    "iterations": _INT,
-    "learning_rate": _FLOAT,
-    "lr_mean": _FLOAT,
-    "lr_gcov": _FLOAT,
-    "lr_rvar": _FLOAT,
-    "group_fraction": _FLOAT,
-    "feature_fraction": _FLOAT,
-    "lookback": _INT,
-    "tolerance": _FLOAT,
-    "early_stopping": _BOOL,
-    "eval_fraction": _FLOAT,
-    "seed": _INT,
-    "force_include_cols": _LIST,
-    "force_include_treatment": _BOOL,
-    "model_out": _STR,
+    **{k: tuple if many else t for k, (t, _, many) in field_types(ColumnSchema).items()},
+    "variant": str,
+    **dict.fromkeys(_LEARNER_KEYS, str),
+    **_TREE_TYPES,
+    "learning_rate": float,
+    **{k: _FIT_TYPES[name] for k, name in _FIELD_KEYS.items()},
+    "force_include_cols": tuple,
+    "force_include_treatment": bool,
+    "model_out": str,
 }
 
 _REQUIRED = ("group_col", "response_col", "feature_cols")
-
-# setting key -> the FitConfig field it sets, for the keys that set one field
-_FIELD_KEYS = {
-    "iterations": "n_iterations",
-    "lr_mean": "lr_mean",
-    "lr_gcov": "lr_gcov",
-    "lr_rvar": "lr_rvar",
-    "group_fraction": "group_fraction",
-    "feature_fraction": "feature_fraction",
-    "lookback": "lookback",
-    "tolerance": "tolerance",
-    "early_stopping": "early_stopping",
-    "eval_fraction": "eval_fraction",
-    "seed": "seed",
-}
-_RATE_FIELDS = ("lr_mean", "lr_gcov", "lr_rvar")
-_LEARNER_KEYS = ("mean_learner", "gcov_learner", "rvar_learner")
-_TREE_KEYS = ("tree_max_depth", "tree_min_parent", "tree_min_child", "ridge_epsilon")
 
 # the keys `gbmixed simulate --set` takes: a scenario fixes its columns,
 # learner kinds and forced features, and --seed gives the seed
@@ -88,22 +68,18 @@ def parse_value(key: str, raw: str):
     """Convert a raw string to the value type of a known key."""
     kind = _KEYS[key]
     try:
-        if kind == _INT:
-            return int(raw)
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _BOOL:
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        if kind == _LIST:
+        if kind is tuple:
             return tuple(s.strip() for s in raw.split(",") if s.strip())
-        return raw
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"cannot parse {raw!r} as {kind} for key {key!r}") from None
+        raise ConfigError(f"cannot parse {raw!r} as {kind.__name__} for key {key!r}") from None
 
 
 def parse_items(items, keys=_KEYS) -> dict:

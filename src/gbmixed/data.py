@@ -20,11 +20,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields
 
 INTERCEPT = "intercept"
 
@@ -132,6 +133,7 @@ class GroupedDataset:
     categorical_features: tuple[int, ...] = ()
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.groups) == 0:
             raise DataError("dataset has no groups")
         p = len(self.feature_names)
@@ -147,7 +149,7 @@ class GroupedDataset:
             ids.add(g.group_id)
         if self.treatment_index is not None and not (0 <= self.treatment_index < p):
             raise DataError("treatment_index out of range")
-        cat = tuple(sorted(set(int(c) for c in self.categorical_features)))
+        cat = tuple(sorted(set(self.categorical_features)))
         if cat and not (0 <= cat[0] and cat[-1] < p):
             raise ConfigError(f"categorical feature indices {list(cat)} out of range")
         object.__setattr__(self, "categorical_features", cat)
@@ -230,7 +232,7 @@ def _parse_group_id(text: str, column: str, line_no: int):
         # nan != nan, so every such row would become a group of its own
         raise DataError(f"line {line_no}: group id {text!r} in column {column!r} is nan")
     if f.is_integer():
-        return int(f)
+        return int(Decimal(text))   # exact past 2**53, where f is rounded
     return f
 
 

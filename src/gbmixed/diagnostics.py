@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boosting import FittedModel, eval_gcov_rows, eval_mean, eval_resid_var
-from .errors import ConfigError
+from .errors import ConfigError, check_type
 
 COMPONENTS = ("mean", "G", "R")
 DEFAULT_GRID_SIZE = 25
@@ -57,7 +57,7 @@ def _resolve_feature(model: FittedModel, feature) -> int:
             return model.feature_names.index(feature)
         except ValueError:
             raise ConfigError(f"unknown feature {feature!r}") from None
-    f = int(feature)
+    f = check_type("feature", feature)
     if not (0 <= f < len(model.feature_names)):
         raise ConfigError(f"feature index {f} out of range")
     return f

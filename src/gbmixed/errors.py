@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one type rule for values.
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
 data problems exit 3, numerical failures exit 4.
 """
+
+import math
+from dataclasses import fields
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 
 class GBMixedError(Exception):
@@ -36,3 +41,43 @@ class SingularCovarianceError(NumericalError):
     factor the n_i x n_i covariance. The stacked kernel used in fitting
     factors only I + W' R^{-1} W and applies no jitter.
     """
+
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean"}
+
+
+def check_type(name: str, value, kind: type = int):
+    """value when it is of kind, else a ConfigError: an int or a bool is exactly that
+    type (so a bool is no int), a float is a finite int or float."""
+    if kind is float:
+        ok = type(value) is int or isinstance(value, float) and math.isfinite(value)
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+@cache
+def field_types(cls) -> dict:
+    """Each field of dataclass cls as (T, optional, many), read off its annotation:
+    T | None is optional and tuple[T, ...] many; any other annotation is T itself."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        args = get_args(hint)
+        optional = type(None) in args
+        many = get_origin(hint) is tuple and args[1:] == (Ellipsis,)
+        out[f.name] = (args[0] if optional or many else hint, optional, many)
+    return out
+
+
+def check_fields(obj) -> None:
+    """check_type on every int, float and bool field of dataclass obj, on each entry of
+    a tuple[T, ...]; None passes where the annotation is T | None."""
+    for name, (kind, optional, many) in field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if kind in _TYPE_NAMES and not (optional and value is None):
+            for v in value if many else (value,):
+                check_type(f"{name} entry" if many else name, v, kind)

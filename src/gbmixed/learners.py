@@ -58,7 +58,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields
 
 LEARNER_KINDS = ("constant", "linear", "tree")
 
@@ -72,6 +72,7 @@ class LearnerSpec:
     ridge_epsilon: float = 1e-8
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in LEARNER_KINDS:
             raise ConfigError(f"unknown learner kind {self.kind!r}")
         if self.tree_max_depth < 1:
@@ -80,8 +81,6 @@ class LearnerSpec:
             raise ConfigError("tree_min_parent must be at least 2")
         if self.tree_min_child < 1:
             raise ConfigError("tree_min_child must be at least 1")
-        if not np.isfinite(self.ridge_epsilon):
-            raise ConfigError("ridge_epsilon must be finite")
         if self.ridge_epsilon < 0:
             raise ConfigError("ridge_epsilon must be nonnegative")
 

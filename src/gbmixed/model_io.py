@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, is_dataclass
-from typing import get_type_hints
 
 import numpy as np
 
 from .boosting import FitConfig, FittedModel
 from .data import ColumnSchema
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_type, field_types
 from .learners import (
     ConstantLearner,
     LinearLearner,
@@ -51,11 +50,11 @@ def _from_record(cls, record: dict):
     and nested records the dataclasses their fields are annotated with."""
     if not isinstance(record, dict):
         raise TypeError(f"expected a {cls.__name__} record, got {record!r}")
-    hints = get_type_hints(cls)
+    types = field_types(cls)
 
     def value(key, v):
-        if is_dataclass(hints[key]):
-            return _from_record(hints[key], v)
+        if is_dataclass(types[key][0]):
+            return _from_record(types[key][0], v)
         return tuple(v) if isinstance(v, list) else v
 
     return cls(**{k: value(k, v) for k, v in record.items()})
@@ -72,13 +71,6 @@ def _node_payload(node):
     }
 
 
-def _int(value, what: str) -> int:
-    """value itself when it is a JSON integer; 1.5, true and "3" are ValueErrors."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _check_features(features, p: int, what: str) -> None:
     for f in features:
         if not 0 <= f < p:
@@ -89,9 +81,8 @@ def _node_from(payload, p: int):
     """Rebuild a tree node, checking each split feature against the model's p features."""
     if "v" in payload:
         return TreeLeaf(value=float(payload["v"]))
-    feature = _int(payload["f"], "split feature")
-    if not 0 <= feature < p:
-        raise ValueError(f"split feature {feature} outside 0..{p - 1}")
+    feature = check_type("split feature", payload["f"])
+    _check_features([feature], p, "split feature")
     return TreeSplit(
         feature=feature,
         threshold=float(payload["t"]),
@@ -123,11 +114,11 @@ def _learner_from(payload: dict, p: int):
         return ConstantLearner(value=float(payload["value"]))
     if kind not in ("linear", "tree"):
         raise ValueError(f"unknown learner kind {kind!r}")
-    n_features = _int(payload["n_features"], "n_features")
+    n_features = check_type("n_features", payload["n_features"])
     if n_features != p:
         raise ValueError(f"learner has n_features {n_features}, the model {p} features")
     if kind == "linear":
-        features = tuple(_int(f, "linear feature") for f in payload["features"])
+        features = tuple(check_type("linear feature", f) for f in payload["features"])
         _check_features(features, p, "linear feature")
         coef = np.asarray([float(c) for c in payload["coef"]])
         if coef.shape != (len(features),):
@@ -140,7 +131,7 @@ def _learner_from(payload: dict, p: int):
 
 def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners):
     """The model and its stored schema (or None) from the parsed records."""
-    q = _int(meta["q"], "q")
+    q = check_type("q", meta["q"])
     if q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
     T = q * (q + 1) // 2
@@ -150,8 +141,8 @@ def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners)
     gcov_learners = tuple(gcov_by_entry.get(t, []) for t in range(T))
     p = len(meta["feature_names"])
     t_idx = meta["treatment_index"]
-    t_idx = None if t_idx is None else _int(t_idx, "treatment_index")
-    categorical = tuple(_int(c, "categorical feature") for c in meta["categorical_features"])
+    t_idx = None if t_idx is None else check_type("treatment_index", t_idx)
+    categorical = tuple(check_type("categorical feature", c) for c in meta["categorical_features"])
     _check_features([] if t_idx is None else [t_idx], p, "treatment_index")
     _check_features(categorical, p, "categorical feature")
     model = FittedModel(
@@ -167,8 +158,8 @@ def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners)
         logrvar_init=float(meta["logrvar_init"]),
         rvar_learners=rvar_learners,
         history=[float(v) for v in meta["history"]],
-        best_iteration=_int(meta["best_iteration"], "best_iteration"),
-        n_iterations_run=_int(meta["n_iterations_run"], "n_iterations_run"),
+        best_iteration=check_type("best_iteration", meta["best_iteration"]),
+        n_iterations_run=check_type("n_iterations_run", meta["n_iterations_run"]),
     )
     stored = meta.get("schema")
     if stored is None:

@@ -47,7 +47,7 @@ from .boosting import (
 )
 from .config import apply_settings
 from .data import GroupBlock, GroupedDataset, split_by_groups, summarize_matrix
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, check_type
 from .prediction import cate, check_alpha, interval_halfwidth, ite_variance
 
 TRAIN_FRACTION = 0.6
@@ -90,6 +90,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -313,6 +314,7 @@ def generate(scenario: Scenario, n_obs: int, seed: int | None = None) -> tuple[G
     independent residual draws; the pair also shares a common intercept.
     The treatment indicator is the last feature column.
     """
+    check_type("n_obs", n_obs)
     if n_obs % 2 != 0 or n_obs < 4:
         raise ConfigError("n_obs must be an even number of at least 4")
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
@@ -532,6 +534,7 @@ def run_replications(
     results come back in replication order, so the report never depends on
     scheduling. Returns (ReplicationReport, per-rep models).
     """
+    check_type("reps", reps)
     if reps < 1:
         raise ConfigError("reps must be at least 1")
     check_alpha(alpha)

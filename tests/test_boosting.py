@@ -76,6 +76,17 @@ class TestFitConfig:
         for seed in (-1, 2.5, True, "3"):
             with pytest.raises(ConfigError):
                 small_config(seed=seed)
+        # each field holds its annotated type: integers, finite numbers, booleans
+        for field, value in [("n_iterations", 2.5), ("n_iterations", True), ("lookback", 2.5),
+                             ("lookback", True), ("early_stopping", 1), ("lr_mean", "0.03")]:
+            with pytest.raises(ConfigError, match=f"{field} must be"):
+                small_config(**{field: value})
+        with pytest.raises(ConfigError, match="n_iterations must be an integer, got 2.5"):
+            config_for_variant("base", n_iterations=2.5)
+
+    def test_fractional_force_include_is_config_error(self):
+        with pytest.raises(ConfigError, match="force_include entry must be an integer, got 1.5"):
+            small_config(force_include=(1.5,))
 
     def test_variant_learner_coupling(self):
         # the variant names the variance components whose learners are not constant

@@ -422,6 +422,23 @@ class TestPredict:
         err = capsys.readouterr().err
         assert f"line {i + 1}: split feature 9 outside 0..3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_iterations", 2.5, "n_iterations must be an integer, got 2.5"),
+        ("lookback", True, "lookback must be an integer, got True"),
+        ("early_stopping", 1, "early_stopping must be a boolean, got 1"),
+        ("tree_max_depth", 2.5, "tree_max_depth must be an integer, got 2.5"),
+    ])
+    def test_config_record_of_the_wrong_type_exits_3(self, workdir, capsys, field, value, message):
+        model = fit_model(workdir)
+        lines = model.read_text().splitlines()
+        config = json.loads(lines[1][len("config "):])
+        (config["mean_learner"] if field.startswith("tree_") else config)[field] = value
+        lines[1] = "config " + json.dumps(config)
+        model.write_text("\n".join(lines) + "\n")
+        assert self.predict_rc(workdir, model) == 3
+        err = capsys.readouterr().err
+        assert f"malformed record at line 2: {message}" in err and "Traceback" not in err
+
     def test_tree_nested_too_deeply_exits_3(self, workdir, capsys):
         model = fit_model(workdir)
         lines = model.read_text().splitlines()
@@ -672,7 +689,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("raw", ["nan", "inf"])
     @pytest.mark.parametrize(
-        "key", [k for k in config_mod.SIMULATE_KEYS if config_mod._KEYS[k] == "float"]
+        "key", [k for k in config_mod.SIMULATE_KEYS if config_mod._KEYS[k] is float]
     )
     def test_non_finite_set_value(self, key, raw):
         with pytest.raises(ConfigError):

@@ -167,7 +167,7 @@ class TestBuild:
         assert run.model_out == "fit.model"
 
 
-FLOAT_KEYS = sorted(k for k, kind in config_mod._KEYS.items() if kind == "float")
+FLOAT_KEYS = sorted(k for k, kind in config_mod._KEYS.items() if kind is float)
 
 
 class TestNonFiniteSettings:

@@ -102,6 +102,20 @@ class TestContainers:
         with pytest.raises(DataError):
             GroupedDataset(groups=(mk(1), mk(1)), feature_names=("x1",))
 
+    def test_fractional_treatment_index_is_config_error(self):
+        rng = np.random.default_rng(0)
+        ds = toy_dataset(rng, p=2)
+        with pytest.raises(ConfigError, match="treatment_index must be an integer, got 1.5"):
+            GroupedDataset(groups=ds.groups, feature_names=ds.feature_names, treatment_index=1.5)
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_categorical_index_not_an_integer_is_config_error(self, bad):
+        rng = np.random.default_rng(0)
+        ds = toy_dataset(rng, p=2)
+        with pytest.raises(ConfigError, match="categorical_features entry must be an integer"):
+            GroupedDataset(groups=ds.groups, feature_names=ds.feature_names,
+                           categorical_features=(bad,))
+
     def test_stacked_slices(self):
         rng = np.random.default_rng(0)
         ds = toy_dataset(rng, n_groups=4, n_per=3)
@@ -237,6 +251,13 @@ class TestCsv:
             match=rf"line 5: group id '{second}' in column 'g' is '{first}' of line 2 spelled",
         ):
             load_csv(path, schema)
+
+    def test_integer_group_ids_past_2_53_stay_exact(self, tmp_path):
+        # both are 9007199254740992 as floats
+        path = tmp_path / "ids.csv"
+        path.write_text("g,y,x1\n9007199254740993,0.1,0\n9007199254740992,0.2,0\n")
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
+        assert sorted(load_csv(path, schema).group_ids()) == [9007199254740992, 9007199254740993]
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.csv"

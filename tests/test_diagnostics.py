@@ -181,3 +181,8 @@ class TestPartialDependence:
             partial_dependence(model, "G", "x1", bg, g_entry=(0, 3))
         with pytest.raises(ConfigError):
             partial_dependence(model, "mean", "x1", np.zeros((5, 9)))
+
+    @pytest.mark.parametrize("feature", [1.5, True])
+    def test_feature_index_not_an_integer(self, feature):
+        with pytest.raises(ConfigError, match="feature must be an integer"):
+            partial_dependence(build_model(), "mean", feature, np.zeros((5, 3)))

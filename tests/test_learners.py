@@ -46,6 +46,10 @@ class TestSpec:
             LearnerSpec(tree_min_child=0)
         with pytest.raises(ConfigError):
             LearnerSpec(ridge_epsilon=-1.0)
+        for field in ("tree_max_depth", "tree_min_parent", "tree_min_child"):
+            for value in (2.5, True):
+                with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                    LearnerSpec(**{field: value})
 
 
 class TestConstant:

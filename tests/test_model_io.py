@@ -297,6 +297,10 @@ DAMAGED_CONFIG = {
     "negative_seed": lambda c: c.update(seed=-1),
     "fractional_seed": lambda c: c.update(seed=2.5),
     "boolean_seed": lambda c: c.update(seed=True),
+    "fractional_iterations": lambda c: c.update(n_iterations=2.5),
+    "boolean_lookback": lambda c: c.update(lookback=True),
+    "integer_early_stopping": lambda c: c.update(early_stopping=1),
+    "fractional_tree_depth": lambda c: c["mean_learner"].update(tree_max_depth=2.5),
 }
 
 

@@ -117,6 +117,10 @@ class TestScenarioDefinitions:
         Xt[1, 2] = 0.8
         np.testing.assert_allclose(sc.group_var_fn(Xt), [0.25, 4.0])
 
+    def test_fractional_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be an integer, got 2.5"):
+            expb_scenario(seed=2.5)
+
     def test_default_config_forces_treatment(self):
         sc = expb_scenario()
         cfg = sc.default_config()
@@ -292,6 +296,10 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(sc, 2)
 
+    def test_fractional_size_is_config_error(self):
+        with pytest.raises(ConfigError, match="n_obs must be an integer, got 10.0"):
+            generate(expb_scenario(), n_obs=10.0)
+
 
 class TestTruthRestriction:
     def test_split_alignment(self):
@@ -453,6 +461,10 @@ class TestReplications:
     def test_bad_reps(self):
         with pytest.raises(ConfigError):
             run_replications(expb_scenario(), n_obs=100, reps=0)
+
+    def test_fractional_reps_is_config_error(self):
+        with pytest.raises(ConfigError, match="reps must be an integer, got 1.5"):
+            run_replications(expb_scenario(), 20, 1.5)
 
     def test_bad_alpha_fails_before_any_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):
