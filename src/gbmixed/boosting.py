@@ -32,8 +32,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import GroupedDataset, split_by_groups
-from .errors import ConfigError, DataError, NumericalError, check_fields
-from .learners import FittedLearner, LearnerSpec, SortedColumns, fit_learner
+from .errors import ConfigError, DataError, NumericalError, check_fields, check_seed
+from .learners import (
+    FittedLearner,
+    LearnerSpec,
+    LinearLearner,
+    SortedColumns,
+    TreeLearner,
+    _leaf_values,
+    _split_thresholds,
+    fit_learner,
+)
 from . import likelihood as lik
 
 # the variance components each variant boosts; the others keep their constant start
@@ -84,8 +93,7 @@ class FitConfig:
         for f in self.force_include:
             if f < 0:
                 raise ConfigError("force_include indices must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
 
     @property
     def variant(self) -> str:
@@ -149,19 +157,68 @@ class FittedModel:
         return self.q * (self.q + 1) // 2
 
 
-def _ensemble_sum(learners, X, lr, out, upto=None):
-    """out += lr * h(X) for each learner in turn; trees share one feature-major copy of X."""
+def _ensemble_sum(learners, X, lr, out, upto=None, grid=None):
+    """out += lr * h(X) for each learner in turn; trees share one feature-major copy of X.
+
+    With grid = (feature, values), out is (len(values), n) and row k of it
+    takes the sum at X with column feature set to values[k]
+    (see _ensemble_grid_sum).
+    """
     sel = learners if upto is None else learners[:upto]
+    if grid is not None:
+        return _ensemble_grid_sum(sel, X, grid, lr, out)
     cols = np.ascontiguousarray(X.T)
     for h in sel:
         out += lr * h.predict(X, cols)
     return out
 
 
-def eval_mean(model: FittedModel, X: np.ndarray, upto=None) -> np.ndarray:
+def _ensemble_grid_sum(learners, X, grid, lr, out):
+    """out[k] += lr * h(X with column f set to values[k]) for each learner in turn.
+
+    A tree is walked once per interval between its sorted thresholds on f
+    that the values hit, searchsorted side="right", at the first value in
+    that interval. Every value of an interval sends each row down the same
+    path (x < t holds for all of them or for none; NaN and +inf go right at
+    every split), so row k of out takes the very terms and order of
+    _ensemble_sum on X with column f set to values[k], bit for bit. A
+    constant learner is evaluated once and a linear one once per value.
+    """
+    f, values = grid
+    cols = np.array(X.T, order="C")   # a copy even where X.T is contiguous: row f is written
+    Xv = None
+    for h in learners:
+        if isinstance(h, TreeLearner):
+            at = np.searchsorted(_split_thresholds(h.root, f), values, side="right")
+            _, first, interval = np.unique(at, return_index=True, return_inverse=True)
+            per = np.empty((first.size, X.shape[0]))
+            for i, k in enumerate(first):
+                cols[f] = values[k]
+                per[i] = _leaf_values(h.root, cols)
+            out += (lr * per)[interval]
+        elif isinstance(h, LinearLearner):
+            if Xv is None:
+                Xv = X.copy()
+            for k, v in enumerate(values):
+                Xv[:, f] = v
+                out[k] += lr * h.predict(Xv)
+        else:
+            out += lr * h.predict(X, cols)
+    return out
+
+
+def _start(init, X: np.ndarray, grid) -> np.ndarray:
+    """init repeated over the rows of X, and over grid's values first when given."""
+    lead = (X.shape[0],) if grid is None else (len(grid[1]), X.shape[0])
+    return np.tile(init, (*lead, 1)) if np.ndim(init) else np.full(lead, init)
+
+
+def eval_mean(model: FittedModel, X: np.ndarray, upto=None, *, grid=None) -> np.ndarray:
+    """Mean f(x) at the rows of X; with grid = (feature, values), an array of
+    (len(values), n) whose row k holds it with column feature set to values[k]."""
     X = np.asarray(X, dtype=float)
-    out = np.full(X.shape[0], model.mean_init)
-    return _ensemble_sum(model.mean_learners, X, model.config.lr_mean, out, upto)
+    out = _start(model.mean_init, X, grid)
+    return _ensemble_sum(model.mean_learners, X, model.config.lr_mean, out, upto, grid)
 
 
 def factors_from_entries(entries: np.ndarray, q: int) -> np.ndarray:
@@ -175,21 +232,23 @@ def factors_from_entries(entries: np.ndarray, q: int) -> np.ndarray:
     return L
 
 
-def eval_gcov_rows(model: FittedModel, Xt: np.ndarray, upto=None) -> np.ndarray:
-    """(k, q, q) covariances G = L L' at group covariates, from the floored factors."""
+def eval_gcov_rows(model: FittedModel, Xt: np.ndarray, upto=None, *, grid=None) -> np.ndarray:
+    """(k, q, q) covariances G = L L' at group covariates, from the floored factors;
+    grid puts a leading axis over its values, as in eval_mean."""
     Xt = np.asarray(Xt, dtype=float)
-    entries = np.tile(model.gcov_init, (Xt.shape[0], 1))
+    entries = _start(model.gcov_init, Xt, grid)
     for t in range(model.n_factor_entries):
-        _ensemble_sum(model.gcov_learners[t], Xt, model.config.lr_gcov, entries[:, t], upto)
-    L = factors_from_entries(entries, model.q)
-    return L @ np.swapaxes(L, 1, 2)
+        _ensemble_sum(model.gcov_learners[t], Xt, model.config.lr_gcov, entries[..., t], upto, grid)
+    L = factors_from_entries(entries.reshape(-1, model.n_factor_entries), model.q)
+    return (L @ np.swapaxes(L, 1, 2)).reshape(*entries.shape[:-1], model.q, model.q)
 
 
-def eval_resid_var(model: FittedModel, X: np.ndarray, upto=None) -> np.ndarray:
-    """Residual variances r(x), the exponential of the log-scale ensemble."""
+def eval_resid_var(model: FittedModel, X: np.ndarray, upto=None, *, grid=None) -> np.ndarray:
+    """Residual variances r(x), the exponential of the log-scale ensemble; grid puts
+    a leading axis over its values, as in eval_mean."""
     X = np.asarray(X, dtype=float)
-    out = np.full(X.shape[0], model.logrvar_init)
-    return np.exp(_ensemble_sum(model.rvar_learners, X, model.config.lr_rvar, out, upto))
+    out = _start(model.logrvar_init, X, grid)
+    return np.exp(_ensemble_sum(model.rvar_learners, X, model.config.lr_rvar, out, upto, grid))
 
 
 def initialize(train: GroupedDataset, q: int) -> tuple[float, float, float]:

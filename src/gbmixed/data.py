@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_fields
+from .errors import ConfigError, DataError, check_fields, check_seed
 
 INTERCEPT = "intercept"
 
@@ -111,9 +111,13 @@ class GroupBlock:
 
 
 def _id_sort_key(gid):
-    # numeric ids sort numerically, everything else lexicographically after them
-    if isinstance(gid, (int, float, np.integer, np.floating)):
-        return (0, float(gid), "")
+    # numeric ids sort by exact value (Python compares int with float exactly, so
+    # ids past 2**53 that round to one float stay apart), everything else
+    # lexicographically after them
+    if isinstance(gid, (np.integer, np.floating)):
+        gid = gid.item()
+    if isinstance(gid, (int, float)):
+        return (0, gid, "")
     return (1, 0.0, str(gid))
 
 
@@ -405,7 +409,7 @@ def split_by_groups(ds: GroupedDataset, fraction: float, seed: int) -> tuple[Gro
         raise ConfigError(
             f"split fraction {fraction} leaves an empty part for {C} groups"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     perm = rng.permutation(C)
     first_idx = set(perm[:n_first].tolist())
     a = [g for i, g in enumerate(ds.groups) if i in first_idx]

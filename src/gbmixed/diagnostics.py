@@ -2,10 +2,26 @@
 
 Importance counts how often each feature gets picked across an ensemble
 (tree split nodes, nonzero linear coefficients) and normalizes the counts to
-sum to one. Partial dependence overwrites one feature column across a
-background sample and averages the component output over it; for the
-residual variance the curve lives on the variance scale, for the group
-covariance it traces one entry of G(x~) over group-level backgrounds.
+sum to one.
+
+Partial dependence is Friedman's brute-force average: at each grid value v
+it sets the plotted feature f to v in every background row and averages the
+component over the rows. For the residual variance the curve lives on the
+variance scale; for the group covariance it traces one entry of G(x~) over
+group-level backgrounds. The component evaluators take grid = (f, values)
+and add each tree into a (grid, rows) accumulator once per interval between
+its sorted thresholds on f that the grid hits (searchsorted side="right"),
+walked at the first grid value in that interval. x < t holds either for all
+values of an interval or for none, and NaN and +inf go right at every split
+as they do in the trees, so every row reaches the same leaf and every sum
+adds the same terms in the same order as evaluating the row with f set to
+each value in turn: the curves are the brute-force average bit for bit. A
+tree that never splits on f is walked once. Constant learners are evaluated
+once and linear ones once per grid value.
+
+Grid values are processed in chunks of at most _CHUNK_CELLS accumulator
+cells (grid values x background rows), so memory stays bounded for large
+backgrounds.
 """
 
 from __future__ import annotations
@@ -18,9 +34,8 @@ from .errors import ConfigError, check_type
 COMPONENTS = ("mean", "G", "R")
 DEFAULT_GRID_SIZE = 25
 GRID_PERCENTILES = (2.0, 98.0)
-# Partial dependence evaluates the background once per grid point, stacking as
-# many grid copies per ensemble call as fit in this many cells (rows x
-# features, 2 MB of float64), so memory stays bounded for large backgrounds.
+# Partial dependence evaluates as many grid values per call as fit in this many
+# accumulator cells (grid values x background rows, 2 MB of float64).
 _CHUNK_CELLS = 2**18
 
 
@@ -91,25 +106,26 @@ def partial_dependence(
     bg = np.asarray(background, dtype=float)
     if bg.ndim != 2 or bg.shape[1] != len(model.feature_names):
         raise ConfigError(f"background must have {len(model.feature_names)} columns")
+    if bg.shape[0] == 0:
+        raise ConfigError("background has no rows")
     if grid is None:
         grid = default_grid(bg, f)
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ConfigError(f"grid must be 1-dimensional, got shape {grid.shape}")
     a, b = g_entry
     if component == "G" and not (0 <= a < model.q and 0 <= b < model.q):
         raise ConfigError(f"g_entry {g_entry} out of range for q={model.q}")
 
     values = np.empty(grid.shape[0])
-    n = bg.shape[0]
-    step = max(1, _CHUNK_CELLS // max(bg.size, 1))
+    step = max(1, _CHUNK_CELLS // bg.shape[0])
     for lo in range(0, grid.shape[0], step):
-        chunk = grid[lo : lo + step]
-        work = np.tile(bg, (chunk.shape[0], 1))
-        work[:, f] = np.repeat(chunk, n)
+        at = (f, grid[lo : lo + step])
         if component == "mean":
-            out = eval_mean(model, work)
+            out = eval_mean(model, bg, grid=at)
         elif component == "R":
-            out = eval_resid_var(model, work)
+            out = eval_resid_var(model, bg, grid=at)
         else:
-            out = eval_gcov_rows(model, work)[:, a, b]
-        values[lo : lo + chunk.shape[0]] = out.reshape(chunk.shape[0], n).mean(axis=1)
+            out = eval_gcov_rows(model, bg, grid=at)[..., a, b]
+        values[lo : lo + step] = out.mean(axis=1)
     return grid, values

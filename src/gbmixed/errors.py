@@ -58,6 +58,13 @@ def check_type(name: str, value, kind: type = int):
     return value
 
 
+def check_seed(seed) -> int:
+    """seed when it is a non-negative int, else a ConfigError."""
+    if check_type("seed", seed) < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 @cache
 def field_types(cls) -> dict:
     """Each field of dataclass cls as (T, optional, many), read off its annotation:

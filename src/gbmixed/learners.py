@@ -37,7 +37,10 @@ its whole contiguous column, go_left = cols[feature] < threshold (NaN
 compares false and goes right), and combines its children's leaf numbers
 with the exact integer select right + go_left * (left - right); one take
 from the leaf values returns the prediction, so the values are the leaf
-values bit for bit.
+values bit for bit. Partial dependence reuses that walk on its own
+feature-major copy: _split_thresholds lists a tree's thresholds on the
+plotted feature and _leaf_values walks the columns once per threshold
+interval (see boosting._ensemble_grid_sum).
 
 That costs a few passes over all n rows per split node, where gathering
 each node's own rows cost about one pass per level, so the select wins on
@@ -160,11 +163,7 @@ class TreeLearner:
             cols = np.ascontiguousarray(X.T)
         elif cols.shape != (X.shape[1], X.shape[0]):
             raise DataError(f"feature-major columns of shape {cols.shape} do not match X {X.shape}")
-        if isinstance(self.root, TreeLeaf):
-            return np.full(X.shape[0], self.root.value)
-        values: list[float] = []
-        leaf = _leaf_numbers(self.root, cols, values)
-        return np.array(values).take(leaf)
+        return _leaf_values(self.root, cols)
 
     def split_counts(self, p: int) -> np.ndarray:
         counts = np.zeros(p)
@@ -173,6 +172,30 @@ class TreeLearner:
 
     def depth(self) -> int:
         return _node_depth(self.root)
+
+
+def _leaf_values(root: TreeNode, cols) -> np.ndarray:
+    """Leaf value of each column of the feature-major cols, from one walk of the tree."""
+    if isinstance(root, TreeLeaf):
+        return np.full(cols.shape[1], root.value)
+    values: list[float] = []
+    leaf = _leaf_numbers(root, cols, values)
+    return np.array(values).take(leaf)
+
+
+def _split_thresholds(node: TreeNode, feature: int) -> np.ndarray:
+    """The distinct thresholds of the splits on feature below node, ascending."""
+    found: list[float] = []
+    _collect_thresholds(node, feature, found)
+    return np.unique(np.array(found, dtype=float))
+
+
+def _collect_thresholds(node: TreeNode, feature: int, found: list) -> None:
+    if isinstance(node, TreeSplit):
+        if node.feature == feature:
+            found.append(node.threshold)
+        _collect_thresholds(node.left, feature, found)
+        _collect_thresholds(node.right, feature, found)
 
 
 def _leaf_numbers(node: TreeNode, cols, values: list):

@@ -47,7 +47,7 @@ from .boosting import (
 )
 from .config import apply_settings
 from .data import GroupBlock, GroupedDataset, split_by_groups, summarize_matrix
-from .errors import ConfigError, check_fields, check_type
+from .errors import ConfigError, check_fields, check_seed, check_type
 from .prediction import cate, check_alpha, interval_halfwidth, ite_variance
 
 TRAIN_FRACTION = 0.6
@@ -91,8 +91,7 @@ class Scenario:
 
     def __post_init__(self):
         check_fields(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        check_seed(self.seed)
 
     def default_config(self, **overrides) -> FitConfig:
         """Fit settings used in the benchmark runs of this scenario.
@@ -317,7 +316,7 @@ def generate(scenario: Scenario, n_obs: int, seed: int | None = None) -> tuple[G
     check_type("n_obs", n_obs)
     if n_obs % 2 != 0 or n_obs < 4:
         raise ConfigError("n_obs must be an even number of at least 4")
-    rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    rng = np.random.default_rng(scenario.seed if seed is None else check_seed(seed))
     n = n_obs
     C = n // 2
     p = scenario.n_features

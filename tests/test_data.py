@@ -259,6 +259,19 @@ class TestCsv:
         schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
         assert sorted(load_csv(path, schema).group_ids()) == [9007199254740992, 9007199254740993]
 
+    def test_ids_past_2_53_load_in_one_order_from_either_file_order(self, tmp_path):
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
+        rows = ["9007199254740993,0.1,0\n", "9007199254740992,0.2,0\n", "3,0.3,1\n", "4,0.4,1\n"]
+        loads = []
+        for name, order in (("ab.csv", rows), ("ba.csv", [rows[1], rows[0], *rows[2:]])):
+            path = tmp_path / name
+            path.write_text("g,y,x1\n" + "".join(order))
+            loads.append(load_csv(path, schema))
+        want = [3, 4, 9007199254740992, 9007199254740993]
+        assert [ds.group_ids() for ds in loads] == [want, want]
+        splits = [[part.group_ids() for part in split_by_groups(ds, 0.5, seed=4)] for ds in loads]
+        assert splits[0] == splits[1]
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbfg,y,x1\n1,0.1,0\n2,0.2,0\n1,0.3,0\n")
@@ -389,6 +402,15 @@ class TestSplit:
         assert a1.n_groups == 6 and b1.n_groups == 4
         assert a1.group_ids() == a2.group_ids()
         assert b1.group_ids() == b2.group_ids()
+
+    @pytest.mark.parametrize("seed,message", [
+        (2.5, "seed must be an integer, got 2.5"),
+        (-1, "seed must be a non-negative integer, got -1"),
+    ])
+    def test_seed_is_checked(self, seed, message):
+        ds = toy_dataset(np.random.default_rng(6), n_groups=4)
+        with pytest.raises(ConfigError, match=message):
+            split_by_groups(ds, 0.5, seed=seed)
 
     def test_bad_fraction(self):
         rng = np.random.default_rng(6)

@@ -1,10 +1,26 @@
-"""Importance and partial dependence on models with known structure."""
+"""Importance and partial dependence on models with known structure, and
+partial dependence against the tiled estimator as its oracle."""
+
+from collections import Counter
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gbmixed import diagnostics
-from gbmixed.boosting import FitConfig, FittedModel
+from gbmixed import boosting, diagnostics, learners
+from gbmixed.boosting import (
+    FitConfig,
+    FittedModel,
+    config_for_variant,
+    eval_gcov_rows,
+    eval_mean,
+    eval_resid_var,
+    fit,
+)
+from gbmixed.data import GroupBlock, GroupedDataset
 from gbmixed.diagnostics import default_grid, partial_dependence, variable_importance
 from gbmixed.errors import ConfigError
 from gbmixed.learners import LearnerSpec, LinearLearner, TreeLeaf, TreeLearner, TreeSplit
@@ -161,8 +177,9 @@ class TestPartialDependence:
         )
         bg = np.random.default_rng(8).standard_normal((13, 3))
         whole = partial_dependence(model, component, "x1", bg)[1]
-        # 4 grid points of 13 x 3 cells per chunk: 25 points in 6 chunks of 4 and one of 1
-        monkeypatch.setattr(diagnostics, "_CHUNK_CELLS", 4 * bg.size + 2)
+        # 4 grid points of 13 rows' accumulator cells per chunk: 25 points in 6 chunks
+        # of 4 and one of 1
+        monkeypatch.setattr(diagnostics, "_CHUNK_CELLS", 4 * bg.shape[0] + 2)
         grid, chunked = partial_dependence(model, component, "x1", bg)
         assert grid.shape == (25,)
         assert np.ptp(whole) > 0.0
@@ -186,3 +203,173 @@ class TestPartialDependence:
     def test_feature_index_not_an_integer(self, feature):
         with pytest.raises(ConfigError, match="feature must be an integer"):
             partial_dependence(build_model(), "mean", feature, np.zeros((5, 3)))
+
+    def test_grid_not_one_dimensional(self):
+        with pytest.raises(ConfigError, match=r"grid must be 1-dimensional, got shape \(2, 2\)"):
+            partial_dependence(build_model(), "mean", "x1", np.zeros((5, 3)), grid=np.zeros((2, 2)))
+
+    def test_background_without_rows(self):
+        with pytest.raises(ConfigError, match="background has no rows"):
+            partial_dependence(build_model(), "mean", "x1", np.zeros((0, 3)))
+
+
+def reference_partial_dependence(model, component, f, background, grid, g_entry=(0, 0)):
+    """The tiled estimator: one copy of the background per grid value, all of
+    them evaluated in one call of the component's evaluator.
+
+    partial_dependence shares each tree's walks among the grid values of a
+    threshold interval; this version walks every tree over every copy and is
+    its oracle.
+    """
+    n = background.shape[0]
+    work = np.tile(background, (grid.shape[0], 1))
+    work[:, f] = np.repeat(grid, n)
+    if component == "mean":
+        out = eval_mean(model, work)
+    elif component == "R":
+        out = eval_resid_var(model, work)
+    else:
+        out = eval_gcov_rows(model, work)[:, g_entry[0], g_entry[1]]
+    return out.reshape(grid.shape[0], n).mean(axis=1)
+
+
+def split_thresholds(model, component, f):
+    found = set()
+    for h in diagnostics._component_learners(model, component):
+        if isinstance(h, TreeLearner):
+            found.update(learners._split_thresholds(h.root, f).tolist())
+    return sorted(found)
+
+
+@cache
+def small_fit(kind):
+    """A q = 2 fit (random intercept and slope on x1) with learners of kind:
+    every component boosted, or all constant for kind "constant"."""
+    rng = np.random.default_rng(17)
+    groups = []
+    for i in range(24):
+        X = rng.standard_normal((5, 3))
+        Z = np.column_stack([np.ones(5), X[:, 0]])
+        y = X[:, 0] - X[:, 1] ** 2 + rng.standard_normal() + (0.5 + X[:, 2] ** 2) * rng.standard_normal(5)
+        groups.append(GroupBlock(group_id=i, y=y, X=X, Z=Z))
+    ds = GroupedDataset(groups=tuple(groups), feature_names=("x1", "x2", "x3"))
+    spec = LearnerSpec(kind=kind, tree_min_parent=4, tree_min_child=2)
+    cfg = config_for_variant("base" if kind == "constant" else "grboost", spec, n_iterations=8,
+                             group_fraction=0.5, early_stopping=False)
+    return fit(ds, cfg), ds
+
+
+POOL_THRESHOLDS = (-1.0, -0.0, 0.0, 0.25, 1.0)
+
+
+@st.composite
+def hand_built_tree(draw):
+    """A stump or a full depth-2 tree on POOL_THRESHOLDS, or a lone leaf."""
+    def split(left, right):
+        return TreeSplit(feature=draw(st.integers(0, 2)),
+                         threshold=draw(st.sampled_from(POOL_THRESHOLDS)), left=left, right=right)
+
+    def leaf():
+        return TreeLeaf(draw(st.floats(-1.0, 1.0)))
+
+    shape = draw(st.sampled_from(["leaf", "stump", "depth2"]))
+    if shape == "leaf":
+        root = leaf()
+    elif shape == "stump":
+        root = split(leaf(), leaf())
+    else:
+        root = split(split(leaf(), leaf()), split(leaf(), leaf()))
+    return TreeLearner(root=root, n_features=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_matches_the_tiled_estimator(data):
+    """Bit for bit on trees and constants, to 1e-12 on linear learners, for all
+    three components, grids with thresholds, their neighbours, NaN, +-inf and
+    signed zeros in any order and repeated, and backgrounds in one chunk or many."""
+    source = data.draw(st.sampled_from(["tree", "linear", "constant", "hand-built"]), label="source")
+    if source == "hand-built":
+        trees = st.lists(hand_built_tree(), min_size=1, max_size=4)
+        model = build_model(mean_learners=data.draw(trees), gcov_learners=(data.draw(trees),),
+                            rvar_learners=data.draw(trees))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rows seed"))
+        rows = rng.choice(np.array([*POOL_THRESHOLDS, 0.1, -0.5, 2.0]), size=(30, 3))
+        pools = {"rows": rows, "groups": rows}
+    else:
+        model, ds = small_fit(source)
+        pools = {"rows": ds.stacked().X, "groups": ds.x_tilde_matrix()}
+    component = data.draw(st.sampled_from(diagnostics.COMPONENTS), label="component")
+    f = data.draw(st.integers(0, 2), label="feature")
+    pool = pools["groups" if component == "G" else "rows"]
+    n = data.draw(st.integers(1, pool.shape[0]), label="rows")
+    background = pool[data.draw(st.integers(0, pool.shape[0] - n)):][:n]
+
+    # the grid joins pieces: single values, and thresholds t on f next to both
+    # neighbouring floats in any order, where the first value of an interval decides
+    thresholds = split_thresholds(model, component, f)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    pieces = [st.one_of(st.sampled_from(thresholds + special), st.floats(-3.0, 3.0)).map(lambda v: [v])]
+    if thresholds:
+        pieces.append(st.sampled_from(thresholds).flatmap(
+            lambda t: st.permutations([np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)])))
+    grid = np.array(sum(data.draw(st.lists(st.one_of(*pieces), min_size=1, max_size=5), label="grid"), []))
+    g_entry = tuple(data.draw(st.lists(st.integers(0, model.q - 1), min_size=2, max_size=2)))
+    cells = data.draw(st.integers(1, 3 * n), label="chunk cells")
+
+    before = background.copy()
+    with np.errstate(all="ignore"):
+        want = reference_partial_dependence(model, component, f, background, grid, g_entry)
+        with mock.patch.object(diagnostics, "_CHUNK_CELLS", cells):
+            got_grid, got = partial_dependence(model, component, f, background, grid, g_entry)
+    assert np.array_equal(got_grid, grid, equal_nan=True)
+    assert np.array_equal(background, before)
+    if source == "linear":
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True)
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def depth2(feature, thresholds):
+    """A full depth-2 tree splitting on feature at the root and both children."""
+    t0, t1, t2 = thresholds
+    return TreeLearner(
+        root=TreeSplit(feature, t0, left=stump(feature, t1).root, right=stump(feature, t2).root),
+        n_features=3,
+    )
+
+
+@pytest.mark.parametrize("component", diagnostics.COMPONENTS)
+def test_each_tree_is_walked_once_per_occupied_interval(component, monkeypatch):
+    trees = [
+        stump(0, 0.3),
+        stump(1, -0.2),
+        depth2(0, (0.0, -0.5, 0.5)),
+        depth2(0, (0.1, 0.1, 0.1)),        # one distinct threshold, repeated
+        depth2(2, (0.0, -1.0, 1.0)),
+        stump(0, 9.0),                     # above the whole grid
+        TreeLearner(root=TreeLeaf(0.7), n_features=3),
+    ]
+    slot = {"mean": "mean_learners", "G": "gcov_learners", "R": "rvar_learners"}[component]
+    model = build_model(**{slot: (trees,) if component == "G" else trees})
+    walks = Counter()
+    real = boosting._leaf_values
+
+    def counted(root, cols):
+        walks[id(root)] += 1
+        return real(root, cols)
+
+    monkeypatch.setattr(boosting, "_leaf_values", counted)
+    bg = np.random.default_rng(3).standard_normal((13, 3))
+    monkeypatch.setattr(diagnostics, "_CHUNK_CELLS", 4 * bg.shape[0])   # chunks of 4 grid values
+    grid, _ = partial_dependence(model, component, "x1", bg)
+    chunks = [grid[lo : lo + 4] for lo in range(0, grid.shape[0], 4)]
+    assert len(chunks) == 7
+    for h in trees:
+        thr = learners._split_thresholds(h.root, 0)
+        bound = sum(min(len(c), 1 + thr.size) for c in chunks)
+        occupied = sum(np.unique(np.searchsorted(thr, c, side="right")).size for c in chunks)
+        assert walks[id(h.root)] == occupied <= bound
+        if thr.size == 0:
+            assert walks[id(h.root)] == len(chunks)
+    assert walks[id(trees[2].root)] > len(chunks)

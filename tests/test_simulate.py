@@ -300,6 +300,15 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="n_obs must be an integer, got 10.0"):
             generate(expb_scenario(), n_obs=10.0)
 
+    @pytest.mark.parametrize("seed,message", [
+        (2.5, "seed must be an integer, got 2.5"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be a non-negative integer, got -1"),
+    ])
+    def test_seed_argument_is_checked(self, seed, message):
+        with pytest.raises(ConfigError, match=message):
+            generate(expb_scenario(), 10, seed=seed)
+
 
 class TestTruthRestriction:
     def test_split_alignment(self):
