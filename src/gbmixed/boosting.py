@@ -21,8 +21,11 @@ group sets and only evaluates each new learner once per iteration, so the
 cost per iteration is one learner fit plus O(n) bookkeeping plus one call of
 the stacked likelihood kernel, which handles groups of any sizes at once.
 Trees sort nothing per iteration: the boosting rows and the group summaries
-are each stably sorted once per fit, when the first tree needs them, and
-every iteration's trees restrict that order to the sampled rows and features.
+are each stably sorted once per fit, when the first tree that can split needs
+them, and every iteration's trees restrict that order to the sampled rows and
+features. A tree whose sampled rows are too few to split is the mean leaf
+without touching the order, so a group set that is always sampled below
+tree_min_parent is never sorted.
 """
 
 from __future__ import annotations

@@ -79,8 +79,15 @@ def _resolve_feature(model: FittedModel, feature) -> int:
 
 
 def default_grid(background: np.ndarray, feature: int, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Evenly spaced grid between the 2nd and 98th percentile of a column."""
+    """Evenly spaced grid between the 2nd and 98th percentile of a column's finite values.
+
+    NaN and ±inf entries are left out, since a percentile taken over them is
+    NaN; a column with no finite value is a ConfigError.
+    """
     col = np.asarray(background, dtype=float)[:, feature]
+    col = col[np.isfinite(col)]
+    if col.size == 0:
+        raise ConfigError(f"feature {feature} has no finite background value to place a default grid")
     lo, hi = np.percentile(col, GRID_PERCENTILES)
     if lo == hi:
         return np.array([lo])

@@ -7,6 +7,8 @@ so prediction always takes full-width feature matrices.
 
 Tree details that the rest of the package depends on:
   - split thresholds are midpoints between consecutive distinct sorted values,
+    or the upper value where the midpoint would not separate the two (next
+    to -inf, when the sum overflows, between adjacent floats),
   - rows with x[feature] < threshold go left,
   - candidate splits must leave tree_min_child rows on each side and nodes
     with fewer than tree_min_parent rows are never split,
@@ -20,9 +22,19 @@ the rows by value and then by row index. An iteration's rows are an
 ascending subset, so filtering that order to them keeps them ordered by value
 and then by position in the subset, which is the stable argsort of the
 subset itself, ties and -0.0 == 0.0 included. Within a tree every child takes
-the stable partition of its parent's sorted index arrays, which keeps the
-same order again. Cumulative sums, gains and thresholds are therefore the
-same bits whichever way the node's order was reached.
+the stable partition of its parent's sorted index arrays, one np.compress of
+them by the flattened mask of the split side, which keeps the same order
+again. Cumulative sums, gains and thresholds are therefore the same bits
+whichever way the node's order was reached.
+
+A tree does only the work that a split uses. A node's cumulative sums run
+over all its rows, because the last one is its total, but gains are scored
+in place and only on the window of cuts that leave tree_min_child rows on
+each side. A child that cannot be searched (at the depth limit, or too small
+for tree_min_parent or for two tree_min_child sides) is a leaf that gets no
+index arrays; when neither child is searched the side mask is not built
+either. A root that cannot be searched is the mean leaf and never asks for
+the presort, so a group set that no tree can split is never sorted.
 
 The tie rule is exact only for gains that are equal in floating point. Two
 features that induce the same partition of a node have equal gains in exact
@@ -292,7 +304,8 @@ class SortedColumns:
     by restrict() never sorts: it filters the order of the instance it came
     from, so a fit sorts each group set once and restricts that order to each
     iteration's rows and features. Nothing runs before the first tree asks
-    for arrays(), so constant and linear learners never pay for a sort.
+    for arrays(), so constant and linear learners, and trees whose root
+    cannot split, never pay for a sort.
     """
 
     def __init__(self, X, features: Sequence[int]):
@@ -332,7 +345,9 @@ class SortedColumns:
 
     def _stable_order(self) -> np.ndarray:
         """The order of arrays(), cached apart from the columns, which a set
-        that is only restricted never copies."""
+        that is only restricted never copies. A restriction gathers its
+        parent's order at the kept features (not at all when it keeps every
+        one) and filters it to the kept rows with one np.compress."""
         if self._order is None:
             if self._source is None:
                 self._order = _stable_argsort(self.X.T[self.features])
@@ -341,8 +356,9 @@ class SortedColumns:
                 # a parent row's position among rows, -1 for rows left out
                 local = np.full(parent.X.shape[0], -1)
                 local[rows] = np.arange(rows.shape[0])
-                kept = local[parent._stable_order()[at]]
-                self._order = kept[kept >= 0].reshape(len(self.features), rows.shape[0])
+                order = parent._stable_order()
+                kept = local[order if at.size == order.shape[0] else order[at]]
+                self._order = np.compress(kept.ravel() >= 0, kept).reshape(at.size, rows.shape[0])
         return self._order
 
 
@@ -353,7 +369,8 @@ def fit_tree(
 
     presort, when given, must be built on this very X and feature set (a
     restrict() result's X qualifies); trees fitted to the same rows then share
-    one order. Without it the tree sorts for itself.
+    one order. Without it the tree sorts for itself. A root too small to
+    split is the mean leaf and never asks presort for its arrays.
     """
     X, pseudo = _check_training_inputs(X, pseudo)
     feats = sorted(int(f) for f in features)
@@ -362,38 +379,56 @@ def fit_tree(
         presort = SortedColumns(X, feats)
     elif presort.X is not X or presort.features != feats:
         raise DataError("presorted columns belong to another matrix or feature set")
+    n = X.shape[0]
+    if not _searched(n, 0, spec):
+        # contiguous, as the pseudo[rows] of a grown leaf is, so it sums alike
+        return TreeLearner(root=_leaf(np.ascontiguousarray(pseudo)), n_features=X.shape[1])
     cols, order = presort.arrays()
-    side = np.empty(X.shape[0], dtype=bool)   # scratch: split side of each row
-    root = _grow(cols, pseudo, feats, spec, side, np.arange(X.shape[0]), order, None, 0)
+    side = np.empty(n, dtype=bool)   # scratch: split side of each row
+    root = _grow(cols, pseudo, feats, spec, side, np.arange(n), order, 0)
     return TreeLearner(root=root, n_features=X.shape[1])
 
 
-def _grow(cols, pseudo, feats, spec: LearnerSpec, side, rows, parent_idx, keep, depth) -> TreeNode:
+def _searched(n: int, depth: int, spec: LearnerSpec) -> bool:
+    """Whether a node of n rows at depth looks for a split."""
+    return depth < spec.tree_max_depth and n >= max(spec.tree_min_parent, 2 * spec.tree_min_child)
+
+
+def _leaf(y) -> TreeLeaf:
+    """The mean leaf of y: np.mean's add.reduce and one true divide, without its wrapper."""
+    return TreeLeaf(float(y.sum()) / y.shape[0])
+
+
+def _grow(cols, pseudo, feats, spec: LearnerSpec, side, rows, idx, depth) -> TreeNode:
     """Grow the node holding rows, in ascending order.
 
-    The node's rows sorted per feature are the stable partition
-    parent_idx[keep] (parent_idx itself at the root), taken only when the
-    node is searched. side is scratch space for the split side of each row.
-    A module-level function rather than a closure: a recursive closure is a
-    reference cycle that would hold each tree's arrays until the cycle
-    collector runs.
+    idx is the node's (F, n) rows sorted per feature, or None for a node that
+    is not searched (_searched is false), which is a leaf. A searched child's
+    idx is one np.compress of its parent's idx by the flattened side mask,
+    the stable partition; a child that will be a leaf gets none, and when
+    neither child is searched the side mask is not built either. side is
+    scratch space for the split side of each row. A module-level function
+    rather than a closure: a recursive closure is a reference cycle that would
+    hold each tree's arrays until the cycle collector runs.
     """
     y = pseudo[rows]
-    value = float(np.mean(y))
-    n = rows.shape[0]
-    if depth >= spec.tree_max_depth or n < spec.tree_min_parent or n < 2 * spec.tree_min_child:
-        return TreeLeaf(value)
-    idx = parent_idx if keep is None else parent_idx[keep].reshape(len(feats), n)
-    found = _best_split(cols, pseudo, y, idx, spec.tree_min_child)
+    found = None if idx is None else _best_split(cols, pseudo, y, idx, spec.tree_min_child)
     if found is None:
-        return TreeLeaf(value)
+        return _leaf(y)
     j, thr = found
     go_left = cols[j, rows] < thr
-    side[rows] = go_left
-    on_left = side[idx]
-    left = _grow(cols, pseudo, feats, spec, side, rows[go_left], idx, on_left, depth + 1)
-    right = _grow(cols, pseudo, feats, spec, side, rows[~go_left], idx, ~on_left, depth + 1)
-    return TreeSplit(feature=feats[j], threshold=thr, left=left, right=right)
+    on_left = None      # side[idx] flattened, built for the first child searched
+    children = []
+    for part, to_left in ((rows[go_left], True), (rows[~go_left], False)):
+        sub = None
+        if _searched(part.shape[0], depth + 1, spec):
+            if on_left is None:
+                side[rows] = go_left
+                on_left = side[idx].ravel()
+            keep = on_left if to_left else ~on_left
+            sub = np.compress(keep, idx).reshape(len(feats), part.shape[0])
+        children.append(_grow(cols, pseudo, feats, spec, side, part, sub, depth + 1))
+    return TreeSplit(feature=feats[j], threshold=thr, left=children[0], right=children[1])
 
 
 def _best_split(cols, pseudo, y, idx, min_child):
@@ -401,32 +436,45 @@ def _best_split(cols, pseudo, y, idx, min_child):
 
     cols is the tree's C-contiguous (F, N) feature-major matrix, idx the
     node's (F, n) rows sorted per feature and y the node's pseudo-responses
-    in row order. The sorted values are one flat take from cols.ravel(), a
-    view, at idx plus each feature's offset f * N: the same gather as
-    take_along_axis at less than half its cost. Gains live in an (F, n-1)
-    matrix whose row-major argmax resolves equal gains to the lower feature
-    index first and the lower threshold second. Returns (local feature index,
-    threshold) or None when no split has positive gain.
+    in row order. The cumulative sums run over all n sorted rows, since the
+    last one is the node total, but gains are scored only on the window of
+    cuts that leave min_child rows on each side: after sorted position i for
+    i in [min_child - 1, n - min_child). Only that window's sorted values are
+    gathered, as one flat take from cols.ravel(), a view, at idx plus each
+    feature's offset f * N: the same gather as take_along_axis at less than
+    half its cost. The gain cl²/m + (T - cl)²/(n - m) - T²/n is computed in
+    place in that operation order; T²/n stays, because the per-feature totals
+    differ in the last bits. A cut between equal values, or next to a NaN,
+    has gain -inf. The row-major argmax of the (F, window) gains resolves
+    equal gains to the lower feature index first and the lower threshold
+    second. Returns (local feature index, threshold) or None when no split
+    has positive gain.
     """
     n = idx.shape[1]
-    xs = cols.ravel().take(idx + np.arange(0, cols.size, cols.shape[1])[:, None])
+    lo, hi = min_child - 1, n - min_child
     csum = np.cumsum(pseudo[idx], axis=1)
     total = csum[:, -1:]
-    m = np.arange(1, n, dtype=float)              # left-child sizes
-    cl = csum[:, :-1]
-    gains = cl**2 / m + (total - cl) ** 2 / (n - m) - total**2 / n
-    valid = xs[:, :-1] < xs[:, 1:]
-    if min_child > 1:
-        valid[:, : min_child - 1] = False
-        valid[:, n - min_child :] = False
-    gains = np.where(valid, gains, -np.inf)
-    best_j, best_i = divmod(int(np.argmax(gains)), n - 1)
+    xs = cols.ravel().take(idx[:, lo : hi + 1] + np.arange(0, cols.size, cols.shape[1])[:, None])
+    m = np.arange(lo + 1, hi + 1, dtype=float)    # left-child sizes
+    cl = csum[:, lo:hi]
+    gains = cl * cl
+    gains /= m
+    right = total - cl
+    right *= right
+    right /= n - m
+    gains += right
+    gains -= total * total / n
+    np.copyto(gains, -np.inf, where=~(xs[:, :-1] < xs[:, 1:]))
+    best_j, best_i = divmod(int(np.argmax(gains)), hi - lo)
     best_gain = gains[best_j, best_i]
     floor = 1e-12 * (float(np.sum(y * y)) + 1e-300)
     if not np.isfinite(best_gain) or best_gain <= floor:
         return None
-    thr = 0.5 * (xs[best_j, best_i] + xs[best_j, best_i + 1])
-    return best_j, float(thr)
+    below, above = float(xs[best_j, best_i]), float(xs[best_j, best_i + 1])
+    thr = 0.5 * (below + above)
+    if not below < thr <= above:    # next to -inf, on overflow or between adjacent floats
+        thr = above
+    return best_j, thr
 
 
 def fit_learner(

@@ -1,0 +1,58 @@
+"""Print the sha256 of fixed fits' model files, to compare two checkouts.
+
+    PYTHONHASHSEED=0 python tests/model_digest.py
+
+Run it from the root of a checkout; gbmixed comes from that checkout's src/.
+It prints one "<sha256>  <name>" line per model file, fifteen in all:
+
+  - the perfbench/workloads.py prepare() draws of seeds 1-3 of both
+    workloads, each fitted with its own config and saved with its schema;
+  - every TestRoundTrip variant/learner pair (tests/test_model_io.py),
+    fitted as that test fits it.
+
+A change that must build the same models prints the same lines as its
+parent. It refuses to run without PYTHONHASHSEED=0, the hash seed under
+which model files are compared across checkouts. Pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+from gbmixed import boosting  # noqa: E402
+from gbmixed.model_io import save_model  # noqa: E402
+from test_model_io import ROUND_TRIP_CASES, round_trip_fit  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def models():
+    """(name, model, schema) of every fit, in a fixed order."""
+    for workload in ("pairs", "clusters"):
+        for seed in (1, 2, 3):
+            prep = WORKLOADS[workload]().prepare(seed)
+            yield f"{workload}-seed{seed}", boosting.fit(prep.train, prep.config), prep.schema
+    for variant, kind in ROUND_TRIP_CASES:
+        yield f"roundtrip-{variant}-{kind}", round_trip_fit(variant, kind)[0], None
+
+
+def main() -> int:
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        print("set PYTHONHASHSEED=0: model files are compared under that hash seed", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.gbmixed"
+        for name, model, schema in models():
+            save_model(path, model, schema=schema)
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

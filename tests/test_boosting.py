@@ -20,15 +20,16 @@ from gbmixed.boosting import (
 )
 from gbmixed.data import GroupBlock, GroupedDataset, split_by_groups
 from gbmixed.errors import ConfigError, DataError, NumericalError
-from gbmixed import learners
+from gbmixed import boosting, learners, simulate
 from gbmixed.learners import (
     ConstantLearner,
     LearnerSpec,
     LinearLearner,
+    TreeLeaf,
     TreeLearner,
     fit_learner,
 )
-from util import clustered_dataset, model_total_loglik
+from util import clustered_dataset, model_total_loglik, reference_tree
 
 
 def constant_spec():
@@ -376,7 +377,7 @@ class TestFit:
 class TestPresort:
     """fit stably sorts each group set at most once, and only when a tree needs it."""
 
-    def sorted_shapes(self, monkeypatch, variant, kind, n_iterations):
+    def sorted_shapes(self, monkeypatch, variant, kind, n_iterations, min_parent=4):
         shapes = []
         real = learners._stable_argsort
 
@@ -387,7 +388,7 @@ class TestPresort:
         monkeypatch.setattr(learners, "_stable_argsort", counted)
         ds = clustered_dataset(np.random.default_rng(21), n_groups=40, n_per=3, p=4,
                                mean_fn=lambda X: X[:, 0])
-        spec = LearnerSpec(kind=kind, tree_min_parent=4, tree_min_child=2)
+        spec = LearnerSpec(kind=kind, tree_min_parent=min_parent, tree_min_child=2)
         cfg = config_for_variant(variant, spec, n_iterations=n_iterations, group_fraction=0.5,
                                  feature_fraction=0.5, early_stopping=False, eval_fraction=0.25)
         fit(ds, cfg)
@@ -402,9 +403,52 @@ class TestPresort:
     def test_constant_g_sorts_only_the_rows(self, monkeypatch):
         assert self.sorted_shapes(monkeypatch, "rboost", "tree", 10) == [(4, 90)]
 
+    def test_group_sets_below_min_parent_sort_only_the_rows(self, monkeypatch):
+        # 15 sampled groups of 3 rows: no G tree can split, every row tree can
+        assert self.sorted_shapes(monkeypatch, "grboost", "tree", 10, min_parent=20) == [(4, 90)]
+
     @pytest.mark.parametrize("variant,kind", [("base", "linear"), ("grboost", "linear")])
     def test_constant_and_linear_learners_sort_nothing(self, monkeypatch, variant, kind):
         assert self.sorted_shapes(monkeypatch, variant, kind, 10) == []
+
+
+class TestFitTreesEqualTheOracle:
+    """Every tree a real fit grows equals the per-node argsort search (==)."""
+
+    def tree_roots(self, monkeypatch, ds, cfg):
+        real = boosting.fit_learner
+        roots = []
+
+        def compared(X, pseudo, features, spec, presort=None):
+            got = real(X, pseudo, features, spec, presort)
+            assert got == reference_tree(X, pseudo, features, spec)
+            roots.append(got.root)
+            return got
+
+        monkeypatch.setattr(boosting, "fit_learner", compared)
+        fit(ds, cfg)
+        return roots
+
+    def test_expc_pairs(self, monkeypatch):
+        # paired rows tie every row-level feature; min_child 20, min_parent 40
+        sc = simulate.expc_scenario(seed=4)
+        ds, _ = simulate.generate(sc, 800, seed=4)
+        cfg = sc.default_config(n_iterations=6, early_stopping=False, seed=4)
+        roots = self.tree_roots(monkeypatch, ds, cfg)
+        assert len(roots) == 6 * 3
+        assert sum(not isinstance(r, TreeLeaf) for r in roots) >= 12
+
+    def test_group_sets_below_min_parent(self, monkeypatch):
+        ds = clustered_dataset(np.random.default_rng(22), n_groups=40, n_per=3, p=4,
+                               mean_fn=lambda X: X[:, 0])
+        spec = LearnerSpec(kind="tree", tree_min_parent=20, tree_min_child=2)
+        cfg = config_for_variant("grboost", spec, n_iterations=8, group_fraction=0.5,
+                                 feature_fraction=0.5, early_stopping=False, eval_fraction=0.25)
+        roots = self.tree_roots(monkeypatch, ds, cfg)
+        # per iteration: mean, G (15 groups, a lone leaf), R
+        assert len(roots) == 8 * 3
+        assert all(isinstance(r, TreeLeaf) for r in roots[1::3])
+        assert not all(isinstance(r, TreeLeaf) for r in roots[0::3])
 
 
 class TestReferenceLoop:

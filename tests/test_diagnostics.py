@@ -117,6 +117,21 @@ class TestGrid:
         grid = default_grid(bg, 1)
         np.testing.assert_array_equal(grid, [2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_left_out(self, bad):
+        with_bad = np.array([[0.0], [1.0], [bad], [2.0]])
+        without = np.array([[0.0], [1.0], [2.0]])
+        np.testing.assert_array_equal(default_grid(with_bad, 0), default_grid(without, 0))
+
+    def test_column_without_finite_values(self):
+        bg = np.random.default_rng(1).standard_normal((6, 3))
+        bg[:, 2] = [np.nan, np.inf, -np.inf, np.nan, np.nan, np.nan]
+        with pytest.raises(ConfigError, match="feature 2"):
+            default_grid(bg, 2)
+        bg[:, 2] = np.nan
+        with pytest.raises(ConfigError, match="feature 2"):
+            partial_dependence(build_model(), "mean", "x3", bg)
+
 
 class TestPartialDependence:
     def test_flat_for_constant_model(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbmixed import learners
 from gbmixed.errors import ConfigError, DataError
 from gbmixed.learners import (
     ConstantLearner,
@@ -18,6 +19,7 @@ from gbmixed.learners import (
     fit_linear,
     fit_tree,
 )
+from util import reference_tree
 
 
 def tree_spec(**kw):
@@ -193,6 +195,19 @@ class TestTree:
 
         walk(learner.root, np.arange(100))
 
+    @pytest.mark.parametrize("below,above", [
+        (-np.inf, 1.0),                      # midpoint -inf: x < -inf holds for no row
+        (-np.inf, np.inf),                   # midpoint nan
+        (1e308, 1.7e308),                    # the sum overflows to inf
+        (1.0, np.nextafter(1.0, 2.0)),       # the midpoint rounds down to 1.0
+    ])
+    def test_threshold_separates_the_two_values(self, below, above):
+        X = np.array([[below], [below], [above], [above]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        root = fit_tree(X, y, features=(0,), spec=tree_spec(tree_max_depth=1)).root
+        assert below < root.threshold <= above
+        assert (root.left.value, root.right.value) == (0.0, 1.0)
+
 
 class TestDispatcher:
     def test_kinds(self):
@@ -211,55 +226,6 @@ class TestDispatcher:
             fit_tree(X, y, features=(0, 0), spec=tree_spec())
         with pytest.raises(ConfigError):
             fit_tree(X, y, features=(2,), spec=tree_spec())
-
-
-def reference_tree(X, y, features, spec):
-    """The exact greedy search that sorts again at every node.
-
-    fit_tree sorts once per tree and partitions; this per-node argsort
-    version is its oracle: both must build equal trees, bit for bit.
-    """
-    feats = np.asarray(sorted(features), dtype=np.int64)
-    root = _reference_grow(X[:, feats], y, feats, 0, spec)
-    return TreeLearner(root=root, n_features=X.shape[1])
-
-
-def _reference_grow(Xn, y, feats, depth, spec):
-    n = y.shape[0]
-    value = float(np.mean(y))
-    if depth >= spec.tree_max_depth or n < spec.tree_min_parent or n < 2 * spec.tree_min_child:
-        return TreeLeaf(value)
-    found = _reference_best_split(Xn, y, spec.tree_min_child)
-    if found is None:
-        return TreeLeaf(value)
-    j, thr = found
-    go_left = Xn[:, j] < thr
-    left = _reference_grow(Xn[go_left], y[go_left], feats, depth + 1, spec)
-    right = _reference_grow(Xn[~go_left], y[~go_left], feats, depth + 1, spec)
-    return TreeSplit(feature=int(feats[j]), threshold=thr, left=left, right=right)
-
-
-def _reference_best_split(Xn, y, min_child):
-    n, F = Xn.shape
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    total = csum[-1]
-    m = np.arange(1, n, dtype=float)[:, None]
-    cl = csum[:-1]
-    gains = cl**2 / m + (total - cl) ** 2 / (n - m) - total**2 / n
-    valid = xs[:-1] < xs[1:]
-    if min_child > 1:
-        valid[: min_child - 1] = False
-        valid[n - min_child :] = False
-    gains = np.where(valid, gains, -np.inf)
-    best_j, best_i = divmod(int(np.argmax(gains.ravel(order="F"))), n - 1)
-    best_gain = gains[best_i, best_j]
-    floor = 1e-12 * (float(np.sum(y * y)) + 1e-300)
-    if not np.isfinite(best_gain) or best_gain <= floor:
-        return None
-    return best_j, float(0.5 * (xs[best_i, best_j] + xs[best_i + 1, best_j]))
 
 
 def oracle_case(rng, kind, n, p):
@@ -358,6 +324,70 @@ class TestTreeOracle:
             fit_tree(X, y, (0,), tree_spec(), SortedColumns(X, (0, 1)))
         with pytest.raises(DataError):
             fit_tree(X, y, (0, 1), tree_spec(), SortedColumns(X.copy(), (0, 1)))
+
+
+class TestUnsplittableRoot:
+    """A root too small to split is the mean leaf and sorts nothing."""
+
+    @pytest.mark.parametrize("spec", [
+        tree_spec(tree_min_parent=9, tree_min_child=1),    # n < min_parent
+        tree_spec(tree_min_parent=2, tree_min_child=5),    # n < 2 * min_child
+    ])
+    def test_mean_leaf_without_a_sort(self, monkeypatch, spec):
+        sorts = []
+        monkeypatch.setattr(learners, "_stable_argsort", lambda cols: sorts.append(cols))
+        rng = np.random.default_rng(41)
+        X, y = rng.standard_normal((8, 3)), rng.standard_normal(8)
+        presort = SortedColumns(rng.standard_normal((20, 3)), (0, 1, 2)).restrict(
+            np.arange(0, 16, 2), (0, 2))
+        for got in (fit_tree(X, y, (0, 2), spec),
+                    fit_tree(presort.X, y, (0, 2), spec, presort)):
+            assert got == TreeLearner(root=TreeLeaf(float(np.mean(y))), n_features=3)
+            assert got == reference_tree(X, y, (0, 2), spec)
+        assert sorts == [] and presort._order is None
+
+    def test_presort_must_still_match(self):
+        X = np.arange(12.0).reshape(6, 2)
+        y = np.arange(6.0)
+        spec = tree_spec(tree_min_parent=7)
+        with pytest.raises(DataError):
+            fit_tree(X, y, (0, 1), spec, SortedColumns(X.copy(), (0, 1)))
+        with pytest.raises(DataError):
+            fit_tree(X, y, (0,), spec, SortedColumns(X, (0, 1)))
+
+
+SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 0.5])
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    min_child=st.integers(min_value=1, max_value=12),
+    size=st.sampled_from(["below", "at", "above", "random"]),
+    max_depth=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_min_child_window_edges_and_special_values(min_child, size, max_depth, seed):
+    """fit_tree equals the per-node oracle at root sizes 2*min_child - 1, 2*min_child
+    and 2*min_child + 1 and at random sizes, on features holding NaN, +-inf,
+    -0.0 next to 0.0 and ties, so that cuts at both ends of the window and
+    roots that cannot split are all reached."""
+    rng = np.random.default_rng(seed)
+    edge = {"below": -1, "at": 0, "above": 1}
+    n = 2 * min_child + edge[size] if size in edge else int(rng.integers(2 * min_child, 120))
+    p = int(rng.integers(1, 5))
+    X = rng.standard_normal((n, p))
+    special = rng.random((n, p)) < rng.random()
+    X[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
+    tied = rng.random(p) < 0.5
+    X[:, tied] = np.round(X[:, tied])
+    y = np.round(rng.standard_normal(n), 1) + (X[:, 0] > 0)
+    feats = tuple(int(f) for f in rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+    spec = tree_spec(
+        tree_max_depth=max_depth,
+        tree_min_child=min_child,
+        tree_min_parent=int(rng.integers(2, 2 * min_child + 3)),
+    )
+    assert fit_tree(X, y, feats, spec) == reference_tree(X, y, feats, spec)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -48,16 +48,21 @@ def assert_same_predictions(m1, m2, ds):
     np.testing.assert_array_equal(eval_gcov_rows(m1, Xt), eval_gcov_rows(m2, Xt))
 
 
+# a constant row learner is only legal where no variance component varies
+ROUND_TRIP_CASES = [
+    (v, k) for v in ("base", "rboost", "gboost", "grboost") for k in ("linear", "tree")
+] + [("base", "constant")]
+
+
+def round_trip_fit(variant, kind):
+    """The fit of one ROUND_TRIP_CASES pair, seeded by its name."""
+    return fitted(variant, kind, np.random.default_rng(zlib.crc32(f"{variant}/{kind}".encode())))
+
+
 class TestRoundTrip:
-    # a constant row learner is only legal where no variance component varies
-    @pytest.mark.parametrize(
-        "variant,kind",
-        [(v, k) for v in ("base", "rboost", "gboost", "grboost") for k in ("linear", "tree")]
-        + [("base", "constant")],
-    )
+    @pytest.mark.parametrize("variant,kind", ROUND_TRIP_CASES)
     def test_bit_identical_predictions(self, tmp_path, variant, kind):
-        rng = np.random.default_rng(zlib.crc32(f"{variant}/{kind}".encode()))
-        model, ds = fitted(variant, kind, rng)
+        model, ds = round_trip_fit(variant, kind)
         path = tmp_path / "m.txt"
         save_model(path, model)
         back, schema = load_model(path)

@@ -4,6 +4,7 @@ import numpy as np
 
 from gbmixed.boosting import eval_gcov_rows, eval_mean, eval_resid_var, factors_from_entries
 from gbmixed.data import GroupBlock, GroupedDataset
+from gbmixed.learners import TreeLeaf, TreeLearner, TreeSplit
 from gbmixed.likelihood import group_loglik, marginal_covariance
 
 
@@ -69,3 +70,54 @@ def deep_tree_text(depth: int) -> str:
     Written as text because json.dumps cannot nest much past the recursion limit.
     """
     return '{"f":0,"l":' * depth + '{"v":0.0}' + ',"r":{"v":0.0},"t":0.5}' * depth
+
+
+def reference_tree(X, y, features, spec):
+    """The exact greedy search that sorts again at every node.
+
+    fit_tree sorts once per tree and partitions; this per-node argsort
+    version is its oracle: both must build equal trees, bit for bit.
+    """
+    feats = np.asarray(sorted(features), dtype=np.int64)
+    root = _reference_grow(X[:, feats], y, feats, 0, spec)
+    return TreeLearner(root=root, n_features=X.shape[1])
+
+
+def _reference_grow(Xn, y, feats, depth, spec):
+    n = y.shape[0]
+    value = float(np.mean(y))
+    if depth >= spec.tree_max_depth or n < spec.tree_min_parent or n < 2 * spec.tree_min_child:
+        return TreeLeaf(value)
+    found = _reference_best_split(Xn, y, spec.tree_min_child)
+    if found is None:
+        return TreeLeaf(value)
+    j, thr = found
+    go_left = Xn[:, j] < thr
+    left = _reference_grow(Xn[go_left], y[go_left], feats, depth + 1, spec)
+    right = _reference_grow(Xn[~go_left], y[~go_left], feats, depth + 1, spec)
+    return TreeSplit(feature=int(feats[j]), threshold=thr, left=left, right=right)
+
+
+def _reference_best_split(Xn, y, min_child):
+    n, F = Xn.shape
+    order = np.argsort(Xn, axis=0, kind="stable")
+    xs = np.take_along_axis(Xn, order, axis=0)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)
+    total = csum[-1]
+    m = np.arange(1, n, dtype=float)[:, None]
+    cl = csum[:-1]
+    gains = cl**2 / m + (total - cl) ** 2 / (n - m) - total**2 / n
+    valid = xs[:-1] < xs[1:]
+    if min_child > 1:
+        valid[: min_child - 1] = False
+        valid[n - min_child :] = False
+    gains = np.where(valid, gains, -np.inf)
+    best_j, best_i = divmod(int(np.argmax(gains.ravel(order="F"))), n - 1)
+    best_gain = gains[best_i, best_j]
+    floor = 1e-12 * (float(np.sum(y * y)) + 1e-300)
+    if not np.isfinite(best_gain) or best_gain <= floor:
+        return None
+    below, above = float(xs[best_i, best_j]), float(xs[best_i + 1, best_j])
+    thr = 0.5 * (below + above)
+    return best_j, thr if below < thr <= above else above
