@@ -336,17 +336,25 @@ class _GroupSet:
         self.logr = np.full(self.n, logr0)
 
 
-def _set_loglik(gs: _GroupSet, q: int) -> float:
-    """Total log-likelihood of a group set from its caches."""
-    ll, _, _, _ = lik.batched_quantities(
-        factors_from_entries(gs.factor_entries, q),
-        gs.y - gs.mu,
-        gs.Z,
-        np.exp(gs.logr),
-        gs.sizes,
-        want_gradients=False,
-    )
-    return float(np.sum(ll))
+def _set_loglik(gs: _GroupSet, q: int, m: int) -> float:
+    """Total log-likelihood of a group set from its caches after iteration m.
+
+    A non-finite total is a NumericalError; numpy's overflow and invalid-value
+    warnings on the way to it are silenced, since the total is checked here.
+    """
+    with np.errstate(all="ignore"):
+        ll, _, _, _ = lik.batched_quantities(
+            factors_from_entries(gs.factor_entries, q),
+            gs.y - gs.mu,
+            gs.Z,
+            np.exp(gs.logr),
+            gs.sizes,
+            want_gradients=False,
+        )
+    total = float(np.sum(ll))
+    if not np.isfinite(total):
+        raise NumericalError(f"non-finite evaluation log-likelihood at iteration {m}")
+    return total
 
 
 def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
@@ -387,13 +395,20 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     groups_order = SortedColumns(gb.Xt, range(p))
 
     rng = np.random.default_rng(config.seed)
-    # verify the sampling fractions are feasible before looping
+    # verify the sampling fractions are feasible before looping; groups are
+    # sampled from the boosting part only, so say what the evaluation part took
+    if config.group_fraction * gb.C < 1:
+        raise ConfigError(
+            f"group_fraction {config.group_fraction} samples zero of {gb.C} groups: "
+            f"eval_fraction {config.eval_fraction} held out {ge.C} of the "
+            f"{train.n_groups} groups for evaluation"
+        )
     sample_iteration(np.random.default_rng(config.seed), gb.C, p, config)
 
     mean_learners: list[FittedLearner] = []
     gcov_learners: tuple[list, ...] = tuple([] for _ in range(T))
     rvar_learners: list[FittedLearner] = []
-    history = [_set_loglik(ge, q)]
+    history = [_set_loglik(ge, q, 0)]
 
     for m in range(1, config.n_iterations + 1):
         g_idx, feats = sample_iteration(rng, gb.C, p, config)
@@ -402,13 +417,14 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
         sizes = gb.sizes[g_idx]
         offsets = np.cumsum(sizes) - sizes
         row_idx = np.arange(int(sizes.sum())) + np.repeat(gb.starts[g_idx] - offsets, sizes)
-        _, pseudo_mu, d_F, pseudo_logr = lik.batched_quantities(
-            factors_from_entries(gb.factor_entries[g_idx], q),
-            gb.y[row_idx] - gb.mu[row_idx],
-            gb.Z[row_idx],
-            np.exp(gb.logr[row_idx]),
-            sizes,
-        )
+        with np.errstate(all="ignore"):  # non-finite gradients are checked below
+            _, pseudo_mu, d_F, pseudo_logr = lik.batched_quantities(
+                factors_from_entries(gb.factor_entries[g_idx], q),
+                gb.y[row_idx] - gb.mu[row_idx],
+                gb.Z[row_idx],
+                np.exp(gb.logr[row_idx]),
+                sizes,
+            )
         if not all(np.all(np.isfinite(a)) for a in (pseudo_mu, d_F, pseudo_logr)):
             raise NumericalError(f"non-finite gradient at iteration {m}")
         grad_factor = d_F[:, rows_t, cols_t]
@@ -435,10 +451,7 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
                 gs.factor_entries[:, t] += config.lr_gcov * h_gcov[t].predict(gs.Xt, gs.cols_t)
             gs.logr += config.lr_rvar * h_rvar.predict(gs.X, gs.cols)
 
-        ll_eval = _set_loglik(ge, q)
-        if not np.isfinite(ll_eval):
-            raise NumericalError(f"non-finite evaluation log-likelihood at iteration {m}")
-        history.append(ll_eval)
+        history.append(_set_loglik(ge, q, m))
         if config.early_stopping and check_convergence(history, config.lookback, config.tolerance):
             break
 

@@ -52,6 +52,7 @@ def _load_for_model(path: str, schema: ColumnSchema | None, group_col: str | Non
 
 
 def cmd_predict(args) -> int:
+    check_alpha(args.alpha)
     model, schema = model_io.load_model(args.model)
     ds, schema = _load_for_model(args.data, schema, args.group_col)
     train_ds = None
@@ -117,28 +118,33 @@ def cmd_simulate(args) -> int:
     )
     header, *rows = simulate.report_csv_rows(report)
     write_csv(args.out, header, rows)
-    cm, cs = report.cate_mse
-    cov, cov_s = report.coverage
-    rm, _ = report.r_mse
-    gm, _ = report.g_mse
+    agg = dict(zip(header, rows[-1]))
     parts = [
         f"simulate: scenario={report.scenario} variant={report.variant} reps={args.reps}",
-        f"cate_mse={cm:.6f} (sd {cs:.6f})",
-        f"coverage={cov:.1f}% (sd {cov_s:.1f})",
+        f"cate_mse={agg['cate_mse']:.6f} (sd {agg['cate_mse_sd']:.6f})",
+        f"coverage={agg['coverage']:.1f}% (sd {agg['coverage_sd']:.1f})",
     ]
-    if rm is not None:
-        parts.append(f"r_mse={rm:.6f}")
-    if gm is not None:
-        parts.append(f"g_mse={gm:.6f}")
+    parts += [f"{key}={agg[key]:.6f}" for key in ("r_mse", "g_mse") if agg[key] is not None]
     print(" ".join(parts) + f" out={args.out}")
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    model, schema = model_io.load_model(args.model)
-    ds, _ = _load_for_model(args.data, schema, args.group_col)
     if not args.importance and args.feature is None:
         raise ConfigError("diagnose needs --importance and/or --feature")
+    g_entry = (0, 0)
+    if args.feature is not None and args.g_entry:
+        parts = args.g_entry.split(",")
+        if len(parts) != 2:
+            raise ConfigError("--g-entry expects 'row,col'")
+        try:
+            g_entry = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise ConfigError(
+                f"--g-entry expects integers 'row,col', got {args.g_entry!r}"
+            ) from None
+    model, schema = model_io.load_model(args.model)
+    ds, _ = _load_for_model(args.data, schema, args.group_col)
     wrote = []
     if args.importance:
         scores = diagnostics.variable_importance(model, args.component)
@@ -149,17 +155,6 @@ def cmd_diagnose(args) -> int:
         background = (
             ds.x_tilde_matrix() if args.component == "G" else ds.stacked().X
         )
-        g_entry = (0, 0)
-        if args.g_entry:
-            parts = args.g_entry.split(",")
-            if len(parts) != 2:
-                raise ConfigError("--g-entry expects 'row,col'")
-            try:
-                g_entry = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ConfigError(
-                    f"--g-entry expects integers 'row,col', got {args.g_entry!r}"
-                ) from None
         grid, values = diagnostics.partial_dependence(
             model,
             args.component,

@@ -145,6 +145,8 @@ def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners)
     categorical = tuple(check_type("categorical feature", c) for c in meta["categorical_features"])
     _check_features([] if t_idx is None else [t_idx], p, "treatment_index")
     _check_features(categorical, p, "categorical feature")
+    if any(a >= b for a, b in zip(categorical, categorical[1:])):
+        raise ValueError(f"categorical features {list(categorical)} are not strictly ascending")
     model = FittedModel(
         config=config,
         feature_names=tuple(meta["feature_names"]),

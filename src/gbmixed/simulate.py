@@ -16,6 +16,11 @@ steep sigmoid centered at 1/3 (expA uses x6, x7; expB and expC use x1, x2).
 The treatment indicator is appended as the last feature column and sampled
 in every boosting iteration.
 
+Scenario's field defaults are the p=30 family that expB, expC and
+two_group_sd share (uniform covariates, mean 2 x1 + 1, the x1, x2 effect),
+so those state only their variance functions and settings. The covariate
+draw receives p from n_features, the one statement of p.
+
 Both potential outcomes are generated and stored: the pair's intercept is
 shared, while the residuals of the two arms are drawn independently with the
 same variance r(x), so realized effects Y(1) - Y(0) scatter around tau(x)
@@ -65,44 +70,6 @@ def steep_sigmoid(x):
 # covers nearly the whole training block, mirroring the benchmark protocol
 # where the held-out 40% handles validation.
 _SHARED_SETTINGS = (("early_stopping", False), ("eval_fraction", 0.05))
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A matched-pair data generating process and its benchmark fit settings.
-
-    mean_fn and tau_fn map an (n, p) covariate matrix to vectors;
-    resid_var_fn does the same for per-observation residual variances, and
-    group_var_fn maps pair summaries (C, p) to per-pair intercept variances.
-    settings holds (key, value) pairs in the keys of a `gbmixed fit` config
-    file and of `simulate --set` (variant, learning_rate, iterations,
-    tree_min_child, ...); they apply over the settings all scenarios share.
-    """
-
-    name: str
-    n_features: int
-    mean_fn: Callable
-    tau_fn: Callable
-    resid_var_fn: Callable
-    group_var_fn: Callable
-    covariates: Callable            # (rng, n_pairs) -> (n_pairs, p), one shared row per pair
-    settings: tuple                 # ((key, value), ...) over _SHARED_SETTINGS
-    seed: int = 0
-
-    def __post_init__(self):
-        check_fields(self)
-        check_seed(self.seed)
-
-    def default_config(self, **overrides) -> FitConfig:
-        """Fit settings used in the benchmark runs of this scenario.
-
-        FitConfig() with the shared settings and then the scenario's applied
-        by config.apply_settings, and the treatment column (index
-        n_features) forced into every iteration's feature sample. Keyword
-        arguments are FitConfig fields and win over both.
-        """
-        cfg = apply_settings(FitConfig(), dict(_SHARED_SETTINGS + self.settings))
-        return replace(cfg, force_include=(self.n_features,), **overrides)
 
 
 @dataclass(frozen=True)
@@ -175,31 +142,66 @@ def _pair_tau(X):
     return steep_sigmoid(X[:, 0]) * steep_sigmoid(X[:, 1])
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """A matched-pair data generating process and its benchmark fit settings.
+
+    mean_fn and tau_fn map an (n, p) covariate matrix to vectors;
+    resid_var_fn does the same for per-observation residual variances, and
+    group_var_fn maps pair summaries (C, p) to per-pair intercept variances.
+    covariates(rng, n_pairs, p) draws one shared row per pair, with p taken
+    from n_features. settings holds (key, value) pairs in the keys of a
+    `gbmixed fit` config file and of `simulate --set` (variant,
+    learning_rate, iterations, tree_min_child, ...); they apply over the
+    settings all scenarios share. The defaults are the p = 30 family: uniform
+    covariates on [0, 1), mean 2 x1 + 1 and effect steep(x1) * steep(x2).
+    """
+
+    name: str
+    resid_var_fn: Callable
+    group_var_fn: Callable
+    settings: tuple                 # ((key, value), ...) over _SHARED_SETTINGS
+    n_features: int = 30
+    mean_fn: Callable = _linear_mean
+    tau_fn: Callable = _pair_tau
+    covariates: Callable = _uniform_covariates
+    seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self)
+        check_seed(self.seed)
+
+    def default_config(self, **overrides) -> FitConfig:
+        """Fit settings used in the benchmark runs of this scenario.
+
+        FitConfig() with the shared settings and then the scenario's applied
+        by config.apply_settings, and the treatment column (index
+        n_features) forced into every iteration's feature sample. Keyword
+        arguments are FitConfig fields and win over both.
+        """
+        cfg = apply_settings(FitConfig(), dict(_SHARED_SETTINGS + self.settings))
+        return replace(cfg, force_include=(self.n_features,), **overrides)
+
+
 def expa_scenario(seed: int = 0) -> Scenario:
-    p = 300
     return Scenario(
         name="expA",
-        n_features=p,
-        mean_fn=_expa_mean,
-        tau_fn=_expa_tau,
         resid_var_fn=partial(_constant_per_row, value=0.47),
         group_var_fn=partial(_constant_per_row, value=2.25),
-        covariates=partial(_expa_covariates, p=p),
         settings=(("variant", "base"), ("learning_rate", 0.03)),
+        n_features=300,
+        mean_fn=_expa_mean,
+        tau_fn=_expa_tau,
+        covariates=_expa_covariates,
         seed=seed,
     )
 
 
 def expb_scenario(seed: int = 0) -> Scenario:
-    p = 30
     return Scenario(
         name="expB",
-        n_features=p,
-        mean_fn=_linear_mean,
-        tau_fn=_pair_tau,
         resid_var_fn=_expb_resid_var,
         group_var_fn=partial(_constant_per_row, value=0.25),
-        covariates=partial(_uniform_covariates, p=p),
         settings=(("variant", "rboost"), ("learning_rate", 0.01)),
         seed=seed,
     )
@@ -254,15 +256,10 @@ def expb_diagnostic_scenario(seed: int = 0) -> Scenario:
 
 
 def expc_scenario(seed: int = 0) -> Scenario:
-    p = 30
     return Scenario(
         name="expC",
-        n_features=p,
-        mean_fn=_linear_mean,
-        tau_fn=_pair_tau,
         resid_var_fn=_expc_resid_var,
         group_var_fn=_expc_group_var,
-        covariates=partial(_uniform_covariates, p=p),
         settings=_FULL_FACTOR_SETTINGS,
         seed=seed,
     )
@@ -275,15 +272,10 @@ def two_group_sd_scenario(sd_low: float = 0.5, sd_high: float = 2.0, seed: int =
     giving a group-level learner a clean two-level target for checking how
     well boosted standard deviations track the truth.
     """
-    p = 30
     return Scenario(
         name="two_group_sd",
-        n_features=p,
-        mean_fn=_linear_mean,
-        tau_fn=_pair_tau,
         resid_var_fn=partial(_constant_per_row, value=0.25),
         group_var_fn=partial(_two_level_group_var, low_var=sd_low**2, high_var=sd_high**2),
-        covariates=partial(_uniform_covariates, p=p),
         settings=_FULL_FACTOR_SETTINGS,
         seed=seed,
     )
@@ -321,7 +313,7 @@ def generate(scenario: Scenario, n_obs: int, seed: int | None = None) -> tuple[G
     C = n // 2
     p = scenario.n_features
 
-    Xt = scenario.covariates(rng, C)        # pair-level draws, before treatment column
+    Xt = scenario.covariates(rng, C, p)     # pair-level draws, before treatment column
     X = np.repeat(Xt, 2, axis=0)
     pair_of = np.repeat(np.arange(C), 2)
 
@@ -446,6 +438,21 @@ def score(model: FittedModel, test: GroupedDataset, truth: GroundTruth, alpha: f
     )
 
 
+def _aggregate(attr: str) -> property:
+    """(mean, sd) of ScoreRow field attr over a report's rows: sd with ddof 1,
+    0.0 for a single row, and (None, None) when any row lacks the metric."""
+
+    def get(report):
+        vals = [getattr(r, attr) for r in report.rows]
+        if any(v is None for v in vals):
+            return None, None
+        arr = np.asarray(vals, dtype=float)
+        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+        return float(np.mean(arr)), sd
+
+    return property(get)
+
+
 @dataclass(frozen=True)
 class ReplicationReport:
     """Per-replication scores plus their means and standard deviations."""
@@ -454,29 +461,10 @@ class ReplicationReport:
     variant: str
     rows: tuple[ScoreRow, ...]
 
-    def _agg(self, attr: str):
-        vals = [getattr(r, attr) for r in self.rows]
-        if any(v is None for v in vals):
-            return None, None
-        arr = np.asarray(vals, dtype=float)
-        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        return float(np.mean(arr)), sd
-
-    @property
-    def cate_mse(self):
-        return self._agg("cate_mse")
-
-    @property
-    def coverage(self):
-        return self._agg("coverage")
-
-    @property
-    def r_mse(self):
-        return self._agg("r_mse")
-
-    @property
-    def g_mse(self):
-        return self._agg("g_mse")
+    cate_mse = _aggregate("cate_mse")
+    coverage = _aggregate("coverage")
+    r_mse = _aggregate("r_mse")
+    g_mse = _aggregate("g_mse")
 
 
 def replication_data(scenario: Scenario, n_obs: int, rep: int):
@@ -484,26 +472,18 @@ def replication_data(scenario: Scenario, n_obs: int, rep: int):
     return generate(scenario, n_obs, seed=scenario.seed + rep)
 
 
-def run_replication(
-    scenario: Scenario,
-    n_obs: int,
-    rep: int,
-    config: FitConfig | None = None,
-    alpha: float = 0.1,
-):
-    """One replication: generate, split 60/40 by pairs, fit, score.
+def run_replication(scenario: Scenario, n_obs: int, rep: int, config: FitConfig, alpha: float = 0.1):
+    """One replication: generate, split 60/40 by pairs, fit config, score.
 
-    Everything derives from scenario.seed + rep, so a replication is
-    reproducible in isolation. Returns (model, score row, rep seed).
+    The draw, the split and the fit all take seed scenario.seed + rep (the
+    fit through model.config.seed), so a replication is reproducible in
+    isolation. Returns (model, score row).
     """
     rep_seed = scenario.seed + rep
     ds, truth = replication_data(scenario, n_obs, rep)
     train, test = split_by_groups(ds, TRAIN_FRACTION, seed=rep_seed)
-    cfg = config if config is not None else scenario.default_config()
-    cfg = replace(cfg, seed=rep_seed)
-    model = fit(train, cfg)
-    row = score(model, test, truth_rows_for(test, truth), alpha=alpha)
-    return model, row, rep_seed
+    model = fit(train, replace(config, seed=rep_seed))
+    return model, score(model, test, truth_rows_for(test, truth), alpha=alpha)
 
 
 def _worker_count(reps: int) -> int:
@@ -531,12 +511,14 @@ def run_replications(
 
     The worker count is min(reps, cpu count) capped by GBMIXED_THREADS;
     results come back in replication order, so the report never depends on
-    scheduling. Returns (ReplicationReport, per-rep models).
+    scheduling. config defaults to scenario.default_config(). Returns
+    (ReplicationReport, per-rep models).
     """
     check_type("reps", reps)
     if reps < 1:
         raise ConfigError("reps must be at least 1")
     check_alpha(alpha)
+    config = config or scenario.default_config()
     args = (repeat(scenario), repeat(n_obs), range(reps), repeat(config), repeat(alpha))
     workers = _worker_count(reps)
     results = None
@@ -550,11 +532,10 @@ def run_replications(
             pass  # no worker processes: run serially below
     if results is None:
         results = list(map(run_replication, *args))
-    variant = (config or scenario.default_config()).variant
     report = ReplicationReport(
-        scenario=scenario.name, variant=variant, rows=tuple(row for _, row, _ in results)
+        scenario=scenario.name, variant=config.variant, rows=tuple(row for _, row in results)
     )
-    return report, [model for model, _, _ in results]
+    return report, [model for model, _ in results]
 
 
 def report_csv_rows(report: ReplicationReport) -> list[list]:
@@ -568,9 +549,6 @@ def report_csv_rows(report: ReplicationReport) -> list[list]:
         out.append(
             [f"rep{i}", report.variant, r.cate_mse, None, r.coverage, None, r.r_mse, r.g_mse]
         )
-    cm, cs = report.cate_mse
-    cov, cov_s = report.coverage
-    rm, _ = report.r_mse
-    gm, _ = report.g_mse
-    out.append(["aggregate", report.variant, cm, cs, cov, cov_s, rm, gm])
+    agg = [*report.cate_mse, *report.coverage, report.r_mse[0], report.g_mse[0]]
+    out.append(["aggregate", report.variant, *agg])
     return out

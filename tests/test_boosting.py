@@ -1,6 +1,9 @@
 """Boosting engine: configuration, initialization, sampling, convergence,
 determinism, and agreement with a hand-rolled reference loop."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +244,15 @@ class TestFit:
         with pytest.raises(DataError):
             fit(ds, small_config())
 
+    def test_too_few_groups_to_sample_names_the_evaluation_split(self):
+        ds = clustered_dataset(np.random.default_rng(5), n_groups=2, p=2)
+        message = (
+            "group_fraction 0.2 samples zero of 1 groups: "
+            "eval_fraction 0.25 held out 1 of the 2 groups for evaluation"
+        )
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            fit(ds, FitConfig())
+
     def test_non_finite_response_names_group(self):
         rng = np.random.default_rng(5)
         ds = clustered_dataset(rng, n_groups=8, p=2)
@@ -372,6 +384,21 @@ class TestFit:
         cfg = small_config(n_iterations=60, lr_rvar=80.0)
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             fit(ds, cfg)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-150])
+    def test_blowup_at_a_tiny_response_scale_raises_without_warnings(self, scale):
+        # the likelihood overflows on the way to the non-finite total that fit checks
+        rng = np.random.default_rng(0)
+        groups = tuple(
+            GroupBlock(group_id=i, y=scale * rng.standard_normal(5), X=rng.random((5, 3)),
+                       Z=np.ones((5, 1)))
+            for i in range(40)
+        )
+        ds = GroupedDataset(groups=groups, feature_names=("x1", "x2", "x3"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite evaluation log-likelihood"):
+                fit(ds, FitConfig(n_iterations=10))
 
 
 class TestPresort:

@@ -373,6 +373,23 @@ class TestPredict:
         )
         assert rc == 3
 
+    def test_alpha_checked_before_the_model_is_read(self, workdir, capsys):
+        rc = main(
+            [
+                "predict",
+                "--model",
+                str(workdir / "ghost.txt"),
+                "--data",
+                str(workdir / "train.csv"),
+                "--alpha",
+                "1.5",
+                "--out",
+                str(workdir / "x.csv"),
+            ]
+        )
+        assert rc == 2
+        assert "alpha must be in (0, 1), got 1.5" in capsys.readouterr().err
+
     def predict_rc(self, workdir, model):
         return main(
             [
@@ -872,6 +889,30 @@ class TestDiagnose:
         )
         assert rc == 2
         assert "--g-entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "request_args, message",
+        [
+            ([], "diagnose needs --importance and/or --feature"),
+            (["--feature", "x1", "--g-entry", "1"], "--g-entry expects 'row,col'"),
+        ],
+        ids=["no_request", "g_entry_one_number"],
+    )
+    def test_usage_checked_before_the_model_is_read(self, workdir, capsys, request_args, message):
+        rc = main(
+            [
+                "diagnose",
+                "--model",
+                str(workdir / "ghost.txt"),
+                "--data",
+                str(workdir / "train.csv"),
+                *request_args,
+                "--out",
+                str(workdir / "d.csv"),
+            ]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTextEncoding:

@@ -268,6 +268,9 @@ DAMAGED_META = {
     "treatment_index_past_the_features": lambda m: m.update(treatment_index=7),
     "treatment_index_negative": lambda m: m.update(treatment_index=-1),
     "categorical_feature_past_the_features": lambda m: m.update(categorical_features=[3]),
+    # a fitted model's indices ascend (GroupedDataset sorts them), so any other order is damage
+    "categorical_features_repeated": lambda m: m.update(categorical_features=[2, 2]),
+    "categorical_features_descending": lambda m: m.update(categorical_features=[2, 0]),
     # a q of 10**8 once built 5e15 per-entry ensembles before checking gcov_init
     "q_huge": lambda m: m.update(q=10**8),
     # with a gcov_init of the length they would need, so only the q check can catch them

@@ -97,7 +97,7 @@ class TestScenarioDefinitions:
         np.testing.assert_allclose(sc.resid_var_fn(np.zeros((4, 300))), np.full(4, 0.47))
         np.testing.assert_allclose(sc.group_var_fn(np.zeros((4, 300))), np.full(4, 2.25))
         rng = np.random.default_rng(0)
-        X = sc.covariates(rng, 2000)
+        X = sc.covariates(rng, 2000, sc.n_features)
         assert X.shape == (2000, 300)
         assert set(np.unique(X[:, 2])) <= {0.0, 1.0}
         assert np.all(X[:, 3] >= 0) and np.allclose(X[:, 3], np.round(X[:, 3]))
@@ -382,9 +382,9 @@ class TestReplications:
     def test_single_replication_reproducible(self):
         sc = expb_scenario(seed=2)
         cfg = sc.default_config(n_iterations=4)
-        _, row1, seed1 = run_replication(sc, 120, rep=3, config=cfg)
-        _, row2, seed2 = run_replication(sc, 120, rep=3, config=cfg)
-        assert seed1 == seed2 == 5
+        model1, row1 = run_replication(sc, 120, rep=3, config=cfg)
+        model2, row2 = run_replication(sc, 120, rep=3, config=cfg)
+        assert model1.config.seed == model2.config.seed == 5
         assert row1 == row2
 
     def test_report_aggregation(self, monkeypatch):
