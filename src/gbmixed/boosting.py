@@ -390,7 +390,7 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     gb.init_caches(f0, factor0, logr0)
     ge.init_caches(f0, factor0, logr0)
 
-    # every iteration's tree presorts restrict these, so each set sorts at most once
+    # every iteration's learners fit restrictions of these, so each set sorts at most once
     rows_order = SortedColumns(gb.X, range(p))
     groups_order = SortedColumns(gb.Xt, range(p))
 
@@ -431,13 +431,11 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
         # row_idx and g_idx ascend, as restrict requires
         rows_sorted = rows_order.restrict(row_idx, feats)
         groups_sorted = groups_order.restrict(g_idx, feats)
-        X_rows, Xt_rows = rows_sorted.X, groups_sorted.X
-        h_mu = fit_learner(X_rows, pseudo_mu, feats, config.mean_learner, rows_sorted)
+        h_mu = fit_learner(rows_sorted, pseudo_mu, config.mean_learner)
         h_gcov = [
-            fit_learner(Xt_rows, grad_factor[:, t], feats, config.gcov_learner, groups_sorted)
-            for t in range(T)
+            fit_learner(groups_sorted, grad_factor[:, t], config.gcov_learner) for t in range(T)
         ]
-        h_rvar = fit_learner(X_rows, pseudo_logr, feats, config.rvar_learner, rows_sorted)
+        h_rvar = fit_learner(rows_sorted, pseudo_logr, config.rvar_learner)
 
         mean_learners.append(h_mu)
         for t in range(T):

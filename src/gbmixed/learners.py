@@ -240,33 +240,35 @@ def _node_depth(node: TreeNode) -> int:
 FittedLearner = Union[ConstantLearner, LinearLearner, TreeLearner]
 
 
-def _check_training_inputs(X, pseudo):
-    X = np.asarray(X, dtype=float)
+def _check_pseudo(pseudo, n: int | None = None) -> np.ndarray:
+    """pseudo as a float vector: nonempty, and of length n when n is given."""
     pseudo = np.asarray(pseudo, dtype=float)
     if pseudo.ndim != 1 or pseudo.shape[0] == 0:
         raise DataError("pseudo-response must be a nonempty vector")
-    if X.ndim != 2 or X.shape[0] != pseudo.shape[0]:
+    if n is not None and pseudo.shape[0] != n:
         raise DataError("feature matrix must have one row per pseudo-response")
-    return X, pseudo
+    return pseudo
+
+
+def _mean(y) -> float:
+    """The one mean rule of leaves and constants: np.mean's add.reduce and one true
+    divide, without its wrapper."""
+    return float(y.sum()) / y.shape[0]
 
 
 def fit_constant(pseudo: np.ndarray) -> ConstantLearner:
-    pseudo = np.asarray(pseudo, dtype=float)
-    if pseudo.ndim != 1 or pseudo.shape[0] == 0:
-        raise DataError("pseudo-response must be a nonempty vector")
-    return ConstantLearner(value=float(np.mean(pseudo)))
+    return ConstantLearner(value=_mean(_check_pseudo(pseudo)))
 
 
-def fit_linear(X, pseudo, features: Sequence[int], spec: LearnerSpec) -> LinearLearner:
-    """Least squares of pseudo on X[:, features] plus an intercept.
+def fit_linear(columns: SortedColumns, pseudo, spec: LearnerSpec) -> LinearLearner:
+    """Least squares of pseudo on columns.X[:, columns.features] plus an intercept.
 
     The normal equations get spec.ridge_epsilon added to the Gram diagonal;
     with a zero epsilon a rank-deficient system falls back to the minimum
     norm solution.
     """
-    X, pseudo = _check_training_inputs(X, pseudo)
-    feats = sorted(int(f) for f in features)
-    _check_feature_range(feats, X.shape[1])
+    X, feats = columns.X, list(columns.features)
+    pseudo = _check_pseudo(pseudo, X.shape[0])
     D = np.column_stack([X[:, feats], np.ones(X.shape[0])])
     A = D.T @ D + spec.ridge_epsilon * np.eye(D.shape[1])
     b = D.T @ pseudo
@@ -275,20 +277,11 @@ def fit_linear(X, pseudo, features: Sequence[int], spec: LearnerSpec) -> LinearL
     except np.linalg.LinAlgError:
         beta = np.linalg.lstsq(A, b, rcond=None)[0]
     return LinearLearner(
-        features=tuple(feats),
+        features=columns.features,
         coef=beta[:-1],
         intercept=float(beta[-1]),
         n_features=X.shape[1],
     )
-
-
-def _check_feature_range(feats, p):
-    if len(feats) == 0:
-        raise ConfigError("need at least one feature")
-    if len(set(feats)) != len(feats):
-        raise ConfigError("duplicate feature indices")
-    if feats[0] < 0 or feats[-1] >= p:
-        raise ConfigError(f"feature index out of range for {p} columns")
 
 
 def _stable_argsort(cols: np.ndarray) -> np.ndarray:
@@ -310,7 +303,17 @@ class SortedColumns:
 
     def __init__(self, X, features: Sequence[int]):
         self.X = np.asarray(X, dtype=float)
-        self.features = sorted(int(f) for f in features)
+        if self.X.ndim != 2:
+            raise DataError("feature matrix must be 2-dimensional")
+        feats = sorted(int(f) for f in features)
+        p = self.X.shape[1]
+        if len(feats) == 0:
+            raise ConfigError("need at least one feature")
+        if len(set(feats)) != len(feats):
+            raise ConfigError("duplicate feature indices")
+        if feats[0] < 0 or feats[-1] >= p:
+            raise ConfigError(f"feature index out of range for {p} columns")
+        self.features = tuple(feats)
         self._source = None     # (parent, rows, positions of features in the parent's)
         self._order = None
         self._sorted = None
@@ -340,7 +343,7 @@ class SortedColumns:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(F, n) feature-major columns and the stable argsort of each of them."""
         if self._sorted is None:
-            self._sorted = self.X.T[self.features], self._stable_order()
+            self._sorted = self.X.T[list(self.features)], self._stable_order()
         return self._sorted
 
     def _stable_order(self) -> np.ndarray:
@@ -350,7 +353,7 @@ class SortedColumns:
         one) and filters it to the kept rows with one np.compress."""
         if self._order is None:
             if self._source is None:
-                self._order = _stable_argsort(self.X.T[self.features])
+                self._order = _stable_argsort(self.X.T[list(self.features)])
             else:
                 parent, rows, at = self._source
                 # a parent row's position among rows, -1 for rows left out
@@ -362,41 +365,26 @@ class SortedColumns:
         return self._order
 
 
-def fit_tree(
-    X, pseudo, features: Sequence[int], spec: LearnerSpec, presort: SortedColumns | None = None
-) -> TreeLearner:
-    """Exact greedy tree on X[:, features].
+def fit_tree(columns: SortedColumns, pseudo, spec: LearnerSpec) -> TreeLearner:
+    """Exact greedy tree on columns.X[:, columns.features].
 
-    presort, when given, must be built on this very X and feature set (a
-    restrict() result's X qualifies); trees fitted to the same rows then share
-    one order. Without it the tree sorts for itself. A root too small to
-    split is the mean leaf and never asks presort for its arrays.
+    Trees fitted to the same columns share its one order. A root too small to
+    split is the mean leaf and never asks columns for its arrays.
     """
-    X, pseudo = _check_training_inputs(X, pseudo)
-    feats = sorted(int(f) for f in features)
-    _check_feature_range(feats, X.shape[1])
-    if presort is None:
-        presort = SortedColumns(X, feats)
-    elif presort.X is not X or presort.features != feats:
-        raise DataError("presorted columns belong to another matrix or feature set")
-    n = X.shape[0]
+    n, p = columns.X.shape
+    pseudo = _check_pseudo(pseudo, n)
     if not _searched(n, 0, spec):
         # contiguous, as the pseudo[rows] of a grown leaf is, so it sums alike
-        return TreeLearner(root=_leaf(np.ascontiguousarray(pseudo)), n_features=X.shape[1])
-    cols, order = presort.arrays()
+        return TreeLearner(root=TreeLeaf(_mean(np.ascontiguousarray(pseudo))), n_features=p)
+    cols, order = columns.arrays()
     side = np.empty(n, dtype=bool)   # scratch: split side of each row
-    root = _grow(cols, pseudo, feats, spec, side, np.arange(n), order, 0)
-    return TreeLearner(root=root, n_features=X.shape[1])
+    root = _grow(cols, pseudo, columns.features, spec, side, np.arange(n), order, 0)
+    return TreeLearner(root=root, n_features=p)
 
 
 def _searched(n: int, depth: int, spec: LearnerSpec) -> bool:
     """Whether a node of n rows at depth looks for a split."""
     return depth < spec.tree_max_depth and n >= max(spec.tree_min_parent, 2 * spec.tree_min_child)
-
-
-def _leaf(y) -> TreeLeaf:
-    """The mean leaf of y: np.mean's add.reduce and one true divide, without its wrapper."""
-    return TreeLeaf(float(y.sum()) / y.shape[0])
 
 
 def _grow(cols, pseudo, feats, spec: LearnerSpec, side, rows, idx, depth) -> TreeNode:
@@ -414,7 +402,7 @@ def _grow(cols, pseudo, feats, spec: LearnerSpec, side, rows, idx, depth) -> Tre
     y = pseudo[rows]
     found = None if idx is None else _best_split(cols, pseudo, y, idx, spec.tree_min_child)
     if found is None:
-        return _leaf(y)
+        return TreeLeaf(_mean(y))
     j, thr = found
     go_left = cols[j, rows] < thr
     on_left = None      # side[idx] flattened, built for the first child searched
@@ -477,12 +465,10 @@ def _best_split(cols, pseudo, y, idx, min_child):
     return best_j, thr
 
 
-def fit_learner(
-    X, pseudo, features: Sequence[int], spec: LearnerSpec, presort: SortedColumns | None = None
-) -> FittedLearner:
-    """Fit the learner kind of spec; presort serves only trees (see fit_tree)."""
+def fit_learner(columns: SortedColumns, pseudo, spec: LearnerSpec) -> FittedLearner:
+    """Fit the learner kind of spec to pseudo on columns; a constant reads only pseudo."""
     if spec.kind == "constant":
         return fit_constant(pseudo)
     if spec.kind == "linear":
-        return fit_linear(X, pseudo, features, spec)
-    return fit_tree(X, pseudo, features, spec, presort)
+        return fit_linear(columns, pseudo, spec)
+    return fit_tree(columns, pseudo, spec)

@@ -28,6 +28,7 @@ from gbmixed.learners import (
     ConstantLearner,
     LearnerSpec,
     LinearLearner,
+    SortedColumns,
     TreeLeaf,
     TreeLearner,
     fit_learner,
@@ -446,9 +447,9 @@ class TestFitTreesEqualTheOracle:
         real = boosting.fit_learner
         roots = []
 
-        def compared(X, pseudo, features, spec, presort=None):
-            got = real(X, pseudo, features, spec, presort)
-            assert got == reference_tree(X, pseudo, features, spec)
+        def compared(columns, pseudo, spec):
+            got = real(columns, pseudo, spec)
+            assert got == reference_tree(columns.X, pseudo, columns.features, spec)
             roots.append(got.root)
             return got
 
@@ -521,7 +522,7 @@ class TestReferenceLoop:
                 sl = slice(start, start + n_i)
                 pseudo[sl] = np.linalg.solve(sigma(n_i), yb[sl] - mu[sl])
                 start += n_i
-            h = fit_learner(Xb, pseudo, (0, 1), tree)
+            h = fit_learner(SortedColumns(Xb, (0, 1)), pseudo, tree)
             mu = mu + cfg.lr_mean * h.predict(Xb)
             mu_eval = mu_eval + cfg.lr_mean * h.predict(Xe)
             mus_eval.append(mu_eval.copy())
@@ -557,7 +558,7 @@ class TestEnsembleSum:
         tree = LearnerSpec(kind="tree", tree_max_depth=4, tree_min_parent=4, tree_min_child=2)
         linear = LearnerSpec(kind="linear")
         learners = [
-            fit_learner(X, y + k * X[:, 3], feats, spec)
+            fit_learner(SortedColumns(X, feats), y + k * X[:, 3], spec)
             for k, (feats, spec) in enumerate(
                 [((0, 1, 2), tree), ((1, 3), linear), ((0, 2, 3), tree), ((0, 1, 3), linear),
                  ((3,), tree)]

@@ -73,7 +73,7 @@ class TestLinear:
         X = np.array([[0.0], [1.0]])
         y = np.array([1.0, 3.0])
         spec = LearnerSpec(kind="linear", ridge_epsilon=0.0)
-        learner = fit_linear(X, y, features=(0,), spec=spec)
+        learner = fit_linear(SortedColumns(X, (0,)), y, spec)
         assert learner.coef[0] == pytest.approx(2.0, abs=1e-12)
         assert learner.intercept == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(learner.predict(X), y, atol=1e-12)
@@ -83,7 +83,7 @@ class TestLinear:
         X = rng.standard_normal((50, 4))
         y = 3.0 * X[:, 2] - 1.0
         spec = LearnerSpec(kind="linear", ridge_epsilon=0.0)
-        learner = fit_linear(X, y, features=(2, 0), spec=spec)
+        learner = fit_linear(SortedColumns(X, (2, 0)), y, spec)
         assert learner.features == (0, 2)
         assert learner.n_features == 4
         np.testing.assert_allclose(learner.predict(X), y, atol=1e-10)
@@ -92,7 +92,7 @@ class TestLinear:
 
     def test_width_validation(self):
         spec = LearnerSpec(kind="linear")
-        learner = fit_linear(np.zeros((3, 2)), np.zeros(3), features=(0,), spec=spec)
+        learner = fit_linear(SortedColumns(np.zeros((3, 2)), (0,)), np.zeros(3), spec)
         with pytest.raises(DataError):
             learner.predict(np.zeros((3, 5)))
 
@@ -100,7 +100,7 @@ class TestLinear:
         X = np.column_stack([np.arange(4.0), np.arange(4.0)])
         y = np.arange(4.0)
         spec = LearnerSpec(kind="linear", ridge_epsilon=0.0)
-        learner = fit_linear(X, y, features=(0, 1), spec=spec)
+        learner = fit_linear(SortedColumns(X, (0, 1)), y, spec)
         np.testing.assert_allclose(learner.predict(X), y, atol=1e-8)
 
 
@@ -108,14 +108,14 @@ class TestTree:
     def test_single_split_recovery(self):
         X = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
         y = np.array([1.0, 1.0, 1.0, 5.0, 5.0, 5.0])
-        learner = fit_tree(X, y, features=(0,), spec=tree_spec())
+        learner = fit_tree(SortedColumns(X, (0,)), y, tree_spec())
         splits = collect_splits(learner.root, [])
         assert splits == [(0, 0.5)]
         np.testing.assert_allclose(learner.predict(X), y)
 
     def test_constant_pseudo_single_leaf(self):
         X = np.arange(10.0)[:, None]
-        learner = fit_tree(X, np.full(10, 2.5), features=(0,), spec=tree_spec())
+        learner = fit_tree(SortedColumns(X, (0,)), np.full(10, 2.5), tree_spec())
         assert isinstance(learner.root, TreeLeaf)
         assert learner.root.value == pytest.approx(2.5)
 
@@ -123,7 +123,7 @@ class TestTree:
         x = np.array([1.0, 2.0, 3.0, 4.0])
         X = np.column_stack([x, x])     # identical gains in both columns
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        learner = fit_tree(X, y, features=(0, 1), spec=tree_spec(tree_max_depth=1))
+        learner = fit_tree(SortedColumns(X, (0, 1)), y, tree_spec(tree_max_depth=1))
         splits = collect_splits(learner.root, [])
         assert splits == [(0, 2.5)]
 
@@ -131,7 +131,7 @@ class TestTree:
         # gains at the first and last cut are equal by symmetry
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
-        learner = fit_tree(X, y, features=(0,), spec=tree_spec(tree_max_depth=1))
+        learner = fit_tree(SortedColumns(X, (0,)), y, tree_spec(tree_max_depth=1))
         splits = collect_splits(learner.root, [])
         assert splits == [(0, 1.5)]
 
@@ -139,7 +139,7 @@ class TestTree:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((40, 5))
         y = np.where(X[:, 3] < 0.0, -2.0, 2.0)
-        learner = fit_tree(X, y, features=(3, 4), spec=tree_spec(tree_max_depth=1))
+        learner = fit_tree(SortedColumns(X, (3, 4)), y, tree_spec(tree_max_depth=1))
         splits = collect_splits(learner.root, [])
         assert splits[0][0] == 3
         counts = learner.split_counts(5)
@@ -148,14 +148,14 @@ class TestTree:
     def test_min_parent_blocks_split(self):
         X = np.arange(6.0)[:, None]
         y = np.array([0.0, 0.0, 0.0, 9.0, 9.0, 9.0])
-        learner = fit_tree(X, y, features=(0,), spec=tree_spec(tree_min_parent=7))
+        learner = fit_tree(SortedColumns(X, (0,)), y, tree_spec(tree_min_parent=7))
         assert isinstance(learner.root, TreeLeaf)
 
     def test_min_child_restricts_cuts(self):
         X = np.arange(10.0)[:, None]
         y = np.array([0.0] * 2 + [5.0] * 8)    # best unrestricted cut is at 2 rows
         learner = fit_tree(
-            X, y, features=(0,), spec=tree_spec(tree_min_child=5, tree_max_depth=1)
+            SortedColumns(X, (0,)), y, tree_spec(tree_min_child=5, tree_max_depth=1)
         )
         splits = collect_splits(learner.root, [])
         assert splits == [(0, 4.5)]    # forced to the 5/5 cut
@@ -165,13 +165,13 @@ class TestTree:
         X = rng.standard_normal((200, 3))
         y = rng.standard_normal(200)
         for depth in (1, 2, 3):
-            learner = fit_tree(X, y, features=(0, 1, 2), spec=tree_spec(tree_max_depth=depth))
+            learner = fit_tree(SortedColumns(X, (0, 1, 2)), y, tree_spec(tree_max_depth=depth))
             assert learner.depth() <= depth
 
     def test_duplicate_values_never_split_between(self):
         X = np.array([[1.0], [1.0], [1.0], [2.0]])
         y = np.array([0.0, 5.0, 0.0, 5.0])
-        learner = fit_tree(X, y, features=(0,), spec=tree_spec())
+        learner = fit_tree(SortedColumns(X, (0,)), y, tree_spec())
         for f, thr in collect_splits(learner.root, []):
             assert thr == pytest.approx(1.5)
 
@@ -181,7 +181,7 @@ class TestTree:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((100, 2))
         y = rng.standard_normal(100)
-        learner = fit_tree(X, y, features=(0, 1), spec=tree_spec())
+        learner = fit_tree(SortedColumns(X, (0, 1)), y, tree_spec())
 
         def walk(node, rows):
             if isinstance(node, TreeLeaf):
@@ -204,7 +204,7 @@ class TestTree:
     def test_threshold_separates_the_two_values(self, below, above):
         X = np.array([[below], [below], [above], [above]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        root = fit_tree(X, y, features=(0,), spec=tree_spec(tree_max_depth=1)).root
+        root = fit_tree(SortedColumns(X, (0,)), y, tree_spec(tree_max_depth=1)).root
         assert below < root.threshold <= above
         assert (root.left.value, root.right.value) == (0.0, 1.0)
 
@@ -213,19 +213,20 @@ class TestDispatcher:
     def test_kinds(self):
         X = np.arange(12.0).reshape(6, 2)
         y = np.arange(6.0)
-        assert isinstance(fit_learner(X, y, (0,), LearnerSpec(kind="constant")), ConstantLearner)
-        assert fit_learner(X, y, (0, 1), LearnerSpec(kind="linear")).features == (0, 1)
-        assert fit_learner(X, y, (0, 1), tree_spec()).n_features == 2
+        columns = SortedColumns(X, (0, 1))
+        assert isinstance(fit_learner(columns, y, LearnerSpec(kind="constant")), ConstantLearner)
+        assert fit_learner(columns, y, LearnerSpec(kind="linear")).features == (0, 1)
+        assert fit_learner(columns, y, tree_spec()).n_features == 2
 
     def test_feature_validation(self):
         X = np.zeros((5, 2))
         y = np.zeros(5)
         with pytest.raises(ConfigError):
-            fit_linear(X, y, features=(), spec=LearnerSpec(kind="linear"))
+            fit_linear(SortedColumns(X, ()), y, LearnerSpec(kind="linear"))
         with pytest.raises(ConfigError):
-            fit_tree(X, y, features=(0, 0), spec=tree_spec())
+            fit_tree(SortedColumns(X, (0, 0)), y, tree_spec())
         with pytest.raises(ConfigError):
-            fit_tree(X, y, features=(2,), spec=tree_spec())
+            fit_tree(SortedColumns(X, (2,)), y, tree_spec())
 
 
 def oracle_case(rng, kind, n, p):
@@ -278,7 +279,7 @@ class TestTreeOracle:
                     tree_min_child=min_child,
                     tree_min_parent=max(2, 2 * min_child),
                 )
-                got = fit_tree(X, y, feats, spec)
+                got = fit_tree(SortedColumns(X, feats), y, spec)
                 assert got == reference_tree(X, y, feats, spec)
 
     def test_subsets_not_starting_at_zero(self):
@@ -286,7 +287,7 @@ class TestTreeOracle:
         X, y = oracle_case(rng, "ties", 200, 6)
         spec = tree_spec(tree_max_depth=4)
         for feats in [(1, 2), (3, 5), (5,), (2, 4, 5)]:
-            got = fit_tree(X, y, feats, spec)
+            got = fit_tree(SortedColumns(X, feats), y, spec)
             assert got == reference_tree(X, y, feats, spec)
             assert got.split_counts(6)[: min(feats)].sum() == 0.0
 
@@ -294,7 +295,7 @@ class TestTreeOracle:
         rng = np.random.default_rng(12)
         X, _ = oracle_case(rng, "ties", 50, 3)
         y = np.full(50, -1.25)
-        got = fit_tree(X, y, (0, 1, 2), tree_spec())
+        got = fit_tree(SortedColumns(X, (0, 1, 2)), y, tree_spec())
         assert got == reference_tree(X, y, (0, 1, 2), tree_spec())
         assert isinstance(got.root, TreeLeaf)
 
@@ -305,25 +306,17 @@ class TestTreeOracle:
         shared = SortedColumns(X, feats)
         spec = tree_spec(tree_max_depth=3, tree_min_child=5, tree_min_parent=10)
         for target in (y, -2.0 * y, np.sin(X[:, 2])):
-            assert fit_tree(X, target, feats, spec, shared) == fit_tree(X, target, feats, spec)
+            assert fit_tree(shared, target, spec) == fit_tree(SortedColumns(X, feats), target, spec)
 
     def test_sort_is_lazy(self):
         X = np.arange(12.0).reshape(6, 2)
         y = np.arange(6.0)
         shared = SortedColumns(X, (0, 1))
-        fit_learner(X, y, (0, 1), LearnerSpec(kind="constant"), shared)
-        fit_learner(X, y, (0, 1), LearnerSpec(kind="linear"), shared)
+        fit_learner(shared, y, LearnerSpec(kind="constant"))
+        fit_learner(shared, y, LearnerSpec(kind="linear"))
         assert shared._sorted is None
-        fit_learner(X, y, (0, 1), tree_spec(), shared)
+        fit_learner(shared, y, tree_spec())
         assert shared._sorted is not None
-
-    def test_presort_must_match(self):
-        X = np.arange(12.0).reshape(6, 2)
-        y = np.arange(6.0)
-        with pytest.raises(DataError):
-            fit_tree(X, y, (0,), tree_spec(), SortedColumns(X, (0, 1)))
-        with pytest.raises(DataError):
-            fit_tree(X, y, (0, 1), tree_spec(), SortedColumns(X.copy(), (0, 1)))
 
 
 class TestUnsplittableRoot:
@@ -340,20 +333,11 @@ class TestUnsplittableRoot:
         X, y = rng.standard_normal((8, 3)), rng.standard_normal(8)
         presort = SortedColumns(rng.standard_normal((20, 3)), (0, 1, 2)).restrict(
             np.arange(0, 16, 2), (0, 2))
-        for got in (fit_tree(X, y, (0, 2), spec),
-                    fit_tree(presort.X, y, (0, 2), spec, presort)):
+        for got in (fit_tree(SortedColumns(X, (0, 2)), y, spec),
+                    fit_tree(presort, y, spec)):
             assert got == TreeLearner(root=TreeLeaf(float(np.mean(y))), n_features=3)
             assert got == reference_tree(X, y, (0, 2), spec)
         assert sorts == [] and presort._order is None
-
-    def test_presort_must_still_match(self):
-        X = np.arange(12.0).reshape(6, 2)
-        y = np.arange(6.0)
-        spec = tree_spec(tree_min_parent=7)
-        with pytest.raises(DataError):
-            fit_tree(X, y, (0, 1), spec, SortedColumns(X.copy(), (0, 1)))
-        with pytest.raises(DataError):
-            fit_tree(X, y, (0,), spec, SortedColumns(X, (0, 1)))
 
 
 SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 0.5])
@@ -387,7 +371,7 @@ def test_min_child_window_edges_and_special_values(min_child, size, max_depth, s
         tree_min_child=min_child,
         tree_min_parent=int(rng.integers(2, 2 * min_child + 3)),
     )
-    assert fit_tree(X, y, feats, spec) == reference_tree(X, y, feats, spec)
+    assert fit_tree(SortedColumns(X, feats), y, spec) == reference_tree(X, y, feats, spec)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -414,7 +398,7 @@ def test_restricted_order_is_the_stable_argsort(kind, seed):
     for got, want in zip(sub.arrays(), fresh.arrays()):
         assert np.array_equal(got, want)
     spec = tree_spec(tree_max_depth=3, tree_min_child=2, tree_min_parent=4)
-    assert fit_tree(sub.X, y[rows], feats, spec, sub) == reference_tree(X[rows], y[rows], feats, spec)
+    assert fit_tree(sub, y[rows], spec) == reference_tree(X[rows], y[rows], feats, spec)
 
     if rows.size > 1:
         for bad in (rows[::-1], np.sort(np.append(rows, rows[-1]))):
@@ -503,7 +487,7 @@ class TestTreePrediction:
     def test_fitted_trees_equal_reference(self, depth):
         rng = np.random.default_rng(20 + depth)
         X, y = oracle_case(rng, "ties", 600, 5)
-        tree = fit_tree(X, y, range(5), tree_spec(tree_max_depth=depth))
+        tree = fit_tree(SortedColumns(X, range(5)), y, tree_spec(tree_max_depth=depth))
         Xnew = np.vstack([X, awkward_rows(rng, 300, 5)])
         assert np.array_equal(tree.predict(Xnew), reference_predict(tree, Xnew))
 
@@ -552,12 +536,12 @@ def test_tree_invariants_property(seed):
     X = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
     spec = tree_spec()
-    learner = fit_tree(X, y, features=tuple(range(p)), spec=spec)
+    learner = fit_tree(SortedColumns(X, tuple(range(p))), y, spec)
     pred = learner.predict(X)
     const_se = float(np.sum((y - np.mean(y)) ** 2))
     tree_se = float(np.sum((y - pred) ** 2))
     assert tree_se <= const_se + 1e-9
     assert pred.min() >= y.min() - 1e-12
     assert pred.max() <= y.max() + 1e-12
-    again = fit_tree(X, y, features=tuple(range(p)), spec=spec)
+    again = fit_tree(SortedColumns(X, tuple(range(p))), y, spec)
     np.testing.assert_array_equal(pred, again.predict(X))
