@@ -20,12 +20,16 @@ The training loop keeps running caches of the three component values on both
 group sets and only evaluates each new learner once per iteration, so the
 cost per iteration is one learner fit plus O(n) bookkeeping plus one call of
 the stacked likelihood kernel, which handles groups of any sizes at once.
-Trees sort nothing per iteration: the boosting rows and the group summaries
-are each stably sorted once per fit, when the first tree that can split needs
-them, and every iteration's trees restrict that order to the sampled rows and
-features. A tree whose sampled rows are too few to split is the mean leaf
-without touching the order, so a group set that is always sampled below
-tree_min_parent is never sorted.
+Every learner's one training input is a learners.SortedColumns: each
+iteration restricts the fit's two instances, the boosting rows and the group
+summaries, to its sampled rows (or groups) and features, and passes the
+restriction to the learners of that group set as it is. Trees sort nothing
+per iteration: each set is stably sorted once per fit, when the first tree
+that can split asks for it, and every later restriction filters that order.
+A tree whose sampled rows are too few to split is the mean leaf without
+touching the order, so a group set that is always sampled below
+tree_min_parent is never sorted. Tree leaves and constant learners take the
+one mean rule of learners.py.
 """
 
 from __future__ import annotations
@@ -260,13 +264,18 @@ def initialize(train: GroupedDataset, q: int) -> tuple[float, float, float]:
     The between-group variance of group means seeds the factor diagonal and
     the pooled within-group variance seeds the residual variance; both are
     floored at 1% of the total response variance so neither component starts
-    at zero. Raises DataError when the response is constant.
+    at zero. Raises DataError when the response values are all equal, and
+    when they are not but their variance underflows to zero.
     """
     ys = [g.y for g in train.groups]
     all_y = np.concatenate(ys)
-    var_y = float(np.var(all_y, ddof=1)) if all_y.size > 1 else 0.0
-    if var_y <= 0.0:
+    if np.all(all_y == all_y[0]):
         raise DataError("response is constant; variance components are unidentifiable")
+    var_y = float(np.var(all_y, ddof=1))
+    if var_y == 0.0:
+        raise DataError(
+            "response is not constant, but its variance underflows to zero; rescale the response"
+        )
     means = np.array([y.mean() for y in ys])
     C = len(ys)
     n = all_y.size

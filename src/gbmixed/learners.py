@@ -5,6 +5,13 @@ linear model, and an exact greedy regression tree grown on squared error.
 Learners are fitted on a feature subsample but store global column indices,
 so prediction always takes full-width feature matrices.
 
+Every kind fits from one training input, a SortedColumns: the feature
+matrix X, the sorted list of columns the learner may use, and the stable
+argsort of those columns, which it sorts only when a tree whose root can
+split asks for it. Its constructor is the one place where X and the feature
+list are checked. One mean rule (_mean) gives every tree leaf and every
+constant learner.
+
 Tree details that the rest of the package depends on:
   - split thresholds are midpoints between consecutive distinct sorted values,
     or the upper value where the midpoint would not separate the two (next
@@ -33,8 +40,9 @@ in place and only on the window of cuts that leave tree_min_child rows on
 each side. A child that cannot be searched (at the depth limit, or too small
 for tree_min_parent or for two tree_min_child sides) is a leaf that gets no
 index arrays; when neither child is searched the side mask is not built
-either. A root that cannot be searched is the mean leaf and never asks for
-the presort, so a group set that no tree can split is never sorted.
+either. A root that cannot be searched is the mean leaf and never asks its
+SortedColumns for arrays, so a group set that no tree can split is never
+sorted.
 
 The tie rule is exact only for gains that are equal in floating point. Two
 features that induce the same partition of a node have equal gains in exact
@@ -73,7 +81,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_fields
+from .errors import ConfigError, DataError, check_fields, check_type
 
 LEARNER_KINDS = ("constant", "linear", "tree")
 
@@ -290,22 +298,32 @@ def _stable_argsort(cols: np.ndarray) -> np.ndarray:
 
 
 class SortedColumns:
-    """The columns X[:, features] of one row set and the stable argsort of each.
+    """The one training input of every learner: a feature matrix X, the sorted
+    feature list a learner may use, and, once a tree asks, the stable argsort
+    of each of those columns.
 
-    Trees fitted to the same rows and features share one instance; every tree
-    node then takes stable partitions of these index arrays. An instance made
-    by restrict() never sorts: it filters the order of the instance it came
-    from, so a fit sorts each group set once and restricts that order to each
-    iteration's rows and features. Nothing runs before the first tree asks
-    for arrays(), so constant and linear learners, and trees whose root
-    cannot split, never pay for a sort.
+    The constructor is the one place where X and the feature list are
+    checked: X must be 2-dimensional (a DataError otherwise), and the features
+    a nonempty list of distinct integer column indices of X (NumPy integers
+    count; floats, bools and strings do not), a ConfigError otherwise.
+
+    Nothing is sorted until a tree whose root can split asks for arrays(), so
+    constant and linear learners, and trees whose root cannot split, never pay
+    for a sort. Trees fitted to the same instance share that one order, and
+    every tree node takes stable partitions of its index arrays. An instance
+    made by restrict() never sorts: it filters the order of the instance it
+    came from, so a fit sorts each group set at most once and restricts that
+    order to each iteration's rows and features.
     """
 
     def __init__(self, X, features: Sequence[int]):
         self.X = np.asarray(X, dtype=float)
         if self.X.ndim != 2:
             raise DataError("feature matrix must be 2-dimensional")
-        feats = sorted(int(f) for f in features)
+        feats = sorted(
+            check_type("feature index", f.item() if isinstance(f, np.integer) else f)
+            for f in features
+        )
         p = self.X.shape[1]
         if len(feats) == 0:
             raise ConfigError("need at least one feature")
@@ -366,10 +384,11 @@ class SortedColumns:
 
 
 def fit_tree(columns: SortedColumns, pseudo, spec: LearnerSpec) -> TreeLearner:
-    """Exact greedy tree on columns.X[:, columns.features].
+    """Exact greedy tree on columns.X[:, columns.features], its one training input.
 
-    Trees fitted to the same columns share its one order. A root too small to
-    split is the mean leaf and never asks columns for its arrays.
+    columns sorts only when a tree asks for its arrays, and trees fitted to
+    the same columns share that one order. A root too small to split is the
+    mean leaf (_mean, the rule of every leaf and constant) and never asks.
     """
     n, p = columns.X.shape
     pseudo = _check_pseudo(pseudo, n)

@@ -184,17 +184,6 @@ def group_gradients(y, mu, Z, L, r_diag, group_id=None) -> GradientSet:
     return out
 
 
-def total_loglik(ds, mus, Sigmas) -> float:
-    """Sum of group log-likelihoods over a dataset in canonical group order."""
-    groups = ds.groups
-    if len(mus) != len(groups) or len(Sigmas) != len(groups):
-        raise DataError("need one mu vector and one Sigma per group")
-    total = 0.0
-    for g, mu, Sigma in zip(groups, mus, Sigmas):
-        total += group_loglik(g.y, mu, Sigma, g.group_id)
-    return total
-
-
 def batched_quantities(
     L: np.ndarray,       # (k, q, q) lower factors of G, one per group
     s: np.ndarray,       # (n,) stacked residuals y - mu, groups contiguous

@@ -22,6 +22,7 @@ indices) as it rebuilds them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
@@ -71,6 +72,11 @@ def _node_payload(node):
     }
 
 
+def _finite(name: str, value) -> float:
+    """value as a float when it is a finite number, else a ConfigError naming it."""
+    return float(check_type(name, value, float))
+
+
 def _check_features(features, p: int, what: str) -> None:
     for f in features:
         if not 0 <= f < p:
@@ -80,12 +86,16 @@ def _check_features(features, p: int, what: str) -> None:
 def _node_from(payload, p: int):
     """Rebuild a tree node, checking each split feature against the model's p features."""
     if "v" in payload:
-        return TreeLeaf(value=float(payload["v"]))
+        return TreeLeaf(value=_finite("leaf value", payload["v"]))
     feature = check_type("split feature", payload["f"])
     _check_features([feature], p, "split feature")
+    # fit writes +inf for the cut below +inf feature values, and finite thresholds otherwise
+    threshold = payload["t"]
+    if threshold != math.inf:
+        threshold = _finite("split threshold", threshold)
     return TreeSplit(
         feature=feature,
-        threshold=float(payload["t"]),
+        threshold=threshold,
         left=_node_from(payload["l"], p),
         right=_node_from(payload["r"], p),
     )
@@ -111,7 +121,7 @@ def _learner_from(payload: dict, p: int):
     """Rebuild a learner of a model with p features; one that does not fit them is a ValueError."""
     kind = payload["kind"]
     if kind == "constant":
-        return ConstantLearner(value=float(payload["value"]))
+        return ConstantLearner(value=_finite("constant value", payload["value"]))
     if kind not in ("linear", "tree"):
         raise ValueError(f"unknown learner kind {kind!r}")
     n_features = check_type("n_features", payload["n_features"])
@@ -120,11 +130,14 @@ def _learner_from(payload: dict, p: int):
     if kind == "linear":
         features = tuple(check_type("linear feature", f) for f in payload["features"])
         _check_features(features, p, "linear feature")
-        coef = np.asarray([float(c) for c in payload["coef"]])
+        coef = np.asarray([_finite("linear coefficient", c) for c in payload["coef"]])
         if coef.shape != (len(features),):
             raise ValueError(f"{coef.size} linear coefficients for {len(features)} features")
         return LinearLearner(
-            features=features, coef=coef, intercept=float(payload["intercept"]), n_features=p
+            features=features,
+            coef=coef,
+            intercept=_finite("linear intercept", payload["intercept"]),
+            n_features=p,
         )
     return TreeLearner(root=_node_from(payload["root"], p), n_features=p)
 
@@ -135,7 +148,7 @@ def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners)
     if q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
     T = q * (q + 1) // 2
-    gcov_init = np.asarray([float(v) for v in meta["gcov_init"]])
+    gcov_init = np.asarray([_finite("gcov_init entry", v) for v in meta["gcov_init"]])
     if gcov_init.shape != (T,):
         raise ValueError(f"gcov_init has {gcov_init.size} entries, q = {q} needs {T}")
     gcov_learners = tuple(gcov_by_entry.get(t, []) for t in range(T))
@@ -153,13 +166,13 @@ def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners)
         q=q,
         treatment_index=t_idx,
         categorical_features=categorical,
-        mean_init=float(meta["mean_init"]),
+        mean_init=_finite("mean_init", meta["mean_init"]),
         mean_learners=mean_learners,
         gcov_init=gcov_init,
         gcov_learners=gcov_learners,
-        logrvar_init=float(meta["logrvar_init"]),
+        logrvar_init=_finite("logrvar_init", meta["logrvar_init"]),
         rvar_learners=rvar_learners,
-        history=[float(v) for v in meta["history"]],
+        history=[_finite("history entry", v) for v in meta["history"]],
         best_iteration=check_type("best_iteration", meta["best_iteration"]),
         n_iterations_run=check_type("n_iterations_run", meta["n_iterations_run"]),
     )

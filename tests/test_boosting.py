@@ -227,7 +227,7 @@ class TestConvergence:
         assert check_convergence([-3.001, -4.0, -3.5, -3.0005], lookback=3, tolerance=0.01)
         assert not check_convergence([-3.001, -4.0, -3.5, -3.0005], lookback=2, tolerance=0.01)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         values=st.lists(st.floats(min_value=-100, max_value=0), min_size=0, max_size=12),
         lookback=st.integers(min_value=1, max_value=5),
@@ -385,6 +385,22 @@ class TestFit:
         cfg = small_config(n_iterations=60, lr_rvar=80.0)
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             fit(ds, cfg)
+
+    @pytest.mark.parametrize("scale,message", [
+        (0.0, "response is constant"),     # signed zeros, all equal
+        # y**2 underflows, so np.var of these distinct values is 0
+        (1e-200, "response is not constant, but its variance underflows to zero"),
+    ])
+    def test_constant_and_underflowing_responses(self, scale, message):
+        rng = np.random.default_rng(0)
+        groups = tuple(
+            GroupBlock(group_id=i, y=scale * rng.standard_normal(5), X=rng.random((5, 3)),
+                       Z=np.ones((5, 1)))
+            for i in range(40)
+        )
+        ds = GroupedDataset(groups=groups, feature_names=("x1", "x2", "x3"))
+        with pytest.raises(DataError, match=message):
+            fit(ds, FitConfig(n_iterations=10))
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-150])
     def test_blowup_at_a_tiny_response_scale_raises_without_warnings(self, scale):

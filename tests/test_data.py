@@ -420,7 +420,7 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split_by_groups(ds, 0.1, seed=0)  # floor gives an empty first part
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         seed=st.integers(min_value=0, max_value=1000),
         n_groups=st.integers(min_value=3, max_value=20),

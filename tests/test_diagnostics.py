@@ -297,7 +297,7 @@ def hand_built_tree(draw):
     return TreeLearner(root=root, n_features=3)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_matches_the_tiled_estimator(data):
     """Bit for bit on trees and constants, to 1e-12 on linear learners, for all

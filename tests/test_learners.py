@@ -220,13 +220,22 @@ class TestDispatcher:
 
     def test_feature_validation(self):
         X = np.zeros((5, 2))
-        y = np.zeros(5)
-        with pytest.raises(ConfigError):
-            fit_linear(SortedColumns(X, ()), y, LearnerSpec(kind="linear"))
-        with pytest.raises(ConfigError):
-            fit_tree(SortedColumns(X, (0, 0)), y, tree_spec())
-        with pytest.raises(ConfigError):
-            fit_tree(SortedColumns(X, (2,)), y, tree_spec())
+        with pytest.raises(ConfigError, match="at least one feature"):
+            SortedColumns(X, ())
+        with pytest.raises(ConfigError, match="duplicate"):
+            SortedColumns(X, (0, 0))
+        for feats in ((2,), (-1, 0)):
+            with pytest.raises(ConfigError, match="out of range"):
+                SortedColumns(X, feats)
+        with pytest.raises(DataError, match="2-dimensional"):
+            SortedColumns(np.zeros(5), (0,))
+        feats = SortedColumns(X, np.array([1, 0])).features
+        assert feats == (0, 1) and all(type(f) is int for f in feats)
+
+    @pytest.mark.parametrize("index", [1.7, True, "1", np.float64(1.0)], ids=repr)
+    def test_feature_indices_are_checked_not_truncated(self, index):
+        with pytest.raises(ConfigError, match="feature index must be an integer"):
+            SortedColumns(np.zeros((5, 3)), (0, index))
 
 
 def oracle_case(rng, kind, n, p):
@@ -343,7 +352,7 @@ class TestUnsplittableRoot:
 SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 0.5])
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
+@settings(max_examples=250)
 @given(
     min_child=st.integers(min_value=1, max_value=12),
     size=st.sampled_from(["below", "at", "above", "random"]),
@@ -374,7 +383,7 @@ def test_min_child_window_edges_and_special_values(min_child, size, max_depth, s
     assert fit_tree(SortedColumns(X, feats), y, spec) == reference_tree(X, y, feats, spec)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     kind=st.sampled_from(["ties", "duplicates", "same_partition", "coarsened"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -525,7 +534,7 @@ class TestTreePrediction:
             tree.predict(np.zeros((5, 2)))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_tree_invariants_property(seed):
     """A fitted tree never does worse than the constant learner in squared

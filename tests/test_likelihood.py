@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbmixed.data import GroupBlock, GroupedDataset
 from gbmixed.errors import DataError, NumericalError, SingularCovarianceError
 from gbmixed.likelihood import (
     LOG_2PI,
@@ -27,7 +26,6 @@ from gbmixed.likelihood import (
     group_gradients,
     group_loglik,
     marginal_covariance,
-    total_loglik,
 )
 
 FD_STEP = 1e-5
@@ -310,32 +308,7 @@ class TestDegenerateCovariance:
             chol_with_jitter(Sigma, group_id="grp7")
 
 
-class TestTotalLoglik:
-    def test_additivity(self):
-        rng = np.random.default_rng(71)
-        groups = []
-        mus = []
-        Sigmas = []
-        expected = 0.0
-        for i in range(4):
-            y, mu, Z, G, r = random_instance(rng, n=3, q=1)
-            Sigma = marginal_covariance(Z, G, r)
-            groups.append(GroupBlock(group_id=i, y=y, X=np.zeros((3, 1)), Z=Z))
-            mus.append(mu)
-            Sigmas.append(Sigma)
-            expected += oracle_loglik(y, mu, Sigma)
-        ds = GroupedDataset(groups=tuple(groups), feature_names=("x1",))
-        assert total_loglik(ds, mus, Sigmas) == pytest.approx(expected, rel=1e-10)
-
-    def test_length_mismatch(self):
-        y = np.zeros(2)
-        g = GroupBlock(group_id=0, y=y, X=np.zeros((2, 1)), Z=np.ones((2, 1)))
-        ds = GroupedDataset(groups=(g,), feature_names=("x1",))
-        with pytest.raises(DataError):
-            total_loglik(ds, [], [])
-
-
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_gradient_consistency_property(seed):
     """On any well-conditioned instance the bundled gradients match the

@@ -141,7 +141,7 @@ def damage(data, raw: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("kind", ["csv", "model", "config"])
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_damaged_file_returns_or_raises_its_error(sources, kind, data):
     path, raw, load = sources[kind]
@@ -176,7 +176,7 @@ def cli_run(tmp, command: str) -> int:
 
 @pytest.mark.parametrize("command,name", [("fit", "run.cfg"), ("fit", "data.csv"),
                                           ("predict", "m.model"), ("predict", "data.csv")])
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_cli_on_a_damaged_file_exits_0_2_or_3(cli_sources, command, name, data):
     tmp, raws = cli_sources
@@ -243,7 +243,7 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(case=csv_case())
 def test_csv_round_trip_is_the_identity(tmp_path_factory, case):
     ds, schema = case
@@ -264,7 +264,7 @@ def spec_of(data, kind):
                        tree_min_parent=4, tree_min_child=2)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_model_round_trip_predicts_bit_identically(tmp_path_factory, data):
     kinds = [data.draw(st.sampled_from(LEARNER_KINDS)) for _ in range(3)]

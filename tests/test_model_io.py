@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import json
+import math
 import zlib
 
 import numpy as np
@@ -283,6 +284,13 @@ DAMAGED_META = {
     "categorical_feature_fractional": lambda m: m.update(categorical_features=[0.5]),
     "best_iteration_a_float": lambda m: m.update(best_iteration=float(m["best_iteration"])),
     "n_iterations_run_a_float": lambda m: m.update(n_iterations_run=float(m["n_iterations_run"])),
+    # numbers that fit always writes finite, and strings that float() would once have taken
+    "mean_init_infinite": lambda m: m.update(mean_init=math.inf),
+    "mean_init_a_string": lambda m: m.update(mean_init="1.5"),
+    "logrvar_init_nan": lambda m: m.update(logrvar_init=math.nan),
+    "gcov_init_entry_nan": lambda m: m["gcov_init"].__setitem__(0, math.nan),
+    "history_entry_nan": lambda m: m["history"].__setitem__(1, math.nan),
+    "history_entry_a_string": lambda m: m["history"].__setitem__(0, "-3.5"),
 }
 
 
@@ -347,6 +355,23 @@ DAMAGED_LEARNER = {
                           "learner has n_features 4, the model 3 features"),
     "tree_nested_too_deeply": ("tree", lambda h: h.update(root=DEEP_MARK),
                                "maximum recursion depth exceeded"),
+    # numbers that fit always writes finite (a threshold may be +inf), and strings float() took
+    "leaf_value_nan": ("tree", lambda h: h["root"].update(l={"v": math.nan}),
+                       "leaf value must be a finite number, got nan"),
+    "leaf_value_a_string": ("tree", lambda h: h["root"].update(l={"v": "1.5"}),
+                            "leaf value must be a finite number, got '1.5'"),
+    "threshold_nan": ("tree", lambda h: h["root"].update(t=math.nan),
+                      "split threshold must be a finite number, got nan"),
+    "threshold_minus_inf": ("tree", lambda h: h["root"].update(t=-math.inf),
+                            "split threshold must be a finite number, got -inf"),
+    "threshold_a_string": ("tree", lambda h: h["root"].update(t="0.5"),
+                           "split threshold must be a finite number, got '0.5'"),
+    "linear_coef_nan": ("linear", lambda h: h["coef"].__setitem__(1, math.nan),
+                        "linear coefficient must be a finite number, got nan"),
+    "linear_intercept_infinite": ("linear", lambda h: h.update(intercept=math.inf),
+                                  "linear intercept must be a finite number, got inf"),
+    "linear_intercept_a_string": ("linear", lambda h: h.update(intercept="1.5"),
+                                  "linear intercept must be a finite number, got '1.5'"),
 }
 # a tree 1500 splits deep, spliced in as text where DEEP_MARK was dumped
 DEEP_MARK = "<deep tree>"
@@ -368,6 +393,30 @@ def test_damaged_learner_names_its_line(tmp_path, damage, tag):
     lines[i] = f"{tag} " + json.dumps(record).replace(json.dumps(DEEP_MARK), deep_tree_text(1500))
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=rf"malformed record at line {i + 1}: {message}"):
+        load_model(path)
+
+
+def test_threshold_plus_inf_loads(tmp_path):
+    # fit cuts below +inf feature values at +inf, so that threshold is no damage
+    model, _ = fitted("grboost", "tree", np.random.default_rng(13), n_iterations=3)
+    path = tmp_path / "m.txt"
+    save_model(path, model)
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith("mean_learner ") and '"root":{"v"' not in line)
+    record = json.loads(lines[i][len("mean_learner "):])
+    record["root"]["t"] = math.inf
+    lines[i] = "mean_learner " + json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    loaded, _ = load_model(path)
+    assert loaded.mean_learners[i - 3].root.threshold == math.inf
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, "0.5"], ids=repr)
+def test_constant_value_must_be_finite(tmp_path, value):
+    path = with_schema(tmp_path)
+    edit_record(path, "mean_learner", lambda h: h.update(value=value))
+    with pytest.raises(DataError, match="line 4: constant value must be a finite number"):
         load_model(path)
 
 

@@ -395,7 +395,7 @@ class TestStackedPrediction:
             assert np.array_equal(table.mu_conditional, table.mu_marginal)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_tree_ensembles_are_batch_invariant(slope_model, seed):
     """Tree ensembles evaluated on stacked rows equal the same calls on any
