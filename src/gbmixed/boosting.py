@@ -16,16 +16,23 @@ criterion triggers and the returned ensembles are truncated at the iteration
 with the best evaluation log-likelihood (earliest on ties); with it disabled
 every iteration is kept, so repeated runs share a consistent ensemble size.
 
-The training loop keeps running caches of the three component values on both
-group sets and only evaluates each new learner once per iteration, so the
-cost per iteration is one learner fit plus O(n) bookkeeping plus one call of
-the stacked likelihood kernel, which handles groups of any sizes at once.
+The training loop stacks the training groups once, boosting groups first, so
+the evaluation groups are the tail of one stack. It keeps one running cache
+per component over that stack (the mean and log residual variance per row,
+the factor entries per group) and evaluates each new learner once per
+iteration, on all training rows or group summaries. The sampled gradients
+read the head of the stack and the evaluation log-likelihood its tail, so
+the cost per iteration is the learner fits, one evaluation of each new
+learner, O(n) bookkeeping and two calls of the stacked likelihood kernel,
+which handles groups of any sizes at once.
+
 Every learner's one training input is a learners.SortedColumns: each
-iteration restricts the fit's two instances, the boosting rows and the group
-summaries, to its sampled rows (or groups) and features, and passes the
-restriction to the learners of that group set as it is. Trees sort nothing
-per iteration: each set is stably sorted once per fit, when the first tree
-that can split asks for it, and every later restriction filters that order.
+iteration restricts the fit's two instances, the rows and the group
+summaries of the head, to its sampled rows (or groups) and features, and
+passes the restriction to the learners of that group set as it is. Trees
+sort nothing per iteration: each set is stably sorted once per fit, when the
+first tree that can split asks for it, and every later restriction filters
+that order.
 A tree whose sampled rows are too few to split is the mean leaf without
 touching the order, so a group set that is always sampled below
 tree_min_parent is never sorted. Tree leaves and constant learners take the
@@ -38,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import GroupedDataset, split_by_groups
+from .data import GroupedDataset, StackedData, split_by_groups
 from .errors import ConfigError, DataError, NumericalError, check_fields, check_seed
 from .learners import (
     FittedLearner,
@@ -265,13 +272,16 @@ def initialize(train: GroupedDataset, q: int) -> tuple[float, float, float]:
     the pooled within-group variance seeds the residual variance; both are
     floored at 1% of the total response variance so neither component starts
     at zero. Raises DataError when the response values are all equal, and
-    when they are not but their variance underflows to zero.
+    when they are not but their variance underflows to zero or overflows.
     """
     ys = [g.y for g in train.groups]
     all_y = np.concatenate(ys)
     if np.all(all_y == all_y[0]):
         raise DataError("response is constant; variance components are unidentifiable")
-    var_y = float(np.var(all_y, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite variance is checked below
+        var_y = float(np.var(all_y, ddof=1))
+    if not np.isfinite(var_y):
+        raise DataError("response variance overflows; rescale the response")
     if var_y == 0.0:
         raise DataError(
             "response is not constant, but its variance underflows to zero; rescale the response"
@@ -319,46 +329,16 @@ def check_convergence(history, lookback: int, tolerance: float) -> bool:
     return abs(history[-1] - history[-1 - lookback]) < tolerance
 
 
-class _GroupSet:
-    """Stacked arrays plus component caches for one set of groups.
-
-    cols and cols_t are the feature-major copies of X and Xt that every new
-    tree reads when the caches are updated.
-    """
-
-    def __init__(self, ds: GroupedDataset):
-        st = ds.stacked()
-        self.y = st.y
-        self.X = st.X
-        self.Z = st.Z
-        self.starts = st.starts
-        self.sizes = st.sizes
-        self.Xt = ds.x_tilde_matrix()
-        self.cols = np.ascontiguousarray(self.X.T)
-        self.cols_t = np.ascontiguousarray(self.Xt.T)
-        self.n = self.y.shape[0]
-        self.C = ds.n_groups
-
-    def init_caches(self, f0: float, factor0: np.ndarray, logr0: float):
-        self.mu = np.full(self.n, f0)
-        self.factor_entries = np.tile(factor0, (self.C, 1))
-        self.logr = np.full(self.n, logr0)
-
-
-def _set_loglik(gs: _GroupSet, q: int, m: int) -> float:
-    """Total log-likelihood of a group set from its caches after iteration m.
+def _set_loglik(F, y, mu, Z, logr, sizes, q: int, m: int) -> float:
+    """Total log-likelihood of stacked groups after iteration m, from their factor
+    entries F and their rows' responses, means, designs and log variances.
 
     A non-finite total is a NumericalError; numpy's overflow and invalid-value
     warnings on the way to it are silenced, since the total is checked here.
     """
     with np.errstate(all="ignore"):
         ll, _, _, _ = lik.batched_quantities(
-            factors_from_entries(gs.factor_entries, q),
-            gs.y - gs.mu,
-            gs.Z,
-            np.exp(gs.logr),
-            gs.sizes,
-            want_gradients=False,
+            factors_from_entries(F, q), y - mu, Z, np.exp(logr), sizes, want_gradients=False
         )
     total = float(np.sum(ll))
     if not np.isfinite(total):
@@ -394,44 +374,52 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     factor0 = np.zeros(T)
     factor0[rows_t == cols_t] = diag0
 
-    gb = _GroupSet(boost_ds)
-    ge = _GroupSet(eval_ds)
-    gb.init_caches(f0, factor0, logr0)
-    ge.init_caches(f0, factor0, logr0)
+    # one stack of all training groups, the evaluation groups as its tail from
+    # group Cb and row nb, with the running caches of the three components
+    groups = boost_ds.groups + eval_ds.groups
+    st = StackedData.from_groups(groups)
+    Xt = np.stack([g.x_tilde for g in groups])
+    X_cols, Xt_cols = np.ascontiguousarray(st.X.T), np.ascontiguousarray(Xt.T)
+    Cb, nb = boost_ds.n_groups, boost_ds.n_obs
+    mu = np.full(st.y.shape[0], f0)
+    F = np.tile(factor0, (len(groups), 1))
+    logr = np.full(st.y.shape[0], logr0)
+    # views of the evaluation tail, which the in-place cache updates keep current
+    tail = (F[Cb:], st.y[nb:], mu[nb:], st.Z[nb:], logr[nb:], st.sizes[Cb:])
 
     # every iteration's learners fit restrictions of these, so each set sorts at most once
-    rows_order = SortedColumns(gb.X, range(p))
-    groups_order = SortedColumns(gb.Xt, range(p))
+    rows_order = SortedColumns(st.X[:nb], range(p))
+    groups_order = SortedColumns(Xt[:Cb], range(p))
 
     rng = np.random.default_rng(config.seed)
     # verify the sampling fractions are feasible before looping; groups are
     # sampled from the boosting part only, so say what the evaluation part took
-    if config.group_fraction * gb.C < 1:
+    if config.group_fraction * Cb < 1:
         raise ConfigError(
-            f"group_fraction {config.group_fraction} samples zero of {gb.C} groups: "
-            f"eval_fraction {config.eval_fraction} held out {ge.C} of the "
+            f"group_fraction {config.group_fraction} samples zero of {Cb} groups: "
+            f"eval_fraction {config.eval_fraction} held out {eval_ds.n_groups} of the "
             f"{train.n_groups} groups for evaluation"
         )
-    sample_iteration(np.random.default_rng(config.seed), gb.C, p, config)
+    sample_iteration(np.random.default_rng(config.seed), Cb, p, config)
 
     mean_learners: list[FittedLearner] = []
     gcov_learners: tuple[list, ...] = tuple([] for _ in range(T))
     rvar_learners: list[FittedLearner] = []
-    history = [_set_loglik(ge, q, 0)]
+    history = [_set_loglik(*tail, q, 0)]
 
     for m in range(1, config.n_iterations + 1):
-        g_idx, feats = sample_iteration(rng, gb.C, p, config)
+        g_idx, feats = sample_iteration(rng, Cb, p, config)
 
         # gradients at the current iterate for the sampled groups' rows
-        sizes = gb.sizes[g_idx]
+        sizes = st.sizes[g_idx]
         offsets = np.cumsum(sizes) - sizes
-        row_idx = np.arange(int(sizes.sum())) + np.repeat(gb.starts[g_idx] - offsets, sizes)
+        row_idx = np.arange(int(sizes.sum())) + np.repeat(st.starts[g_idx] - offsets, sizes)
         with np.errstate(all="ignore"):  # non-finite gradients are checked below
             _, pseudo_mu, d_F, pseudo_logr = lik.batched_quantities(
-                factors_from_entries(gb.factor_entries[g_idx], q),
-                gb.y[row_idx] - gb.mu[row_idx],
-                gb.Z[row_idx],
-                np.exp(gb.logr[row_idx]),
+                factors_from_entries(F[g_idx], q),
+                st.y[row_idx] - mu[row_idx],
+                st.Z[row_idx],
+                np.exp(logr[row_idx]),
                 sizes,
             )
         if not all(np.all(np.isfinite(a)) for a in (pseudo_mu, d_F, pseudo_logr)):
@@ -451,14 +439,13 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
             gcov_learners[t].append(h_gcov[t])
         rvar_learners.append(h_rvar)
 
-        # parallel shrunken updates of all cached component values
-        for gs in (gb, ge):
-            gs.mu += config.lr_mean * h_mu.predict(gs.X, gs.cols)
-            for t in range(T):
-                gs.factor_entries[:, t] += config.lr_gcov * h_gcov[t].predict(gs.Xt, gs.cols_t)
-            gs.logr += config.lr_rvar * h_rvar.predict(gs.X, gs.cols)
+        # parallel shrunken updates of all cached component values, in place
+        mu += config.lr_mean * h_mu.predict(st.X, X_cols)
+        for t in range(T):
+            F[:, t] += config.lr_gcov * h_gcov[t].predict(Xt, Xt_cols)
+        logr += config.lr_rvar * h_rvar.predict(st.X, X_cols)
 
-        history.append(_set_loglik(ge, q, m))
+        history.append(_set_loglik(*tail, q, m))
         if config.early_stopping and check_convergence(history, config.lookback, config.tolerance):
             break
 

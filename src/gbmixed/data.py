@@ -187,12 +187,12 @@ class GroupedDataset:
         return np.stack([g.x_tilde for g in self.groups])
 
     def stacked(self) -> "StackedData":
-        return StackedData.from_dataset(self)
+        return StackedData.from_groups(self.groups)
 
 
 @dataclass(frozen=True)
 class StackedData:
-    """Row-major view of a dataset: one big y/X/Z plus per-group row slices."""
+    """Row-major view of group blocks: one big y/X/Z plus per-group row slices."""
 
     y: np.ndarray
     X: np.ndarray
@@ -201,18 +201,16 @@ class StackedData:
     sizes: np.ndarray    # (n_groups,)
 
     @classmethod
-    def from_dataset(cls, ds: GroupedDataset) -> "StackedData":
-        sizes = np.array([g.n for g in ds.groups], dtype=np.int64)
+    def from_groups(cls, groups: Sequence[GroupBlock]) -> "StackedData":
+        """The blocks stacked in the order given."""
+        sizes = np.array([g.n for g in groups], dtype=np.int64)
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        y = np.concatenate([g.y for g in ds.groups])
-        X = np.vstack([g.X for g in ds.groups])
-        Z = np.vstack([g.Z for g in ds.groups])
+        y = np.concatenate([g.y for g in groups])
+        X = np.vstack([g.X for g in groups])
+        Z = np.vstack([g.Z for g in groups])
         for arr in (y, X, Z, starts, sizes):
             arr.flags.writeable = False
         return cls(y=y, X=X, Z=Z, starts=starts, sizes=sizes)
-
-    def rows_of(self, gi: int) -> slice:
-        return slice(self.starts[gi], self.starts[gi] + self.sizes[gi])
 
 
 def _parse_cell(text: str, column: str, line_no: int, allow_nan: bool = False) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boosting import FittedModel, eval_gcov_rows, eval_mean, eval_resid_var
-from .errors import ConfigError, check_type
+from .errors import ConfigError, check_index
 
 COMPONENTS = ("mean", "G", "R")
 DEFAULT_GRID_SIZE = 25
@@ -72,7 +72,7 @@ def _resolve_feature(model: FittedModel, feature) -> int:
             return model.feature_names.index(feature)
         except ValueError:
             raise ConfigError(f"unknown feature {feature!r}") from None
-    f = check_type("feature", feature)
+    f = check_index("feature", feature)
     if not (0 <= f < len(model.feature_names)):
         raise ConfigError(f"feature index {f} out of range")
     return f
@@ -105,7 +105,9 @@ def partial_dependence(
     """Partial dependence curve of one component on one feature.
 
     background holds observation rows for the mean and R components and
-    group summary rows for G. Returns (grid, averaged values).
+    group summary rows for G, whose entry (row, column) g_entry picks. The
+    feature and g_entry's entries are indices (ints or NumPy integers, not
+    bools); anything else is a ConfigError. Returns (grid, averaged values).
     """
     if component not in COMPONENTS:
         raise ConfigError(f"unknown component {component!r}; expected one of {COMPONENTS}")
@@ -120,7 +122,11 @@ def partial_dependence(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ConfigError(f"grid must be 1-dimensional, got shape {grid.shape}")
-    a, b = g_entry
+    try:
+        a, b = g_entry
+    except (TypeError, ValueError):
+        raise ConfigError(f"g_entry must be a pair of indices, got {g_entry!r}") from None
+    a, b = check_index("g_entry row", a), check_index("g_entry column", b)
     if component == "G" and not (0 <= a < model.q and 0 <= b < model.q):
         raise ConfigError(f"g_entry {g_entry} out of range for q={model.q}")
 

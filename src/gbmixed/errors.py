@@ -9,6 +9,8 @@ from dataclasses import fields
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 
 class GBMixedError(Exception):
     """Base class for all errors raised by this package."""
@@ -56,6 +58,12 @@ def check_type(name: str, value, kind: type = int):
     if not ok:
         raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
+
+
+def check_index(name: str, value) -> int:
+    """value as a Python int when it is an int or a NumPy integer, else a ConfigError
+    (a bool is no index)."""
+    return check_type(name, value.item() if isinstance(value, np.integer) else value)
 
 
 def check_seed(seed) -> int:

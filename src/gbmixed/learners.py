@@ -81,7 +81,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_fields, check_type
+from .errors import ConfigError, DataError, check_fields, check_index
 
 LEARNER_KINDS = ("constant", "linear", "tree")
 
@@ -320,10 +320,7 @@ class SortedColumns:
         self.X = np.asarray(X, dtype=float)
         if self.X.ndim != 2:
             raise DataError("feature matrix must be 2-dimensional")
-        feats = sorted(
-            check_type("feature index", f.item() if isinstance(f, np.integer) else f)
-            for f in features
-        )
+        feats = sorted(check_index("feature index", f) for f in features)
         p = self.X.shape[1]
         if len(feats) == 0:
             raise ConfigError("need at least one feature")
@@ -387,15 +384,13 @@ def fit_tree(columns: SortedColumns, pseudo, spec: LearnerSpec) -> TreeLearner:
     """Exact greedy tree on columns.X[:, columns.features], its one training input.
 
     columns sorts only when a tree asks for its arrays, and trees fitted to
-    the same columns share that one order. A root too small to split is the
-    mean leaf (_mean, the rule of every leaf and constant) and never asks.
+    the same columns share that one order. A root too small to split never
+    asks: _grow gets it without arrays, as any unsearched node, and makes it
+    the mean leaf (_mean, the rule of every leaf and constant).
     """
     n, p = columns.X.shape
     pseudo = _check_pseudo(pseudo, n)
-    if not _searched(n, 0, spec):
-        # contiguous, as the pseudo[rows] of a grown leaf is, so it sums alike
-        return TreeLearner(root=TreeLeaf(_mean(np.ascontiguousarray(pseudo))), n_features=p)
-    cols, order = columns.arrays()
+    cols, order = columns.arrays() if _searched(n, 0, spec) else (None, None)
     side = np.empty(n, dtype=bool)   # scratch: split side of each row
     root = _grow(cols, pseudo, columns.features, spec, side, np.arange(n), order, 0)
     return TreeLearner(root=root, n_features=p)

@@ -61,7 +61,7 @@ from .boosting import (
     eval_resid_var,
 )
 from .data import GroupedDataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_index
 from .likelihood import chol_with_jitter, marginal_covariance
 from scipy.linalg import cho_solve
 
@@ -217,8 +217,9 @@ def ite_variance(
 
     The result is r(x, 1) + r(x, 0), plus the slope variance G_kk at each
     row's group summary x_tilde_rows when z_treatment_index = k points at a
-    treatment random slope in Z; G is not evaluated otherwise. Z enters no
-    arithmetic: it and x_tilde_rows are only checked to align with X.
+    treatment random slope in Z; G is not evaluated otherwise. k must be an
+    int or a NumPy integer (not a bool) in range, else a ConfigError. Z
+    enters no arithmetic: it and x_tilde_rows are only checked to align with X.
     """
     X = np.asarray(X, dtype=float)
     x_tilde_rows = np.asarray(x_tilde_rows, dtype=float)
@@ -227,7 +228,7 @@ def ite_variance(
         raise DataError(f"Z must be {n}x{model.q}")
     if x_tilde_rows.shape != (n, X.shape[1]):
         raise DataError("x_tilde_rows must align with X")
-    k = z_treatment_index
+    k = None if z_treatment_index is None else check_index("z_treatment_index", z_treatment_index)
     if k is not None and not (0 <= k < model.q):
         raise ConfigError(f"z_treatment_index {k} out of range")
     r = eval_resid_var(model, _arms(model, X))

@@ -36,6 +36,30 @@ from gbmixed.learners import (
 from util import clustered_dataset, model_total_loglik, reference_tree
 
 
+def scaled_dataset(scale):
+    """40 groups of 5 rows whose responses are scale times standard normal draws."""
+    rng = np.random.default_rng(0)
+    groups = tuple(
+        GroupBlock(group_id=i, y=scale * rng.standard_normal(5), X=rng.random((5, 3)),
+                   Z=np.ones((5, 1)))
+        for i in range(40)
+    )
+    return GroupedDataset(groups=groups, feature_names=("x1", "x2", "x3"))
+
+
+def slope_dataset(seed, n_groups=40, n_per=4):
+    """q = 2 data: a random intercept and a random slope on x2, and a mean in x1."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for i in range(n_groups):
+        X = rng.standard_normal((n_per, 3))
+        Z = np.column_stack([np.ones(n_per), X[:, 1]])
+        u = np.array([0.6, 0.3]) * rng.standard_normal(2)
+        y = np.tanh(X[:, 0]) + Z @ u + 0.5 * rng.standard_normal(n_per)
+        groups.append(GroupBlock(group_id=i, y=y, X=X, Z=Z))
+    return GroupedDataset(groups=tuple(groups), feature_names=("x1", "x2", "x3"))
+
+
 def constant_spec():
     return LearnerSpec(kind="constant")
 
@@ -392,30 +416,61 @@ class TestFit:
         (1e-200, "response is not constant, but its variance underflows to zero"),
     ])
     def test_constant_and_underflowing_responses(self, scale, message):
-        rng = np.random.default_rng(0)
-        groups = tuple(
-            GroupBlock(group_id=i, y=scale * rng.standard_normal(5), X=rng.random((5, 3)),
-                       Z=np.ones((5, 1)))
-            for i in range(40)
-        )
-        ds = GroupedDataset(groups=groups, feature_names=("x1", "x2", "x3"))
         with pytest.raises(DataError, match=message):
-            fit(ds, FitConfig(n_iterations=10))
+            fit(scaled_dataset(scale), FitConfig(n_iterations=10))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_response_variance_is_a_data_error_without_warnings(self, scale):
+        # y**2 overflows, so np.var of these finite values is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="response variance overflows; rescale the response"):
+                fit(scaled_dataset(scale), FitConfig(n_iterations=10))
+
+    def test_a_huge_response_whose_variance_is_finite_fits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(scaled_dataset(1e150), FitConfig(n_iterations=10))
+        assert model.best_iteration > 0
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-150])
     def test_blowup_at_a_tiny_response_scale_raises_without_warnings(self, scale):
         # the likelihood overflows on the way to the non-finite total that fit checks
-        rng = np.random.default_rng(0)
-        groups = tuple(
-            GroupBlock(group_id=i, y=scale * rng.standard_normal(5), X=rng.random((5, 3)),
-                       Z=np.ones((5, 1)))
-            for i in range(40)
-        )
-        ds = GroupedDataset(groups=groups, feature_names=("x1", "x2", "x3"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="non-finite evaluation log-likelihood"):
-                fit(ds, FitConfig(n_iterations=10))
+                fit(scaled_dataset(scale), FitConfig(n_iterations=10))
+
+    def test_history_is_the_evaluation_loglik_at_every_iteration(self):
+        ds = slope_dataset(23)
+        spec = LearnerSpec(kind="tree", tree_min_parent=4, tree_min_child=2)
+        cfg = config_for_variant("grboost", spec, n_iterations=12, group_fraction=0.5,
+                                 early_stopping=False, lr_mean=0.1, lr_gcov=0.1, lr_rvar=0.1)
+        model = fit(ds, cfg)
+        _, eval_ds = split_by_groups(ds, 1.0 - cfg.eval_fraction, cfg.seed)
+        assert model.q == 2 and len(model.history) == 13
+        assert any(not isinstance(h.root, TreeLeaf) for ls in model.gcov_learners for h in ls)
+        for m, ll in enumerate(model.history):
+            assert ll == pytest.approx(model_total_loglik(model, eval_ds, upto=m), rel=1e-9)
+
+    @pytest.mark.parametrize("q,kind", [(1, "tree"), (2, "tree"), (2, "linear")])
+    def test_each_new_learner_is_evaluated_once_per_iteration(self, monkeypatch, q, kind):
+        # T + 2 predict calls per iteration: mean, R and the T factor entries, each
+        # on every training row or group summary at once
+        ds = slope_dataset(24) if q == 2 else clustered_dataset(np.random.default_rng(24), p=3)
+        rows = []
+        for cls in (TreeLearner, LinearLearner, ConstantLearner):
+            def counted(self, X, cols=None, real=cls.predict):
+                rows.append(np.shape(X)[0])
+                return real(self, X, cols)
+            monkeypatch.setattr(cls, "predict", counted)
+        spec = LearnerSpec(kind=kind, tree_min_parent=4, tree_min_child=2)
+        cfg = config_for_variant("grboost", spec, n_iterations=7, group_fraction=0.5,
+                                 early_stopping=False)
+        fit(ds, cfg)
+        T = q * (q + 1) // 2
+        assert len(rows) == 7 * (T + 2)
+        assert rows[: T + 2] == [ds.n_obs] + [ds.n_groups] * T + [ds.n_obs]
 
 
 class TestPresort:

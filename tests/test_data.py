@@ -121,9 +121,9 @@ class TestContainers:
         ds = toy_dataset(rng, n_groups=4, n_per=3)
         st_data = ds.stacked()
         assert st_data.y.shape == (12,)
-        for gi, g in enumerate(ds.groups):
-            np.testing.assert_array_equal(st_data.y[st_data.rows_of(gi)], g.y)
-            np.testing.assert_array_equal(st_data.X[st_data.rows_of(gi)], g.X)
+        for start, size, g in zip(st_data.starts, st_data.sizes, ds.groups):
+            np.testing.assert_array_equal(st_data.y[start : start + size], g.y)
+            np.testing.assert_array_equal(st_data.X[start : start + size], g.X)
 
 
 class TestCsv:

@@ -2,6 +2,7 @@
 partial dependence against the tiled estimator as its oracle."""
 
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 from unittest import mock
 
@@ -218,6 +219,21 @@ class TestPartialDependence:
     def test_feature_index_not_an_integer(self, feature):
         with pytest.raises(ConfigError, match="feature must be an integer"):
             partial_dependence(build_model(), "mean", feature, np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("g_entry", [
+        (0.5, 0), (0, 0.5), (True, 0), (0, np.bool_(True)), ("0", 0), (0, 0, 0), (0,), 0, None,
+    ])
+    def test_g_entry_must_be_a_pair_of_indices(self, g_entry):
+        # (0.5, 0) was a raw IndexError, (0, 0, 0) a raw ValueError, True index 1
+        model = replace(build_model(), q=2, gcov_init=np.array([1.0, 0.0, 1.0]),
+                        gcov_learners=([], [], []))
+        bg = np.zeros((5, 3))
+        with pytest.raises(ConfigError, match="g_entry"):
+            partial_dependence(model, "G", "x1", bg, g_entry=g_entry)
+        # NumPy integers are indices, of the entry and of the feature
+        got = partial_dependence(model, "G", np.int64(0), bg, g_entry=np.array([1, 1]))
+        want = partial_dependence(model, "G", 0, bg, g_entry=(1, 1))
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_grid_not_one_dimensional(self):
         with pytest.raises(ConfigError, match=r"grid must be 1-dimensional, got shape \(2, 2\)"):

@@ -521,3 +521,16 @@ class TestTreatmentEffects:
             ite_variance(model, X, np.ones((3, 1)), np.zeros((2, 2)))
         with pytest.raises(ConfigError):
             ite_variance(model, X, np.ones((3, 1)), np.zeros((3, 2)), z_treatment_index=5)
+
+    @pytest.mark.parametrize("k", [0.5, True, np.float64(1.0), np.bool_(True), "1", -1, 2])
+    def test_ite_variance_treatment_index_must_be_an_index(self, k):
+        # True was index 1 and 0.5 a raw IndexError
+        model = const_model(L_entries=(1.0, 0.3, 0.7), p=3, q=2, treatment_index=2)
+        X = np.zeros((3, 3))
+        with pytest.raises(ConfigError, match="z_treatment_index"):
+            ite_variance(model, X, np.ones((3, 2)), X, z_treatment_index=k)
+        # a NumPy integer is an index
+        np.testing.assert_array_equal(
+            ite_variance(model, X, np.ones((3, 2)), X, z_treatment_index=np.int64(1)),
+            ite_variance(model, X, np.ones((3, 2)), X, z_treatment_index=1),
+        )
