@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import GroupedDataset, StackedData, split_by_groups
-from .errors import ConfigError, DataError, NumericalError, check_fields, check_seed
+from .errors import ConfigError, DataError, NumericalError, check_fields, check_rows, check_seed
 from .learners import (
     FittedLearner,
     LearnerSpec,
@@ -230,7 +230,7 @@ def _start(init, X: np.ndarray, grid) -> np.ndarray:
 def eval_mean(model: FittedModel, X: np.ndarray, upto=None, *, grid=None) -> np.ndarray:
     """Mean f(x) at the rows of X; with grid = (feature, values), an array of
     (len(values), n) whose row k holds it with column feature set to values[k]."""
-    X = np.asarray(X, dtype=float)
+    X = check_rows(X, len(model.feature_names))
     out = _start(model.mean_init, X, grid)
     return _ensemble_sum(model.mean_learners, X, model.config.lr_mean, out, upto, grid)
 
@@ -249,7 +249,7 @@ def factors_from_entries(entries: np.ndarray, q: int) -> np.ndarray:
 def eval_gcov_rows(model: FittedModel, Xt: np.ndarray, upto=None, *, grid=None) -> np.ndarray:
     """(k, q, q) covariances G = L L' at group covariates, from the floored factors;
     grid puts a leading axis over its values, as in eval_mean."""
-    Xt = np.asarray(Xt, dtype=float)
+    Xt = check_rows(Xt, len(model.feature_names), "Xt")
     entries = _start(model.gcov_init, Xt, grid)
     for t in range(model.n_factor_entries):
         _ensemble_sum(model.gcov_learners[t], Xt, model.config.lr_gcov, entries[..., t], upto, grid)
@@ -260,7 +260,7 @@ def eval_gcov_rows(model: FittedModel, Xt: np.ndarray, upto=None, *, grid=None) 
 def eval_resid_var(model: FittedModel, X: np.ndarray, upto=None, *, grid=None) -> np.ndarray:
     """Residual variances r(x), the exponential of the log-scale ensemble; grid puts
     a leading axis over its values, as in eval_mean."""
-    X = np.asarray(X, dtype=float)
+    X = check_rows(X, len(model.feature_names))
     out = _start(model.logrvar_init, X, grid)
     return np.exp(_ensemble_sum(model.rvar_learners, X, model.config.lr_rvar, out, upto, grid))
 

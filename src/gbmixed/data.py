@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_fields, check_seed
+from .errors import ConfigError, DataError, check_fields, check_seed, check_type
 
 INTERCEPT = "intercept"
 
@@ -399,7 +399,7 @@ def split_by_groups(ds: GroupedDataset, fraction: float, seed: int) -> tuple[Gro
     seeded permutation; the same seed always yields the same split. Both
     parts retain canonical group order.
     """
-    if not (0.0 < fraction < 1.0):
+    if not (0.0 < check_type("split fraction", fraction, float) < 1.0):
         raise ConfigError(f"split fraction must be in (0, 1), got {fraction}")
     C = ds.n_groups
     n_first = int(np.floor(fraction * C))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boosting import FittedModel, eval_gcov_rows, eval_mean, eval_resid_var
-from .errors import ConfigError, check_index
+from .errors import ConfigError, check_index, check_rows, numeric_array
 
 COMPONENTS = ("mean", "G", "R")
 DEFAULT_GRID_SIZE = 25
@@ -107,19 +107,18 @@ def partial_dependence(
     background holds observation rows for the mean and R components and
     group summary rows for G, whose entry (row, column) g_entry picks. The
     feature and g_entry's entries are indices (ints or NumPy integers, not
-    bools); anything else is a ConfigError. Returns (grid, averaged values).
+    bools) and the grid's entries numbers (NaN and ±inf too), else a ConfigError;
+    background is a served matrix (errors.check_rows). Returns (grid, values).
     """
     if component not in COMPONENTS:
         raise ConfigError(f"unknown component {component!r}; expected one of {COMPONENTS}")
     f = _resolve_feature(model, feature)
-    bg = np.asarray(background, dtype=float)
-    if bg.ndim != 2 or bg.shape[1] != len(model.feature_names):
-        raise ConfigError(f"background must have {len(model.feature_names)} columns")
+    bg = check_rows(background, len(model.feature_names), "background")
     if bg.shape[0] == 0:
         raise ConfigError("background has no rows")
     if grid is None:
         grid = default_grid(bg, f)
-    grid = np.asarray(grid, dtype=float)
+    grid = numeric_array("grid", grid, ConfigError)
     if grid.ndim != 1:
         raise ConfigError(f"grid must be 1-dimensional, got shape {grid.shape}")
     try:

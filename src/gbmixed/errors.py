@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the one type rule for values.
+"""Exception hierarchy shared across the package, and the one rule for each kind of input.
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
 data problems exit 3, numerical failures exit 4.
@@ -64,6 +64,27 @@ def check_index(name: str, value) -> int:
     """value as a Python int when it is an int or a NumPy integer, else a ConfigError
     (a bool is no index)."""
     return check_type(name, value.item() if isinstance(value, np.integer) else value)
+
+
+def numeric_array(name: str, value, error: type = DataError) -> np.ndarray:
+    """value as a float array when its entries are numbers (bools, integers, floats, NaN
+    and ±inf), else error; strings, objects, complex numbers and ragged nestings are not."""
+    try:
+        a = np.asarray(value)
+    except ValueError:      # a ragged nesting
+        a = np.array(None)
+    if a.dtype.kind not in "biuf":
+        raise error(f"{name} must hold numbers, got {a.dtype} entries")
+    return a.astype(float, copy=False)
+
+
+def check_rows(X, p: int, name: str = "X") -> np.ndarray:
+    """X as a 2-D float array of p columns, the one rule for the rows a fitted model is
+    served: any other shape, or entries that are not numbers, is a DataError."""
+    X = numeric_array(name, X)
+    if X.ndim != 2 or X.shape[1] != p:
+        raise DataError(f"{name}: expected {p} feature columns, got matrix of shape {X.shape}")
+    return X
 
 
 def check_seed(seed) -> int:

@@ -3,7 +3,10 @@
 Three kinds: a constant (mean of the pseudo-response), a ridge-stabilized
 linear model, and an exact greedy regression tree grown on squared error.
 Learners are fitted on a feature subsample but store global column indices,
-so prediction always takes full-width feature matrices.
+so prediction always takes full-width feature matrices. A learner's predict
+checks no matrix: it relies on its caller, either an evaluator in boosting
+(eval_mean, eval_gcov_rows, eval_resid_var), which checks every matrix a
+fitted model is served with errors.check_rows, or boosting.fit's own stack.
 
 Every kind fits from one training input, a SortedColumns: the feature
 matrix X, the sorted list of columns the learner may use, and the stable
@@ -113,10 +116,7 @@ class ConstantLearner:
     value: float
 
     def predict(self, X: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise DataError("feature matrix must be 2-dimensional")
-        return np.full(X.shape[0], self.value)
+        return np.full(len(X), self.value)
 
     def split_counts(self, p: int) -> np.ndarray:
         return np.zeros(p)
@@ -131,11 +131,6 @@ class LinearLearner:
 
     def predict(self, X: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """The row-major product; cols (see TreeLearner.predict) is ignored."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DataError(
-                f"expected {self.n_features} feature columns, got matrix of shape {X.shape}"
-            )
         return X[:, list(self.features)] @ self.coef + self.intercept
 
     def split_counts(self, p: int) -> np.ndarray:
@@ -168,21 +163,9 @@ class TreeLearner:
     n_features: int
 
     def predict(self, X: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        """Leaf values of the rows of X.
-
-        cols, when given, must be np.ascontiguousarray(X.T) as a float array;
-        ensembles pass one such copy to all their trees. Without it the tree
-        makes its own.
-        """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DataError(
-                f"expected {self.n_features} feature columns, got matrix of shape {X.shape}"
-            )
+        """Leaf values of the rows of X, read from cols = np.ascontiguousarray(X.T) if given."""
         if cols is None:
-            cols = np.ascontiguousarray(X.T)
-        elif cols.shape != (X.shape[1], X.shape[0]):
-            raise DataError(f"feature-major columns of shape {cols.shape} do not match X {X.shape}")
+            cols = np.ascontiguousarray(X.T, dtype=float)
         return _leaf_values(self.root, cols)
 
     def split_counts(self, p: int) -> np.ndarray:

@@ -43,8 +43,15 @@ clusters of a few hundred rows, against the ensemble evaluations that
 dominate prediction.
 
 G reads the summaries x~ that every GroupedDataset carries under its own
-categorical features, so predict_dataset raises DataError for a dataset whose
-categorical features, like its feature names, differ from the model's.
+categorical features, so predict_dataset and blup raise DataError for a
+dataset whose categorical features, like its feature names or q, differ from
+the model's.
+
+Feature rows are checked once, by one rule (errors.check_rows): a 2-D matrix
+of numbers with one column per model feature, else a DataError. The
+evaluators of boosting apply it to every matrix they are served, _arms to X
+before it stacks the two arms (so cate, ate and ite_variance check X first),
+and ite_variance to x_tilde_rows. The learners check nothing and rely on it.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from .boosting import (
     eval_resid_var,
 )
 from .data import GroupedDataset
-from .errors import ConfigError, DataError, check_index
+from .errors import ConfigError, DataError, check_index, check_rows, check_type
 from .likelihood import chol_with_jitter, marginal_covariance
 from scipy.linalg import cho_solve
 
@@ -74,7 +81,9 @@ def blup(model: FittedModel, ds: GroupedDataset, components=None) -> np.ndarray:
     each group's summary, already evaluated by the caller; otherwise the
     ensembles run once over the finite rows of all groups and once over
     their summaries. The solve against the dense Sigma_i stays per group.
+    ds must match the model as predict_dataset's datasets do (_check_datasets).
     """
+    _check_datasets(model, ds)
     groups = ds.groups
     u = np.zeros((len(groups), model.q))
     keep = [np.isfinite(g.y) for g in groups]
@@ -114,9 +123,20 @@ class PredictionTable:
     known_group: np.ndarray   # bool per row
 
 
+def _check_datasets(model: FittedModel, *datasets: GroupedDataset) -> None:
+    """DataError unless each dataset has the model's feature names, q and categorical features."""
+    for d in datasets:
+        if tuple(d.feature_names) != tuple(model.feature_names):
+            raise DataError("dataset feature names do not match the model")
+        if d.q != model.q:
+            raise DataError(f"dataset has {d.q} random-effect columns, the model {model.q}")
+        if d.categorical_features != tuple(model.categorical_features):
+            raise DataError("dataset categorical features do not match the model")
+
+
 def check_alpha(alpha: float) -> None:
-    """Reject an interval miss probability outside (0, 1)."""
-    if not (0.0 < alpha < 1.0):
+    """Reject an interval miss probability that is not a number in (0, 1)."""
+    if not (0.0 < check_type("alpha", alpha, float) < 1.0):
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
 
 
@@ -141,16 +161,12 @@ def predict_dataset(
     A group is known when its source rows hold a finite response; unknown
     groups get a zero BLUP, and reduced_new_group_variance drops the z' G z
     term from their variance only. Intervals use G at the served group's
-    summary, the BLUP the source group's.
+    summary, the BLUP the source group's. alpha must be a number in (0, 1)
+    and reduced_new_group_variance a bool, else a ConfigError.
     """
+    check_type("reduced_new_group_variance", reduced_new_group_variance, bool)
     source = training_groups if training_groups is not None else ds
-    for d in (ds, source):
-        if tuple(d.feature_names) != tuple(model.feature_names):
-            raise DataError("dataset feature names do not match the model")
-        if d.q != model.q:
-            raise DataError(f"dataset has {d.q} random-effect columns, the model {model.q}")
-        if d.categorical_features != tuple(model.categorical_features):
-            raise DataError("dataset categorical features do not match the model")
+    _check_datasets(model, ds, source)
     st = ds.stacked()
     seg = np.repeat(np.arange(ds.n_groups), st.sizes)
     mu = eval_mean(model, st.X)
@@ -191,7 +207,7 @@ def _arms(model: FittedModel, X: np.ndarray) -> np.ndarray:
     t = model.treatment_index
     if t is None:
         raise ConfigError("model has no treatment column")
-    X = np.asarray(X, dtype=float)
+    X = check_rows(X, len(model.feature_names))
     n = X.shape[0]
     both = np.vstack([X, X])
     both[:n, t] = 1.0
@@ -221,17 +237,17 @@ def ite_variance(
     int or a NumPy integer (not a bool) in range, else a ConfigError. Z
     enters no arithmetic: it and x_tilde_rows are only checked to align with X.
     """
-    X = np.asarray(X, dtype=float)
-    x_tilde_rows = np.asarray(x_tilde_rows, dtype=float)
-    n = X.shape[0]
+    both = _arms(model, X)
+    n = both.shape[0] // 2
     if np.shape(Z) != (n, model.q):
         raise DataError(f"Z must be {n}x{model.q}")
-    if x_tilde_rows.shape != (n, X.shape[1]):
+    x_tilde_rows = check_rows(x_tilde_rows, len(model.feature_names), "x_tilde_rows")
+    if x_tilde_rows.shape[0] != n:
         raise DataError("x_tilde_rows must align with X")
     k = None if z_treatment_index is None else check_index("z_treatment_index", z_treatment_index)
     if k is not None and not (0 <= k < model.q):
         raise ConfigError(f"z_treatment_index {k} out of range")
-    r = eval_resid_var(model, _arms(model, X))
+    r = eval_resid_var(model, both)
     var = r[:n] + r[n:]
     if k is not None:
         var += eval_gcov_rows(model, x_tilde_rows)[:, k, k]
@@ -239,5 +255,9 @@ def ite_variance(
 
 
 def ate(model: FittedModel, X: np.ndarray) -> float:
-    """Average treatment effect: mean of the CATE over the given rows."""
-    return float(np.mean(cate(model, X)))
+    """Average treatment effect: mean of the CATE over the given rows, of which there
+    must be at least one (a DataError otherwise)."""
+    effects = cate(model, X)
+    if effects.size == 0:
+        raise DataError("ate needs at least one row")
+    return float(np.mean(effects))

@@ -3,10 +3,13 @@
     PYTHONHASHSEED=0 python tests/model_digest.py
 
 Run it from the root of a checkout; gbmixed comes from that checkout's src/.
-It prints one "<sha256>  <name>" line per item, twenty in all:
+It prints one "<sha256>  <name>" line per item, twenty-six in all:
 
   - the perfbench/workloads.py prepare() draws of seeds 1-3 of both
     workloads, each fitted with its own config and saved with its schema;
+  - for each of those six models, what the workload's infer() serves on its
+    test split: the predict_dataset table (served as the workload serves it),
+    cate and ite_variance;
   - every TestRoundTrip variant/learner pair (tests/test_model_io.py),
     fitted as that test fits it;
   - every simulate scenario: its generate draw of SIM_N_OBS rows at seed
@@ -39,13 +42,34 @@ from workloads import WORKLOADS  # noqa: E402
 
 
 def models():
-    """(name, model, schema) of every fit, in a fixed order."""
+    """(name, model, schema, served) of every fit, in a fixed order; served is the
+    benchmark draw's infer() output, None for a round-trip fit."""
     for workload in ("pairs", "clusters"):
         for seed in (1, 2, 3):
-            prep = WORKLOADS[workload]().prepare(seed)
-            yield f"{workload}-seed{seed}", boosting.fit(prep.train, prep.config), prep.schema
+            wl = WORKLOADS[workload]()
+            prep = wl.prepare(seed)
+            model = boosting.fit(prep.train, prep.config)
+            yield f"{workload}-seed{seed}", model, prep.schema, wl.infer(model, prep, prep.train)
     for variant, kind in ROUND_TRIP_CASES:
-        yield f"roundtrip-{variant}-{kind}", round_trip_fit(variant, kind)[0], None
+        yield f"roundtrip-{variant}-{kind}", round_trip_fit(variant, kind)[0], None, None
+
+
+def array_digest(arrays, extra: str = "") -> str:
+    """sha256 of each array's dtype, shape and bytes in turn, then of extra."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype} {a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(extra.encode())
+    return h.hexdigest()
+
+
+def served_digest(served: dict) -> str:
+    """sha256 of a workload's predict_dataset table, cate and ite_variance."""
+    table = served["table"]
+    arrays = [getattr(table, f.name) for f in fields(table) if f.name != "group_ids"]
+    return array_digest(arrays + [served["tau_hat"], served["var_delta"]], repr(table.group_ids))
 
 
 SIM_N_OBS = 400
@@ -60,13 +84,8 @@ def scenario_digests():
         st = ds.stacked()
         arrays = [st.y, st.X, st.Z, st.sizes, np.asarray(ds.group_ids()), ds.x_tilde_matrix()]
         arrays += [getattr(truth, f.name) for f in fields(truth)]
-        h = hashlib.sha256()
-        for a in arrays:
-            h.update(f"{a.dtype} {a.shape}".encode())
-            h.update(np.ascontiguousarray(a).tobytes())
         names = (ds.feature_names, ds.treatment_index, ds.categorical_features)
-        h.update(repr((names, sc.default_config())).encode())
-        yield f"simulate-{name}", h.hexdigest()
+        yield f"simulate-{name}", array_digest(arrays, repr((names, sc.default_config())))
 
 
 def main() -> int:
@@ -75,9 +94,11 @@ def main() -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.gbmixed"
-        for name, model, schema in models():
+        for name, model, schema, served in models():
             save_model(path, model, schema=schema)
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
+            if served is not None:
+                print(f"{served_digest(served)}  {name}-served")
     for name, digest in scenario_digests():
         print(f"{digest}  {name}")
     return 0

@@ -23,7 +23,7 @@ from gbmixed.boosting import (
 )
 from gbmixed.data import GroupBlock, GroupedDataset
 from gbmixed.diagnostics import default_grid, partial_dependence, variable_importance
-from gbmixed.errors import ConfigError
+from gbmixed.errors import ConfigError, DataError
 from gbmixed.learners import LearnerSpec, LinearLearner, TreeLeaf, TreeLearner, TreeSplit
 
 
@@ -212,7 +212,8 @@ class TestPartialDependence:
             partial_dependence(model, "huh", "x1", bg)
         with pytest.raises(ConfigError):
             partial_dependence(model, "G", "x1", bg, g_entry=(0, 3))
-        with pytest.raises(ConfigError):
+        # a background is a served matrix: its width is checked by errors.check_rows
+        with pytest.raises(DataError, match=r"background: expected 3 feature columns, got matrix of shape \(5, 9\)"):
             partial_dependence(model, "mean", "x1", np.zeros((5, 9)))
 
     @pytest.mark.parametrize("feature", [1.5, True])

@@ -90,12 +90,6 @@ class TestLinear:
         counts = learner.split_counts(4)
         assert counts[2] > 0 and counts[1] == 0 and counts[3] == 0
 
-    def test_width_validation(self):
-        spec = LearnerSpec(kind="linear")
-        learner = fit_linear(SortedColumns(np.zeros((3, 2)), (0,)), np.zeros(3), spec)
-        with pytest.raises(DataError):
-            learner.predict(np.zeros((3, 5)))
-
     def test_collinear_falls_back(self):
         X = np.column_stack([np.arange(4.0), np.arange(4.0)])
         y = np.arange(4.0)
@@ -523,15 +517,6 @@ class TestTreePrediction:
         ints = rng.integers(-3, 4, size=(400, 3))
         for Xv in (np.asfortranarray(X[:, :3]), X[::3, ::2], X[::-2, 1:4], ints):
             assert np.array_equal(tree.predict(Xv), reference_predict(tree, Xv))
-
-    def test_feature_major_copy_must_match(self):
-        tree = TreeLearner(root=random_tree(np.random.default_rng(31), 2, 3), n_features=3)
-        X = np.zeros((5, 3))
-        for cols in (X, np.zeros((3, 4)), np.zeros(15), np.zeros((3, 5, 1))):
-            with pytest.raises(DataError):
-                tree.predict(X, cols)
-        with pytest.raises(DataError):
-            tree.predict(np.zeros((5, 2)))
 
 
 @settings(max_examples=40)

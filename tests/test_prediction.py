@@ -1,5 +1,6 @@
 """Prediction math on hand-built models with known component values."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,19 @@ class TestPredictDataset:
         with pytest.raises(DataError, match="categorical"):
             predict_dataset(model, tagged, training_groups=ds)
 
+    @pytest.mark.parametrize("mismatch", ["feature names", "random-effect columns", "categorical"])
+    def test_blup_checks_its_dataset_as_predict_dataset_does(self, mismatch):
+        # blup accepted other names or categorical sets, and said "G must be 2x2" for another q
+        ds = self.build_ds([1, 2], np.random.default_rng(3))
+        model = {
+            "feature names": const_model(p=3),
+            "random-effect columns": const_model(L_entries=(1.0, 0.0, 1.0), q=2),
+            "categorical": replace(const_model(), categorical_features=(1,)),
+        }[mismatch]
+        for call in (blup, predict_dataset):
+            with pytest.raises(DataError, match=mismatch):
+                call(model, ds)
+
 
 def reference_table(model, ds, training_groups=None, alpha=0.1, reduced=False):
     """Group-by-group predictions: the marginal covariance and a dense solve per group."""
@@ -436,6 +450,15 @@ class TestTreatmentEffects:
         X = np.random.default_rng(4).standard_normal((6, 3))
         np.testing.assert_allclose(cate(model, X), np.full(6, 0.4), rtol=1e-12)
         assert ate(model, X) == pytest.approx(0.4, rel=1e-12)
+
+    def test_ate_over_zero_rows_is_a_data_error(self):
+        # numpy warned "Mean of empty slice" and ate returned nan
+        model = self.linear_model()
+        assert cate(model, np.zeros((0, 3))).shape == (0,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="at least one row"):
+                ate(model, np.zeros((0, 3)))
 
     def test_cate_zero_when_mean_ignores_treatment(self):
         model = const_model(p=3, treatment_index=2)
