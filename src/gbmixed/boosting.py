@@ -50,7 +50,6 @@ from .errors import ConfigError, DataError, NumericalError, check_fields, check_
 from .learners import (
     FittedLearner,
     LearnerSpec,
-    LinearLearner,
     SortedColumns,
     TreeLearner,
     _leaf_values,
@@ -190,34 +189,32 @@ def _ensemble_sum(learners, X, lr, out, upto=None, grid=None):
 def _ensemble_grid_sum(learners, X, grid, lr, out):
     """out[k] += lr * h(X with column f set to values[k]) for each learner in turn.
 
-    A tree is walked once per interval between its sorted thresholds on f
-    that the values hit, searchsorted side="right", at the first value in
-    that interval. Every value of an interval sends each row down the same
-    path (x < t holds for all of them or for none; NaN and +inf go right at
-    every split), so row k of out takes the very terms and order of
-    _ensemble_sum on X with column f set to values[k], bit for bit. A
-    constant learner is evaluated once and a linear one once per value.
+    Each learner reads one feature-major copy cols of X with row f set to the
+    first value of each run of values that cannot change its output: a tree
+    (walked by _leaf_values) once per interval between its sorted thresholds
+    on f that the values hit, searchsorted side="right"; a linear learner that
+    reads f (f is in its features, whatever the coefficient: inf * 0 is NaN)
+    once per value; a constant, or a linear learner that never reads f, once.
+    Every value of an interval sends each row down the same path (x < t holds
+    for all of them or for none; NaN and +inf go right at every split), so for
+    trees and constants row k of out takes the very terms and order of
+    _ensemble_sum on X with column f set to values[k], bit for bit.
     """
     f, values = grid
     cols = np.array(X.T, order="C")   # a copy even where X.T is contiguous: row f is written
-    Xv = None
+    each = np.arange(len(values))
     for h in learners:
-        if isinstance(h, TreeLearner):
-            at = np.searchsorted(_split_thresholds(h.root, f), values, side="right")
-            _, first, interval = np.unique(at, return_index=True, return_inverse=True)
-            per = np.empty((first.size, X.shape[0]))
-            for i, k in enumerate(first):
-                cols[f] = values[k]
-                per[i] = _leaf_values(h.root, cols)
-            out += (lr * per)[interval]
-        elif isinstance(h, LinearLearner):
-            if Xv is None:
-                Xv = X.copy()
-            for k, v in enumerate(values):
-                Xv[:, f] = v
-                out[k] += lr * h.predict(Xv)
+        tree = isinstance(h, TreeLearner)
+        if tree:
+            run = np.searchsorted(_split_thresholds(h.root, f), values, side="right")
         else:
-            out += lr * h.predict(X, cols)
+            run = each if f in h.features else np.zeros_like(each)
+        _, first, interval = np.unique(run, return_index=True, return_inverse=True)
+        per = np.empty((first.size, X.shape[0]))
+        for i, k in enumerate(first):
+            cols[f] = values[k]
+            per[i] = _leaf_values(h.root, cols) if tree else h.predict(cols.T, cols)
+        out += (lr * per)[interval]
     return out
 
 

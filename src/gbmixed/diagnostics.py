@@ -9,15 +9,12 @@ it sets the plotted feature f to v in every background row and averages the
 component over the rows. For the residual variance the curve lives on the
 variance scale; for the group covariance it traces one entry of G(x~) over
 group-level backgrounds. The component evaluators take grid = (f, values)
-and add each tree into a (grid, rows) accumulator once per interval between
-its sorted thresholds on f that the grid hits (searchsorted side="right"),
-walked at the first grid value in that interval. x < t holds either for all
-values of an interval or for none, and NaN and +inf go right at every split
-as they do in the trees, so every row reaches the same leaf and every sum
-adds the same terms in the same order as evaluating the row with f set to
-each value in turn: the curves are the brute-force average bit for bit. A
-tree that never splits on f is walked once. Constant learners are evaluated
-once and linear ones once per grid value.
+and evaluate each learner once per run of grid values that cannot change
+its output (boosting._ensemble_grid_sum): a tree once per interval between
+its sorted thresholds on f that the grid hits, so a tree that never splits
+on f is walked once; a linear learner that reads f once per value; any other
+learner once. The curves of trees and constants are the brute-force average
+bit for bit.
 
 Grid values are processed in chunks of at most _CHUNK_CELLS accumulator
 cells (grid values x background rows), so memory stays bounded for large
@@ -78,20 +75,21 @@ def _resolve_feature(model: FittedModel, feature) -> int:
     return f
 
 
-def default_grid(background: np.ndarray, feature: int, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Evenly spaced grid between the 2nd and 98th percentile of a column's finite values.
+def _default_grid(background: np.ndarray, feature: int) -> np.ndarray:
+    """DEFAULT_GRID_SIZE even steps between the 2nd and 98th percentile of a column's finite values.
 
-    NaN and ±inf entries are left out, since a percentile taken over them is
-    NaN; a column with no finite value is a ConfigError.
+    partial_dependence checks background and feature first. NaN and ±inf
+    entries are left out, since a percentile taken over them is NaN; a
+    column with no finite value is a ConfigError.
     """
-    col = np.asarray(background, dtype=float)[:, feature]
+    col = background[:, feature]
     col = col[np.isfinite(col)]
     if col.size == 0:
         raise ConfigError(f"feature {feature} has no finite background value to place a default grid")
     lo, hi = np.percentile(col, GRID_PERCENTILES)
     if lo == hi:
         return np.array([lo])
-    return np.linspace(lo, hi, size)
+    return np.linspace(lo, hi, DEFAULT_GRID_SIZE)
 
 
 def partial_dependence(
@@ -117,7 +115,7 @@ def partial_dependence(
     if bg.shape[0] == 0:
         raise ConfigError("background has no rows")
     if grid is None:
-        grid = default_grid(bg, f)
+        grid = _default_grid(bg, f)
     grid = numeric_array("grid", grid, ConfigError)
     if grid.ndim != 1:
         raise ConfigError(f"grid must be 1-dimensional, got shape {grid.shape}")

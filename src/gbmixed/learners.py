@@ -60,10 +60,12 @@ its whole contiguous column, go_left = cols[feature] < threshold (NaN
 compares false and goes right), and combines its children's leaf numbers
 with the exact integer select right + go_left * (left - right); one take
 from the leaf values returns the prediction, so the values are the leaf
-values bit for bit. Partial dependence reuses that walk on its own
-feature-major copy: _split_thresholds lists a tree's thresholds on the
-plotted feature and _leaf_values walks the columns once per threshold
-interval (see boosting._ensemble_grid_sum).
+values bit for bit. Partial dependence reads every learner on its own
+feature-major copy (see boosting._ensemble_grid_sum): _split_thresholds
+lists a tree's thresholds on the plotted feature from _splits, the one
+walker of a tree's splits (split_counts reads it too), and _leaf_values
+walks the columns once per threshold interval; linear and constant
+learners read the copy through predict(cols.T, cols).
 
 That costs a few passes over all n rows per split node, where gathering
 each node's own rows cost about one pass per level, so the select wins on
@@ -80,7 +82,7 @@ workloads, use depth 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -114,6 +116,7 @@ class LearnerSpec:
 @dataclass(frozen=True)
 class ConstantLearner:
     value: float
+    features: ClassVar[tuple[int, ...]] = ()   # reads no column
 
     def predict(self, X: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         return np.full(len(X), self.value)
@@ -170,7 +173,8 @@ class TreeLearner:
 
     def split_counts(self, p: int) -> np.ndarray:
         counts = np.zeros(p)
-        _count_splits(self.root, counts)
+        for s in _splits(self.root):
+            counts[s.feature] += 1.0
         return counts
 
     def depth(self) -> int:
@@ -186,19 +190,18 @@ def _leaf_values(root: TreeNode, cols) -> np.ndarray:
     return np.array(values).take(leaf)
 
 
+def _splits(node: TreeNode):
+    """Every split at or below node, depth first: the node, then its left and right subtrees."""
+    if isinstance(node, TreeSplit):
+        yield node
+        yield from _splits(node.left)
+        yield from _splits(node.right)
+
+
 def _split_thresholds(node: TreeNode, feature: int) -> np.ndarray:
     """The distinct thresholds of the splits on feature below node, ascending."""
-    found: list[float] = []
-    _collect_thresholds(node, feature, found)
+    found = [s.threshold for s in _splits(node) if s.feature == feature]
     return np.unique(np.array(found, dtype=float))
-
-
-def _collect_thresholds(node: TreeNode, feature: int, found: list) -> None:
-    if isinstance(node, TreeSplit):
-        if node.feature == feature:
-            found.append(node.threshold)
-        _collect_thresholds(node.left, feature, found)
-        _collect_thresholds(node.right, feature, found)
 
 
 def _leaf_numbers(node: TreeNode, cols, values: list):
@@ -213,13 +216,6 @@ def _leaf_numbers(node: TreeNode, cols, values: list):
     left = _leaf_numbers(node.left, cols, values)
     right = _leaf_numbers(node.right, cols, values)
     return right + (cols[node.feature] < node.threshold) * (left - right)
-
-
-def _count_splits(node: TreeNode, counts) -> None:
-    if isinstance(node, TreeSplit):
-        counts[node.feature] += 1.0
-        _count_splits(node.left, counts)
-        _count_splits(node.right, counts)
 
 
 def _node_depth(node: TreeNode) -> int:

@@ -22,7 +22,12 @@ from gbmixed.boosting import (
     fit,
 )
 from gbmixed.data import GroupBlock, GroupedDataset
-from gbmixed.diagnostics import default_grid, partial_dependence, variable_importance
+from gbmixed.diagnostics import (
+    DEFAULT_GRID_SIZE,
+    _default_grid,
+    partial_dependence,
+    variable_importance,
+)
 from gbmixed.errors import ConfigError, DataError
 from gbmixed.learners import LearnerSpec, LinearLearner, TreeLeaf, TreeLearner, TreeSplit
 
@@ -108,27 +113,27 @@ class TestGrid:
     def test_percentile_span(self):
         col = np.linspace(0.0, 1.0, 101)
         bg = np.column_stack([col, col, col])
-        grid = default_grid(bg, 0, size=5)
-        assert grid.shape == (5,)
+        grid = _default_grid(bg, 0)
+        assert grid.shape == (DEFAULT_GRID_SIZE,)
         assert grid[0] == pytest.approx(0.02)
         assert grid[-1] == pytest.approx(0.98)
 
     def test_degenerate_column(self):
         bg = np.full((10, 3), 2.0)
-        grid = default_grid(bg, 1)
+        grid = _default_grid(bg, 1)
         np.testing.assert_array_equal(grid, [2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_are_left_out(self, bad):
         with_bad = np.array([[0.0], [1.0], [bad], [2.0]])
         without = np.array([[0.0], [1.0], [2.0]])
-        np.testing.assert_array_equal(default_grid(with_bad, 0), default_grid(without, 0))
+        np.testing.assert_array_equal(_default_grid(with_bad, 0), _default_grid(without, 0))
 
     def test_column_without_finite_values(self):
         bg = np.random.default_rng(1).standard_normal((6, 3))
         bg[:, 2] = [np.nan, np.inf, -np.inf, np.nan, np.nan, np.nan]
         with pytest.raises(ConfigError, match="feature 2"):
-            default_grid(bg, 2)
+            _default_grid(bg, 2)
         bg[:, 2] = np.nan
         with pytest.raises(ConfigError, match="feature 2"):
             partial_dependence(build_model(), "mean", "x3", bg)
@@ -405,3 +410,33 @@ def test_each_tree_is_walked_once_per_occupied_interval(component, monkeypatch):
         if thr.size == 0:
             assert walks[id(h.root)] == len(chunks)
     assert walks[id(trees[2].root)] > len(chunks)
+
+
+def test_a_linear_learner_is_called_per_grid_value_only_when_it_reads_the_feature(monkeypatch):
+    """In one chunk, a linear learner whose features hold the plotted one is called once per
+    grid value, even at a zero coefficient (inf * 0 is NaN); any other is called once and
+    gives per-value evaluation bit for bit."""
+    reads = LinearLearner(features=(0, 2), coef=np.array([0.0, -1.0]), intercept=0.2, n_features=3)
+    blind = LinearLearner(features=(1, 2), coef=np.array([0.3, 0.7]), intercept=-0.1, n_features=3)
+    calls = Counter()
+    real = LinearLearner.predict
+
+    def counted(self, X, cols=None):
+        calls[id(self)] += 1
+        return real(self, X, cols)
+
+    monkeypatch.setattr(LinearLearner, "predict", counted)
+    bg = np.random.default_rng(4).standard_normal((13, 3))
+    grid = np.array([-1.0, 0.0, 0.5, 2.0, np.inf, 0.5])
+    with np.errstate(invalid="ignore"):   # inf * 0
+        _, both = partial_dependence(build_model(mean_learners=[reads, blind]), "mean", 0, bg, grid)
+    assert calls == {id(reads): grid.size, id(blind): 1}
+    assert np.isnan(both[4]) and np.all(np.isfinite(np.delete(both, 4)))
+
+    model = build_model(mean_learners=[blind])
+    at = eval_mean(model, bg, grid=(0, grid))
+    for k, v in enumerate(grid):
+        X = bg.copy()
+        X[:, 0] = v
+        assert np.array_equal(at[k], eval_mean(model, X))
+    assert np.array_equal(partial_dependence(model, "mean", "x1", bg, grid)[1], at.mean(axis=1))
