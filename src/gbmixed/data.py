@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_fields, check_seed, check_type
+from .errors import ConfigError, DataError, check_fields, check_seed, check_type, numeric_array
 
 INTERCEPT = "intercept"
 
@@ -75,7 +75,13 @@ class ColumnSchema:
 
 @dataclass(frozen=True)
 class GroupBlock:
-    """One group's rows: responses y, features X, random-effect design Z."""
+    """One group's rows: responses y, features X, random-effect design Z.
+
+    Each array must hold numbers (errors.numeric_array), else a DataError
+    naming the group. A response may be NaN, the mark of an unobserved row as
+    in load_csv, but not ±inf; Z must be finite. X keeps NaN and ±inf, which
+    trees route.
+    """
 
     group_id: object
     y: np.ndarray        # (n_i,)
@@ -84,24 +90,27 @@ class GroupBlock:
     x_tilde: np.ndarray | None = None  # (p,) group summary, or set by the dataset
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        X = np.asarray(self.X, dtype=float)
-        Z = np.asarray(self.Z, dtype=float)
+        name = f"group {self.group_id!r}"
+        y, X, Z = (numeric_array(f"{name}: {a}", getattr(self, a)) for a in ("y", "X", "Z"))
         if y.ndim != 1 or y.shape[0] == 0:
-            raise DataError(f"group {self.group_id!r}: y must be a nonempty vector")
+            raise DataError(f"{name}: y must be a nonempty vector")
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise DataError(f"group {self.group_id!r}: X must have one row per observation")
+            raise DataError(f"{name}: X must have one row per observation")
         if Z.ndim != 2 or Z.shape[0] != y.shape[0]:
-            raise DataError(f"group {self.group_id!r}: Z must have one row per observation")
+            raise DataError(f"{name}: Z must have one row per observation")
+        if np.any(np.isinf(y)):
+            raise DataError(f"{name}: y must be finite, or NaN for an unobserved response")
+        if not np.all(np.isfinite(Z)):
+            raise DataError(f"{name}: Z must be finite")
         for arr in (y, X, Z):
             arr.flags.writeable = False
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Z", Z)
         if self.x_tilde is not None:
-            xt = np.asarray(self.x_tilde, dtype=float)
+            xt = numeric_array(f"{name}: x_tilde", self.x_tilde)
             if xt.shape != (X.shape[1],):
-                raise DataError(f"group {self.group_id!r}: x_tilde must have one entry per feature")
+                raise DataError(f"{name}: x_tilde must have one entry per feature")
             xt.flags.writeable = False
             object.__setattr__(self, "x_tilde", xt)
 

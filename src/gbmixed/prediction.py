@@ -68,7 +68,7 @@ from .boosting import (
     eval_resid_var,
 )
 from .data import GroupedDataset
-from .errors import ConfigError, DataError, check_index, check_rows, check_type
+from .errors import ConfigError, DataError, check_index, check_rows, check_type, numeric_array
 from .likelihood import chol_with_jitter, marginal_covariance
 from scipy.linalg import cho_solve
 
@@ -141,7 +141,13 @@ def check_alpha(alpha: float) -> None:
 
 
 def interval_halfwidth(var_total: np.ndarray, alpha: float) -> np.ndarray:
+    """Half-width of the normal interval of miss probability alpha (check_alpha) at each
+    variance. The variances must be numbers, none of them negative, else a DataError;
+    NaN passes through."""
     check_alpha(alpha)
+    var_total = numeric_array("var_total", var_total)
+    if np.any(var_total < 0):
+        raise DataError("var_total must hold no negative variance")
     z = norm.ppf(1.0 - alpha / 2.0)
     return z * np.sqrt(var_total)
 

@@ -3,7 +3,7 @@
     PYTHONHASHSEED=0 python tests/model_digest.py
 
 Run it from the root of a checkout; gbmixed comes from that checkout's src/.
-It prints one "<sha256>  <name>" line per item, twenty-six in all:
+It prints one "<sha256>  <name>" line per item, thirty-two in all:
 
   - the perfbench/workloads.py prepare() draws of seeds 1-3 of both
     workloads, each fitted with its own config and saved with its schema;
@@ -14,7 +14,11 @@ It prints one "<sha256>  <name>" line per item, twenty-six in all:
     fitted as that test fits it;
   - every simulate scenario: its generate draw of SIM_N_OBS rows at seed
     SIM_SEED (the dataset's stacked arrays, group ids and summaries, and
-    every GroundTruth field) and its default_config().
+    every GroundTruth field) and its default_config();
+  - last, for each of the six benchmark models, what the workload's
+    _explain computes over the test rows: the importance and the
+    default-grid partial dependence of the mean and of R on the features
+    of EXPLAINED.
 
 A change that must build the same models and draws prints the same lines as
 its parent. It refuses to run without PYTHONHASHSEED=0, the hash seed under
@@ -35,23 +39,30 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from gbmixed import boosting, simulate  # noqa: E402
+from gbmixed import boosting, diagnostics, simulate  # noqa: E402
 from gbmixed.model_io import save_model  # noqa: E402
 from test_model_io import ROUND_TRIP_CASES, round_trip_fit  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
+# the features whose mean and R curves each workload's _explain plots
+EXPLAINED = {"pairs": ("x1", "x5"), "clusters": ("x1", "x2")}
+
+
 def models():
-    """(name, model, schema, served) of every fit, in a fixed order; served is the
-    benchmark draw's infer() output, None for a round-trip fit."""
+    """(name, model, schema, served, explained) of every fit, in a fixed order; served is
+    the benchmark draw's infer() output and explained its explain_digest, both None for a
+    round-trip fit."""
     for workload in ("pairs", "clusters"):
         for seed in (1, 2, 3):
             wl = WORKLOADS[workload]()
             prep = wl.prepare(seed)
             model = boosting.fit(prep.train, prep.config)
-            yield f"{workload}-seed{seed}", model, prep.schema, wl.infer(model, prep, prep.train)
+            served = wl.infer(model, prep, prep.train)
+            explained = explain_digest(model, prep.test.stacked().X, EXPLAINED[workload])
+            yield f"{workload}-seed{seed}", model, prep.schema, served, explained
     for variant, kind in ROUND_TRIP_CASES:
-        yield f"roundtrip-{variant}-{kind}", round_trip_fit(variant, kind)[0], None, None
+        yield f"roundtrip-{variant}-{kind}", round_trip_fit(variant, kind)[0], None, None, None
 
 
 def array_digest(arrays, extra: str = "") -> str:
@@ -70,6 +81,17 @@ def served_digest(served: dict) -> str:
     table = served["table"]
     arrays = [getattr(table, f.name) for f in fields(table) if f.name != "group_ids"]
     return array_digest(arrays + [served["tau_hat"], served["var_delta"]], repr(table.group_ids))
+
+
+def explain_digest(model, X, features) -> str:
+    """sha256 of the importance and default-grid partial dependence, over rows X, of the
+    mean on features[0] and of R on features[1]."""
+    arrays, names = [], []
+    for component, feature in zip(("mean", "R"), features):
+        scores = diagnostics.variable_importance(model, component)
+        names.append(list(scores))
+        arrays += [list(scores.values()), *diagnostics.partial_dependence(model, component, feature, X)]
+    return array_digest(arrays, repr(names))
 
 
 SIM_N_OBS = 400
@@ -92,15 +114,19 @@ def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         print("set PYTHONHASHSEED=0: model files are compared under that hash seed", file=sys.stderr)
         return 2
+    explained = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.gbmixed"
-        for name, model, schema, served in models():
+        for name, model, schema, served, explain in models():
             save_model(path, model, schema=schema)
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
             if served is not None:
                 print(f"{served_digest(served)}  {name}-served")
+                explained.append(f"{explain}  {name}-explained")
     for name, digest in scenario_digests():
         print(f"{digest}  {name}")
+    # after the lines of the script's earlier versions, which keep their order
+    print("\n".join(explained))
     return 0
 
 

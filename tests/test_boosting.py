@@ -288,6 +288,22 @@ class TestFit:
         with pytest.raises(DataError, match="group 3"):
             fit(bad, small_config())
 
+    def test_a_non_finite_design_entry_is_a_data_error_before_the_fit(self):
+        # a NaN in Z used to reach the fit, which ran until the group was sampled and
+        # then raised the NumericalError "non-finite gradient"
+        rng = np.random.default_rng(11)
+
+        def block(i):
+            X = rng.standard_normal((5, 2))
+            Z = np.ones((5, 1))
+            Z[2, 0] = np.nan if i == 3 else 1.0
+            return GroupBlock(group_id=i, y=X[:, 0] + rng.standard_normal(5), X=X, Z=Z)
+
+        with pytest.raises(DataError, match="group 3: Z must be finite") as raised:
+            ds = GroupedDataset(groups=tuple(block(i) for i in range(40)), feature_names=("x1", "x2"))
+            fit(ds, FitConfig(n_iterations=5))
+        assert raised.value.exit_code == 3
+
     def test_force_include_out_of_range(self):
         rng = np.random.default_rng(5)
         ds = clustered_dataset(rng, n_groups=8, p=2)

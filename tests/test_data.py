@@ -86,6 +86,33 @@ class TestContainers:
         with pytest.raises(DataError):
             GroupBlock(group_id=1, y=np.zeros(2), X=np.zeros((3, 1)), Z=np.ones((2, 1)))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("y", ["1", "2"], "group 7: y must hold numbers"),          # read as numbers before
+        ("y", [0.5, None], "group 7: y must hold numbers"),         # None read as NaN before
+        ("y", ["a", "b"], "group 7: y must hold numbers"),          # a raw ValueError before
+        ("y", np.array([1j, 2.0]), "group 7: y must hold numbers"),  # a raw TypeError before
+        ("X", [["a"], ["b"]], "group 7: X must hold numbers"),
+        ("Z", [[1.0], [None]], "group 7: Z must hold numbers"),
+        ("x_tilde", ["a"], "group 7: x_tilde must hold numbers"),
+        ("y", [np.inf, 1.0], "group 7: y must be finite, or NaN"),
+        ("y", [0.0, -np.inf], "group 7: y must be finite, or NaN"),
+        ("Z", [[1.0], [np.nan]], "group 7: Z must be finite"),
+        ("Z", [[np.inf], [1.0]], "group 7: Z must be finite"),
+    ], ids=["y_numeric_strings", "y_none", "y_strings", "y_complex", "X_strings", "Z_none",
+            "x_tilde_strings", "y_inf", "y_minus_inf", "Z_nan", "Z_inf"])
+    def test_block_arrays_are_numbers_and_responses_and_designs_finite(self, field, value, message):
+        arrays = dict(y=np.zeros(2), X=np.zeros((2, 1)), Z=np.ones((2, 1)), x_tilde=None)
+        arrays[field] = value
+        with pytest.raises(DataError, match=message):
+            GroupBlock(group_id=7, **arrays)
+
+    def test_nan_responses_and_non_finite_features_are_kept(self):
+        g = GroupBlock(group_id=7, y=[np.nan, 1], X=[[np.nan], [-np.inf]], Z=[[1], [0]],
+                       x_tilde=[np.inf])
+        np.testing.assert_array_equal(g.y, [np.nan, 1.0])
+        np.testing.assert_array_equal(g.X, [[np.nan], [-np.inf]])
+        assert g.Z.dtype == float and g.x_tilde[0] == np.inf
+
     def test_canonical_order_numeric_then_string(self):
         mk = lambda gid: GroupBlock(
             group_id=gid, y=np.zeros(1), X=np.zeros((1, 1)), Z=np.ones((1, 1))

@@ -153,6 +153,24 @@ class TestIntervals:
         with pytest.raises(ConfigError):
             interval_halfwidth(np.ones(1), 1.0)
 
+    @pytest.mark.parametrize("var, message", [
+        (np.array([-1.0]), "no negative variance"),      # NaN with a warning from sqrt before
+        (np.array([4.0, -np.inf]), "no negative variance"),
+        (np.array(["a"]), "var_total must hold numbers"),   # a raw TypeError before
+        (np.array([1j]), "var_total must hold numbers"),    # a complex half-width before
+    ])
+    def test_variances_are_numbers_and_not_negative(self, var, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                interval_halfwidth(var, 0.1)
+
+    def test_nan_and_infinite_variances_pass_through(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            half = interval_halfwidth(np.array([np.nan, 0.0, 4.0, np.inf]), 0.1)
+        np.testing.assert_array_equal(half, [np.nan, 0.0, 2 * Z90, np.inf])
+
     def test_known_group_interval(self):
         # q = 1, Z = 1: u_hat = g * n * mean(y - mu) / (g * n + r)
         g_var, r_var = 0.25, 0.75
