@@ -91,16 +91,18 @@ class GroupBlock:
 
     def __post_init__(self):
         name = f"group {self.group_id!r}"
-        y, X, Z = (numeric_array(f"{name}: {a}", getattr(self, a)) for a in ("y", "X", "Z"))
+        y = numeric_array(name + ": y", self.y)
+        X = numeric_array(name + ": X", self.X)
+        Z = numeric_array(name + ": Z", self.Z)
         if y.ndim != 1 or y.shape[0] == 0:
             raise DataError(f"{name}: y must be a nonempty vector")
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise DataError(f"{name}: X must have one row per observation")
         if Z.ndim != 2 or Z.shape[0] != y.shape[0]:
             raise DataError(f"{name}: Z must have one row per observation")
-        if np.any(np.isinf(y)):
+        if np.count_nonzero(np.isinf(y)):
             raise DataError(f"{name}: y must be finite, or NaN for an unobserved response")
-        if not np.all(np.isfinite(Z)):
+        if np.count_nonzero(np.isfinite(Z)) < Z.size:
             raise DataError(f"{name}: Z must be finite")
         for arr in (y, X, Z):
             arr.flags.writeable = False
