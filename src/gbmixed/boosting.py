@@ -11,9 +11,10 @@ learners to all three ensembles in parallel:
     residual var    log r(x):  row-level learner on dl/dlog r
 
 A held-out fraction of groups tracks the evaluation log-likelihood per
-iteration. With early stopping enabled, fitting stops when the look-back
-criterion triggers and the returned ensembles are truncated at the iteration
-with the best evaluation log-likelihood (earliest on ties); with it disabled
+iteration. With early stopping enabled, fitting stops once the best of the
+last `lookback` iterations beats the best before them by less than
+`tolerance`, and the returned ensembles are truncated at the iteration with
+the best evaluation log-likelihood (earliest on ties); with it disabled
 every iteration is kept, so repeated runs share a consistent ensemble size.
 
 The training loop stacks the training groups once, boosting groups first, so
@@ -320,10 +321,12 @@ def sample_iteration(rng: np.random.Generator, n_groups: int, n_features: int, c
 
 
 def check_convergence(history, lookback: int, tolerance: float) -> bool:
-    """Look-back stop rule on the evaluation log-likelihood series."""
+    """Look-back stop rule on the evaluation log-likelihood series: true when the best of
+    the last lookback values beats the best before them by less than tolerance, so a fit
+    stops lookback iterations after its optimum."""
     if len(history) <= lookback:
         return False
-    return abs(history[-1] - history[-1 - lookback]) < tolerance
+    return max(history[-lookback:]) < max(history[:-lookback]) + tolerance
 
 
 def _set_loglik(F, y, mu, Z, logr, sizes, q: int, m: int) -> float:

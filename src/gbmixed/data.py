@@ -21,6 +21,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,15 +111,57 @@ class GroupBlock:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Z", Z)
         if self.x_tilde is not None:
-            xt = numeric_array(f"{name}: x_tilde", self.x_tilde)
-            if xt.shape != (X.shape[1],):
-                raise DataError(f"{name}: x_tilde must have one entry per feature")
-            xt.flags.writeable = False
-            object.__setattr__(self, "x_tilde", xt)
+            object.__setattr__(self, "x_tilde", self._summary(self.x_tilde))
+
+    def _summary(self, x_tilde) -> np.ndarray:
+        xt = numeric_array(f"group {self.group_id!r}: x_tilde", x_tilde)
+        if xt.shape != (self.X.shape[1],):
+            raise DataError(f"group {self.group_id!r}: x_tilde must have one entry per feature")
+        xt.flags.writeable = False
+        return xt
+
+    def with_summary(self, x_tilde) -> "GroupBlock":
+        """A copy carrying x_tilde. Only x_tilde is checked: y, X and Z passed the rule
+        when this block was built, and they are read-only."""
+        return _unchecked_block(self.group_id, self.y, self.X, self.Z, self._summary(x_tilde))
 
     @property
     def n(self) -> int:
         return self.y.shape[0]
+
+
+def _unchecked_block(group_id, y, X, Z, x_tilde) -> GroupBlock:
+    """A GroupBlock of read-only arrays that already pass its rule, built without the checks."""
+    block = object.__new__(GroupBlock)
+    block.__dict__.update(group_id=group_id, y=y, X=X, Z=Z, x_tilde=x_tilde)
+    return block
+
+
+def _group_blocks(ids: Sequence, sizes: Sequence[int], y: np.ndarray, X: np.ndarray,
+                  Z: np.ndarray, categorical: Sequence[int] = ()) -> list[GroupBlock]:
+    """One block per id over consecutive row slices of stacked y, X and Z, each with its
+    summary under categorical.
+
+    GroupBlock's rule is applied once to the whole arrays, and the blocks share read-only
+    views of them. When the rule fails, the blocks are built one by one, so that the
+    error names the first group that breaks it.
+    """
+    ends = np.cumsum(sizes).tolist()
+    rows = [slice(start, end) for start, end in zip([0, *ends], ends)]
+    if not (y.dtype == X.dtype == Z.dtype == float and y.ndim == 1 and X.ndim == Z.ndim == 2
+            and X.shape[0] == Z.shape[0] == y.shape[0] == ends[-1] and min(sizes) > 0
+            and not np.count_nonzero(np.isinf(y)) and np.count_nonzero(np.isfinite(Z)) == Z.size):
+        return [GroupBlock(gid, y[r], X[r], Z[r], summarize_matrix(X[r], categorical))
+                for gid, r in zip(ids, rows)]
+    y, X, Z = y.view(), X.view(), Z.view()   # read-only views; the caller's arrays stay writable
+    for arr in (y, X, Z):
+        arr.flags.writeable = False
+    blocks = []
+    for gid, r in zip(ids, rows):
+        xt = summarize_matrix(X[r], categorical)
+        xt.flags.writeable = False
+        blocks.append(_unchecked_block(gid, y[r], X[r], Z[r], xt))
+    return blocks
 
 
 def _id_sort_key(gid):
@@ -170,7 +213,7 @@ class GroupedDataset:
         object.__setattr__(self, "categorical_features", cat)
         ordered = sorted(self.groups, key=lambda g: _id_sort_key(g.group_id))
         object.__setattr__(self, "groups", tuple(
-            g if g.x_tilde is not None else replace(g, x_tilde=summarize_matrix(g.X, cat))
+            g if g.x_tilde is not None else g.with_summary(summarize_matrix(g.X, cat))
             for g in ordered
         ))
 
@@ -268,6 +311,38 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
     an int or float, and every row of a group must spell it the same way (`7`
     and `7.0` in one file are a DataError naming both lines). A leading UTF-8
     byte-order mark is skipped. Group blocks preserve row order within each group.
+    A file with several faults reports the first in file order.
+    """
+    try:
+        ids, sizes, values = _read_rows(path, schema, checked=False)
+        bad = np.count_nonzero(np.isinf(values[:, 0])) or (
+            np.count_nonzero(np.isfinite(values[:, 1:])) < values[:, 1:].size)
+    except (ValueError, DataError, csv.Error):
+        bad = True
+    if bad:
+        # the per-cell parser raises for the first bad cell or row in file order
+        ids, sizes, values = _read_rows(path, schema, checked=True)
+
+    feat_pos = {c: k for k, c in enumerate(schema.feature_cols)}
+    X = np.ascontiguousarray(values[:, 1:])
+    groups = _group_blocks(ids, sizes, values[:, 0].copy(), X, _build_z(X, schema, feat_pos),
+                           schema.categorical_indices)
+    t_idx = feat_pos[schema.treatment_col] if schema.treatment_col is not None else None
+    return GroupedDataset(
+        groups=tuple(groups),
+        feature_names=schema.feature_cols,
+        treatment_index=t_idx,
+        categorical_features=schema.categorical_indices,
+    )
+
+
+def _read_rows(path: str, schema: ColumnSchema, checked: bool) -> tuple[list, list, np.ndarray]:
+    """(group ids, group sizes, values): the groups in canonical order, and a float
+    matrix of their rows [response, *features], group after group.
+
+    Every structural and group-id fault is a DataError. checked parses each cell with
+    _parse_cell, which names the first bad one; otherwise a cell is parsed by float
+    alone, so that a bad one raises a ValueError or reads as a non-finite value.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
@@ -288,15 +363,21 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
         gi = col_index[schema.group_col]
         yi = col_index[schema.response_col]
         fis = [col_index[c] for c in schema.feature_cols]
+        if checked:
+            def parse(row, line_no):
+                return [_parse_cell(row[yi], schema.response_col, line_no, allow_nan=True),
+                        *(_parse_cell(row[j], header[j], line_no) for j in fis)]
+        else:
+            cells = itemgetter(yi, *fis)
+            parse = lambda row, line_no: list(map(float, cells(row)))
         by_group: dict[object, list] = {}
         ids: dict[str, object] = {}                   # group id text -> parsed id
         spelled: dict[object, tuple[str, int]] = {}   # parsed id -> its text and first line
-        n_rows = 0
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
+            if not any(map(str.strip, row)):   # a blank row
                 continue
             extra = row[len(header):]   # may only be empty cells, as a trailing comma writes
-            if len(row) < len(header) or (extra and any(cell.strip() for cell in extra)):
+            if len(row) < len(header) or any(map(str.strip, extra)):
                 raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
             text = row[gi].strip()
             gid = ids.get(text)
@@ -311,28 +392,12 @@ def load_csv(path: str, schema: ColumnSchema) -> GroupedDataset:
                 ids[text] = gid
                 spelled[gid] = (text, line_no)
                 by_group[gid] = []
-            y = _parse_cell(row[yi], schema.response_col, line_no, allow_nan=True)
-            x = [_parse_cell(row[j], header[j], line_no) for j in fis]
-            by_group[gid].append((y, x))
-            n_rows += 1
-        if n_rows == 0:
+            by_group[gid].append(parse(row, line_no))
+        if not by_group:
             raise DataError(f"{path}: no data rows")
-
-    feat_pos = {c: k for k, c in enumerate(schema.feature_cols)}
-    cat = schema.categorical_indices
-    groups = []
-    for gid, rows in by_group.items():
-        y = np.array([r[0] for r in rows])
-        X = np.array([r[1] for r in rows])
-        Z = _build_z(X, schema, feat_pos)
-        groups.append(GroupBlock(group_id=gid, y=y, X=X, Z=Z, x_tilde=summarize_matrix(X, cat)))
-    t_idx = feat_pos[schema.treatment_col] if schema.treatment_col is not None else None
-    return GroupedDataset(
-        groups=tuple(groups),
-        feature_names=schema.feature_cols,
-        treatment_index=t_idx,
-        categorical_features=schema.categorical_indices,
-    )
+    order = sorted(by_group, key=_id_sort_key)
+    values = np.array([row for gid in order for row in by_group[gid]], dtype=float)
+    return order, [len(by_group[gid]) for gid in order], values
 
 
 def _build_z(X: np.ndarray, schema: ColumnSchema, feat_pos: dict) -> np.ndarray:
@@ -345,6 +410,11 @@ def _build_z(X: np.ndarray, schema: ColumnSchema, feat_pos: dict) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _cell(v):
+    """A value as write_csv hands it to csv: a float, Python or numpy, as repr(float(v))."""
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else v
+
+
 def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
     """Write a table as UTF-8 CSV in the csv module's default dialect.
 
@@ -355,14 +425,18 @@ def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(
-            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            for row in rows
-        )
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+class _Echo:
+    """A file whose write returns the text, so a csv writer's writerow returns its line."""
+
+    def write(self, text: str) -> str:
+        return text
 
 
 def save_csv(path: str, ds: GroupedDataset, schema: ColumnSchema) -> None:
-    """Write a dataset back to CSV.
+    """Write a dataset back to CSV, in the bytes write_csv writes for its rows [id, y, *x].
 
     Floats are written with repr, so finite values survive a save/load round
     trip bit-identically. Only group, response, and feature columns are
@@ -370,10 +444,14 @@ def save_csv(path: str, ds: GroupedDataset, schema: ColumnSchema) -> None:
     """
     if tuple(schema.feature_cols) != tuple(ds.feature_names):
         raise ConfigError("schema feature columns do not match dataset feature names")
-    rows = (
-        [g.group_id, y, *x] for g in ds.groups for y, x in zip(g.y.tolist(), g.X.tolist())
-    )
-    write_csv(path, [schema.group_col, schema.response_col, *schema.feature_cols], rows)
+    # only an id can need quoting: repr of a float never holds a comma, quote or newline
+    id_cell = csv.writer(_Echo(), lineterminator="").writerow
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow([schema.group_col, schema.response_col, *schema.feature_cols])
+        for g in ds.groups:
+            head = id_cell([_cell(g.group_id), ""])   # the id cell and its comma
+            fh.writelines(head + repr(y) + "," + ",".join(map(repr, x)) + "\r\n"
+                          for y, x in zip(g.y.tolist(), g.X.tolist()))
 
 
 def _mode_smallest(values: np.ndarray) -> float:
@@ -384,7 +462,8 @@ def _mode_smallest(values: np.ndarray) -> float:
 
 def summarize_matrix(X: np.ndarray, categorical: Sequence[int] = ()) -> np.ndarray:
     """Summary vector of a block of rows: feature means, modes where categorical."""
-    xt = np.asarray(X, dtype=float).mean(axis=0)
+    X = np.asarray(X, dtype=float)
+    xt = np.add.reduce(X, axis=0) / X.shape[0]   # what X.mean(axis=0) computes
     for c in categorical:
         xt[c] = _mode_smallest(X[:, c])
     return xt
@@ -399,7 +478,7 @@ def summarize_groups(ds: GroupedDataset, categorical: Sequence[int] | None = Non
     if categorical is not None:
         ds = replace(ds, categorical_features=categorical)   # checked by the dataset
     cat = ds.categorical_features
-    return replace(ds, groups=tuple(replace(g, x_tilde=summarize_matrix(g.X, cat))
+    return replace(ds, groups=tuple(g.with_summary(summarize_matrix(g.X, cat))
                                     for g in ds.groups))
 
 

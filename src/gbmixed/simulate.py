@@ -51,7 +51,7 @@ from .boosting import (
     fit,
 )
 from .config import apply_settings
-from .data import GroupBlock, GroupedDataset, split_by_groups, summarize_matrix
+from .data import GroupedDataset, _group_blocks, split_by_groups
 from .errors import ConfigError, check_fields, check_seed, check_type
 from .prediction import cate, check_alpha, interval_halfwidth, ite_variance
 
@@ -338,18 +338,7 @@ def generate(scenario: Scenario, n_obs: int, seed: int | None = None) -> tuple[G
 
     Xw = np.column_stack([X, w])
     names = tuple(f"x{j + 1}" for j in range(p)) + ("w",)
-    groups = []
-    for i in range(C):
-        rows = slice(2 * i, 2 * i + 2)
-        groups.append(
-            GroupBlock(
-                group_id=i,
-                y=y[rows],
-                X=Xw[rows],
-                Z=np.ones((2, 1)),
-                x_tilde=summarize_matrix(Xw[rows]),
-            )
-        )
+    groups = _group_blocks(range(C), [2] * C, y, Xw, np.ones((n, 1)))
     ds = GroupedDataset(groups=tuple(groups), feature_names=names, treatment_index=p)
     truth = GroundTruth(
         tau=tau, y0=y0, y1=y1, resid_var=r_var, group_var=g_var, alpha=alpha

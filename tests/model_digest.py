@@ -3,7 +3,7 @@
     PYTHONHASHSEED=0 python tests/model_digest.py
 
 Run it from the root of a checkout; gbmixed comes from that checkout's src/.
-It prints one "<sha256>  <name>" line per item, thirty-two in all:
+It prints one "<sha256>  <name>" line per item, thirty-eight in all:
 
   - the perfbench/workloads.py prepare() draws of seeds 1-3 of both
     workloads, each fitted with its own config and saved with its schema;
@@ -15,10 +15,12 @@ It prints one "<sha256>  <name>" line per item, thirty-two in all:
   - every simulate scenario: its generate draw of SIM_N_OBS rows at seed
     SIM_SEED (the dataset's stacked arrays, group ids and summaries, and
     every GroundTruth field) and its default_config();
-  - last, for each of the six benchmark models, what the workload's
-    _explain computes over the test rows: the importance and the
-    default-grid partial dependence of the mean and of R on the features
-    of EXPLAINED.
+  - for each of the six benchmark models, what the workload's _explain
+    computes over the test rows: the importance and the default-grid
+    partial dependence of the mean and of R on the features of EXPLAINED;
+  - last, for each of the six benchmark draws, the bytes save_csv writes for
+    its training split, then the stacked arrays, group ids and summaries
+    load_csv reads back from them.
 
 A change that must build the same models and draws prints the same lines as
 its parent. It refuses to run without PYTHONHASHSEED=0, the hash seed under
@@ -39,7 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from gbmixed import boosting, diagnostics, simulate  # noqa: E402
+from gbmixed import boosting, data, diagnostics, simulate  # noqa: E402
 from gbmixed.model_io import save_model  # noqa: E402
 from test_model_io import ROUND_TRIP_CASES, round_trip_fit  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -110,6 +112,22 @@ def scenario_digests():
         yield f"simulate-{name}", array_digest(arrays, repr((names, sc.default_config())))
 
 
+def csv_digests(tmp: Path):
+    """(name, sha256) of each benchmark draw's training split through save_csv and
+    load_csv, in the order of models()."""
+    path = tmp / "train.csv"
+    for workload in ("pairs", "clusters"):
+        for seed in (1, 2, 3):
+            prep = WORKLOADS[workload]().prepare(seed)
+            data.save_csv(path, prep.train, prep.schema)
+            ds = data.load_csv(path, prep.schema)
+            st = ds.stacked()
+            arrays = [np.frombuffer(path.read_bytes(), dtype=np.uint8), st.y, st.X, st.Z,
+                      st.sizes, np.asarray(ds.group_ids()), ds.x_tilde_matrix()]
+            names = (ds.feature_names, ds.treatment_index, ds.categorical_features)
+            yield f"{workload}-seed{seed}-csv", array_digest(arrays, repr(names))
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         print("set PYTHONHASHSEED=0: model files are compared under that hash seed", file=sys.stderr)
@@ -127,6 +145,9 @@ def main() -> int:
         print(f"{digest}  {name}")
     # after the lines of the script's earlier versions, which keep their order
     print("\n".join(explained))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in csv_digests(Path(tmp)):
+            print(f"{digest}  {name}")
     return 0
 
 

@@ -244,12 +244,19 @@ class TestSampling:
 
 class TestConvergence:
     def test_examples(self):
+        # the last lookback values do not beat the best before them by the tolerance
         assert check_convergence([-10.0, -5.0, -4.999], lookback=1, tolerance=0.01)
-        assert not check_convergence([-10.0, -5.0], lookback=1, tolerance=0.01)
+        assert check_convergence([-10.0, -5.0, -6.0], lookback=1, tolerance=0.01)
+        assert check_convergence([-3.0, -4.0, -3.5, -3.0005], lookback=3, tolerance=0.01)
+        # they do: the curve still rises
+        assert not check_convergence([-10.0, -5.0, -4.98], lookback=1, tolerance=0.01)
+        assert not check_convergence([-3.0, -4.0, -3.5, -2.5], lookback=3, tolerance=0.01)
+        # a value inside the window is the best so far
+        assert not check_convergence([-10.0, -5.0, -6.0, -7.0], lookback=3, tolerance=0.01)
+        # too short a history to look back over
+        assert not check_convergence([-10.0, -5.0], lookback=2, tolerance=0.01)
         assert not check_convergence([-10.0], lookback=1, tolerance=0.01)
         assert not check_convergence([], lookback=3, tolerance=0.01)
-        assert check_convergence([-3.001, -4.0, -3.5, -3.0005], lookback=3, tolerance=0.01)
-        assert not check_convergence([-3.001, -4.0, -3.5, -3.0005], lookback=2, tolerance=0.01)
 
     @settings(max_examples=30)
     @given(
@@ -258,8 +265,19 @@ class TestConvergence:
     )
     def test_matches_definition(self, values, lookback):
         tol = 0.5
-        expected = len(values) > lookback and abs(values[-1] - values[-1 - lookback]) < tol
+        m = len(values) - 1
+        expected = m >= lookback and (
+            max(values[m - lookback + 1:]) < max(values[:m - lookback + 1]) + tol
+        )
         assert check_convergence(values, lookback, tol) == expected
+
+    @pytest.mark.parametrize("lookback", [1, 3, 25])
+    def test_a_curve_that_peaks_and_falls_stops_lookback_iterations_after_the_peak(self, lookback):
+        peak = 40
+        curve = [-100.0 + m for m in range(peak + 1)] + [-60.0 - 0.1 * k for k in range(1, 60)]
+        stop = next(m for m in range(len(curve))
+                    if check_convergence(curve[:m + 1], lookback, tolerance=1e-3))
+        assert stop == peak + lookback
 
 
 class TestFit:
@@ -368,6 +386,23 @@ class TestFit:
         model = fit(ds, cfg)
         # an absurdly loose tolerance stops at the first possible check
         assert model.n_iterations_run == 2
+
+    def test_early_stopping_keeps_the_full_run_up_to_its_best_iteration(self):
+        ds = clustered_dataset(np.random.default_rng(0), n_groups=40, n_per=4,
+                               mean_fn=lambda X: X[:, 0])
+        tree = LearnerSpec(kind="tree", tree_min_parent=4, tree_min_child=2)
+        full = fit(ds, small_config(n_iterations=200, lr_mean=0.3, mean_learner=tree))
+        early = fit(ds, small_config(n_iterations=200, lr_mean=0.3, mean_learner=tree,
+                                     early_stopping=True, lookback=10))
+        best = early.best_iteration
+        assert best == int(np.argmax(full.history)) > 0
+        assert early.n_iterations_run == best + 10 < full.n_iterations_run
+        assert early.history == full.history[:best + 11]
+        pairs = [(early.mean_learners, full.mean_learners),
+                 (early.rvar_learners, full.rvar_learners),
+                 *zip(early.gcov_learners, full.gcov_learners)]
+        for a, b in pairs:
+            assert len(a) == best and repr(a) == repr(b[:best])   # repr keeps every bit of a float
 
     def test_learner_kinds_follow_variant(self):
         rng = np.random.default_rng(12)

@@ -1,5 +1,7 @@
 """Data containers, CSV round trips, group summaries, and splits."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from gbmixed.data import (
     ColumnSchema,
     GroupBlock,
     GroupedDataset,
+    _group_blocks,
     _mode_smallest,
     load_csv,
     save_csv,
@@ -113,6 +116,37 @@ class TestContainers:
         np.testing.assert_array_equal(g.X, [[np.nan], [-np.inf]])
         assert g.Z.dtype == float and g.x_tilde[0] == np.inf
 
+    def test_stacked_blocks_name_the_first_group_that_breaks_the_rule(self):
+        y, X, Z = np.zeros(6), np.zeros((6, 2)), np.ones((6, 1))
+        y[4] = np.inf
+        with pytest.raises(DataError, match="group 'c': y must be finite"):
+            _group_blocks(["a", "b", "c"], [2, 2, 2], y, X, Z)
+        Z[1, 0] = np.nan
+        with pytest.raises(DataError, match="group 'a': Z must be finite"):
+            _group_blocks(["a", "b", "c"], [2, 2, 2], y, X, Z)
+
+    def test_stacked_blocks_are_read_only_slices_with_summaries(self):
+        y, X, Z = np.arange(6.0), np.arange(12.0).reshape(6, 2) % 5, np.ones((6, 1))
+        blocks = _group_blocks([1, "b"], [4, 2], y, X, Z, categorical=(1,))
+        for block, rows in zip(blocks, (slice(0, 4), slice(4, 6))):
+            want = GroupBlock(block.group_id, y[rows], X[rows], Z[rows],
+                              summarize_matrix(X[rows], (1,)))
+            for field in ("y", "X", "Z", "x_tilde"):
+                a, b = getattr(block, field), getattr(want, field)
+                assert np.array_equal(a, b) and a.dtype == b.dtype and not a.flags.writeable
+        assert y.flags.writeable and X.flags.writeable and Z.flags.writeable
+
+    def test_with_summary_checks_only_the_summary(self):
+        g = GroupBlock(group_id=7, y=np.zeros(2), X=np.zeros((2, 2)), Z=np.ones((2, 1)))
+        h = g.with_summary([1, 2])
+        assert h.y is g.y and h.X is g.X and h.Z is g.Z and h.group_id == 7
+        assert h.x_tilde.dtype == float and not h.x_tilde.flags.writeable
+        assert g.x_tilde is None
+        with pytest.raises(DataError, match="group 7: x_tilde must have one entry per feature"):
+            g.with_summary([1.0])
+        with pytest.raises(DataError, match="group 7: x_tilde must hold numbers"):
+            g.with_summary(["a", "b"])
+
     def test_canonical_order_numeric_then_string(self):
         mk = lambda gid: GroupBlock(
             group_id=gid, y=np.zeros(1), X=np.zeros((1, 1)), Z=np.ones((1, 1))
@@ -204,6 +238,26 @@ class TestCsv:
         # a nan response marks an unobserved row and stays legal
         path.write_text("g,y,x1\n1,nan,2.0\n")
         assert np.isnan(load_csv(path, schema).groups[0].y[0])
+
+    @pytest.mark.parametrize("body, first", [
+        ("1,0.5,2,3\n1,oops,2,3\n2,0.5,2,3\n2,0.5\n",
+         "line 3: cannot parse 'oops' in column 'y' as a number"),
+        ("1,0.5,2,3\n1,-inf,2,3\n2,0.5,2,3\n2,0.5\n",
+         "line 3: non-finite value '-inf' in column 'y'"),
+        ("1,0.5,2,3\n1,0.5,inf,3\n2,0.5,2,3\n2,0.5,2,3\n2,0.5,2,x\n",
+         "line 3: non-finite value 'inf' in column 'a'"),
+        ("7,0.5,2,3\n1,0.5,2,3\n7.0,0.5,2,3\n2,0.5,2,3\n2,0.5,2,?\n",
+         "line 4: group id '7.0' in column 'g' is '7' of line 2 spelled another way"),
+        ("1,0.5,2,3\n1,0.5,nan,oops\n", "line 3: non-finite value 'nan' in column 'a'"),
+    ], ids=["bad_cell_before_short_row", "non_finite_before_short_row",
+            "non_finite_before_unparseable", "id_spelling_before_bad_cell",
+            "non_finite_before_unparseable_in_one_row"])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, body, first):
+        path = tmp_path / "faults.csv"
+        path.write_text("g,y,a,b\n" + body)
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("a", "b"))
+        with pytest.raises(DataError, match="^" + re.escape(first) + "$"):
+            load_csv(path, schema)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "m.csv"

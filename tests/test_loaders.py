@@ -9,9 +9,11 @@ another exception, and `gbmixed fit` and `gbmixed predict` on such a file
 exit 0, 2 or 3.
 
 Round trips: save_csv then load_csv gives back a random dataset exactly
-(int, float and text group ids, non-ASCII names, categorical columns, nan
-responses), and save_model then load_model gives back a small fitted model
-of any learner kinds that predicts bit-identically and saves to the same bytes.
+(int, float and text group ids, text ids that csv quotes, non-ASCII names,
+categorical columns, nan responses), save_csv writes the bytes write_csv
+writes for the rows [id, y, *x], and save_model then load_model gives back
+a small fitted model of any learner kinds that predicts bit-identically and
+saves to the same bytes.
 """
 
 import dataclasses
@@ -29,7 +31,9 @@ from gbmixed.boosting import (
     FitConfig, config_for_variant, eval_gcov_rows, eval_mean, eval_resid_var, fit,
 )
 from gbmixed.config import load_run_config
-from gbmixed.data import INTERCEPT, ColumnSchema, GroupBlock, GroupedDataset, load_csv, save_csv
+from gbmixed.data import (
+    INTERCEPT, ColumnSchema, GroupBlock, GroupedDataset, load_csv, save_csv, write_csv,
+)
 from gbmixed.errors import ConfigError, DataError
 from gbmixed.learners import LEARNER_KINDS, LearnerSpec
 from gbmixed.model_io import load_model, save_model
@@ -199,10 +203,14 @@ def not_a_number(text: str) -> bool:
 
 # letters, non-ASCII ones included, so that no name or text id reads as a number or has spaces
 WORDS = st.text(st.characters(categories=["L"]), min_size=1, max_size=6).filter(not_a_number)
+# text ids that csv must quote; load_csv strips an id, so they have no surrounding whitespace
+QUOTED = st.text(st.characters(categories=["L"]) | st.sampled_from(',"'), min_size=1,
+                 max_size=6).filter(lambda t: "," in t or '"' in t)
 GROUP_IDS = st.one_of(
     st.integers(-(2**63), 2**63),
     st.floats(allow_nan=False, allow_infinity=False).filter(lambda f: not f.is_integer()),
     WORDS,
+    QUOTED,
 )
 VALUES_X = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -249,6 +257,10 @@ def test_csv_round_trip_is_the_identity(tmp_path_factory, case):
     ds, schema = case
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     save_csv(path, ds, schema)
+    table = path.with_name("table.csv")
+    rows = [[g.group_id, y, *x] for g in ds.groups for y, x in zip(g.y, g.X)]
+    write_csv(table, [schema.group_col, schema.response_col, *schema.feature_cols], rows)
+    assert path.read_bytes() == table.read_bytes()
     back = load_csv(path, schema)
     assert [(type(i), i) for i in back.group_ids()] == [(type(i), i) for i in ds.group_ids()]
     assert back.feature_names == ds.feature_names
