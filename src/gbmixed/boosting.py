@@ -43,6 +43,7 @@ one mean rule of learners.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -190,19 +191,23 @@ def _ensemble_sum(learners, X, lr, out, upto=None, grid=None):
 def _ensemble_grid_sum(learners, X, grid, lr, out):
     """out[k] += lr * h(X with column f set to values[k]) for each learner in turn.
 
-    Each learner reads one feature-major copy cols of X with row f set to the
-    first value of each run of values that cannot change its output: a tree
-    (walked by _leaf_values) once per interval between its sorted thresholds
-    on f that the values hit, searchsorted side="right"; a linear learner that
-    reads f (f is in its features, whatever the coefficient: inf * 0 is NaN)
-    once per value; a constant, or a linear learner that never reads f, once.
-    Every value of an interval sends each row down the same path (x < t holds
-    for all of them or for none; NaN and +inf go right at every split), so for
+    Each learner is evaluated once per run of values that cannot change its
+    output, at the run's first value: a tree once per interval between its
+    sorted thresholds on f that the values hit, searchsorted side="right"; a
+    linear learner that reads f (f is in its features, whatever the
+    coefficient: inf * 0 is NaN) once per value; a constant, or a linear
+    learner that never reads f, once. A tree is walked by _leaf_values with
+    fixed = (f, value) over one feature-major copy cols of X: each split on f
+    is settled by the scalar test value < threshold and only its side is
+    walked. A linear learner reads cols with row f set to the value. Every
+    value of an interval sends each row down the same path (x < t holds for
+    all of them or for none; NaN and +inf go right at every split), so for
     trees and constants row k of out takes the very terms and order of
-    _ensemble_sum on X with column f set to values[k], bit for bit.
+    _ensemble_sum on X with column f set to values[k], bit for bit. A learner
+    with one run adds its one row to every row of out by broadcast.
     """
     f, values = grid
-    cols = np.array(X.T, order="C")   # a copy even where X.T is contiguous: row f is written
+    cols = np.array(X.T, order="C")   # a copy even where X.T is contiguous: linear learners write row f
     each = np.arange(len(values))
     for h in learners:
         tree = isinstance(h, TreeLearner)
@@ -213,9 +218,12 @@ def _ensemble_grid_sum(learners, X, grid, lr, out):
         _, first, interval = np.unique(run, return_index=True, return_inverse=True)
         per = np.empty((first.size, X.shape[0]))
         for i, k in enumerate(first):
-            cols[f] = values[k]
-            per[i] = _leaf_values(h.root, cols) if tree else h.predict(cols.T, cols)
-        out += (lr * per)[interval]
+            if tree:
+                per[i] = _leaf_values(h.root, cols, (f, values[k]))
+            else:
+                cols[f] = values[k]
+                per[i] = h.predict(cols.T, cols)
+        out += lr * per[0] if first.size == 1 else (lr * per)[interval]
     return out
 
 
@@ -233,10 +241,18 @@ def eval_mean(model: FittedModel, X: np.ndarray, upto=None, *, grid=None) -> np.
     return _ensemble_sum(model.mean_learners, X, model.config.lr_mean, out, upto, grid)
 
 
+@cache
+def _tril_indices(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(q), made once per q; the arrays are read-only."""
+    rows, cols = np.tril_indices(q)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def factors_from_entries(entries: np.ndarray, q: int) -> np.ndarray:
     """(k, T) flattened entries to (k, q, q) lower factors with floored diagonal."""
     k = entries.shape[0]
-    rows, cols = np.tril_indices(q)
+    rows, cols = _tril_indices(q)
     L = np.zeros((k, q, q))
     L[:, rows, cols] = entries
     d = np.arange(q)
@@ -346,6 +362,23 @@ def _set_loglik(F, y, mu, Z, logr, sizes, q: int, m: int) -> float:
     return total
 
 
+def _check_linear_reads(train: GroupedDataset, config: FitConfig, X, Xt) -> None:
+    """Trees route NaN and ±inf features, but a linear learner would carry one into
+    the caches it updates. A DataError names the first group, in dataset order, and
+    its first feature where a linear learner would read a non-finite value: in a row
+    (X, the training stack) for the mean and R, in the group summary (Xt) for G."""
+    rows = "linear" in (config.mean_learner.kind, config.rvar_learner.kind)
+    for M, read, summary in ((X, rows, False), (Xt, config.gcov_learner.kind == "linear", True)):
+        if read and np.count_nonzero(np.isfinite(M)) < M.size:
+            for g in train.groups:
+                bad = ~np.isfinite(g.x_tilde[None] if summary else g.X)
+                if bad.any():
+                    name = train.feature_names[int(np.flatnonzero(bad.any(axis=0))[0])]
+                    where = "group summary" if summary else "rows"
+                    raise DataError(f"group {g.group_id!r}: feature {name!r} is non-finite in "
+                                    f"its {where}, which a linear learner cannot read")
+
+
 def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     """Run the boosting loop and return the fitted model.
 
@@ -354,7 +387,8 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     uses a single generator seeded with config.seed, so identical inputs
     give identical models. When early stopping is enabled the returned
     ensembles are truncated at the evaluation optimum; otherwise all
-    iterations are kept.
+    iterations are kept. A non-finite feature that a linear learner would
+    read is a DataError before the first iteration (_check_linear_reads).
     """
     if train.n_groups < 2:
         raise DataError("need at least two groups to fit")
@@ -369,7 +403,7 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
 
     boost_ds, eval_ds = split_by_groups(train, 1.0 - config.eval_fraction, config.seed)
     f0, diag0, logr0 = initialize(boost_ds, q)
-    rows_t, cols_t = np.tril_indices(q)
+    rows_t, cols_t = _tril_indices(q)
     T = rows_t.shape[0]
     factor0 = np.zeros(T)
     factor0[rows_t == cols_t] = diag0
@@ -379,6 +413,7 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     groups = boost_ds.groups + eval_ds.groups
     st = StackedData.from_groups(groups)
     Xt = np.stack([g.x_tilde for g in groups])
+    _check_linear_reads(train, config, st.X, Xt)
     X_cols, Xt_cols = np.ascontiguousarray(st.X.T), np.ascontiguousarray(Xt.T)
     Cb, nb = boost_ds.n_groups, boost_ds.n_obs
     mu = np.full(st.y.shape[0], f0)

@@ -428,6 +428,19 @@ def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
+def _check_id_reads_back(gid) -> None:
+    """A DataError unless load_csv reads the id cell that save_csv writes for gid,
+    stripped and parsed by _parse_group_id, back as an equal id of the same kind."""
+    cell = _cell(gid)
+    text = "" if cell is None else str(cell)    # the text csv writes for the cell
+    try:
+        back = _parse_group_id(text.strip(), "", 0)
+    except DataError:   # a nan id
+        raise DataError(f"group id {gid!r} would not read back: load_csv refuses {text!r}") from None
+    if back != gid or isinstance(back, str) != isinstance(gid, str):
+        raise DataError(f"group id {gid!r} would read back as {back!r}")
+
+
 class _Echo:
     """A file whose write returns the text, so a csv writer's writerow returns its line."""
 
@@ -440,10 +453,15 @@ def save_csv(path: str, ds: GroupedDataset, schema: ColumnSchema) -> None:
 
     Floats are written with repr, so finite values survive a save/load round
     trip bit-identically. Only group, response, and feature columns are
-    written; Z is reconstructed from the schema on load.
+    written; Z is reconstructed from the schema on load. A group id that
+    load_csv would not read back as an equal id of the same kind, text or
+    number, is a DataError raised before the file is opened: " a" (read as
+    "a"), the text "7" (read as the number 7), or a nan id.
     """
     if tuple(schema.feature_cols) != tuple(ds.feature_names):
         raise ConfigError("schema feature columns do not match dataset feature names")
+    for g in ds.groups:
+        _check_id_reads_back(g.group_id)
     # only an id can need quoting: repr of a float never holds a comma, quote or newline
     id_cell = csv.writer(_Echo(), lineterminator="").writerow
     with open(path, "w", newline="", encoding="utf-8") as fh:

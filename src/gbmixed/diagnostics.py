@@ -13,8 +13,10 @@ and evaluate each learner once per run of grid values that cannot change
 its output (boosting._ensemble_grid_sum): a tree once per interval between
 its sorted thresholds on f that the grid hits, so a tree that never splits
 on f is walked once; a linear learner that reads f once per value; any other
-learner once. The curves of trees and constants are the brute-force average
-bit for bit.
+learner once. A tree's walk at a grid value settles each split on f by the
+scalar test value < threshold and walks only the side it picks, so it reads
+only the other features' columns. The curves of trees and constants are the
+brute-force average bit for bit.
 
 Grid values are processed in chunks of at most _CHUNK_CELLS accumulator
 cells (grid values x background rows), so memory stays bounded for large

@@ -60,22 +60,31 @@ its whole contiguous column, go_left = cols[feature] < threshold (NaN
 compares false and goes right), and combines its children's leaf numbers
 with the exact integer select right + go_left * (left - right); one take
 from the leaf values returns the prediction, so the values are the leaf
-values bit for bit. Partial dependence reads every learner on its own
-feature-major copy (see boosting._ensemble_grid_sum): _split_thresholds
-lists a tree's thresholds on the plotted feature from _splits, the one
-walker of a tree's splits (split_counts reads it too), and _leaf_values
-walks the columns once per threshold interval; linear and constant
-learners read the copy through predict(cols.T, cols).
+values bit for bit. A leaf's number is the narrowest of an int8, int16 or
+int64 scalar that holds it, so on trees of up to 128 leaves every select
+runs on 1-byte arrays; NumPy's promotion widens a select only where one
+side's numbers need it, and a number is an exact index in any of them.
+Partial dependence reads every learner on its own feature-major copy (see
+boosting._ensemble_grid_sum): _split_thresholds lists a tree's thresholds
+on the plotted feature from _splits, the one walker of a tree's splits
+(split_counts reads it too), and _leaf_values walks the columns once per
+threshold interval with fixed = (feature, value). That walk settles each
+split on the plotted feature by the scalar test value < threshold (NaN
+goes right, as in the column test) and walks only the side it picks, so a
+tree split only on that feature reaches one leaf, whose value fills the
+row. Linear and constant learners read the copy through predict(cols.T,
+cols).
 
 That costs a few passes over all n rows per split node, where gathering
-each node's own rows cost about one pass per level, so the select wins on
-shallow trees and loses its lead as trees deepen. Measured against the
-gather (20 trees fitted on 4000 rows with min_parent 10 and p = 8, best of
-two runs, 2-core shared Xeon VM, numpy 2.4.6), time ratios were
-  depth 1-4:  0.20-0.39 on 30 000 rows, 0.38-0.45 on 2000, 0.76-1.19 on 200
-  depth 5-6:  0.55-0.84 on 30 000 rows, 0.60-0.75 on 2000, 0.82-0.95 on 200
-  depth 7-8:  1.11-1.12 on 30 000 rows, 0.93-1.01 on 2000 and on 200.
-Every scenario, README example and CLI default, and both benchmark
+each node's own rows cost about one pass per level, so the select's lead
+narrows as trees deepen. Measured against the gather (20 trees fitted on
+4000 rows with min_parent 10 and p = 8, best of repeats, 2-core shared Xeon
+VM, numpy 2.4.6), time ratios with narrow leaf numbers were
+  depth 1-4:  0.08-0.13 on 30 000 rows, 0.24-0.40 on 2000, 0.70-0.84 on 200
+  depth 5-6:  0.15-0.20 on 30 000 rows, 0.46-0.52 on 2000, 0.83-0.84 on 200
+  depth 7-8:  0.25-0.26 on 30 000 rows, 0.58-0.68 on 2000, 0.87 on 200;
+with int64 numbers the same sweep read 0.74-1.04 at depth 7-8 on 30 000
+rows. Every scenario, README example and CLI default, and both benchmark
 workloads, use depth 3.
 """
 
@@ -181,12 +190,16 @@ class TreeLearner:
         return _node_depth(self.root)
 
 
-def _leaf_values(root: TreeNode, cols) -> np.ndarray:
-    """Leaf value of each column of the feature-major cols, from one walk of the tree."""
-    if isinstance(root, TreeLeaf):
-        return np.full(cols.shape[1], root.value)
+def _leaf_values(root: TreeNode, cols, fixed=None) -> np.ndarray:
+    """Leaf value of each column of the feature-major cols, from one walk of the tree.
+
+    fixed = (feature, value) walks the tree as if row feature of cols held value
+    throughout (see _leaf_numbers); that row is then never read.
+    """
     values: list[float] = []
-    leaf = _leaf_numbers(root, cols, values)
+    leaf = _leaf_numbers(root, cols, values, fixed)
+    if np.ndim(leaf) == 0:      # a leaf root, or every split on the path settled
+        return np.full(cols.shape[1], values[leaf])
     return np.array(values).take(leaf)
 
 
@@ -204,17 +217,24 @@ def _split_thresholds(node: TreeNode, feature: int) -> np.ndarray:
     return np.unique(np.array(found, dtype=float))
 
 
-def _leaf_numbers(node: TreeNode, cols, values: list):
+def _leaf_numbers(node: TreeNode, cols, values: list, fixed=None):
     """Number of the leaf each row of cols reaches below node.
 
     Leaves are numbered in depth-first order as their values are appended to
-    values; a leaf returns its number as a bare int.
+    values; a leaf returns its number as the narrowest of int8, int16 and
+    int64 scalars that holds it, so a select of two leaves' numbers runs on
+    1-byte arrays and widens only where one side needs it. With fixed =
+    (feature, value), a split on feature is settled by the scalar test
+    value < threshold (NaN goes right) and only the side it picks is walked.
     """
     if isinstance(node, TreeLeaf):
         values.append(node.value)
-        return len(values) - 1
-    left = _leaf_numbers(node.left, cols, values)
-    right = _leaf_numbers(node.right, cols, values)
+        k = len(values) - 1
+        return np.int8(k) if k < 128 else np.int16(k) if k < 32768 else np.int64(k)
+    if fixed is not None and node.feature == fixed[0]:
+        return _leaf_numbers(node.left if fixed[1] < node.threshold else node.right, cols, values, fixed)
+    left = _leaf_numbers(node.left, cols, values, fixed)
+    right = _leaf_numbers(node.right, cols, values, fixed)
     return right + (cols[node.feature] < node.threshold) * (left - right)
 
 

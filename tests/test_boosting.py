@@ -322,6 +322,35 @@ class TestFit:
             fit(ds, FitConfig(n_iterations=5))
         assert raised.value.exit_code == 3
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("kinds, where", [
+        (("linear", "linear", "linear"), "rows"),
+        (("tree", "constant", "linear"), "rows"),
+        (("tree", "linear", "constant"), "group summary"),
+    ])
+    def test_a_non_finite_feature_a_linear_learner_would_read_is_a_data_error(self, kinds, where, value):
+        # one NaN in X used to end a linear fit in the NumericalError "non-finite
+        # evaluation log-likelihood at iteration 1"
+        ds = clustered_dataset(np.random.default_rng(12), n_groups=12, n_per=3, p=2)
+        groups = list(ds.groups)
+        X = groups[7].X.copy()
+        X[1, 1] = value
+        groups[7] = GroupBlock(group_id=7, y=groups[7].y, X=X, Z=groups[7].Z)
+        bad = GroupedDataset(groups=tuple(groups), feature_names=ds.feature_names)
+        specs = dict(zip(("mean_learner", "gcov_learner", "rvar_learner"),
+                         (LearnerSpec(kind=k, tree_min_parent=4, tree_min_child=2) for k in kinds)))
+        message = f"group 7: feature 'x2' is non-finite in its {where}"
+        with pytest.raises(DataError, match=re.escape(message)) as raised:
+            fit(bad, small_config(**specs))
+        assert raised.value.exit_code == 3
+
+        # trees route the value, and a linear model served a NaN row returns NaN
+        trees = LearnerSpec(kind="tree", tree_min_parent=4, tree_min_child=2)
+        assert np.all(np.isfinite(fit(bad, small_config(mean_learner=trees, rvar_learner=trees)).history))
+        if np.isnan(value):
+            evaluate = (eval_mean, eval_gcov_rows, eval_resid_var)[kinds.index("linear")]
+            assert np.isnan(evaluate(fit(ds, small_config(**specs)), np.array([[0.5, value]]))).all()
+
     def test_force_include_out_of_range(self):
         rng = np.random.default_rng(5)
         ds = clustered_dataset(rng, n_groups=8, p=2)

@@ -383,6 +383,39 @@ class TestCsv:
         np.testing.assert_array_equal(ds.groups[0].y, [0.1, 0.2])
         np.testing.assert_array_equal(ds.groups[1].y, [0.3, 0.4])
 
+    @staticmethod
+    def with_ids(ids):
+        ds = toy_dataset(np.random.default_rng(2), n_groups=len(ids), n_per=2, p=1)
+        groups = tuple(GroupBlock(group_id=gid, y=g.y, X=g.X, Z=g.Z) for gid, g in zip(ids, ds.groups))
+        return GroupedDataset(groups=groups, feature_names=ds.feature_names)
+
+    @pytest.mark.parametrize("ids, message", [
+        (["a", " a"], "group id ' a' would read back as 'a'"),
+        ([7, "7"], "group id '7' would read back as 7"),
+        (["b", "1e3 "], "group id '1e3 ' would read back as 1000"),
+        ([1, float("nan")], "group id nan would not read back: load_csv refuses 'nan'"),
+        ([True, 2], "group id True would read back as 'True'"),
+    ])
+    def test_group_id_that_would_not_read_back_as_itself(self, tmp_path, ids, message):
+        """Ids that would merge with another group, change kind or fail to load are
+        refused before the file is written."""
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
+        path = tmp_path / "ids.csv"
+        with pytest.raises(DataError, match=re.escape(message)):
+            save_csv(path, self.with_ids(ids), schema)
+        assert not path.exists()
+
+    def test_int_float_and_text_ids_round_trip(self, tmp_path):
+        ids = [-3, 0, 2**70, np.int64(9), 1.5, np.float64(-0.25), 1e-300, "a", "a b", "x,y", 'q"t', "", "é"]
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1",))
+        ds = self.with_ids(ids)
+        save_csv(tmp_path / "ids.csv", ds, schema)
+        back = load_csv(tmp_path / "ids.csv", schema)
+        assert [(isinstance(i, str), i) for i in back.group_ids()] == [
+            (isinstance(i, str), i) for i in ds.group_ids()]
+        for a, b in zip(ds.groups, back.groups):
+            np.testing.assert_array_equal(a.y, b.y)
+
 
 class TestWriteCsv:
     def test_cells(self, tmp_path):

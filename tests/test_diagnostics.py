@@ -392,9 +392,9 @@ def test_each_tree_is_walked_once_per_occupied_interval(component, monkeypatch):
     walks = Counter()
     real = boosting._leaf_values
 
-    def counted(root, cols):
+    def counted(root, cols, *fixed):
         walks[id(root)] += 1
-        return real(root, cols)
+        return real(root, cols, *fixed)
 
     monkeypatch.setattr(boosting, "_leaf_values", counted)
     bg = np.random.default_rng(3).standard_normal((13, 3))

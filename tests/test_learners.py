@@ -539,3 +539,63 @@ def test_tree_invariants_property(seed):
     assert pred.max() <= y.max() + 1e-12
     again = fit_tree(SortedColumns(X, tuple(range(p))), y, spec)
     np.testing.assert_array_equal(pred, again.predict(X))
+
+
+def balanced_tree(depth, feature):
+    """A full tree of this depth whose every split is on feature. Leaf k, the k-th in
+    depth-first order, holds the rows with k <= x < k + 1 (leaf 0 everything below,
+    the last leaf everything above and NaN) and the value k + 0.25."""
+    def grow(lo, size):
+        if size == 1:
+            return TreeLeaf(lo + 0.25)
+        half = size // 2
+        return TreeSplit(feature, float(lo + half), grow(lo, half), grow(lo + half, half))
+    return TreeLearner(root=grow(0, 2**depth), n_features=2)
+
+
+def traverse(node, x):
+    """The per-row reference: follow one row of X from node to its leaf's value."""
+    while isinstance(node, TreeSplit):
+        node = node.left if x[node.feature] < node.threshold else node.right
+    return node.value
+
+
+class TestWalk:
+    """_leaf_numbers and _leaf_values, with and without fixed, against traverse."""
+
+    @pytest.mark.parametrize("depth, dtype", [(8, np.int16), (16, np.int64)])
+    def test_leaf_numbers_across_the_int8_and_int16_bounds(self, depth, dtype):
+        """Rows reach leaves on both sides of 127/128 and of 32 767/32 768: the
+        numbers widen where the right subtree needs it, and the values stay exact."""
+        tree = balanced_tree(depth, feature=1)
+        last = 2**depth - 1
+        ks = [k for k in (0, 1, 126, 127, 128, 129, 255, 256, 32766, 32767, 32768, 32769)
+              if k <= last] + [last - 1, last]
+        xs = [k + 0.5 for k in ks] + [127.0, 128.0, 32768.0, -0.0, -np.inf, np.inf, np.nan]
+        X = np.column_stack([np.random.default_rng(depth).standard_normal(len(xs)), xs])
+        cols = np.ascontiguousarray(X.T)
+        want = np.array([traverse(tree.root, x) for x in X])
+
+        values = []
+        numbers = learners._leaf_numbers(tree.root, cols, values)
+        assert numbers.dtype == dtype
+        assert np.array_equal(numbers, np.floor(want))
+        assert np.array_equal(learners._leaf_values(tree.root, cols), want)
+        assert np.array_equal(tree.predict(X), want)
+        # fixed on a feature the tree never splits on: the same walk
+        assert np.array_equal(learners._leaf_values(tree.root, cols, (0, 0.3)), want)
+        # fixed on the split feature at each row's own value: that row's leaf, for every row
+        for x, w in zip(X, want):
+            assert np.array_equal(learners._leaf_values(tree.root, cols, (1, x[1])), np.full(len(X), w))
+
+    def test_a_tree_split_only_on_the_fixed_feature_resolves_to_one_leaf(self):
+        tree = balanced_tree(3, feature=1)
+        X = np.random.default_rng(5).standard_normal((6, 2))
+        cols = np.ascontiguousarray(X.T)
+        for v, k in [(-np.inf, 0), (-0.0, 0), (0.5, 0), (1.0, 1), (3.5, 3), (6.99, 6), (7.0, 7),
+                     (np.inf, 7), (np.nan, 7)]:
+            values = []
+            number = learners._leaf_numbers(tree.root, cols, values, (1, v))
+            assert np.ndim(number) == 0 and values == [k + 0.25]   # one leaf reached
+            got = learners._leaf_values(tree.root, cols, (1, v))
+            assert got.shape == (6,) and np.array_equal(got, np.full(6, k + 0.25))
