@@ -148,6 +148,75 @@ def test_config_record_golden(tmp_path):
     assert load_model(path)[0].config == cfg
 
 
+# A q = 2 model written out by hand: a tree mean learner, G's factor entries
+# 0-2 of constant, linear and tree kind, a linear R learner, best_iteration 1
+# and a schema. Every number is a dyadic fraction, so the evaluations below
+# are exact.
+GOLDEN_MODEL_LINES = [
+    "gbmixed-model 1",
+    'config {"early_stopping":false,"eval_fraction":0.25,"feature_fraction":0.7,'
+    '"force_include":[],"gcov_learner":{"kind":"tree","ridge_epsilon":1e-08,"tree_max_depth":3,'
+    '"tree_min_child":5,"tree_min_parent":10},"group_fraction":0.2,"lookback":25,'
+    '"lr_gcov":0.25,"lr_mean":0.5,"lr_rvar":0.125,"mean_learner":{"kind":"tree",'
+    '"ridge_epsilon":1e-08,"tree_max_depth":3,"tree_min_child":5,"tree_min_parent":10},'
+    '"n_iterations":2,"rvar_learner":{"kind":"linear","ridge_epsilon":1e-08,"tree_max_depth":3,'
+    '"tree_min_child":5,"tree_min_parent":10},"seed":0,"tolerance":0.001}',
+    'meta {"best_iteration":1,"categorical_features":[1],"feature_names":["a","b","c"],'
+    '"gcov_init":[1.0,0.0,0.5],"history":[-10.5,-9.25,-9.75],"logrvar_init":-0.5,'
+    '"mean_init":1.5,"n_iterations_run":2,"q":2,"schema":{"categorical_cols":["b"],'
+    '"group_col":"site","response_col":"y","treatment_col":"c","z_cols":["intercept","b"]},'
+    '"treatment_index":2}',
+    'mean_learner {"kind":"tree","n_features":3,"root":{"f":0,"l":{"v":-1.0},'
+    '"r":{"f":2,"l":{"v":0.5},"r":{"v":2.0},"t":1.5},"t":0.25}}',
+    'gcov_learner 0 {"kind":"constant","value":0.5}',
+    'gcov_learner 1 {"coef":[0.25],"features":[1],"intercept":-0.5,"kind":"linear","n_features":3}',
+    'gcov_learner 2 {"kind":"tree","n_features":3,"root":{"f":1,"l":{"v":0.0},"r":{"v":1.0},'
+    '"t":0.5}}',
+    'rvar_learner {"coef":[0.5,-0.25],"features":[0,2],"intercept":0.125,"kind":"linear",'
+    '"n_features":3}',
+    "end",
+]
+
+
+def test_model_file_golden(tmp_path):
+    """The hand-written file loads into the model it spells out and saves back
+    to the same bytes. The model is built through its file, so the test reads
+    the model only through the public evaluators and fields."""
+    golden = "\n".join(GOLDEN_MODEL_LINES) + "\n"
+    path = tmp_path / "golden.txt"
+    path.write_text(golden)
+    model, schema = load_model(path)
+    assert model.config == config_for_variant(
+        "grboost", LearnerSpec(kind="tree"), n_iterations=2, lr_mean=0.5, lr_gcov=0.25,
+        lr_rvar=0.125, early_stopping=False, rvar_learner=LearnerSpec(kind="linear"),
+    )
+    assert (model.q, model.feature_names, model.treatment_index) == (2, ("a", "b", "c"), 2)
+    assert model.categorical_features == (1,)
+    assert (model.history, model.best_iteration, model.n_iterations_run) == (
+        [-10.5, -9.25, -9.75], 1, 2)
+    assert schema == ColumnSchema(group_col="site", response_col="y", feature_cols=("a", "b", "c"),
+                                  z_cols=("intercept", "b"), categorical_cols=("b",),
+                                  treatment_col="c")
+
+    X = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, -1.0, 2.0]])
+    # f = 1.5 + 0.5 * tree; log r = -0.5 + 0.125 * (0.125 + 0.5 x0 - 0.25 x2)
+    np.testing.assert_array_equal(eval_mean(model, X), [1.0, 1.75, 2.5])
+    np.testing.assert_array_equal(eval_resid_var(model, X),
+                                  np.exp([-0.484375, -0.453125, -0.515625]))
+    # L entries: 1.0 + 0.25 * 0.5, 0.0 + 0.25 * (0.25 x1 - 0.5), 0.5 + 0.25 * [x1 >= 0.5]
+    e0, e1, e2 = 1.125, np.array([-0.125, -0.0625, -0.1875]), np.array([0.5, 0.75, 0.5])
+    G = np.stack([np.stack([np.full(3, e0 * e0), e0 * e1], -1),
+                  np.stack([e0 * e1, e1 * e1 + e2 * e2], -1)], 1)
+    np.testing.assert_array_equal(eval_gcov_rows(model, X), G)
+
+    saved = tmp_path / "saved.txt"
+    save_model(saved, model, schema)
+    assert saved.read_text() == golden
+    again = tmp_path / "again.txt"
+    save_model(again, *load_model(saved))
+    assert again.read_bytes() == saved.read_bytes()
+
+
 def test_retired_verbose_key_is_dropped_on_load(tmp_path):
     """Files written while FitConfig had verbose and variant fields end their
     config record with them, in sorted key order."""
