@@ -10,6 +10,13 @@ learners to all three ensembles in parallel:
                                Cholesky factor of G, fitted at group level
     residual var    log r(x):  row-level learner on dl/dlog r
 
+Each component is one Ensemble, and the fit loop, the config checks, the
+evaluator and model_io loop over one table of them, COMPONENTS. One
+evaluator, _sums, adds up a component's outputs; eval_mean, eval_resid_var
+and eval_gcov_rows apply the links (identity, exp, and L L' from the floored
+factors). Trees route NaN and ±inf, but _sums refuses one that a linear
+learner would read, where it would return NaN.
+
 A held-out fraction of groups tracks the evaluation log-likelihood per
 iteration. With early stopping enabled, fitting stops once the best of the
 last `lookback` iterations beats the best before them by less than
@@ -29,8 +36,10 @@ which handles groups of any sizes at once.
 
 Every learner's one training input is a learners.SortedColumns: each
 iteration restricts the fit's two instances, the rows and the group
-summaries of the head, to its sampled rows (or groups) and features, and
-passes the restriction to the learners of that group set as it is. Trees
+summaries of the head, to its sampled rows (or groups) and features, once
+per set, and passes the restriction to the learners of that set as it is.
+A constant reads only its pseudo-responses, so a set that only constants
+read (G under base and rboost) is not restricted. Trees
 sort nothing per iteration: each set is stably sorted once per fit, when the
 first tree that can split asks for it, and every later restriction filters
 that order.
@@ -42,16 +51,18 @@ one mean rule of learners.py.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
 from .data import GroupedDataset, StackedData, split_by_groups
-from .errors import ConfigError, DataError, NumericalError, check_fields, check_rows, check_seed
+from .errors import ConfigError, DataError, NumericalError
+from .errors import check_fields, check_index, check_rows, check_seed
 from .learners import (
-    FittedLearner,
     LearnerSpec,
+    LinearLearner,
     SortedColumns,
     TreeLearner,
     _leaf_values,
@@ -60,6 +71,15 @@ from .learners import (
 )
 from . import likelihood as lik
 
+# the three boosted functions, in the order fit, evaluation and model files take them:
+# the FitConfig fields of each one's learner spec and rate, and whether it is fitted
+# on group summaries x~ (else on rows x)
+Component = namedtuple("Component", "learner rate on_groups")
+COMPONENTS = {
+    "mean": Component("mean_learner", "lr_mean", False),
+    "G": Component("gcov_learner", "lr_gcov", True),
+    "R": Component("rvar_learner", "lr_rvar", False),
+}
 # the variance components each variant boosts; the others keep their constant start
 VARIANT_COMPONENTS = {"base": (), "rboost": ("R",), "gboost": ("G",), "grboost": ("G", "R")}
 FACTOR_DIAG_FLOOR = 1e-6
@@ -90,9 +110,9 @@ class FitConfig:
         check_fields(self)
         if self.n_iterations < 0:
             raise ConfigError("n_iterations must be nonnegative")
-        for name in ("lr_mean", "lr_gcov", "lr_rvar"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+        for c in COMPONENTS.values():
+            if getattr(self, c.rate) < 0:
+                raise ConfigError(f"{c.rate} must be nonnegative")
         if not (0.0 < self.group_fraction <= 1.0):
             raise ConfigError("group_fraction must be in (0, 1]")
         if not (0.0 < self.feature_fraction <= 1.0):
@@ -113,8 +133,8 @@ class FitConfig:
     @property
     def variant(self) -> str:
         """The VARIANT_COMPONENTS name of the components whose learners are not constant."""
-        learners = {"G": self.gcov_learner, "R": self.rvar_learner}
-        boosted = tuple(c for c, spec in learners.items() if spec.kind != "constant")
+        boosted = tuple(name for name, c in COMPONENTS.items()
+                        if name != "mean" and getattr(self, c.learner).kind != "constant")
         return next(name for name, comps in VARIANT_COMPONENTS.items() if comps == boosted)
 
 
@@ -133,23 +153,27 @@ def config_for_variant(variant: str, row_learner: LearnerSpec | None = None, **o
     boosted = VARIANT_COMPONENTS[variant]
     if boosted and base.kind == "constant":
         raise ConfigError(f"variant {variant!r} needs a non-constant row learner")
-    cfg = dict(
-        mean_learner=base,
-        gcov_learner=base if "G" in boosted else const,
-        rvar_learner=base if "R" in boosted else const,
-    )
+    cfg = {c.learner: base if name in ("mean", *boosted) else const for name, c in COMPONENTS.items()}
     cfg.update(overrides)
     return FitConfig(**cfg)
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """One component: per output, init plus lr times the sum of its list of learners."""
+
+    init: np.ndarray
+    learners: tuple[list, ...]
 
 
 @dataclass
 class FittedModel:
     """Boosted ensembles for all three model components.
 
-    gcov_init and gcov_learners hold the lower-triangular entries of the
-    factor L in numpy tril_indices order; G(x~) = L L' with the diagonal of
-    L floored at FACTOR_DIAG_FLOOR at evaluation time. The residual variance
-    ensemble lives on the log scale.
+    ensembles maps each COMPONENTS name to its Ensemble. The mean and the log
+    residual variance have one output. G has T = q(q+1)/2, the lower-triangular
+    entries of its factor L in numpy tril_indices order; G(x~) = L L' with the
+    diagonal of L floored at FACTOR_DIAG_FLOOR at evaluation time.
     """
 
     config: FitConfig
@@ -157,33 +181,23 @@ class FittedModel:
     q: int
     treatment_index: int | None
     categorical_features: tuple[int, ...]
-    mean_init: float
-    mean_learners: list
-    gcov_init: np.ndarray
-    gcov_learners: tuple
-    logrvar_init: float
-    rvar_learners: list
+    ensembles: dict[str, Ensemble]
     history: list
     best_iteration: int
     n_iterations_run: int
 
-    @property
-    def n_factor_entries(self) -> int:
-        return self.q * (self.q + 1) // 2
 
-
-def _ensemble_sum(learners, X, lr, out, upto=None, grid=None):
+def _ensemble_sum(learners, X, lr, out, grid=None):
     """out += lr * h(X) for each learner in turn; trees share one feature-major copy of X.
 
     With grid = (feature, values), out is (len(values), n) and row k of it
     takes the sum at X with column feature set to values[k]
     (see _ensemble_grid_sum).
     """
-    sel = learners if upto is None else learners[:upto]
     if grid is not None:
-        return _ensemble_grid_sum(sel, X, grid, lr, out)
+        return _ensemble_grid_sum(learners, X, grid, lr, out)
     cols = np.ascontiguousarray(X.T)
-    for h in sel:
+    for h in learners:
         out += lr * h.predict(X, cols)
     return out
 
@@ -227,18 +241,41 @@ def _ensemble_grid_sum(learners, X, grid, lr, out):
     return out
 
 
-def _start(init, X: np.ndarray, grid) -> np.ndarray:
-    """init repeated over the rows of X, and over grid's values first when given."""
+def _sums(model: FittedModel, component: str, X, upto, grid) -> np.ndarray:
+    """One component's (n, outputs) sums at the rows of X, before its link, over the
+    first upto learners per output; grid puts a leading axis over its values.
+
+    upto must pass errors.check_index and lie in 0..the learner count, else a
+    ConfigError. A non-finite entry of X that a summed linear learner reads is a
+    DataError naming its row and feature; the column a grid overwrites is not read.
+    """
+    c, ens = COMPONENTS[component], model.ensembles[component]
+    X = check_rows(X, len(model.feature_names), "Xt" if c.on_groups else "X")
+    if upto is not None:
+        n = len(ens.learners[0])
+        if not 0 <= check_index("upto", upto) <= n:
+            raise ConfigError(f"upto {upto} outside 0..{n}")
+    learners = [ls[:upto] for ls in ens.learners]
+    read = {f for ls in learners for h in ls if isinstance(h, LinearLearner) for f in h.features}
+    read.discard(None if grid is None else grid[0])
+    if read:
+        feats = sorted(read)
+        bad = ~np.isfinite(X[:, feats])
+        if bad.any():
+            row, j = np.argwhere(bad)[0]
+            raise DataError(f"row {row}: feature {model.feature_names[feats[j]]!r} is "
+                            f"non-finite, which a linear {component} learner cannot read")
     lead = (X.shape[0],) if grid is None else (len(grid[1]), X.shape[0])
-    return np.tile(init, (*lead, 1)) if np.ndim(init) else np.full(lead, init)
+    out = np.tile(ens.init, (*lead, 1))
+    for t, ls in enumerate(learners):
+        _ensemble_sum(ls, X, getattr(model.config, c.rate), out[..., t], grid)
+    return out
 
 
 def eval_mean(model: FittedModel, X: np.ndarray, upto=None, *, grid=None) -> np.ndarray:
     """Mean f(x) at the rows of X; with grid = (feature, values), an array of
     (len(values), n) whose row k holds it with column feature set to values[k]."""
-    X = check_rows(X, len(model.feature_names))
-    out = _start(model.mean_init, X, grid)
-    return _ensemble_sum(model.mean_learners, X, model.config.lr_mean, out, upto, grid)
+    return _sums(model, "mean", X, upto, grid)[..., 0]
 
 
 @cache
@@ -263,20 +300,15 @@ def factors_from_entries(entries: np.ndarray, q: int) -> np.ndarray:
 def eval_gcov_rows(model: FittedModel, Xt: np.ndarray, upto=None, *, grid=None) -> np.ndarray:
     """(k, q, q) covariances G = L L' at group covariates, from the floored factors;
     grid puts a leading axis over its values, as in eval_mean."""
-    Xt = check_rows(Xt, len(model.feature_names), "Xt")
-    entries = _start(model.gcov_init, Xt, grid)
-    for t in range(model.n_factor_entries):
-        _ensemble_sum(model.gcov_learners[t], Xt, model.config.lr_gcov, entries[..., t], upto, grid)
-    L = factors_from_entries(entries.reshape(-1, model.n_factor_entries), model.q)
+    entries = _sums(model, "G", Xt, upto, grid)
+    L = factors_from_entries(entries.reshape(-1, entries.shape[-1]), model.q)
     return (L @ np.swapaxes(L, 1, 2)).reshape(*entries.shape[:-1], model.q, model.q)
 
 
 def eval_resid_var(model: FittedModel, X: np.ndarray, upto=None, *, grid=None) -> np.ndarray:
     """Residual variances r(x), the exponential of the log-scale ensemble; grid puts
     a leading axis over its values, as in eval_mean."""
-    X = check_rows(X, len(model.feature_names))
-    out = _start(model.logrvar_init, X, grid)
-    return np.exp(_ensemble_sum(model.rvar_learners, X, model.config.lr_rvar, out, upto, grid))
+    return np.exp(_sums(model, "R", X, upto, grid)[..., 0])
 
 
 def initialize(train: GroupedDataset, q: int) -> tuple[float, float, float]:
@@ -367,9 +399,9 @@ def _check_linear_reads(train: GroupedDataset, config: FitConfig, X, Xt) -> None
     the caches it updates. A DataError names the first group, in dataset order, and
     its first feature where a linear learner would read a non-finite value: in a row
     (X, the training stack) for the mean and R, in the group summary (Xt) for G."""
-    rows = "linear" in (config.mean_learner.kind, config.rvar_learner.kind)
-    for M, read, summary in ((X, rows, False), (Xt, config.gcov_learner.kind == "linear", True)):
-        if read and np.count_nonzero(np.isfinite(M)) < M.size:
+    for M, summary in ((X, False), (Xt, True)):
+        kinds = [getattr(config, c.learner).kind for c in COMPONENTS.values() if c.on_groups == summary]
+        if "linear" in kinds and np.count_nonzero(np.isfinite(M)) < M.size:
             for g in train.groups:
                 bad = ~np.isfinite(g.x_tilde[None] if summary else g.X)
                 if bad.any():
@@ -409,22 +441,25 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     factor0[rows_t == cols_t] = diag0
 
     # one stack of all training groups, the evaluation groups as its tail from
-    # group Cb and row nb, with the running caches of the three components
+    # group Cb and row nb, with one running cache per component over it: (rows, 1)
+    # for the mean and log r, (groups, T) for G's factor entries
     groups = boost_ds.groups + eval_ds.groups
     st = StackedData.from_groups(groups)
     Xt = np.stack([g.x_tilde for g in groups])
     _check_linear_reads(train, config, st.X, Xt)
-    X_cols, Xt_cols = np.ascontiguousarray(st.X.T), np.ascontiguousarray(Xt.T)
     Cb, nb = boost_ds.n_groups, boost_ds.n_obs
-    mu = np.full(st.y.shape[0], f0)
-    F = np.tile(factor0, (len(groups), 1))
-    logr = np.full(st.y.shape[0], logr0)
+    # per group set (on_groups): its matrix, feature-major copy, and the order of its
+    # head, which every iteration restricts, so each set sorts at most once
+    sets = {
+        False: (st.X, np.ascontiguousarray(st.X.T), SortedColumns(st.X[:nb], range(p))),
+        True: (Xt, np.ascontiguousarray(Xt.T), SortedColumns(Xt[:Cb], range(p))),
+    }
+    inits = {"mean": np.array([f0]), "G": factor0, "R": np.array([logr0])}
+    caches = {name: np.tile(inits[name], (len(sets[c.on_groups][0]), 1))
+              for name, c in COMPONENTS.items()}
+    mu, F, logr = caches["mean"][:, 0], caches["G"], caches["R"][:, 0]
     # views of the evaluation tail, which the in-place cache updates keep current
     tail = (F[Cb:], st.y[nb:], mu[nb:], st.Z[nb:], logr[nb:], st.sizes[Cb:])
-
-    # every iteration's learners fit restrictions of these, so each set sorts at most once
-    rows_order = SortedColumns(st.X[:nb], range(p))
-    groups_order = SortedColumns(Xt[:Cb], range(p))
 
     rng = np.random.default_rng(config.seed)
     # verify the sampling fractions are feasible before looping; groups are
@@ -437,9 +472,7 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
         )
     sample_iteration(np.random.default_rng(config.seed), Cb, p, config)
 
-    mean_learners: list[FittedLearner] = []
-    gcov_learners: tuple[list, ...] = tuple([] for _ in range(T))
-    rvar_learners: list[FittedLearner] = []
+    learners = {name: tuple([] for _ in init) for name, init in inits.items()}
     history = [_set_loglik(*tail, q, 0)]
 
     for m in range(1, config.n_iterations + 1):
@@ -459,26 +492,23 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
             )
         if not all(np.all(np.isfinite(a)) for a in (pseudo_mu, d_F, pseudo_logr)):
             raise NumericalError(f"non-finite gradient at iteration {m}")
-        grad_factor = d_F[:, rows_t, cols_t]
-        # row_idx and g_idx ascend, as restrict requires
-        rows_sorted = rows_order.restrict(row_idx, feats)
-        groups_sorted = groups_order.restrict(g_idx, feats)
-        h_mu = fit_learner(rows_sorted, pseudo_mu, config.mean_learner)
-        h_gcov = [
-            fit_learner(groups_sorted, grad_factor[:, t], config.gcov_learner) for t in range(T)
-        ]
-        h_rvar = fit_learner(rows_sorted, pseudo_logr, config.rvar_learner)
-
-        mean_learners.append(h_mu)
-        for t in range(T):
-            gcov_learners[t].append(h_gcov[t])
-        rvar_learners.append(h_rvar)
+        grads = {"mean": pseudo_mu[:, None], "G": d_F[:, rows_t, cols_t], "R": pseudo_logr[:, None]}
+        picked = {False: row_idx, True: g_idx}   # both ascend, as restrict requires
+        # one restriction per group set and iteration, shared by its components; a
+        # constant reads only its pseudo-responses, so a set only constants read has none
+        restricted = {}
+        for name, c in COMPONENTS.items():
+            spec = getattr(config, c.learner)
+            if spec.kind != "constant" and c.on_groups not in restricted:
+                restricted[c.on_groups] = sets[c.on_groups][2].restrict(picked[c.on_groups], feats)
+            for ls, g in zip(learners[name], grads[name].T):
+                ls.append(fit_learner(restricted.get(c.on_groups), g, spec))
 
         # parallel shrunken updates of all cached component values, in place
-        mu += config.lr_mean * h_mu.predict(st.X, X_cols)
-        for t in range(T):
-            F[:, t] += config.lr_gcov * h_gcov[t].predict(Xt, Xt_cols)
-        logr += config.lr_rvar * h_rvar.predict(st.X, X_cols)
+        for name, c in COMPONENTS.items():
+            M, M_cols, _ = sets[c.on_groups]
+            for t, ls in enumerate(learners[name]):
+                caches[name][:, t] += getattr(config, c.rate) * ls[-1].predict(M, M_cols)
 
         history.append(_set_loglik(*tail, q, m))
         if config.early_stopping and check_convergence(history, config.lookback, config.tolerance):
@@ -497,12 +527,8 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
         q=q,
         treatment_index=train.treatment_index,
         categorical_features=train.categorical_features,
-        mean_init=f0,
-        mean_learners=mean_learners[:best],
-        gcov_learners=tuple(ls[:best] for ls in gcov_learners),
-        gcov_init=factor0,
-        logrvar_init=logr0,
-        rvar_learners=rvar_learners[:best],
+        ensembles={name: Ensemble(init, tuple(ls[:best] for ls in learners[name]))
+                   for name, init in inits.items()},
         history=history,
         best_iteration=best,
         n_iterations_run=len(history) - 1,

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .boosting import FitConfig, config_for_variant
+from .boosting import COMPONENTS, FitConfig, config_for_variant
 from .data import ColumnSchema
 from .errors import ConfigError, field_types
 from .learners import LearnerSpec
 
-_LEARNER_KEYS = ("mean_learner", "gcov_learner", "rvar_learner")
-_RATE_FIELDS = ("lr_mean", "lr_gcov", "lr_rvar")
+_LEARNER_KEYS = tuple(c.learner for c in COMPONENTS.values())
+_RATE_FIELDS = tuple(c.rate for c in COMPONENTS.values())
 _SCALARS = (int, float, bool)
 
 # the int, float and bool fields: of FitConfig, and of LearnerSpec, which the
@@ -121,7 +121,7 @@ def apply_settings(base: FitConfig, values: dict) -> FitConfig:
     cfg = base
     if "variant" in values:
         derived = config_for_variant(values["variant"], cfg.mean_learner)
-        cfg = replace(cfg, gcov_learner=derived.gcov_learner, rvar_learner=derived.rvar_learner)
+        cfg = replace(cfg, **{k: getattr(derived, k) for k in _LEARNER_KEYS})   # keeps cfg's mean learner
     if "learning_rate" in values:
         cfg = replace(cfg, **dict.fromkeys(_RATE_FIELDS, values["learning_rate"]))
     cfg = replace(cfg, **{field: values[k] for k, field in _FIELD_KEYS.items() if k in values})

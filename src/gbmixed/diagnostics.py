@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import boosting
 from .boosting import FittedModel, eval_gcov_rows, eval_mean, eval_resid_var
 from .errors import ConfigError, check_index, check_rows, numeric_array
 
-COMPONENTS = ("mean", "G", "R")
+COMPONENTS = tuple(boosting.COMPONENTS)
 DEFAULT_GRID_SIZE = 25
 GRID_PERCENTILES = (2.0, 98.0)
 # Partial dependence evaluates as many grid values per call as fit in this many
@@ -38,14 +39,9 @@ GRID_PERCENTILES = (2.0, 98.0)
 _CHUNK_CELLS = 2**18
 
 
-def _component_learners(model: FittedModel, component: str):
-    if component == "mean":
-        return list(model.mean_learners)
-    if component == "G":
-        return [h for entry in model.gcov_learners for h in entry]
-    if component == "R":
-        return list(model.rvar_learners)
-    raise ConfigError(f"unknown component {component!r}; expected one of {COMPONENTS}")
+def _check_component(component: str) -> None:
+    if component not in COMPONENTS:
+        raise ConfigError(f"unknown component {component!r}; expected one of {COMPONENTS}")
 
 
 def variable_importance(model: FittedModel, component: str) -> dict:
@@ -54,11 +50,12 @@ def variable_importance(model: FittedModel, component: str) -> dict:
     Returns an empty dict when the component's ensemble never selected any
     feature (constant learners, or no learners at all).
     """
-    learners = _component_learners(model, component)
+    _check_component(component)
     p = len(model.feature_names)
     counts = np.zeros(p)
-    for h in learners:
-        counts += h.split_counts(p)
+    for learners in model.ensembles[component].learners:
+        for h in learners:
+            counts += h.split_counts(p)
     total = counts.sum()
     if total == 0.0:
         return {}
@@ -110,8 +107,7 @@ def partial_dependence(
     bools) and the grid's entries numbers (NaN and ±inf too), else a ConfigError;
     background is a served matrix (errors.check_rows). Returns (grid, values).
     """
-    if component not in COMPONENTS:
-        raise ConfigError(f"unknown component {component!r}; expected one of {COMPONENTS}")
+    _check_component(component)
     f = _resolve_feature(model, feature)
     bg = check_rows(background, len(model.feature_names), "background")
     if bg.shape[0] == 0:

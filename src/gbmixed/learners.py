@@ -4,9 +4,10 @@ Three kinds: a constant (mean of the pseudo-response), a ridge-stabilized
 linear model, and an exact greedy regression tree grown on squared error.
 Learners are fitted on a feature subsample but store global column indices,
 so prediction always takes full-width feature matrices. A learner's predict
-checks no matrix: it relies on its caller, either an evaluator in boosting
-(eval_mean, eval_gcov_rows, eval_resid_var), which checks every matrix a
-fitted model is served with errors.check_rows, or boosting.fit's own stack.
+checks no matrix: it relies on its caller, either boosting's one evaluator
+(_sums, behind eval_mean, eval_gcov_rows and eval_resid_var), which checks
+every matrix a fitted model is served with errors.check_rows and refuses a
+non-finite entry that a linear learner reads, or boosting.fit's own stack.
 
 Every kind fits from one training input, a SortedColumns: the feature
 matrix X, the sorted list of columns the learner may use, and the stable

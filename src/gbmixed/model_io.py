@@ -17,6 +17,12 @@ bytes. The version number on the first line gates loading: unknown versions
 are rejected, not guessed at. Learner records follow the meta record, and
 load_model checks each against it (feature count, split and linear feature
 indices) as it rebuilds them.
+
+Each learner tag holds one component's boosting.Ensemble (_RECORDS): the
+mean, G (whose records number the factor entry, in tril_indices order) and
+log r. The meta record keeps their start values under mean_init, gcov_init
+(a list, one value per entry) and logrvar_init. One loop writes the records
+and one branch reads them.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
-from .boosting import FitConfig, FittedModel
+from .boosting import Ensemble, FitConfig, FittedModel
 from .data import ColumnSchema
 from .errors import ConfigError, DataError, check_type, field_types
 from .learners import (
@@ -40,6 +46,14 @@ from .learners import (
 
 FORMAT_NAME = "gbmixed-model"
 FORMAT_VERSION = 1
+
+# learner record tag -> (component, meta key of its start values, whether the component
+# has one output per factor entry, which its start values list and its records number)
+_RECORDS = {
+    "mean_learner": ("mean", "mean_init", False),
+    "gcov_learner": ("G", "gcov_init", True),
+    "rvar_learner": ("R", "logrvar_init", False),
+}
 
 
 def _dump(obj) -> str:
@@ -142,16 +156,16 @@ def _learner_from(payload: dict, p: int):
     return TreeLearner(root=_node_from(payload["root"], p), n_features=p)
 
 
-def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners):
-    """The model and its stored schema (or None) from the parsed records."""
+def _model_from(config, meta: dict, found: dict):
+    """The model and its stored schema (or None) from the parsed records; found maps
+    (tag, entry) to the line of its first learner record and its learners."""
     q = check_type("q", meta["q"])
     if q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
     T = q * (q + 1) // 2
-    gcov_init = np.asarray([_finite("gcov_init entry", v) for v in meta["gcov_init"]])
-    if gcov_init.shape != (T,):
-        raise ValueError(f"gcov_init has {gcov_init.size} entries, q = {q} needs {T}")
-    gcov_learners = tuple(gcov_by_entry.get(t, []) for t in range(T))
+    g_start = np.asarray([_finite("gcov_init entry", v) for v in meta["gcov_init"]])
+    if g_start.shape != (T,):
+        raise ValueError(f"gcov_init has {g_start.size} entries, q = {q} needs {T}")
     p = len(meta["feature_names"])
     t_idx = meta["treatment_index"]
     t_idx = None if t_idx is None else check_type("treatment_index", t_idx)
@@ -160,18 +174,18 @@ def _model_from(config, meta: dict, mean_learners, gcov_by_entry, rvar_learners)
     _check_features(categorical, p, "categorical feature")
     if any(a >= b for a, b in zip(categorical, categorical[1:])):
         raise ValueError(f"categorical features {list(categorical)} are not strictly ascending")
+    ensembles = {}
+    for tag, (name, key, entries) in _RECORDS.items():
+        init = g_start if entries else np.array([_finite(key, meta[key])])
+        learners = tuple(found.get((tag, t), (0, []))[1] for t in range(len(init)))
+        ensembles[name] = Ensemble(init, learners)
     model = FittedModel(
         config=config,
         feature_names=tuple(meta["feature_names"]),
         q=q,
         treatment_index=t_idx,
         categorical_features=categorical,
-        mean_init=_finite("mean_init", meta["mean_init"]),
-        mean_learners=mean_learners,
-        gcov_init=gcov_init,
-        gcov_learners=gcov_learners,
-        logrvar_init=_finite("logrvar_init", meta["logrvar_init"]),
-        rvar_learners=rvar_learners,
+        ensembles=ensembles,
         history=[_finite("history entry", v) for v in meta["history"]],
         best_iteration=check_type("best_iteration", meta["best_iteration"]),
         n_iterations_run=check_type("n_iterations_run", meta["n_iterations_run"]),
@@ -191,9 +205,6 @@ def save_model(path: str, model: FittedModel, schema: ColumnSchema | None = None
         "q": model.q,
         "treatment_index": model.treatment_index,
         "categorical_features": list(model.categorical_features),
-        "mean_init": model.mean_init,
-        "gcov_init": [float(v) for v in model.gcov_init],
-        "logrvar_init": model.logrvar_init,
         "history": [float(v) for v in model.history],
         "best_iteration": model.best_iteration,
         "n_iterations_run": model.n_iterations_run,
@@ -202,14 +213,14 @@ def save_model(path: str, model: FittedModel, schema: ColumnSchema | None = None
         if schema is None
         else {k: v for k, v in asdict(schema).items() if k != "feature_cols"},
     }
+    for name, key, entries in _RECORDS.values():
+        init = model.ensembles[name].init
+        meta[key] = [float(v) for v in init] if entries else float(init[0])
     lines.append("meta " + _dump(meta))
-    for h in model.mean_learners:
-        lines.append("mean_learner " + _dump(_learner_payload(h)))
-    for t, entry in enumerate(model.gcov_learners):
-        for h in entry:
-            lines.append(f"gcov_learner {t} " + _dump(_learner_payload(h)))
-    for h in model.rvar_learners:
-        lines.append("rvar_learner " + _dump(_learner_payload(h)))
+    for tag, (name, _, entries) in _RECORDS.items():
+        for t, learners in enumerate(model.ensembles[name].learners):
+            head = f"{tag} {t} " if entries else f"{tag} "
+            lines.extend(head + _dump(_learner_payload(h)) for h in learners)
     lines.append("end")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -238,11 +249,8 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
 
     config = None
     meta = None
-    mean_learners = []
-    gcov_by_entry: dict[int, list] = {}
-    gcov_lines: dict[int, int] = {}    # entry -> line of its first learner
     seen: dict[str, int] = {}          # config or meta -> the line of that record
-    rvar_learners = []
+    found: dict[tuple, tuple] = {}     # (tag, entry) -> (line of its first learner, learners)
     saw_end = False
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -263,18 +271,12 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
             elif tag == "meta":
                 meta, seen[tag] = json.loads(rest), line_no
                 p = len(meta["feature_names"])
-            elif tag in ("mean_learner", "gcov_learner", "rvar_learner") and meta is None:
-                raise DataError(f"{path}: {tag} at line {line_no} comes before the meta record")
-            elif tag == "mean_learner":
-                mean_learners.append(_learner_from(json.loads(rest), p))
-            elif tag == "gcov_learner":
-                entry_s, _, payload = rest.partition(" ")
-                gcov_by_entry.setdefault(int(entry_s), []).append(
-                    _learner_from(json.loads(payload), p)
-                )
-                gcov_lines.setdefault(int(entry_s), line_no)
-            elif tag == "rvar_learner":
-                rvar_learners.append(_learner_from(json.loads(rest), p))
+            elif tag in _RECORDS:
+                if meta is None:
+                    raise DataError(f"{path}: {tag} at line {line_no} comes before the meta record")
+                entry, _, payload = rest.partition(" ") if _RECORDS[tag][2] else ("0", "", rest)
+                key = tag, int(entry)
+                found.setdefault(key, (line_no, []))[1].append(_learner_from(json.loads(payload), p))
             elif tag == "end":
                 saw_end = True
             else:
@@ -289,7 +291,7 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
     meta_line = seen["meta"]
 
     try:
-        model, schema = _model_from(config, meta, mean_learners, gcov_by_entry, rvar_learners)
+        model, schema = _model_from(config, meta, found)
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: malformed record at line {meta_line}: {exc}") from None
     # fit records the eval log-likelihood before each iteration and after the last
@@ -299,19 +301,18 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
             f"{path}: history at line {meta_line} has {n_history} entries, but n_iterations_run "
             f"is {model.n_iterations_run} and best_iteration is {model.best_iteration}"
         )
-    # fit writes every ensemble cut to best_iteration, one per factor entry
-    T = model.n_factor_entries
-    for t, line_no in gcov_lines.items():
-        if not 0 <= t < T:
-            raise DataError(
-                f"{path}: gcov_learner entry {t} at line {line_no} is outside 0..{T - 1}"
-            )
-    ensembles = {"mean": model.mean_learners, "rvar": model.rvar_learners}
-    ensembles.update({f"gcov entry {t}": e for t, e in enumerate(model.gcov_learners)})
-    for name, ensemble in ensembles.items():
-        if len(ensemble) != model.best_iteration:
-            raise DataError(
-                f"{path}: {name} ensemble has {len(ensemble)} learners, but best_iteration "
-                f"at line {meta_line} is {model.best_iteration}"
-            )
+    # fit writes every ensemble cut to best_iteration, one per output
+    for (tag, t), (line_no, _) in found.items():
+        n = len(model.ensembles[_RECORDS[tag][0]].learners)
+        if not 0 <= t < n:
+            raise DataError(f"{path}: {tag} entry {t} at line {line_no} is outside 0..{n - 1}")
+    # the one-output ensembles first, then G's entries: the order the loader reports in
+    for tag, (name, _, entries) in sorted(_RECORDS.items(), key=lambda r: r[1][2]):
+        for t, learners in enumerate(model.ensembles[name].learners):
+            label = tag.removesuffix("_learner") + (f" entry {t}" if entries else "")
+            if len(learners) != model.best_iteration:
+                raise DataError(
+                    f"{path}: {label} ensemble has {len(learners)} learners, but best_iteration "
+                    f"at line {meta_line} is {model.best_iteration}"
+                )
     return model, schema

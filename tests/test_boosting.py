@@ -344,12 +344,12 @@ class TestFit:
             fit(bad, small_config(**specs))
         assert raised.value.exit_code == 3
 
-        # trees route the value, and a linear model served a NaN row returns NaN
+        # trees route the value, and a linear model served a row with it refuses it too
         trees = LearnerSpec(kind="tree", tree_min_parent=4, tree_min_child=2)
         assert np.all(np.isfinite(fit(bad, small_config(mean_learner=trees, rvar_learner=trees)).history))
-        if np.isnan(value):
-            evaluate = (eval_mean, eval_gcov_rows, eval_resid_var)[kinds.index("linear")]
-            assert np.isnan(evaluate(fit(ds, small_config(**specs)), np.array([[0.5, value]]))).all()
+        evaluate = (eval_mean, eval_gcov_rows, eval_resid_var)[kinds.index("linear")]
+        with pytest.raises(DataError, match="row 0: feature 'x2' is non-finite"):
+            evaluate(fit(ds, small_config(**specs)), np.array([[0.5, value]]))
 
     def test_force_include_out_of_range(self):
         rng = np.random.default_rng(5)
@@ -365,7 +365,7 @@ class TestFit:
         assert model.n_iterations_run == 0
         assert model.best_iteration == 0
         assert model.history and len(model.history) == 1
-        assert model.mean_learners == []
+        assert model.ensembles["mean"].learners == ([],)
         boost_ds, _ = split_by_groups(ds, 1.0 - cfg.eval_fraction, cfg.seed)
         f0, diag0, logr0 = initialize(boost_ds, 1)
         X = ds.stacked().X
@@ -380,10 +380,9 @@ class TestFit:
         model = fit(ds, small_config(n_iterations=12))
         assert len(model.history) == model.n_iterations_run + 1
         assert model.best_iteration == int(np.argmax(model.history))
-        assert len(model.mean_learners) == model.best_iteration
-        assert len(model.rvar_learners) == model.best_iteration
-        for ls in model.gcov_learners:
-            assert len(ls) == model.best_iteration
+        assert [len(e.learners) for e in model.ensembles.values()] == [1, 1, 1]
+        for e in model.ensembles.values():
+            assert len(e.learners[0]) == model.best_iteration
 
     def test_determinism(self):
         rng = np.random.default_rng(8)
@@ -427,9 +426,8 @@ class TestFit:
         assert best == int(np.argmax(full.history)) > 0
         assert early.n_iterations_run == best + 10 < full.n_iterations_run
         assert early.history == full.history[:best + 11]
-        pairs = [(early.mean_learners, full.mean_learners),
-                 (early.rvar_learners, full.rvar_learners),
-                 *zip(early.gcov_learners, full.gcov_learners)]
+        pairs = [pair for name in ("mean", "R", "G")
+                 for pair in zip(early.ensembles[name].learners, full.ensembles[name].learners)]
         for a, b in pairs:
             assert len(a) == best and repr(a) == repr(b[:best])   # repr keeps every bit of a float
 
@@ -448,14 +446,13 @@ class TestFit:
         )
         model = fit(ds, cfg)
         if model.best_iteration > 0:
-            assert all(isinstance(h, TreeLearner) for h in model.mean_learners)
-            assert all(isinstance(h, TreeLearner) for h in model.gcov_learners[0])
-            assert all(isinstance(h, TreeLearner) for h in model.rvar_learners)
+            for name in ("mean", "G", "R"):
+                assert all(isinstance(h, TreeLearner) for h in model.ensembles[name].learners[0])
         cfg2 = small_config(n_iterations=3)
         model2 = fit(ds, cfg2)
         if model2.best_iteration > 0:
-            assert all(isinstance(h, ConstantLearner) for h in model2.gcov_learners[0])
-            assert all(isinstance(h, ConstantLearner) for h in model2.rvar_learners)
+            for name in ("G", "R"):
+                assert all(isinstance(h, ConstantLearner) for h in model2.ensembles[name].learners[0])
 
     def test_training_loglik_improves(self):
         rng = np.random.default_rng(13)
@@ -529,7 +526,7 @@ class TestFit:
         model = fit(ds, cfg)
         _, eval_ds = split_by_groups(ds, 1.0 - cfg.eval_fraction, cfg.seed)
         assert model.q == 2 and len(model.history) == 13
-        assert any(not isinstance(h.root, TreeLeaf) for ls in model.gcov_learners for h in ls)
+        assert any(not isinstance(h.root, TreeLeaf) for ls in model.ensembles["G"].learners for h in ls)
         for m, ll in enumerate(model.history):
             assert ll == pytest.approx(model_total_loglik(model, eval_ds, upto=m), rel=1e-9)
 
@@ -551,6 +548,28 @@ class TestFit:
         T = q * (q + 1) // 2
         assert len(rows) == 7 * (T + 2)
         assert rows[: T + 2] == [ds.n_obs] + [ds.n_groups] * T + [ds.n_obs]
+
+    @pytest.mark.parametrize("variant, per_iteration", [
+        ("grboost", 2), ("gboost", 2), ("rboost", 1), ("base", 1),
+    ])
+    def test_one_restriction_per_group_set_a_learner_reads(self, monkeypatch, variant, per_iteration):
+        # the mean and R share the rows' restriction, and a set that only constant
+        # learners read (G under rboost and base) is not restricted at all
+        parents = []
+        real = SortedColumns.restrict
+
+        def counted(self, rows, features):
+            parents.append(id(self))
+            return real(self, rows, features)
+
+        monkeypatch.setattr(SortedColumns, "restrict", counted)
+        spec = LearnerSpec(kind="tree", tree_min_parent=4, tree_min_child=2)
+        cfg = config_for_variant(variant, spec, n_iterations=6, group_fraction=0.5,
+                                 early_stopping=False)
+        fit(slope_dataset(25), cfg)
+        assert len(parents) == 6 * per_iteration
+        assert all(len(set(parents[i : i + per_iteration])) == per_iteration
+                   for i in range(0, len(parents), per_iteration))
 
 
 class TestPresort:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gbmixed import boosting, diagnostics, learners
 from gbmixed.boosting import (
+    Ensemble,
     FitConfig,
     FittedModel,
     config_for_variant,
@@ -32,7 +33,9 @@ from gbmixed.errors import ConfigError, DataError
 from gbmixed.learners import LearnerSpec, LinearLearner, TreeLeaf, TreeLearner, TreeSplit
 
 
-def build_model(mean_learners=(), gcov_learners=None, rvar_learners=(), p=3, lr=0.5):
+def build_model(mean=(), G=([],), R=(), p=3, lr=0.5):
+    """A q = 1 model with start values 0, G = 1 and r = 1, and the learners given:
+    lists of them for the mean and R, a tuple of one list for G."""
     config = FitConfig(
         lr_mean=lr,
         lr_gcov=lr,
@@ -46,15 +49,14 @@ def build_model(mean_learners=(), gcov_learners=None, rvar_learners=(), p=3, lr=
         q=1,
         treatment_index=None,
         categorical_features=(),
-        mean_init=0.0,
-        mean_learners=list(mean_learners),
-        gcov_init=np.array([1.0]),
-        gcov_learners=gcov_learners if gcov_learners is not None else ([],),
-        logrvar_init=0.0,
-        rvar_learners=list(rvar_learners),
+        ensembles={
+            "mean": Ensemble(np.array([0.0]), (list(mean),)),
+            "G": Ensemble(np.array([1.0]), G),
+            "R": Ensemble(np.array([0.0]), (list(R),)),
+        },
         history=[0.0],
-        best_iteration=len(mean_learners),
-        n_iterations_run=len(mean_learners),
+        best_iteration=len(mean),
+        n_iterations_run=len(mean),
     )
 
 
@@ -69,12 +71,12 @@ def stump(feature, threshold=0.0, left=-1.0, right=1.0, p=3):
 
 class TestImportance:
     def test_single_split_concentrates(self):
-        model = build_model(mean_learners=[stump(1)])
+        model = build_model(mean=[stump(1)])
         scores = variable_importance(model, "mean")
         assert scores == {"x1": 0.0, "x2": 1.0, "x3": 0.0}
 
     def test_counts_across_ensemble(self):
-        model = build_model(mean_learners=[stump(0), stump(0), stump(2), stump(1)])
+        model = build_model(mean=[stump(0), stump(0), stump(2), stump(1)])
         scores = variable_importance(model, "mean")
         assert scores["x1"] == pytest.approx(0.5)
         assert scores["x2"] == pytest.approx(0.25)
@@ -89,9 +91,9 @@ class TestImportance:
 
     def test_components_separate(self):
         model = build_model(
-            mean_learners=[stump(0)],
-            gcov_learners=([stump(2)],),
-            rvar_learners=[stump(1)],
+            mean=[stump(0)],
+            G=([stump(2)],),
+            R=[stump(1)],
         )
         assert variable_importance(model, "mean")["x1"] == 1.0
         assert variable_importance(model, "G")["x3"] == 1.0
@@ -101,7 +103,7 @@ class TestImportance:
         h = LinearLearner(
             features=(0, 2), coef=np.array([0.5, 0.0]), intercept=1.0, n_features=3
         )
-        model = build_model(mean_learners=[h])
+        model = build_model(mean=[h])
         assert variable_importance(model, "mean") == {"x1": 1.0, "x2": 0.0, "x3": 0.0}
 
     def test_unknown_component(self):
@@ -149,7 +151,7 @@ class TestPartialDependence:
         np.testing.assert_allclose(rvals, np.ones(len(grid)))
 
     def test_flat_for_unselected_feature(self):
-        model = build_model(mean_learners=[stump(0)])
+        model = build_model(mean=[stump(0)])
         rng = np.random.default_rng(1)
         bg = rng.standard_normal((30, 3))
         _, vals = partial_dependence(model, "mean", "x3", bg)
@@ -157,7 +159,7 @@ class TestPartialDependence:
 
     def test_step_recovered(self):
         # one stump at 0 with lr 0.5: curve steps from -0.5 to +0.5
-        model = build_model(mean_learners=[stump(0, threshold=0.0)])
+        model = build_model(mean=[stump(0, threshold=0.0)])
         bg = np.zeros((10, 3))
         grid = np.array([-1.0, -0.1, 0.1, 1.0])
         g, vals = partial_dependence(model, "mean", "x1", bg, grid=grid)
@@ -166,14 +168,14 @@ class TestPartialDependence:
 
     def test_g_component_traces_entry(self):
         # G = (1 + lr * step)^2 once the factor ensemble holds one stump
-        model = build_model(gcov_learners=([stump(1, threshold=0.5)],))
+        model = build_model(G=([stump(1, threshold=0.5)],))
         bg = np.zeros((8, 3))
         grid = np.array([0.0, 1.0])
         _, vals = partial_dependence(model, "G", "x2", bg, grid=grid)
         np.testing.assert_allclose(vals, [(1 - 0.5) ** 2, (1 + 0.5) ** 2])
 
     def test_r_component_on_variance_scale(self):
-        model = build_model(rvar_learners=[stump(2, threshold=0.0)])
+        model = build_model(R=[stump(2, threshold=0.0)])
         bg = np.zeros((5, 3))
         grid = np.array([-2.0, 2.0])
         _, vals = partial_dependence(model, "R", "x3", bg, grid=grid)
@@ -181,7 +183,7 @@ class TestPartialDependence:
 
     def test_averages_over_background(self):
         # half the background sits left of the stump in the non-plotted feature
-        model = build_model(mean_learners=[stump(1, threshold=0.0)])
+        model = build_model(mean=[stump(1, threshold=0.0)])
         bg = np.zeros((4, 3))
         bg[:2, 1] = -1.0
         bg[2:, 1] = 1.0
@@ -192,9 +194,9 @@ class TestPartialDependence:
     @pytest.mark.parametrize("component", ["mean", "R", "G"])
     def test_chunks_match_one_call(self, component, monkeypatch):
         model = build_model(
-            mean_learners=[stump(0, 0.3), stump(1, -0.2), stump(2, 0.1)],
-            gcov_learners=([stump(0, -0.4), stump(2, 0.2)],),
-            rvar_learners=[stump(0, 0.1), stump(1, 0.5)],
+            mean=[stump(0, 0.3), stump(1, -0.2), stump(2, 0.1)],
+            G=([stump(0, -0.4), stump(2, 0.2)],),
+            R=[stump(0, 0.1), stump(1, 0.5)],
         )
         bg = np.random.default_rng(8).standard_normal((13, 3))
         whole = partial_dependence(model, component, "x1", bg)[1]
@@ -231,8 +233,9 @@ class TestPartialDependence:
     ])
     def test_g_entry_must_be_a_pair_of_indices(self, g_entry):
         # (0.5, 0) was a raw IndexError, (0, 0, 0) a raw ValueError, True index 1
-        model = replace(build_model(), q=2, gcov_init=np.array([1.0, 0.0, 1.0]),
-                        gcov_learners=([], [], []))
+        model = build_model()
+        model = replace(model, q=2, ensembles={
+            **model.ensembles, "G": Ensemble(np.array([1.0, 0.0, 1.0]), ([], [], []))})
         bg = np.zeros((5, 3))
         with pytest.raises(ConfigError, match="g_entry"):
             partial_dependence(model, "G", "x1", bg, g_entry=g_entry)
@@ -251,28 +254,37 @@ class TestPartialDependence:
 
 
 def reference_partial_dependence(model, component, f, background, grid, g_entry=(0, 0)):
-    """The tiled estimator: one copy of the background per grid value, all of
-    them evaluated in one call of the component's evaluator.
+    """The tiled estimator: one copy of the background per grid value, every learner
+    of the component evaluated over all of them at once and summed as the evaluators
+    sum, from the start values in learner order, before the component's link.
 
     partial_dependence shares each tree's walks among the grid values of a
     threshold interval; this version walks every tree over every copy and is
-    its oracle.
+    its oracle. It sums the learners itself, since the evaluators refuse a
+    non-finite entry that a linear learner reads, and the grid's may be one.
     """
     n = background.shape[0]
     work = np.tile(background, (grid.shape[0], 1))
     work[:, f] = np.repeat(grid, n)
+    ensemble = model.ensembles[component]
+    lr = getattr(model.config, boosting.COMPONENTS[component].rate)
+    out = np.tile(ensemble.init, (work.shape[0], 1))
+    for t, ls in enumerate(ensemble.learners):
+        for h in ls:
+            out[:, t] += lr * h.predict(work)
     if component == "mean":
-        out = eval_mean(model, work)
+        out = out[:, 0]
     elif component == "R":
-        out = eval_resid_var(model, work)
+        out = np.exp(out[:, 0])
     else:
-        out = eval_gcov_rows(model, work)[:, g_entry[0], g_entry[1]]
+        L = boosting.factors_from_entries(out, model.q)
+        out = (L @ np.swapaxes(L, 1, 2))[:, g_entry[0], g_entry[1]]
     return out.reshape(grid.shape[0], n).mean(axis=1)
 
 
 def split_thresholds(model, component, f):
     found = set()
-    for h in diagnostics._component_learners(model, component):
+    for h in (h for ls in model.ensembles[component].learners for h in ls):
         if isinstance(h, TreeLearner):
             found.update(learners._split_thresholds(h.root, f).tolist())
     return sorted(found)
@@ -328,8 +340,7 @@ def test_matches_the_tiled_estimator(data):
     source = data.draw(st.sampled_from(["tree", "linear", "constant", "hand-built"]), label="source")
     if source == "hand-built":
         trees = st.lists(hand_built_tree(), min_size=1, max_size=4)
-        model = build_model(mean_learners=data.draw(trees), gcov_learners=(data.draw(trees),),
-                            rvar_learners=data.draw(trees))
+        model = build_model(mean=data.draw(trees), G=(data.draw(trees),), R=data.draw(trees))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rows seed"))
         rows = rng.choice(np.array([*POOL_THRESHOLDS, 0.1, -0.5, 2.0]), size=(30, 3))
         pools = {"rows": rows, "groups": rows}
@@ -387,8 +398,7 @@ def test_each_tree_is_walked_once_per_occupied_interval(component, monkeypatch):
         stump(0, 9.0),                     # above the whole grid
         TreeLearner(root=TreeLeaf(0.7), n_features=3),
     ]
-    slot = {"mean": "mean_learners", "G": "gcov_learners", "R": "rvar_learners"}[component]
-    model = build_model(**{slot: (trees,) if component == "G" else trees})
+    model = build_model(**{component: (trees,) if component == "G" else trees})
     walks = Counter()
     real = boosting._leaf_values
 
@@ -429,11 +439,11 @@ def test_a_linear_learner_is_called_per_grid_value_only_when_it_reads_the_featur
     bg = np.random.default_rng(4).standard_normal((13, 3))
     grid = np.array([-1.0, 0.0, 0.5, 2.0, np.inf, 0.5])
     with np.errstate(invalid="ignore"):   # inf * 0
-        _, both = partial_dependence(build_model(mean_learners=[reads, blind]), "mean", 0, bg, grid)
+        _, both = partial_dependence(build_model(mean=[reads, blind]), "mean", 0, bg, grid)
     assert calls == {id(reads): grid.size, id(blind): 1}
     assert np.isnan(both[4]) and np.all(np.isfinite(np.delete(both, 4)))
 
-    model = build_model(mean_learners=[blind])
+    model = build_model(mean=[blind])
     at = eval_mean(model, bg, grid=(0, grid))
     for k, v in enumerate(grid):
         X = bg.copy()

@@ -478,7 +478,7 @@ def test_threshold_plus_inf_loads(tmp_path):
     lines[i] = "mean_learner " + json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     loaded, _ = load_model(path)
-    assert loaded.mean_learners[i - 3].root.threshold == math.inf
+    assert loaded.ensembles["mean"].learners[0][i - 3].root.threshold == math.inf
 
 
 @pytest.mark.parametrize("value", [math.nan, -math.inf, "0.5"], ids=repr)

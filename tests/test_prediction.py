@@ -12,6 +12,7 @@ from scipy.stats import norm
 
 from gbmixed import prediction
 from gbmixed.boosting import (
+    Ensemble,
     FitConfig,
     FittedModel,
     config_for_variant,
@@ -46,9 +47,9 @@ def const_model(
     q=1,
     treatment_index=None,
     lr_mean=0.5,
-    mean_learners=(),
+    mean=(),
 ):
-    """Model with empty or hand-picked ensembles and fixed variance components."""
+    """Model with empty or hand-picked mean learners and fixed variance components."""
     config = FitConfig(
         lr_mean=lr_mean,
         gcov_learner=LearnerSpec(kind="constant"),
@@ -60,15 +61,14 @@ def const_model(
         q=q,
         treatment_index=treatment_index,
         categorical_features=(),
-        mean_init=f0,
-        mean_learners=list(mean_learners),
-        gcov_init=np.asarray(L_entries, dtype=float),
-        gcov_learners=tuple([] for _ in range(len(L_entries))),
-        logrvar_init=logr0,
-        rvar_learners=[],
+        ensembles={
+            "mean": Ensemble(np.array([f0]), (list(mean),)),
+            "G": Ensemble(np.asarray(L_entries, dtype=float), tuple([] for _ in L_entries)),
+            "R": Ensemble(np.array([logr0]), ([],)),
+        },
         history=[0.0],
-        best_iteration=len(mean_learners),
-        n_iterations_run=len(mean_learners),
+        best_iteration=len(mean),
+        n_iterations_run=len(mean),
     )
 
 
@@ -460,7 +460,7 @@ class TestTreatmentEffects:
     def linear_model(self, beta_t=0.8, lr=0.5, p=3, t=2, **kw):
         h = LinearLearner(features=(t,), coef=np.array([beta_t]), intercept=0.0, n_features=p)
         return const_model(
-            f0=0.0, p=p, treatment_index=t, lr_mean=lr, mean_learners=(h,), **kw
+            f0=0.0, p=p, treatment_index=t, lr_mean=lr, mean=(h,), **kw
         )
 
     def test_cate_linear_exact(self):

@@ -55,8 +55,7 @@ def models():
             variant, spec, n_iterations=iterations, group_fraction=0.5, early_stopping=False
         )
         model = fit(ds, cfg)
-        learners = model.mean_learners + model.rvar_learners
-        learners += [h for entry in model.gcov_learners for h in entry]
+        learners = [h for e in model.ensembles.values() for ls in e.learners for h in ls]
         assert len(learners) == (0 if kind is None else iterations * 5)
         assert all(type(h) is kind for h in learners)
         out[name] = model
@@ -206,3 +205,50 @@ def test_well_typed_scalar_arguments_still_work(models):
     grid, values = partial_dependence(model, "mean", 0, ds.stacked().X, grid=[-1, 0, np.inf, np.nan])
     assert grid.dtype == float and values.shape == (4,)
     assert np.array_equal(grid, [-1.0, 0.0, np.inf, np.nan], equal_nan=True)
+
+
+EVALUATORS = [eval_mean, eval_resid_var, eval_gcov_rows]
+
+
+@pytest.mark.parametrize("evaluate", EVALUATORS, ids=lambda f: f.__name__)
+def test_upto_counts_learners_within_the_ensemble(models, evaluate):
+    """upto is an index in 0..best_iteration, else a ConfigError. The parent dropped
+    the last learner at -1, summed one at True and all of them at 99, and raised a
+    raw TypeError at 2.5 and "2"."""
+    model = models["tree"]
+    X = treated_dataset().stacked().X[:6]
+    assert model.best_iteration == 4
+    for bad in (-1, True, 5, 99, 2.5, "2", np.float64(2.0)):
+        with pytest.raises(ConfigError, match="upto"):
+            evaluate(model, X, upto=bad)
+    assert np.array_equal(evaluate(model, X, upto=4), evaluate(model, X))
+    assert np.array_equal(evaluate(model, X, upto=np.int64(2)), evaluate(model, X, upto=2))
+    assert not np.array_equal(evaluate(model, X, upto=0), evaluate(model, X))
+
+
+NAN_ROW = np.array([[np.nan, 0.2, 1.0]])
+
+
+@pytest.mark.parametrize("served", SERVED, ids=str)
+def test_a_linear_model_refuses_a_non_finite_feature_it_reads(models, served):
+    """The parent returned NaN here; trees still route NaN to a value."""
+    with pytest.raises(DataError, match="row 0: feature 'x1' is non-finite") as raised:
+        SERVED[served](models["linear"], NAN_ROW)
+    assert raised.value.exit_code == 3
+    for X in (NAN_ROW, np.array([[0.3, -np.inf, np.inf]])):
+        assert np.all(np.isfinite(SERVED[served](models["tree"], X)))
+
+
+def test_partial_dependence_of_a_linear_model_skips_the_plotted_column(models):
+    """The plotted column of the background is overwritten, so a NaN there is never
+    read; a NaN in another column is, and NaN and ±inf grid values are evaluated."""
+    model = models["linear"]
+    bg = treated_dataset().stacked().X[:8].copy()
+    bg[3, 0] = np.nan
+    _, values = partial_dependence(model, "mean", 0, bg, grid=[0.0, 1.0])
+    assert np.all(np.isfinite(values))
+    with np.errstate(invalid="ignore"):
+        _, values = partial_dependence(model, "mean", 0, bg, grid=[np.nan, np.inf])
+    assert np.all(np.isnan(values) | np.isinf(values))
+    with pytest.raises(DataError, match="row 3: feature 'x1' is non-finite"):
+        partial_dependence(model, "mean", 1, bg, grid=[0.0])

@@ -32,12 +32,13 @@ def staged_prefixes(model, X, Xt):
     Xt = np.asarray(Xt, dtype=float)
     cols, cols_t = np.ascontiguousarray(X.T), np.ascontiguousarray(Xt.T)
     cfg = model.config
-    log_r = np.full(X.shape[0], model.logrvar_init)
-    entries = np.tile(model.gcov_init, (Xt.shape[0], 1))
+    R, G = model.ensembles["R"], model.ensembles["G"]
+    log_r = np.full(X.shape[0], R.init[0])
+    entries = np.tile(G.init, (Xt.shape[0], 1))
     for m in range(model.best_iteration + 1):
         if m > 0:
-            log_r += cfg.lr_rvar * model.rvar_learners[m - 1].predict(X, cols)
-            for t, ensemble in enumerate(model.gcov_learners):
+            log_r += cfg.lr_rvar * R.learners[0][m - 1].predict(X, cols)
+            for t, ensemble in enumerate(G.learners):
                 entries[:, t] += cfg.lr_gcov * ensemble[m - 1].predict(Xt, cols_t)
         L = factors_from_entries(entries, model.q)
         yield m, np.exp(log_r), L @ np.swapaxes(L, 1, 2)
