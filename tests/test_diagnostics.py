@@ -17,9 +17,7 @@ from gbmixed.boosting import (
     FitConfig,
     FittedModel,
     config_for_variant,
-    eval_gcov_rows,
     eval_mean,
-    eval_resid_var,
     fit,
 )
 from gbmixed.data import GroupBlock, GroupedDataset
