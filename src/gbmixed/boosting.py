@@ -12,10 +12,13 @@ learners to all three ensembles in parallel:
 
 Each component is one Ensemble, and the fit loop, the config checks, the
 evaluator and model_io loop over one table of them, COMPONENTS. One
-evaluator, _sums, adds up a component's outputs; eval_mean, eval_resid_var
-and eval_gcov_rows apply the links (identity, exp, and L L' from the floored
-factors). Trees route NaN and ±inf, but _sums refuses one that a linear
-learner would read, where it would return NaN.
+evaluator, _sums, adds up a component's outputs over one feature-major copy
+of its rows; eval_mean, eval_resid_var and eval_gcov_rows apply the links
+(identity, exp, and L L' from the floored factors). Trees route NaN and ±inf;
+one rule, _refuse_non_finite_reads, refuses one that a linear learner would
+read, for fit, for _sums and for prediction's datasets, which name the group.
+Whether the evaluation split and the sampling can work is decided once, by
+fit, before any work; sample_iteration only draws.
 
 A held-out fraction of groups tracks the evaluation log-likelihood per
 iteration. With early stopping enabled, fitting stops once the best of the
@@ -187,23 +190,9 @@ class FittedModel:
     n_iterations_run: int
 
 
-def _ensemble_sum(learners, X, lr, out, grid=None):
-    """out += lr * h(X) for each learner in turn; trees share one feature-major copy of X.
-
-    With grid = (feature, values), out is (len(values), n) and row k of it
-    takes the sum at X with column feature set to values[k]
-    (see _ensemble_grid_sum).
-    """
-    if grid is not None:
-        return _ensemble_grid_sum(learners, X, grid, lr, out)
-    cols = np.ascontiguousarray(X.T)
-    for h in learners:
-        out += lr * h.predict(X, cols)
-    return out
-
-
-def _ensemble_grid_sum(learners, X, grid, lr, out):
-    """out[k] += lr * h(X with column f set to values[k]) for each learner in turn.
+def _ensemble_grid_sum(learners, cols, grid, lr, out):
+    """out[k] += lr * h(rows with column f set to values[k]) for each learner in turn;
+    cols is the rows' feature-major copy, which _sums shares across outputs.
 
     Each learner is evaluated once per run of values that cannot change its
     output, at the run's first value: a tree once per interval between its
@@ -211,17 +200,16 @@ def _ensemble_grid_sum(learners, X, grid, lr, out):
     linear learner that reads f (f is in its features, whatever the
     coefficient: inf * 0 is NaN) once per value; a constant, or a linear
     learner that never reads f, once. A tree is walked by _leaf_values with
-    fixed = (f, value) over one feature-major copy cols of X: each split on f
-    is settled by the scalar test value < threshold and only its side is
-    walked. A linear learner reads cols with row f set to the value. Every
-    value of an interval sends each row down the same path (x < t holds for
-    all of them or for none; NaN and +inf go right at every split), so for
-    trees and constants row k of out takes the very terms and order of
-    _ensemble_sum on X with column f set to values[k], bit for bit. A learner
-    with one run adds its one row to every row of out by broadcast.
+    fixed = (f, value): each split on f is settled by the scalar test value <
+    threshold and only its side is walked, so no tree reads row f of cols; a
+    linear learner sets row f before it reads it. Every value of an interval
+    sends each row down the same path (x < t holds for all of them or for
+    none; NaN and +inf go right at every split), so for trees and constants
+    row k of out takes the very terms and order of the sum at the rows with
+    column f set to values[k], bit for bit. A learner with one run adds its
+    one row to every row of out by broadcast.
     """
     f, values = grid
-    cols = np.array(X.T, order="C")   # a copy even where X.T is contiguous: linear learners write row f
     each = np.arange(len(values))
     for h in learners:
         tree = isinstance(h, TreeLearner)
@@ -230,7 +218,7 @@ def _ensemble_grid_sum(learners, X, grid, lr, out):
         else:
             run = each if f in h.features else np.zeros_like(each)
         _, first, interval = np.unique(run, return_index=True, return_inverse=True)
-        per = np.empty((first.size, X.shape[0]))
+        per = np.empty((first.size, cols.shape[1]))
         for i, k in enumerate(first):
             if tree:
                 per[i] = _leaf_values(h.root, cols, (f, values[k]))
@@ -241,13 +229,42 @@ def _ensemble_grid_sum(learners, X, grid, lr, out):
     return out
 
 
+def _linear_reads(ensemble: Ensemble, upto=None) -> list[int]:
+    """The features, ascending, that the first upto linear learners per output read."""
+    return sorted({f for ls in ensemble.learners for h in ls[:upto]
+                   if isinstance(h, LinearLearner) for f in h.features})
+
+
+def _refuse_non_finite_reads(reads, X, Xt, feature_names, group_ids=None, sizes=None) -> None:
+    """Trees route NaN and ±inf, but a linear learner would return NaN. reads maps
+    components to the features their linear learners read, in the rows X (mean, R)
+    or the group summaries Xt (G). The first non-finite one in row order is a
+    DataError naming the feature, the component, and the group when group_ids is
+    given (group i holds row i of Xt and the next sizes[i] rows of X), else the row.
+    """
+    for name, feats in reads.items():
+        on_groups = COMPONENTS[name].on_groups
+        M = (Xt if on_groups else X)[:, feats]
+        if np.count_nonzero(np.isfinite(M)) == M.size:
+            continue
+        row, j = np.argwhere(~np.isfinite(M))[0]
+        if group_ids is None:
+            where = f"row {row}"
+        else:
+            i = row if on_groups else np.searchsorted(np.cumsum(sizes), row, side="right")
+            where = f"group {group_ids[i]!r}"
+        raise DataError(f"{where}: feature {feature_names[feats[j]]!r} is non-finite, "
+                        f"which a linear {name} learner cannot read")
+
+
 def _sums(model: FittedModel, component: str, X, upto, grid) -> np.ndarray:
     """One component's (n, outputs) sums at the rows of X, before its link, over the
     first upto learners per output; grid puts a leading axis over its values.
 
     upto must pass errors.check_index and lie in 0..the learner count, else a
     ConfigError. A non-finite entry of X that a summed linear learner reads is a
-    DataError naming its row and feature; the column a grid overwrites is not read.
+    DataError naming its row; the column a grid overwrites is not read. One
+    feature-major copy of X serves every output and grid value.
     """
     c, ens = COMPONENTS[component], model.ensembles[component]
     X = check_rows(X, len(model.feature_names), "Xt" if c.on_groups else "X")
@@ -255,20 +272,18 @@ def _sums(model: FittedModel, component: str, X, upto, grid) -> np.ndarray:
         n = len(ens.learners[0])
         if not 0 <= check_index("upto", upto) <= n:
             raise ConfigError(f"upto {upto} outside 0..{n}")
-    learners = [ls[:upto] for ls in ens.learners]
-    read = {f for ls in learners for h in ls if isinstance(h, LinearLearner) for f in h.features}
-    read.discard(None if grid is None else grid[0])
-    if read:
-        feats = sorted(read)
-        bad = ~np.isfinite(X[:, feats])
-        if bad.any():
-            row, j = np.argwhere(bad)[0]
-            raise DataError(f"row {row}: feature {model.feature_names[feats[j]]!r} is "
-                            f"non-finite, which a linear {component} learner cannot read")
-    lead = (X.shape[0],) if grid is None else (len(grid[1]), X.shape[0])
-    out = np.tile(ens.init, (*lead, 1))
-    for t, ls in enumerate(learners):
-        _ensemble_sum(ls, X, getattr(model.config, c.rate), out[..., t], grid)
+    read = [f for f in _linear_reads(ens, upto) if grid is None or f != grid[0]]
+    _refuse_non_finite_reads({component: read}, X, X, model.feature_names)
+    lr = getattr(model.config, c.rate)
+    # a grid always copies, even where X.T is contiguous: a linear learner writes row f
+    cols = np.ascontiguousarray(X.T) if grid is None else np.array(X.T, order="C")
+    out = np.tile(ens.init, (X.shape[0], 1) if grid is None else (len(grid[1]), X.shape[0], 1))
+    for t, ls in enumerate(ens.learners):
+        if grid is not None:
+            _ensemble_grid_sum(ls[:upto], cols, grid, lr, out[..., t])
+            continue
+        for h in ls[:upto]:
+            out[:, t] += lr * h.predict(X, cols)
     return out
 
 
@@ -350,18 +365,11 @@ def sample_iteration(rng: np.random.Generator, n_groups: int, n_features: int, c
 
     Draws floor(group_fraction * n_groups) groups and floor(feature_fraction
     * n_features) features without replacement, then unions force_include
-    into the feature set.
+    into the feature set. It only draws: fit checks once, before its first
+    iteration, that both counts are at least one.
     """
     n_g = int(np.floor(config.group_fraction * n_groups))
     n_f = int(np.floor(config.feature_fraction * n_features))
-    if n_g < 1:
-        raise ConfigError(
-            f"group_fraction {config.group_fraction} samples zero of {n_groups} groups"
-        )
-    if n_f < 1:
-        raise ConfigError(
-            f"feature_fraction {config.feature_fraction} samples zero of {n_features} features"
-        )
     g_idx = np.sort(rng.choice(n_groups, size=n_g, replace=False))
     f_idx = rng.choice(n_features, size=n_f, replace=False)
     feats = np.array(sorted(set(f_idx.tolist()) | set(config.force_include)), dtype=np.int64)
@@ -394,23 +402,6 @@ def _set_loglik(F, y, mu, Z, logr, sizes, q: int, m: int) -> float:
     return total
 
 
-def _check_linear_reads(train: GroupedDataset, config: FitConfig, X, Xt) -> None:
-    """Trees route NaN and ±inf features, but a linear learner would carry one into
-    the caches it updates. A DataError names the first group, in dataset order, and
-    its first feature where a linear learner would read a non-finite value: in a row
-    (X, the training stack) for the mean and R, in the group summary (Xt) for G."""
-    for M, summary in ((X, False), (Xt, True)):
-        kinds = [getattr(config, c.learner).kind for c in COMPONENTS.values() if c.on_groups == summary]
-        if "linear" in kinds and np.count_nonzero(np.isfinite(M)) < M.size:
-            for g in train.groups:
-                bad = ~np.isfinite(g.x_tilde[None] if summary else g.X)
-                if bad.any():
-                    name = train.feature_names[int(np.flatnonzero(bad.any(axis=0))[0])]
-                    where = "group summary" if summary else "rows"
-                    raise DataError(f"group {g.group_id!r}: feature {name!r} is non-finite in "
-                                    f"its {where}, which a linear learner cannot read")
-
-
 def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     """Run the boosting loop and return the fitted model.
 
@@ -419,8 +410,10 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     uses a single generator seeded with config.seed, so identical inputs
     give identical models. When early stopping is enabled the returned
     ensembles are truncated at the evaluation optimum; otherwise all
-    iterations are kept. A non-finite feature that a linear learner would
-    read is a DataError before the first iteration (_check_linear_reads).
+    iterations are kept. An evaluation split with an empty side, or a group or
+    feature sample of none, is a ConfigError naming its setting before any work.
+    A non-finite feature that a linear learner would read is a DataError naming
+    the first such group of the training stack (boosting groups, then evaluation).
     """
     if train.n_groups < 2:
         raise DataError("need at least two groups to fit")
@@ -432,8 +425,21 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     for f in config.force_include:
         if f >= p:
             raise ConfigError(f"force_include index {f} out of range for {p} features")
+    # feasibility, once: split_by_groups keeps floor((1 - eval_fraction) * C) groups
+    # for boosting, and each iteration samples from those alone
+    C, ef = train.n_groups, config.eval_fraction
+    Cb = int(np.floor((1.0 - ef) * C))
+    if Cb == 0:
+        raise ConfigError(f"eval_fraction {ef} leaves none of the {C} groups for boosting")
+    if Cb == C:
+        raise ConfigError(f"eval_fraction {ef} holds out none of the {C} groups for evaluation")
+    if np.floor(config.group_fraction * Cb) < 1:
+        raise ConfigError(f"group_fraction {config.group_fraction} samples zero of {Cb} groups: "
+                          f"eval_fraction {ef} held out {C - Cb} of the {C} groups for evaluation")
+    if np.floor(config.feature_fraction * p) < 1:
+        raise ConfigError(f"feature_fraction {config.feature_fraction} samples zero of {p} features")
 
-    boost_ds, eval_ds = split_by_groups(train, 1.0 - config.eval_fraction, config.seed)
+    boost_ds, eval_ds = split_by_groups(train, 1.0 - ef, config.seed)
     f0, diag0, logr0 = initialize(boost_ds, q)
     rows_t, cols_t = _tril_indices(q)
     T = rows_t.shape[0]
@@ -446,8 +452,9 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     groups = boost_ds.groups + eval_ds.groups
     st = StackedData.from_groups(groups)
     Xt = np.stack([g.x_tilde for g in groups])
-    _check_linear_reads(train, config, st.X, Xt)
-    Cb, nb = boost_ds.n_groups, boost_ds.n_obs
+    reads = {n: range(p) for n, c in COMPONENTS.items() if getattr(config, c.learner).kind == "linear"}
+    _refuse_non_finite_reads(reads, st.X, Xt, train.feature_names, [g.group_id for g in groups], st.sizes)
+    nb = boost_ds.n_obs
     # per group set (on_groups): its matrix, feature-major copy, and the order of its
     # head, which every iteration restricts, so each set sorts at most once
     sets = {
@@ -462,16 +469,6 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     tail = (F[Cb:], st.y[nb:], mu[nb:], st.Z[nb:], logr[nb:], st.sizes[Cb:])
 
     rng = np.random.default_rng(config.seed)
-    # verify the sampling fractions are feasible before looping; groups are
-    # sampled from the boosting part only, so say what the evaluation part took
-    if config.group_fraction * Cb < 1:
-        raise ConfigError(
-            f"group_fraction {config.group_fraction} samples zero of {Cb} groups: "
-            f"eval_fraction {config.eval_fraction} held out {eval_ds.n_groups} of the "
-            f"{train.n_groups} groups for evaluation"
-        )
-    sample_iteration(np.random.default_rng(config.seed), Cb, p, config)
-
     learners = {name: tuple([] for _ in init) for name, init in inits.items()}
     history = [_set_loglik(*tail, q, 0)]
 

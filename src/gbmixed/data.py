@@ -81,7 +81,9 @@ class GroupBlock:
     Each array must hold numbers (errors.numeric_array), else a DataError
     naming the group. A response may be NaN, the mark of an unobserved row as
     in load_csv, but not ±inf; Z must be finite. X keeps NaN and ±inf, which
-    trees route.
+    trees route. The block holds read-only views of the arrays it is given
+    (converted first where they are not float), so the caller's arrays stay
+    writable.
     """
 
     group_id: object
@@ -105,11 +107,8 @@ class GroupBlock:
             raise DataError(f"{name}: y must be finite, or NaN for an unobserved response")
         if np.count_nonzero(np.isfinite(Z)) < Z.size:
             raise DataError(f"{name}: Z must be finite")
-        for arr in (y, X, Z):
-            arr.flags.writeable = False
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Z", Z)
+        for field, arr in (("y", y), ("X", X), ("Z", Z)):
+            object.__setattr__(self, field, _read_only(arr))
         if self.x_tilde is not None:
             object.__setattr__(self, "x_tilde", self._summary(self.x_tilde))
 
@@ -117,8 +116,7 @@ class GroupBlock:
         xt = numeric_array(f"group {self.group_id!r}: x_tilde", x_tilde)
         if xt.shape != (self.X.shape[1],):
             raise DataError(f"group {self.group_id!r}: x_tilde must have one entry per feature")
-        xt.flags.writeable = False
-        return xt
+        return _read_only(xt)
 
     def with_summary(self, x_tilde) -> "GroupBlock":
         """A copy carrying x_tilde. Only x_tilde is checked: y, X and Z passed the rule
@@ -128,6 +126,13 @@ class GroupBlock:
     @property
     def n(self) -> int:
         return self.y.shape[0]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr; the caller's array stays writable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def _unchecked_block(group_id, y, X, Z, x_tilde) -> GroupBlock:
@@ -153,13 +158,11 @@ def _group_blocks(ids: Sequence, sizes: Sequence[int], y: np.ndarray, X: np.ndar
             and not np.count_nonzero(np.isinf(y)) and np.count_nonzero(np.isfinite(Z)) == Z.size):
         return [GroupBlock(gid, y[r], X[r], Z[r], summarize_matrix(X[r], categorical))
                 for gid, r in zip(ids, rows)]
-    y, X, Z = y.view(), X.view(), Z.view()   # read-only views; the caller's arrays stay writable
-    for arr in (y, X, Z):
-        arr.flags.writeable = False
+    y, X, Z = _read_only(y), _read_only(X), _read_only(Z)
     blocks = []
     for gid, r in zip(ids, rows):
         xt = summarize_matrix(X[r], categorical)
-        xt.flags.writeable = False
+        xt.flags.writeable = False   # made here, so no view is needed
         blocks.append(_unchecked_block(gid, y[r], X[r], Z[r], xt))
     return blocks
 

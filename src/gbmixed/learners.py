@@ -6,8 +6,9 @@ Learners are fitted on a feature subsample but store global column indices,
 so prediction always takes full-width feature matrices. A learner's predict
 checks no matrix: it relies on its caller, either boosting's one evaluator
 (_sums, behind eval_mean, eval_gcov_rows and eval_resid_var), which checks
-every matrix a fitted model is served with errors.check_rows and refuses a
-non-finite entry that a linear learner reads, or boosting.fit's own stack.
+every matrix a fitted model is served with errors.check_rows, or
+boosting.fit's own stack. Both refuse a non-finite entry that a linear
+learner reads by boosting's one rule, _refuse_non_finite_reads.
 
 Every kind fits from one training input, a SortedColumns: the feature
 matrix X, the sorted list of columns the learner may use, and the stable
@@ -65,8 +66,8 @@ values bit for bit. A leaf's number is the narrowest of an int8, int16 or
 int64 scalar that holds it, so on trees of up to 128 leaves every select
 runs on 1-byte arrays; NumPy's promotion widens a select only where one
 side's numbers need it, and a number is an exact index in any of them.
-Partial dependence reads every learner on its own feature-major copy (see
-boosting._ensemble_grid_sum): _split_thresholds lists a tree's thresholds
+Partial dependence reads every learner from one feature-major copy per call
+(see boosting._ensemble_grid_sum): _split_thresholds lists a tree's thresholds
 on the plotted feature from _splits, the one walker of a tree's splits
 (split_counts reads it too), and _leaf_values walks the columns once per
 threshold interval with fixed = (feature, value). That walk settles each

@@ -52,6 +52,10 @@ of numbers with one column per model feature, else a DataError. The
 evaluators of boosting apply it to every matrix they are served, _arms to X
 before it stacks the two arms (so cate, ate and ite_variance check X first),
 and ite_variance to x_tilde_rows. The learners check nothing and rely on it.
+A non-finite feature that a linear learner reads is refused by one rule
+(boosting._refuse_non_finite_reads): predict_dataset and blup apply it to
+the rows and summaries of their datasets first, so the error names the
+group; the evaluators name the row of the matrix they were served.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ from scipy.stats import norm
 
 from .boosting import (
     FittedModel,
+    _linear_reads,
+    _refuse_non_finite_reads,
     eval_gcov_rows,
     eval_mean,
     eval_resid_var,
@@ -82,6 +88,8 @@ def blup(model: FittedModel, ds: GroupedDataset, components=None) -> np.ndarray:
     ensembles run once over the finite rows of all groups and once over
     their summaries. The solve against the dense Sigma_i stays per group.
     ds must match the model as predict_dataset's datasets do (_check_datasets).
+    A non-finite feature of a finite-response row or a summary that a linear
+    learner reads is a DataError naming the group.
     """
     _check_datasets(model, ds)
     groups = ds.groups
@@ -92,9 +100,11 @@ def blup(model: FittedModel, ds: GroupedDataset, components=None) -> np.ndarray:
         return u
     if components is None:
         X = np.vstack([groups[i].X[keep[i]] for i in live])
+        Xt = np.stack([groups[i].x_tilde for i in live])
+        _refuse_non_finite(model, [groups[i] for i in live], X, Xt, [keep[i].sum() for i in live])
         mu = eval_mean(model, X)
         r = eval_resid_var(model, X)
-        G = eval_gcov_rows(model, np.stack([groups[i].x_tilde for i in live]))
+        G = eval_gcov_rows(model, Xt)
     else:
         finite = np.concatenate(keep)
         mu, r, G = components[0][finite], components[1][finite], components[2][live]
@@ -134,6 +144,13 @@ def _check_datasets(model: FittedModel, *datasets: GroupedDataset) -> None:
             raise DataError("dataset categorical features do not match the model")
 
 
+def _refuse_non_finite(model: FittedModel, groups, X, Xt, sizes) -> None:
+    """boosting's one rule for non-finite features that a linear learner reads, over the
+    rows X and summaries Xt of groups, where group i holds sizes[i] rows; it names the group."""
+    reads = {name: _linear_reads(e) for name, e in model.ensembles.items()}
+    _refuse_non_finite_reads(reads, X, Xt, model.feature_names, [g.group_id for g in groups], sizes)
+
+
 def check_alpha(alpha: float) -> None:
     """Reject an interval miss probability that is not a number in (0, 1)."""
     if not (0.0 < check_type("alpha", alpha, float) < 1.0):
@@ -168,16 +185,18 @@ def predict_dataset(
     groups get a zero BLUP, and reduced_new_group_variance drops the z' G z
     term from their variance only. Intervals use G at the served group's
     summary, the BLUP the source group's. alpha must be a number in (0, 1)
-    and reduced_new_group_variance a bool, else a ConfigError.
+    and reduced_new_group_variance a bool, else a ConfigError. A non-finite
+    feature that a linear learner reads is a DataError naming the group.
     """
     check_type("reduced_new_group_variance", reduced_new_group_variance, bool)
     source = training_groups if training_groups is not None else ds
     _check_datasets(model, ds, source)
-    st = ds.stacked()
+    st, Xt = ds.stacked(), ds.x_tilde_matrix()
+    _refuse_non_finite(model, ds.groups, st.X, Xt, st.sizes)
     seg = np.repeat(np.arange(ds.n_groups), st.sizes)
     mu = eval_mean(model, st.X)
     r = eval_resid_var(model, st.X)
-    G_groups = eval_gcov_rows(model, ds.x_tilde_matrix())
+    G_groups = eval_gcov_rows(model, Xt)
     G = G_groups[seg]
 
     history = {g.group_id: g for g in source.groups if np.any(np.isfinite(g.y))}

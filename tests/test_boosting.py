@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbmixed.boosting import (
+    Ensemble,
     FitConfig,
-    _ensemble_sum,
+    FittedModel,
     check_convergence,
     config_for_variant,
     eval_gcov_rows,
@@ -223,12 +224,27 @@ class TestSampling:
             assert 7 in feats
             assert 2 <= len(feats) <= 3
 
-    def test_zero_samples_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ConfigError, match="group_fraction"):
-            sample_iteration(rng, 10, 8, small_config(group_fraction=0.05))
-        with pytest.raises(ConfigError, match="feature_fraction"):
-            sample_iteration(rng, 10, 8, small_config(feature_fraction=0.1))
+    def test_zero_samples_rejected(self, monkeypatch):
+        # fit decides once, before it splits the groups; sample_iteration only draws
+        ds = clustered_dataset(np.random.default_rng(3), n_groups=10, p=8)
+        monkeypatch.setattr(boosting, "split_by_groups", None)
+        message = "group_fraction 0.05 samples zero of 7 groups: eval_fraction 0.25 held out 3"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            fit(ds, small_config(group_fraction=0.05))
+        with pytest.raises(ConfigError, match=re.escape("feature_fraction 0.1 samples zero of 8 features")):
+            fit(ds, small_config(feature_fraction=0.1))
+
+    @pytest.mark.parametrize("eval_fraction, message", [
+        (0.9, "eval_fraction 0.9 leaves none of the 5 groups for boosting"),
+        # 1 - 1e-17 rounds to 1.0, which split_by_groups would report as its own fraction
+        (1e-17, "eval_fraction 1e-17 holds out none of the 5 groups for evaluation"),
+    ])
+    def test_an_evaluation_split_with_an_empty_side_names_eval_fraction(self, monkeypatch,
+                                                                        eval_fraction, message):
+        ds = clustered_dataset(np.random.default_rng(3), n_groups=5)
+        monkeypatch.setattr(boosting, "split_by_groups", None)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            fit(ds, small_config(eval_fraction=eval_fraction))
 
     def test_distribution_covers_everything(self):
         rng = np.random.default_rng(4)
@@ -323,12 +339,12 @@ class TestFit:
         assert raised.value.exit_code == 3
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
-    @pytest.mark.parametrize("kinds, where", [
-        (("linear", "linear", "linear"), "rows"),
-        (("tree", "constant", "linear"), "rows"),
-        (("tree", "linear", "constant"), "group summary"),
+    @pytest.mark.parametrize("kinds, component", [
+        (("linear", "linear", "linear"), "mean"),
+        (("tree", "constant", "linear"), "R"),
+        (("tree", "linear", "constant"), "G"),
     ])
-    def test_a_non_finite_feature_a_linear_learner_would_read_is_a_data_error(self, kinds, where, value):
+    def test_a_non_finite_feature_a_linear_learner_would_read_is_a_data_error(self, kinds, component, value):
         # one NaN in X used to end a linear fit in the NumericalError "non-finite
         # evaluation log-likelihood at iteration 1"
         ds = clustered_dataset(np.random.default_rng(12), n_groups=12, n_per=3, p=2)
@@ -339,8 +355,8 @@ class TestFit:
         bad = GroupedDataset(groups=tuple(groups), feature_names=ds.feature_names)
         specs = dict(zip(("mean_learner", "gcov_learner", "rvar_learner"),
                          (LearnerSpec(kind=k, tree_min_parent=4, tree_min_child=2) for k in kinds)))
-        message = f"group 7: feature 'x2' is non-finite in its {where}"
-        with pytest.raises(DataError, match=re.escape(message)) as raised:
+        message = f"feature 'x2' is non-finite, which a linear {component} learner cannot read"
+        with pytest.raises(DataError, match=f"^{re.escape('group 7: ' + message)}$") as raised:
             fit(bad, small_config(**specs))
         assert raised.value.exit_code == 3
 
@@ -348,7 +364,7 @@ class TestFit:
         trees = LearnerSpec(kind="tree", tree_min_parent=4, tree_min_child=2)
         assert np.all(np.isfinite(fit(bad, small_config(mean_learner=trees, rvar_learner=trees)).history))
         evaluate = (eval_mean, eval_gcov_rows, eval_resid_var)[kinds.index("linear")]
-        with pytest.raises(DataError, match="row 0: feature 'x2' is non-finite"):
+        with pytest.raises(DataError, match=f"^{re.escape('row 0: ' + message)}$"):
             evaluate(fit(ds, small_config(**specs)), np.array([[0.5, value]]))
 
     def test_force_include_out_of_range(self):
@@ -719,8 +735,8 @@ class TestReferenceLoop:
 
 class TestEnsembleSum:
     def test_mixed_learners_equal_one_call_each(self):
-        """One shared feature-major copy changes no bit against predicting
-        with each learner on its own."""
+        """The evaluator's one feature-major copy per call, shared by every output,
+        changes no bit against predicting with each learner on its own."""
         rng = np.random.default_rng(17)
         X = rng.standard_normal((300, 4))
         X[::7, 2] = np.nan
@@ -740,7 +756,21 @@ class TestEnsembleSum:
         expected = np.full(300, 1.5)
         for h in learners:
             expected += 0.1 * h.predict(Xf)
-        assert np.array_equal(_ensemble_sum(learners, Xf, 0.1, np.full(300, 1.5)), expected)
+        # G's three outputs take the learners in three orders
+        orders = [learners, learners[::-1], learners[2:] + learners[:2]]
+        model = FittedModel(
+            config=FitConfig(lr_mean=0.1, lr_gcov=0.1), feature_names=("a", "b", "c", "d"), q=2,
+            treatment_index=None, categorical_features=(), history=[0.0], best_iteration=6,
+            n_iterations_run=6, ensembles={"mean": Ensemble(np.array([1.5]), (learners,)),
+                                           "G": Ensemble(np.array([1.5, 0.0, 1.5]), tuple(orders)),
+                                           "R": Ensemble(np.array([0.0]), ([],))})
+        assert np.array_equal(eval_mean(model, Xf), expected)
+        G_sums = boosting._sums(model, "G", Xf, None, None)
+        for t, (start, ls) in enumerate(zip(model.ensembles["G"].init, orders)):
+            column = np.full(300, start)
+            for h in ls:
+                column += 0.1 * h.predict(Xf)
+            assert np.array_equal(G_sums[:, t], column)
 
 
 class TestVariantNesting:

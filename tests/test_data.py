@@ -83,6 +83,16 @@ class TestContainers:
         with pytest.raises(ValueError):
             g.y[0] = 1.0
 
+    def test_the_callers_arrays_stay_writable(self):
+        # a block froze the arrays it was given, so a later y[0] = 1.0 raised
+        # "assignment destination is read-only"
+        y, X, Z, xt = np.zeros(3), np.zeros((3, 2)), np.ones((3, 1)), np.zeros(2)
+        g = GroupBlock(0, y, X, Z, xt)
+        for given, held in ((y, g.y), (X, g.X), (Z, g.Z), (xt, g.x_tilde)):
+            assert given.flags.writeable and not held.flags.writeable
+        y[0] = X[0, 0] = Z[0, 0] = xt[0] = 1.0
+        assert not g.with_summary(xt).x_tilde.flags.writeable and xt.flags.writeable
+
     def test_group_shape_validation(self):
         with pytest.raises(DataError):
             GroupBlock(group_id=1, y=np.zeros(0), X=np.zeros((0, 1)), Z=np.zeros((0, 1)))

@@ -33,13 +33,15 @@ Z_EXTRAS = ("treatment", "slope", "constant", "repeated")
 
 @st.composite
 def grouped_datasets(draw):
-    """(dataset, index of the treatment slope in Z or None): 6-16 groups of 1-8 rows.
+    """(dataset, index of the treatment slope in Z or None): 6-16 groups of 1-200 rows,
+    each size drawn from 1-8 or from 9-200, so that small groups stay covered.
 
     The features are a continuous x, a constant column, a repeat of x, an
     optional categorical column and a 0/1 treatment w, the last feature.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="values seed"))
-    sizes = draw(st.lists(st.integers(1, 8), min_size=6, max_size=16), label="group sizes")
+    size = st.one_of(st.integers(1, 8), st.integers(9, 200))
+    sizes = draw(st.lists(size, min_size=6, max_size=16), label="group sizes")
     extras = draw(st.lists(st.sampled_from(Z_EXTRAS), max_size=2), label="Z columns")
     categorical = draw(st.booleans(), label="categorical column")
     names = ("x", "const", "x_again") + (("cat",) if categorical else ()) + ("w",)

@@ -6,7 +6,9 @@ learners check nothing, so the rule must hold for every learner kind and for
 a model without learners.
 """
 
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from gbmixed.data import GroupBlock, GroupedDataset, split_by_groups
 from gbmixed.diagnostics import partial_dependence
 from gbmixed.errors import ConfigError, DataError, GBMixedError
 from gbmixed.learners import ConstantLearner, LearnerSpec, LinearLearner, TreeLearner
-from gbmixed.prediction import ate, cate, interval_halfwidth, ite_variance, predict_dataset
+from gbmixed.prediction import ate, blup, cate, interval_halfwidth, ite_variance, predict_dataset
 
 P = 3   # features x1, x2 and the treatment w
 
@@ -237,6 +239,31 @@ def test_a_linear_model_refuses_a_non_finite_feature_it_reads(models, served):
     assert raised.value.exit_code == 3
     for X in (NAN_ROW, np.array([[0.3, -np.inf, np.inf]])):
         assert np.all(np.isfinite(SERVED[served](models["tree"], X)))
+
+
+def test_a_served_dataset_names_the_group_of_a_non_finite_feature():
+    """predict_dataset and blup name the group, not the row of their stacked rows: row 82
+    of the stack is the third row of group 20."""
+    ds = replace(treated_dataset(), feature_names=("a", "b", "w"))
+    groups = list(ds.groups)
+    X = groups[20].X.copy()
+    X[2, 1] = np.nan
+    groups[20] = GroupBlock(group_id=20, y=groups[20].y, X=X, Z=groups[20].Z)
+    bad = replace(ds, groups=tuple(groups))
+    def fitted(kind):
+        spec = LearnerSpec(kind=kind, tree_min_parent=4, tree_min_child=2)
+        return fit(ds, config_for_variant("grboost", spec, n_iterations=4, group_fraction=0.5,
+                                          feature_fraction=1.0, early_stopping=False))
+
+    model = fitted("linear")
+    message = "group 20: feature 'b' is non-finite, which a linear mean learner cannot read"
+    for serve in (lambda: predict_dataset(model, bad),
+                  lambda: predict_dataset(model, ds, training_groups=bad),
+                  lambda: blup(model, bad)):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$") as raised:
+            serve()
+        assert raised.value.exit_code == 3
+    assert np.all(np.isfinite(predict_dataset(fitted("tree"), bad).mu_conditional))
 
 
 def test_partial_dependence_of_a_linear_model_skips_the_plotted_column(models):

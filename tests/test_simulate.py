@@ -18,7 +18,6 @@ from gbmixed.learners import LearnerSpec
 from gbmixed.simulate import (
     SCENARIOS,
     TRAIN_FRACTION,
-    GroundTruth,
     ReplicationReport,
     ScoreRow,
     _worker_count,

@@ -25,7 +25,7 @@ def staged_prefixes(model, X, Xt):
     m = 0 .. best_iteration from running sums.
 
     Each tree is evaluated once, adding lr * h.predict in the order
-    boosting._ensemble_sum uses, so every prefix is bit-equal to its upto=m
+    boosting._sums uses, so every prefix is bit-equal to its upto=m
     call at the cost of one full-ensemble evaluation.
     """
     X = np.asarray(X, dtype=float)
