@@ -81,9 +81,10 @@ class GroupBlock:
     Each array must hold numbers (errors.numeric_array), else a DataError
     naming the group. A response may be NaN, the mark of an unobserved row as
     in load_csv, but not ±inf; Z must be finite. X keeps NaN and ±inf, which
-    trees route. The block holds read-only views of the arrays it is given
+    trees route. The block holds read-only copies of the arrays it is given
     (converted first where they are not float), so the caller's arrays stay
-    writable.
+    writable and a later write to them cannot change a block that passed
+    the rule.
     """
 
     group_id: object
@@ -108,7 +109,7 @@ class GroupBlock:
         if np.count_nonzero(np.isfinite(Z)) < Z.size:
             raise DataError(f"{name}: Z must be finite")
         for field, arr in (("y", y), ("X", X), ("Z", Z)):
-            object.__setattr__(self, field, _read_only(arr))
+            object.__setattr__(self, field, _read_only(arr.copy(order="K")))
         if self.x_tilde is not None:
             object.__setattr__(self, "x_tilde", self._summary(self.x_tilde))
 
@@ -116,7 +117,7 @@ class GroupBlock:
         xt = numeric_array(f"group {self.group_id!r}: x_tilde", x_tilde)
         if xt.shape != (self.X.shape[1],):
             raise DataError(f"group {self.group_id!r}: x_tilde must have one entry per feature")
-        return _read_only(xt)
+        return _read_only(xt.copy())
 
     def with_summary(self, x_tilde) -> "GroupBlock":
         """A copy carrying x_tilde. Only x_tilde is checked: y, X and Z passed the rule
@@ -129,10 +130,9 @@ class GroupBlock:
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of arr; the caller's array stays writable."""
-    view = arr.view()
-    view.flags.writeable = False
-    return view
+    """arr, made read-only in place."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _unchecked_block(group_id, y, X, Z, x_tilde) -> GroupBlock:
@@ -148,7 +148,8 @@ def _group_blocks(ids: Sequence, sizes: Sequence[int], y: np.ndarray, X: np.ndar
     summary under categorical.
 
     GroupBlock's rule is applied once to the whole arrays, and the blocks share read-only
-    views of them. When the rule fails, the blocks are built one by one, so that the
+    views of them: the callers built those arrays and keep no reference, so no copy is
+    needed. When the rule fails, the blocks are built one by one, so that the
     error names the first group that breaks it.
     """
     ends = np.cumsum(sizes).tolist()
@@ -158,11 +159,10 @@ def _group_blocks(ids: Sequence, sizes: Sequence[int], y: np.ndarray, X: np.ndar
             and not np.count_nonzero(np.isinf(y)) and np.count_nonzero(np.isfinite(Z)) == Z.size):
         return [GroupBlock(gid, y[r], X[r], Z[r], summarize_matrix(X[r], categorical))
                 for gid, r in zip(ids, rows)]
-    y, X, Z = _read_only(y), _read_only(X), _read_only(Z)
+    y, X, Z = _read_only(y.view()), _read_only(X.view()), _read_only(Z.view())
     blocks = []
     for gid, r in zip(ids, rows):
-        xt = summarize_matrix(X[r], categorical)
-        xt.flags.writeable = False   # made here, so no view is needed
+        xt = _read_only(summarize_matrix(X[r], categorical))
         blocks.append(_unchecked_block(gid, y[r], X[r], Z[r], xt))
     return blocks
 

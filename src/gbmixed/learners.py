@@ -31,23 +31,33 @@ Tree details that the rest of the package depends on:
 A fit sorts each group set once, and each iteration restricts that order
 (SortedColumns): the fit-level stable argsort of every feature column orders
 the rows by value and then by row index. An iteration's rows are an
-ascending subset, so filtering that order to them keeps them ordered by value
-and then by position in the subset, which is the stable argsort of the
-subset itself, ties and -0.0 == 0.0 included. Within a tree every child takes
-the stable partition of its parent's sorted index arrays, one np.compress of
-them by the flattened mask of the split side, which keeps the same order
-again. Cumulative sums, gains and thresholds are therefore the same bits
-whichever way the node's order was reached.
+ascending subset, so filtering that order to them keeps them ordered by
+value and then by position in the subset, which is the stable argsort of the
+subset itself, ties and -0.0 == 0.0 included. The filter is one byte per
+entry of the parent's order (a gather of a picked-row mask); only the kept
+entries are mapped to their local row positions. Within a tree every child
+takes the stable partition of its parent's sorted index arrays, one
+np.compress of them by the flattened mask of the split side, which keeps the
+same order again. Cumulative sums, gains and thresholds are therefore the
+same bits whichever way the node's order was reached.
 
 A tree does only the work that a split uses. A node's cumulative sums run
 over all its rows, because the last one is its total, but gains are scored
 in place and only on the window of cuts that leave tree_min_child rows on
-each side. A child that cannot be searched (at the depth limit, or too small
-for tree_min_parent or for two tree_min_child sides) is a leaf that gets no
-index arrays; when neither child is searched the side mask is not built
-either. A root that cannot be searched is the mean leaf and never asks its
-SortedColumns for arrays, so a group set that no tree can split is never
-sorted.
+each side. What does not depend on the node (the flat view of the columns,
+each feature's offset in it and the sizes 0..n as floats) is built once per
+tree, and a cut between tied values gets its -inf gain from np.putmask. On
+matched pairs every other cut is tied, and over such a 31 x 872 window
+putmask took 15 us against 95 us for a masked np.copyto (on a random mask of
+the same density, 166 against 237 us; numpy 2.4.6 on one Xeon core, best of
+repeats). Per node, the gathers, sums, argmax and compress are ndarray
+methods: the np.* functions that wrap them add about 1 us a call, a few
+percent of a clusters fit, for the same result. A child that cannot be
+searched (at the depth limit, or too small for tree_min_parent or for two
+tree_min_child sides) is a leaf that gets no index arrays; when neither
+child is searched the side mask is not built either. A root that cannot be
+searched is the mean leaf and never asks its SortedColumns for arrays, so a
+group set that no tree can split is never sorted.
 
 The tie rule is exact only for gains that are equal in floating point. Two
 features that induce the same partition of a node have equal gains in exact
@@ -92,6 +102,7 @@ workloads, use depth 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence, Union
 
@@ -306,22 +317,30 @@ class SortedColumns:
     The constructor is the one place where X and the feature list are
     checked: X must be 2-dimensional (a DataError otherwise), and the features
     a nonempty list of distinct integer column indices of X (NumPy integers
-    count; floats, bools and strings do not), a ConfigError otherwise.
+    count; floats, bools and strings do not), a ConfigError otherwise. A 1-D
+    integer array, as boosting's feature sample is, is sorted into Python ints
+    in one call and skips the per-element index check; any other list is
+    checked element by element (so a True in a tuple is refused). The
+    messages are the same either way.
 
     Nothing is sorted until a tree whose root can split asks for arrays(), so
     constant and linear learners, and trees whose root cannot split, never pay
     for a sort. Trees fitted to the same instance share that one order, and
     every tree node takes stable partitions of its index arrays. An instance
     made by restrict() never sorts: it filters the order of the instance it
-    came from, so a fit sorts each group set at most once and restricts that
-    order to each iteration's rows and features.
+    came from by a one-byte mask of the kept rows, so a fit sorts each group
+    set at most once and restricts that order to each iteration's rows and
+    features.
     """
 
     def __init__(self, X, features: Sequence[int]):
         self.X = np.asarray(X, dtype=float)
         if self.X.ndim != 2:
             raise DataError("feature matrix must be 2-dimensional")
-        feats = sorted(check_index("feature index", f) for f in features)
+        if isinstance(features, np.ndarray) and features.ndim == 1 and features.dtype.kind in "iu":
+            feats = np.sort(features).tolist()      # Python ints, so none to check one by one
+        else:
+            feats = sorted(check_index("feature index", f) for f in features)
         p = self.X.shape[1]
         if len(feats) == 0:
             raise ConfigError("need at least one feature")
@@ -366,18 +385,23 @@ class SortedColumns:
         """The order of arrays(), cached apart from the columns, which a set
         that is only restricted never copies. A restriction gathers its
         parent's order at the kept features (not at all when it keeps every
-        one) and filters it to the kept rows with one np.compress."""
+        one), gathers a one-byte picked-row mask over it, compresses the
+        order by that mask and maps only the kept (F, n) entries to local
+        row positions; no map is gathered over the parent's whole order."""
         if self._order is None:
             if self._source is None:
                 self._order = _stable_argsort(self.X.T[list(self.features)])
             else:
                 parent, rows, at = self._source
-                # a parent row's position among rows, -1 for rows left out
-                local = np.full(parent.X.shape[0], -1)
-                local[rows] = np.arange(rows.shape[0])
                 order = parent._stable_order()
-                kept = local[order if at.size == order.shape[0] else order[at]]
-                self._order = np.compress(kept.ravel() >= 0, kept).reshape(at.size, rows.shape[0])
+                if at.size != order.shape[0]:
+                    order = order[at]
+                picked = np.zeros(parent.X.shape[0], dtype=bool)
+                picked[rows] = True
+                kept = order.compress(picked[order].ravel())
+                local = np.empty(parent.X.shape[0], dtype=np.int64)   # read only at picked rows
+                local[rows] = np.arange(rows.shape[0])
+                self._order = local[kept].reshape(at.size, rows.shape[0])
         return self._order
 
 
@@ -392,8 +416,12 @@ def fit_tree(columns: SortedColumns, pseudo, spec: LearnerSpec) -> TreeLearner:
     n, p = columns.X.shape
     pseudo = _check_pseudo(pseudo, n)
     cols, order = columns.arrays() if _searched(n, 0, spec) else (None, None)
+    # _best_split's per-tree constants: the flat view of cols, each feature's
+    # offset in it, and the sizes 0..n as exact floats
+    consts = None if cols is None else (
+        cols.ravel(), np.arange(0, cols.size, n)[:, None], np.arange(n + 1, dtype=float))
     side = np.empty(n, dtype=bool)   # scratch: split side of each row
-    root = _grow(cols, pseudo, columns.features, spec, side, np.arange(n), order, 0)
+    root = _grow(cols, pseudo, columns.features, spec, consts, side, np.arange(n), order, 0)
     return TreeLearner(root=root, n_features=p)
 
 
@@ -402,24 +430,27 @@ def _searched(n: int, depth: int, spec: LearnerSpec) -> bool:
     return depth < spec.tree_max_depth and n >= max(spec.tree_min_parent, 2 * spec.tree_min_child)
 
 
-def _grow(cols, pseudo, feats, spec: LearnerSpec, side, rows, idx, depth) -> TreeNode:
+def _grow(cols, pseudo, feats, spec: LearnerSpec, consts, side, rows, idx, depth) -> TreeNode:
     """Grow the node holding rows, in ascending order.
 
     idx is the node's (F, n) rows sorted per feature, or None for a node that
     is not searched (_searched is false), which is a leaf. A searched child's
     idx is one np.compress of its parent's idx by the flattened side mask,
     the stable partition; a child that will be a leaf gets none, and when
-    neither child is searched the side mask is not built either. side is
-    scratch space for the split side of each row. A module-level function
-    rather than a closure: a recursive closure is a reference cycle that would
-    hold each tree's arrays until the cycle collector runs.
+    neither child is searched the side mask is not built either. consts are
+    the tree's constants for _best_split (None when the root is not
+    searched), and side is scratch space for the split side of each row.
+    Both are passed down, not kept in module state, so fits may run in
+    threads. A module-level function rather than a closure: a recursive
+    closure is a reference cycle that would hold each tree's arrays until
+    the cycle collector runs.
     """
     y = pseudo[rows]
-    found = None if idx is None else _best_split(cols, pseudo, y, idx, spec.tree_min_child)
+    found = None if idx is None else _best_split(consts, pseudo, y, idx, spec.tree_min_child)
     if found is None:
         return TreeLeaf(_mean(y))
     j, thr = found
-    go_left = cols[j, rows] < thr
+    go_left = cols[j].take(rows) < thr
     on_left = None      # side[idx] flattened, built for the first child searched
     children = []
     for part, to_left in ((rows[go_left], True), (rows[~go_left], False)):
@@ -429,49 +460,52 @@ def _grow(cols, pseudo, feats, spec: LearnerSpec, side, rows, idx, depth) -> Tre
                 side[rows] = go_left
                 on_left = side[idx].ravel()
             keep = on_left if to_left else ~on_left
-            sub = np.compress(keep, idx).reshape(len(feats), part.shape[0])
-        children.append(_grow(cols, pseudo, feats, spec, side, part, sub, depth + 1))
+            sub = idx.compress(keep).reshape(len(feats), part.shape[0])
+        children.append(_grow(cols, pseudo, feats, spec, consts, side, part, sub, depth + 1))
     return TreeSplit(feature=feats[j], threshold=thr, left=children[0], right=children[1])
 
 
-def _best_split(cols, pseudo, y, idx, min_child):
+def _best_split(consts, pseudo, y, idx, min_child):
     """Exact greedy scan over all features and midpoints of one node at once.
 
-    cols is the tree's C-contiguous (F, N) feature-major matrix, idx the
-    node's (F, n) rows sorted per feature and y the node's pseudo-responses
-    in row order. The cumulative sums run over all n sorted rows, since the
-    last one is the node total, but gains are scored only on the window of
-    cuts that leave min_child rows on each side: after sorted position i for
-    i in [min_child - 1, n - min_child). Only that window's sorted values are
-    gathered, as one flat take from cols.ravel(), a view, at idx plus each
-    feature's offset f * N: the same gather as take_along_axis at less than
-    half its cost. The gain cl²/m + (T - cl)²/(n - m) - T²/n is computed in
-    place in that operation order; T²/n stays, because the per-feature totals
-    differ in the last bits. A cut between equal values, or next to a NaN,
-    has gain -inf. The row-major argmax of the (F, window) gains resolves
-    equal gains to the lower feature index first and the lower threshold
-    second. Returns (local feature index, threshold) or None when no split
-    has positive gain.
+    consts are fit_tree's per-tree constants: flat = cols.ravel(), a view of
+    the tree's C-contiguous (F, N) feature-major matrix, offsets = each
+    feature's f * N as an (F, 1) column, and sizes = np.arange(N + 1) as
+    floats. idx is the node's (F, n) rows sorted per feature and y the
+    node's pseudo-responses in row order. The cumulative sums run over all n
+    sorted rows, since the last one is the node total, but gains are scored
+    only on the window of cuts that leave min_child rows on each side: after
+    sorted position i for i in [min_child - 1, n - min_child). Only that
+    window's sorted values are gathered, as one take from flat at idx plus
+    offsets: the same gather as take_along_axis at less than half its cost.
+    The gain cl²/m + (T - cl)²/(n - m) - T²/n is computed in place in that
+    operation order, with m and n - m read off sizes, a slice and a reversed
+    slice of exact integers, so the divisions keep their bits; T²/n stays,
+    because the per-feature totals differ in the last bits. A cut between
+    equal values, or next to a NaN, gets gain -inf from one np.putmask. The
+    row-major argmax of the (F, window) gains resolves equal gains to the
+    lower feature index first and the lower threshold second. Returns (local
+    feature index, threshold) or None when no split has positive gain.
     """
+    flat, offsets, sizes = consts
     n = idx.shape[1]
     lo, hi = min_child - 1, n - min_child
-    csum = np.cumsum(pseudo[idx], axis=1)
+    csum = pseudo.take(idx).cumsum(axis=1)
     total = csum[:, -1:]
-    xs = cols.ravel().take(idx[:, lo : hi + 1] + np.arange(0, cols.size, cols.shape[1])[:, None])
-    m = np.arange(lo + 1, hi + 1, dtype=float)    # left-child sizes
+    xs = flat.take(idx[:, lo : hi + 1] + offsets)
     cl = csum[:, lo:hi]
     gains = cl * cl
-    gains /= m
+    gains /= sizes[lo + 1 : hi + 1]                 # the left sizes m
     right = total - cl
     right *= right
-    right /= n - m
+    right /= sizes[n - lo - 1 : n - hi - 1 : -1]    # n - m
     gains += right
     gains -= total * total / n
-    np.copyto(gains, -np.inf, where=~(xs[:, :-1] < xs[:, 1:]))
-    best_j, best_i = divmod(int(np.argmax(gains)), hi - lo)
-    best_gain = gains[best_j, best_i]
-    floor = 1e-12 * (float(np.sum(y * y)) + 1e-300)
-    if not np.isfinite(best_gain) or best_gain <= floor:
+    np.putmask(gains, ~(xs[:, :-1] < xs[:, 1:]), -np.inf)
+    best_j, best_i = divmod(int(gains.argmax()), hi - lo)
+    best_gain = float(gains[best_j, best_i])
+    floor = 1e-12 * (float((y * y).sum()) + 1e-300)
+    if not math.isfinite(best_gain) or best_gain <= floor:
         return None
     below, above = float(xs[best_j, best_i]), float(xs[best_j, best_i + 1])
     thr = 0.5 * (below + above)

@@ -3,7 +3,7 @@
     PYTHONHASHSEED=0 python tests/model_digest.py
 
 Run it from the root of a checkout; gbmixed comes from that checkout's src/.
-It prints one "<sha256>  <name>" line per item, thirty-eight in all:
+It prints one "<sha256>  <name>" line per item, forty in all:
 
   - the perfbench/workloads.py prepare() draws of seeds 1-3 of both
     workloads, each fitted with its own config and saved with its schema;
@@ -18,9 +18,13 @@ It prints one "<sha256>  <name>" line per item, thirty-eight in all:
   - for each of the six benchmark models, what the workload's _explain
     computes over the test rows: the importance and the default-grid
     partial dependence of the mean and of R on the features of EXPLAINED;
-  - last, for each of the six benchmark draws, the bytes save_csv writes for
+  - for each of the six benchmark draws, the bytes save_csv writes for
     its training split, then the stacked arrays, group ids and summaries
-    load_csv reads back from them.
+    load_csv reads back from them;
+  - last, the model files of expA and expB fitted to their generate draws of
+    SUBSAMPLED_N_OBS rows with their default_config of SUBSAMPLED_ITERATIONS
+    iterations, which samples features (feature_fraction 0.7 with the
+    treatment forced in) as every other fit above does not.
 
 A change that must build the same models and draws prints the same lines as
 its parent. It refuses to run without PYTHONHASHSEED=0, the hash seed under
@@ -128,6 +132,19 @@ def csv_digests(tmp: Path):
             yield f"{workload}-seed{seed}-csv", array_digest(arrays, repr(names))
 
 
+SUBSAMPLED_N_OBS = 600
+SUBSAMPLED_ITERATIONS = 30
+
+
+def subsampled_fits():
+    """(name, model) of the feature-subsampling fits, in a fixed order."""
+    for name in ("expA", "expB"):
+        sc = simulate.scenario_by_name(name, seed=SIM_SEED)
+        ds, _ = simulate.generate(sc, SUBSAMPLED_N_OBS)
+        config = sc.default_config(n_iterations=SUBSAMPLED_ITERATIONS)
+        yield f"{name}-subsampled", boosting.fit(ds, config)
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         print("set PYTHONHASHSEED=0: model files are compared under that hash seed", file=sys.stderr)
@@ -148,6 +165,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in csv_digests(Path(tmp)):
             print(f"{digest}  {name}")
+        path = Path(tmp) / "model.gbmixed"
+        for name, model in subsampled_fits():
+            save_model(path, model)
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
     return 0
 
 

@@ -93,6 +93,19 @@ class TestContainers:
         y[0] = X[0, 0] = Z[0, 0] = xt[0] = 1.0
         assert not g.with_summary(xt).x_tilde.flags.writeable and xt.flags.writeable
 
+    def test_a_later_write_to_the_callers_arrays_leaves_the_block_unchanged(self):
+        # a block held views, so g.y read [inf, 0, 0] and g.Z held NaN afterwards
+        y, X, Z, xt = np.zeros(3), np.zeros((3, 2)), np.ones((3, 1)), np.zeros(2)
+        g = GroupBlock(0, y, X, Z, xt)
+        h = g.with_summary(xt)
+        y[0], X[2, 1], Z[1, 0], xt[0] = np.inf, 5.0, np.nan, 7.0
+        np.testing.assert_array_equal(g.y, np.zeros(3))
+        np.testing.assert_array_equal(g.X, np.zeros((3, 2)))
+        np.testing.assert_array_equal(g.Z, np.ones((3, 1)))
+        np.testing.assert_array_equal(g.x_tilde, np.zeros(2))
+        np.testing.assert_array_equal(h.x_tilde, np.zeros(2))
+        assert all(a.flags.writeable for a in (y, X, Z, xt))
+
     def test_group_shape_validation(self):
         with pytest.raises(DataError):
             GroupBlock(group_id=1, y=np.zeros(0), X=np.zeros((0, 1)), Z=np.zeros((0, 1)))

@@ -1,5 +1,7 @@
 """Base learners: exact fits on crafted data plus behavioral invariants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,12 @@ def oracle_case(rng, kind, n, p):
     elif kind == "duplicates":
         base = rng.standard_normal((n, 2))
         X = base[:, rng.integers(0, 2, size=p)]     # every column a copy of one of two
+    elif kind == "pairs":
+        # matched pairs: consecutive rows share every feature but one binary
+        # column, so about half the neighbours in each sorted column are tied
+        X = np.repeat(rng.standard_normal(((n + 1) // 2, p)), 2, axis=0)[:n]
+        first = rng.integers(0, 2, size=(n + 1) // 2)
+        X[:, rng.integers(0, p)] = np.column_stack([first, 1 - first]).ravel()[:n]
     elif kind == "same_partition":
         # columns that split the rows alike at 0 but order each side differently
         x = rng.standard_normal(n)
@@ -265,7 +273,8 @@ class TestTreeOracle:
     """fit_tree against the per-node argsort search, compared with ==."""
 
     @pytest.mark.parametrize(
-        "kind", ["ties", "integers", "duplicates", "same_partition", "coarsened", "continuous"]
+        "kind", ["ties", "integers", "duplicates", "pairs", "same_partition", "coarsened",
+                 "continuous"]
     )
     @pytest.mark.parametrize("min_child", [1, 5, 20])
     def test_equal_to_per_node_sort(self, kind, min_child):
@@ -379,7 +388,7 @@ def test_min_child_window_edges_and_special_values(min_child, size, max_depth, s
 
 @settings(max_examples=60)
 @given(
-    kind=st.sampled_from(["ties", "duplicates", "same_partition", "coarsened"]),
+    kind=st.sampled_from(["ties", "duplicates", "pairs", "same_partition", "coarsened"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_restricted_order_is_the_stable_argsort(kind, seed):
@@ -417,6 +426,44 @@ def test_restrict_rejects_foreign_rows_and_features():
             full.restrict(rows, (0,))
     with pytest.raises(DataError):
         SortedColumns(X, (1,)).restrict([0, 2], (0,))
+
+
+def columns_of(how, features):
+    """SortedColumns of features over a 6 x 3 matrix, built directly or by restrict."""
+    X = np.arange(18.0).reshape(6, 3)
+    if how == "construct":
+        return SortedColumns(X, features)
+    return SortedColumns(X, range(3)).restrict(np.arange(1, 5), features)
+
+
+@pytest.mark.parametrize("how", ["construct", "restrict"])
+@pytest.mark.parametrize("features, message", [
+    (np.array([0, 2, 0]), "duplicate feature indices"),
+    (np.array([0, 3]), "feature index out of range for 3 columns"),
+    (np.array([-1, 1]), "feature index out of range for 3 columns"),
+    (np.array([], dtype=np.int64), "need at least one feature"),
+    (np.array([True, False]), "feature index must be an integer, got np.True_"),
+    (np.array([0.0, 1.0]), "feature index must be an integer, got np.float64(0.0)"),
+    ((0, True), "feature index must be an integer, got True"),
+], ids=["duplicate", "out_of_range", "negative", "empty", "bool", "float", "tuple_with_true"])
+def test_a_feature_array_is_refused_as_its_elements_are(how, features, message):
+    """An integer array is sorted into Python ints without the per-element index check,
+    any other list takes that check; both give the same error class and message."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        columns_of(how, features)
+
+
+@pytest.mark.parametrize("how", ["construct", "restrict"])
+@pytest.mark.parametrize("features", [np.array([2, 0]), np.array([2, 0], dtype=np.uint8),
+                                      np.array([1], dtype=np.int32)], ids=repr)
+def test_an_integer_array_gives_the_features_of_its_tuple(monkeypatch, how, features):
+    want = columns_of(how, tuple(features.tolist())).features
+    checked = []
+    monkeypatch.setattr(learners, "check_index", lambda name, f: checked.append(f) or f)
+    got = columns_of(how, features).features
+    assert got == want == tuple(sorted(features.tolist()))
+    assert all(type(f) is int for f in got)
+    assert checked == ([] if how == "construct" else [0, 1, 2])    # only the parent's range
 
 
 def reference_predict(tree, X):
