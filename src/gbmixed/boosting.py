@@ -37,19 +37,19 @@ the cost per iteration is the learner fits, one evaluation of each new
 learner, O(n) bookkeeping and two calls of the stacked likelihood kernel,
 which handles groups of any sizes at once.
 
-Every learner's one training input is a learners.SortedColumns: each
+Every learner's one training input is a learners.BinnedColumns: each
 iteration restricts the fit's two instances, the rows and the group
 summaries of the head, to its sampled rows (or groups) and features, once
 per set, and passes the restriction to the learners of that set as it is.
 A constant reads only its pseudo-responses, so a set that only constants
-read (G under base and rboost) is not restricted. Trees
-sort nothing per iteration: each set is stably sorted once per fit, when the
-first tree that can split asks for it, and every later restriction filters
-that order.
-A tree whose sampled rows are too few to split is the mean leaf without
-touching the order, so a group set that is always sampled below
-tree_min_parent is never sorted. Tree leaves and constant learners take the
-one mean rule of learners.py.
+read (G under base and rboost) is not restricted. Trees bin nothing per
+iteration: each set is binned once per fit, from its boosting head, when
+the first tree that can split asks for it, and every later restriction
+gathers its codes, so every tree of a fit splits at the cuts of the whole
+head. A tree whose sampled rows are too few to split is the mean leaf
+without touching the codes, so a group set that is always sampled below
+tree_min_parent is never binned. Tree leaves and constant learners take
+the one mean rule of learners.py.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ from .data import GroupedDataset, StackedData, split_by_groups
 from .errors import ConfigError, DataError, NumericalError
 from .errors import check_fields, check_index, check_rows, check_seed
 from .learners import (
+    BinnedColumns,
     LearnerSpec,
     LinearLearner,
-    SortedColumns,
     TreeLearner,
     _leaf_values,
     _split_thresholds,
@@ -455,11 +455,11 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
     reads = {n: range(p) for n, c in COMPONENTS.items() if getattr(config, c.learner).kind == "linear"}
     _refuse_non_finite_reads(reads, st.X, Xt, train.feature_names, [g.group_id for g in groups], st.sizes)
     nb = boost_ds.n_obs
-    # per group set (on_groups): its matrix, feature-major copy, and the order of its
-    # head, which every iteration restricts, so each set sorts at most once
+    # per group set (on_groups): its matrix, feature-major copy, and the bins of its
+    # head, which every iteration restricts, so each set is binned at most once
     sets = {
-        False: (st.X, np.ascontiguousarray(st.X.T), SortedColumns(st.X[:nb], range(p))),
-        True: (Xt, np.ascontiguousarray(Xt.T), SortedColumns(Xt[:Cb], range(p))),
+        False: (st.X, np.ascontiguousarray(st.X.T), BinnedColumns(st.X[:nb], range(p))),
+        True: (Xt, np.ascontiguousarray(Xt.T), BinnedColumns(Xt[:Cb], range(p))),
     }
     inits = {"mean": np.array([f0]), "G": factor0, "R": np.array([logr0])}
     caches = {name: np.tile(inits[name], (len(sets[c.on_groups][0]), 1))
@@ -490,7 +490,7 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
         if not all(np.all(np.isfinite(a)) for a in (pseudo_mu, d_F, pseudo_logr)):
             raise NumericalError(f"non-finite gradient at iteration {m}")
         grads = {"mean": pseudo_mu[:, None], "G": d_F[:, rows_t, cols_t], "R": pseudo_logr[:, None]}
-        picked = {False: row_idx, True: g_idx}   # both ascend, as restrict requires
+        picked = {False: row_idx, True: g_idx}
         # one restriction per group set and iteration, shared by its components; a
         # constant reads only its pseudo-responses, so a set only constants read has none
         restricted = {}

@@ -1,69 +1,79 @@
 """Base learners fitted to pseudo-responses inside the boosting loop.
 
 Three kinds: a constant (mean of the pseudo-response), a ridge-stabilized
-linear model, and an exact greedy regression tree grown on squared error.
-Learners are fitted on a feature subsample but store global column indices,
-so prediction always takes full-width feature matrices. A learner's predict
-checks no matrix: it relies on its caller, either boosting's one evaluator
-(_sums, behind eval_mean, eval_gcov_rows and eval_resid_var), which checks
-every matrix a fitted model is served with errors.check_rows, or
-boosting.fit's own stack. Both refuse a non-finite entry that a linear
-learner reads by boosting's one rule, _refuse_non_finite_reads.
+linear model, and a greedy regression tree grown on squared error over
+binned features. Learners are fitted on a feature subsample but store
+global column indices, so prediction always takes full-width feature
+matrices. A learner's predict checks no matrix: it relies on its caller,
+either boosting's one evaluator (_sums, behind eval_mean, eval_gcov_rows
+and eval_resid_var), which checks every matrix a fitted model is served
+with errors.check_rows, or boosting.fit's own stack. Both refuse a
+non-finite entry that a linear learner reads by boosting's one rule,
+_refuse_non_finite_reads.
 
-Every kind fits from one training input, a SortedColumns: the feature
-matrix X, the sorted list of columns the learner may use, and the stable
-argsort of those columns, which it sorts only when a tree whose root can
-split asks for it. Its constructor is the one place where X and the feature
-list are checked. One mean rule (_mean) gives every tree leaf and every
-constant learner.
+Every kind fits from one training input, a BinnedColumns: the feature
+matrix X, the sorted list of columns the learner may use, and the cuts and
+codes of those columns, which it computes only when a tree whose root can
+split asks for them. Its constructor is the one place where X and the
+feature list are checked. One mean rule (_mean) gives every tree leaf and
+every constant learner.
+
+Trees search splits over histograms (Ke et al. 2017, LightGBM; Chen &
+Guestrin 2016, XGBoost's tree_method="hist"). Each feature of a group set is
+cut once (_bin), at the gaps between consecutive distinct non-NaN values:
+every gap when there are at most BINS - 1 = 31, else BINS - 1 gaps at
+quantiles of the entries (fewer when one value holds many of them). A cut
+is the midpoint of the two values, or the upper value where the midpoint
+would not separate them (next to -inf, when the sum overflows, between
+adjacent floats). A value's uint8 code is the number of its feature's cuts
+at or below it, after -inf padding to BINS - 1 cuts, so NaN takes the last
+code, BINS - 1, with the values above every cut.
 
 Tree details that the rest of the package depends on:
-  - split thresholds are midpoints between consecutive distinct sorted values,
-    or the upper value where the midpoint would not separate the two (next
-    to -inf, when the sum overflows, between adjacent floats),
-  - rows with x[feature] < threshold go left,
+  - split thresholds are cut values, so rows with x[feature] < threshold,
+    the rows a tree sends left, are exactly the rows whose code is at most
+    the cut's index; NaN never goes left,
   - candidate splits must leave tree_min_child rows on each side and nodes
     with fewer than tree_min_parent rows are never split,
+  - a cut that follows a bin empty at the node is not a candidate, so of the
+    cuts that split a node alike only the lowest competes,
   - ties in gain break toward the lower feature index, then lower threshold,
   - zero-gain splits are not made, so a constant pseudo-response yields a
     single leaf.
 
-A fit sorts each group set once, and each iteration restricts that order
-(SortedColumns): the fit-level stable argsort of every feature column orders
-the rows by value and then by row index. An iteration's rows are an
-ascending subset, so filtering that order to them keeps them ordered by
-value and then by position in the subset, which is the stable argsort of the
-subset itself, ties and -0.0 == 0.0 included. The filter is one byte per
-entry of the parent's order (a gather of a picked-row mask); only the kept
-entries are mapped to their local row positions. Within a tree every child
-takes the stable partition of its parent's sorted index arrays, one
-np.compress of them by the flattened mask of the split side, which keeps the
-same order again. Cumulative sums, gains and thresholds are therefore the
-same bits whichever way the node's order was reached.
+A fit bins each group set once, from its boosting head, and each iteration
+restricts it (BinnedColumns.restrict): the restriction gathers the set's
+uint8 codes at the iteration's rows and features and keeps the set's cuts,
+so every tree of a fit splits at the same cuts. A tree adds f * BINS to
+feature f's codes once per restriction and then makes two np.bincount calls
+per histogrammed node over those keys, one weighted by the pseudo-responses
+and one for the counts. Of two children of a split, only the smaller is
+histogrammed; the larger one's histogram is its parent's minus it (measured
+12% faster on pairs than histogramming both). A node's gains are scored
+over its (F, BINS - 1) cuts at once, from the cumulative sums and counts of
+its bins. Before that, every pseudo-response of the tree is scaled by the
+one power of two that brings the largest |pseudo| into [0.5, 1): the
+squared sums cannot overflow, and since scaling by a power of two is exact,
+short of underflow a tree splits where it would without it; leaves are
+means of the unscaled values. A node that cannot be searched (at the depth
+limit, or too small for tree_min_parent or for two tree_min_child sides) is
+a leaf that gets no histogram, and a root that cannot be searched never
+asks its BinnedColumns for codes, so a group set that no tree can split is
+never binned.
 
-A tree does only the work that a split uses. A node's cumulative sums run
-over all its rows, because the last one is its total, but gains are scored
-in place and only on the window of cuts that leave tree_min_child rows on
-each side. What does not depend on the node (the flat view of the columns,
-each feature's offset in it and the sizes 0..n as floats) is built once per
-tree, and a cut between tied values gets its -inf gain from np.putmask. On
-matched pairs every other cut is tied, and over such a 31 x 872 window
-putmask took 15 us against 95 us for a masked np.copyto (on a random mask of
-the same density, 166 against 237 us; numpy 2.4.6 on one Xeon core, best of
-repeats). Per node, the gathers, sums, argmax and compress are ndarray
-methods: the np.* functions that wrap them add about 1 us a call, a few
-percent of a clusters fit, for the same result. A child that cannot be
-searched (at the depth limit, or too small for tree_min_parent or for two
-tree_min_child sides) is a leaf that gets no index arrays; when neither
-child is searched the side mask is not built either. A root that cannot be
-searched is the mean leaf and never asks its SortedColumns for arrays, so a
-group set that no tree can split is never sorted.
+BINS = 32 was chosen by measurement among 32, 64 and 128 (in-process fits
+of the benchmark's draws of seeds 1-3 on a shared 2-core Xeon VM, numpy
+2.4.6, best of 3): pairs fits took 0.25-0.29 s at 32, 0.28-0.33 s at 64
+and 0.33-0.36 s at 128 (exact search 0.52-0.57 s), clusters fits
+0.19-0.21, 0.20-0.22 and 0.21-0.24 s (exact 0.24 s); quality moved within
+noise at every size. The (F, BINS - 1) scan is a fixed cost per node, so
+more bins cost most where nodes are small.
 
 The tie rule is exact only for gains that are equal in floating point. Two
 features that induce the same partition of a node have equal gains in exact
-arithmetic, but their cumulative sums add the pseudo-responses in different
-orders, so rounding, not the feature index, decides between them; a change
-in the last bits of the pseudo-responses can flip such a split.
+arithmetic, but their bins add the pseudo-responses in different orders,
+so rounding, not the feature index, decides between them; a change in the
+last bits of the pseudo-responses can flip such a split.
 
 Prediction gathers no rows. An ensemble call makes one feature-major copy
 cols = np.ascontiguousarray(X.T) and hands it to every tree (a tree called
@@ -199,9 +209,6 @@ class TreeLearner:
             counts[s.feature] += 1.0
         return counts
 
-    def depth(self) -> int:
-        return _node_depth(self.root)
-
 
 def _leaf_values(root: TreeNode, cols, fixed=None) -> np.ndarray:
     """Leaf value of each column of the feature-major cols, from one walk of the tree.
@@ -251,12 +258,6 @@ def _leaf_numbers(node: TreeNode, cols, values: list, fixed=None):
     return right + (cols[node.feature] < node.threshold) * (left - right)
 
 
-def _node_depth(node: TreeNode) -> int:
-    if isinstance(node, TreeLeaf):
-        return 0
-    return 1 + max(_node_depth(node.left), _node_depth(node.right))
-
-
 FittedLearner = Union[ConstantLearner, LinearLearner, TreeLearner]
 
 
@@ -280,7 +281,7 @@ def fit_constant(pseudo: np.ndarray) -> ConstantLearner:
     return ConstantLearner(value=_mean(_check_pseudo(pseudo)))
 
 
-def fit_linear(columns: SortedColumns, pseudo, spec: LearnerSpec) -> LinearLearner:
+def fit_linear(columns: BinnedColumns, pseudo, spec: LearnerSpec) -> LinearLearner:
     """Least squares of pseudo on columns.X[:, columns.features] plus an intercept.
 
     The normal equations get spec.ridge_epsilon added to the Gram diagonal;
@@ -304,15 +305,44 @@ def fit_linear(columns: SortedColumns, pseudo, spec: LearnerSpec) -> LinearLearn
     )
 
 
-def _stable_argsort(cols: np.ndarray) -> np.ndarray:
-    """The stable argsort of each row of (F, n) feature-major columns."""
-    return np.argsort(cols, axis=1, kind="stable")
+BINS = 32   # codes per feature, the last of which NaN takes: at most BINS - 1 cuts
 
 
-class SortedColumns:
+def _bin(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cuts and codes of (F, n) feature-major columns.
+
+    A feature's cuts lie between consecutive distinct values of its non-NaN
+    entries: every such gap when there are at most BINS - 1 of them, else the
+    gaps where the share of entries below first reaches k / BINS, k = 1 ..
+    BINS - 1 (fewer when one value holds many entries). A cut is the midpoint
+    of the two values, or the upper value where the midpoint would not
+    separate them (next to -inf, when the sum overflows, between adjacent
+    floats). Returns the (F, BINS - 1) cuts, each feature's ascending and
+    right-aligned after -inf padding, and the (F, n) uint8 codes: the number
+    of the feature's cuts, padding included, at or below the entry. So NaN's
+    code is BINS - 1, the code of the entries above every cut, and no row is
+    below a padding cut.
+    """
+    cuts = np.full((cols.shape[0], BINS - 1), -np.inf)
+    codes = np.empty(cols.shape, dtype=np.uint8)
+    for f, x in enumerate(cols):
+        values, counts = np.unique(x[~np.isnan(x)], return_counts=True)
+        at = np.arange(values.size - 1)
+        if at.size > BINS - 1:
+            below = np.cumsum(counts[:-1]) * BINS      # BINS x the entries below each gap
+            at = np.unique(np.minimum(below.searchsorted(np.arange(1, BINS) * counts.sum()), at.size - 1))
+        lo, hi = values[at], values[at + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = 0.5 * (lo + hi)
+        cuts[f, BINS - 1 - at.size :] = np.where((lo < mid) & (mid <= hi), mid, hi)
+        codes[f] = cuts[f].searchsorted(x, side="right")
+    return cuts, codes
+
+
+class BinnedColumns:
     """The one training input of every learner: a feature matrix X, the sorted
-    feature list a learner may use, and, once a tree asks, the stable argsort
-    of each of those columns.
+    feature list a learner may use, and, once a tree asks, the cuts and codes
+    of those columns (_bin).
 
     The constructor is the one place where X and the feature list are
     checked: X must be 2-dimensional (a DataError otherwise), and the features
@@ -323,14 +353,13 @@ class SortedColumns:
     checked element by element (so a True in a tuple is refused). The
     messages are the same either way.
 
-    Nothing is sorted until a tree whose root can split asks for arrays(), so
+    Nothing is binned until a tree whose root can split asks for arrays(), so
     constant and linear learners, and trees whose root cannot split, never pay
-    for a sort. Trees fitted to the same instance share that one order, and
-    every tree node takes stable partitions of its index arrays. An instance
-    made by restrict() never sorts: it filters the order of the instance it
-    came from by a one-byte mask of the kept rows, so a fit sorts each group
-    set at most once and restricts that order to each iteration's rows and
-    features.
+    for it. Trees fitted to the same instance share its bins. An instance
+    made by restrict() never bins: it gathers the codes of the instance it
+    came from at its rows and features and keeps that instance's cuts, so a
+    fit bins each group set at most once, and every iteration's trees split
+    at the cuts of the set's whole boosting head.
     """
 
     def __init__(self, X, features: Sequence[int]):
@@ -350,78 +379,68 @@ class SortedColumns:
             raise ConfigError(f"feature index out of range for {p} columns")
         self.features = tuple(feats)
         self._source = None     # (parent, rows, positions of features in the parent's)
-        self._order = None
-        self._sorted = None
+        self._codes = None
+        self._arrays = None
 
-    def restrict(self, rows, features: Sequence[int]) -> "SortedColumns":
-        """The columns features of the rows X[rows]; rows must be strictly ascending.
-
-        Only for ascending rows is the filtered order the stable argsort of
-        X[rows] (see the module docstring), so any other row set is a DataError.
-        """
+    def restrict(self, rows, features: Sequence[int]) -> "BinnedColumns":
+        """The columns features of the rows X[rows], in any order, at this instance's cuts."""
         rows = np.asarray(rows)
         if (
             rows.ndim != 1
             or rows.dtype.kind not in "iu"
-            or np.any(rows[1:] <= rows[:-1])
-            or rows.size and (rows[0] < 0 or rows[-1] >= self.X.shape[0])
+            or rows.size and (rows.min() < 0 or rows.max() >= self.X.shape[0])
         ):
-            raise DataError(f"restricted rows must be ascending indices of {self.X.shape[0]} rows")
-        sub = SortedColumns(self.X[rows], features)
+            raise DataError(f"restricted rows must be indices of {self.X.shape[0]} rows")
+        sub = BinnedColumns(self.X[rows], features)
         known = np.asarray(self.features)
         at = np.searchsorted(known, sub.features)
         if not (np.all(at < known.size) and np.array_equal(known[at], sub.features)):
-            raise DataError("restricted features must be among the presorted ones")
+            raise DataError("restricted features must be among the binned ones")
         sub._source = self, rows, at
         return sub
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(F, n) feature-major columns and the stable argsort of each of them."""
-        if self._sorted is None:
-            self._sorted = self.X.T[list(self.features)], self._stable_order()
-        return self._sorted
+        """The (F, BINS - 1) cuts and the (F, n) keys code + f * BINS of the columns."""
+        if self._arrays is None:
+            cuts, codes = self.binned()
+            self._arrays = cuts, codes + np.arange(0, cuts.shape[0] * BINS, BINS)[:, None]
+        return self._arrays
 
-    def _stable_order(self) -> np.ndarray:
-        """The order of arrays(), cached apart from the columns, which a set
-        that is only restricted never copies. A restriction gathers its
-        parent's order at the kept features (not at all when it keeps every
-        one), gathers a one-byte picked-row mask over it, compresses the
-        order by that mask and maps only the kept (F, n) entries to local
-        row positions; no map is gathered over the parent's whole order."""
-        if self._order is None:
+    def binned(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cuts and uint8 codes of the columns: _bin of its own X, or for a
+        restriction its parent's, gathered at the kept rows and features."""
+        if self._codes is None:
             if self._source is None:
-                self._order = _stable_argsort(self.X.T[list(self.features)])
+                self._codes = _bin(self.X.T[list(self.features)])
             else:
                 parent, rows, at = self._source
-                order = parent._stable_order()
-                if at.size != order.shape[0]:
-                    order = order[at]
-                picked = np.zeros(parent.X.shape[0], dtype=bool)
-                picked[rows] = True
-                kept = order.compress(picked[order].ravel())
-                local = np.empty(parent.X.shape[0], dtype=np.int64)   # read only at picked rows
-                local[rows] = np.arange(rows.shape[0])
-                self._order = local[kept].reshape(at.size, rows.shape[0])
-        return self._order
+                cuts, codes = parent.binned()
+                codes = codes.take(rows, axis=1)
+                if at.size != cuts.shape[0]:
+                    cuts, codes = cuts[at], codes[at]
+                self._codes = cuts, codes
+        return self._codes
 
 
-def fit_tree(columns: SortedColumns, pseudo, spec: LearnerSpec) -> TreeLearner:
-    """Exact greedy tree on columns.X[:, columns.features], its one training input.
+def fit_tree(columns: BinnedColumns, pseudo, spec: LearnerSpec) -> TreeLearner:
+    """Greedy histogram tree on the binned columns.features of columns.X.
 
-    columns sorts only when a tree asks for its arrays, and trees fitted to
-    the same columns share that one order. A root too small to split never
-    asks: _grow gets it without arrays, as any unsearched node, and makes it
-    the mean leaf (_mean, the rule of every leaf and constant).
+    columns bins only when a tree asks for its arrays, and trees fitted to
+    the same columns share its bins. A root too small to split never asks:
+    it is the mean leaf (_mean, the rule of every leaf and constant).
     """
     n, p = columns.X.shape
     pseudo = _check_pseudo(pseudo, n)
-    cols, order = columns.arrays() if _searched(n, 0, spec) else (None, None)
-    # _best_split's per-tree constants: the flat view of cols, each feature's
-    # offset in it, and the sizes 0..n as exact floats
-    consts = None if cols is None else (
-        cols.ravel(), np.arange(0, cols.size, n)[:, None], np.arange(n + 1, dtype=float))
-    side = np.empty(n, dtype=bool)   # scratch: split side of each row
-    root = _grow(cols, pseudo, columns.features, spec, consts, side, np.arange(n), order, 0)
+    if not _searched(n, 0, spec):
+        return TreeLearner(root=TreeLeaf(_mean(pseudo)), n_features=p)
+    cuts, keys = columns.arrays()
+    # one power of two brings the largest |pseudo| into [0.5, 1), so no sum or gain
+    # overflows and, short of underflow, every gain keeps its bits up to that scale
+    scaled = np.ldexp(pseudo, -math.frexp(float(np.abs(pseudo).max()))[1])
+    tree = keys, cuts, scaled, pseudo, columns.features, spec
+    rows = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):   # at cuts that _best_split masks
+        root = _grow(tree, rows, _histogram(keys, scaled, rows), 0)
     return TreeLearner(root=root, n_features=p)
 
 
@@ -430,91 +449,85 @@ def _searched(n: int, depth: int, spec: LearnerSpec) -> bool:
     return depth < spec.tree_max_depth and n >= max(spec.tree_min_parent, 2 * spec.tree_min_child)
 
 
-def _grow(cols, pseudo, feats, spec: LearnerSpec, consts, side, rows, idx, depth) -> TreeNode:
-    """Grow the node holding rows, in ascending order.
+def _histogram(keys, scaled, rows) -> np.ndarray:
+    """The (2, F, BINS) sums of scaled and counts of the rows, by key = code + f * BINS."""
+    F = keys.shape[0]
+    at = keys.take(rows, axis=1).ravel()
+    weights = np.empty((F, rows.shape[0]))
+    weights[:] = scaled.take(rows)
+    hist = np.empty((2, F * BINS))
+    hist[0] = np.bincount(at, weights.ravel(), F * BINS)
+    hist[1] = np.bincount(at, None, F * BINS)
+    return hist.reshape(2, F, BINS)
 
-    idx is the node's (F, n) rows sorted per feature, or None for a node that
-    is not searched (_searched is false), which is a leaf. A searched child's
-    idx is one np.compress of its parent's idx by the flattened side mask,
-    the stable partition; a child that will be a leaf gets none, and when
-    neither child is searched the side mask is not built either. consts are
-    the tree's constants for _best_split (None when the root is not
-    searched), and side is scratch space for the split side of each row.
-    Both are passed down, not kept in module state, so fits may run in
-    threads. A module-level function rather than a closure: a recursive
-    closure is a reference cycle that would hold each tree's arrays until
-    the cycle collector runs.
+
+def _grow(tree, rows, hist, depth) -> TreeNode:
+    """Grow the node holding rows, whose histogram is hist, or None for a node
+    that is not searched (_searched is false), which is a leaf.
+
+    Of two children of which at least one is searched, the smaller one (the
+    left on equal sizes) is histogrammed and the other's histogram is its
+    parent's minus it. tree holds the tree's constants: keys, cuts, the
+    scaled and raw pseudo-responses, the features and the spec. They are
+    passed down, not kept in module state, so fits may run in threads; and
+    _grow is a module-level function rather than a closure, because a
+    recursive closure is a reference cycle that would hold each tree's
+    arrays until the cycle collector runs.
     """
-    y = pseudo[rows]
-    found = None if idx is None else _best_split(consts, pseudo, y, idx, spec.tree_min_child)
+    keys, cuts, scaled, pseudo, feats, spec = tree
+    found = None if hist is None else _best_split(hist, scaled.take(rows), spec.tree_min_child)
     if found is None:
-        return TreeLeaf(_mean(y))
-    j, thr = found
-    go_left = cols[j].take(rows) < thr
-    on_left = None      # side[idx] flattened, built for the first child searched
-    children = []
-    for part, to_left in ((rows[go_left], True), (rows[~go_left], False)):
-        sub = None
-        if _searched(part.shape[0], depth + 1, spec):
-            if on_left is None:
-                side[rows] = go_left
-                on_left = side[idx].ravel()
-            keep = on_left if to_left else ~on_left
-            sub = idx.compress(keep).reshape(len(feats), part.shape[0])
-        children.append(_grow(cols, pseudo, feats, spec, consts, side, part, sub, depth + 1))
-    return TreeSplit(feature=feats[j], threshold=thr, left=children[0], right=children[1])
+        return TreeLeaf(_mean(pseudo.take(rows)))
+    j, k = found
+    go_left = keys[j].take(rows) <= j * BINS + k
+    parts = rows.compress(go_left), rows.compress(~go_left)
+    searched = [_searched(part.shape[0], depth + 1, spec) for part in parts]
+    hists = [None, None]
+    if any(searched):
+        small = int(parts[1].shape[0] < parts[0].shape[0])
+        hists[small] = _histogram(keys, scaled, parts[small])
+        hists[1 - small] = hist - hists[small]
+    children = [_grow(tree, part, h if s else None, depth + 1)
+                for part, h, s in zip(parts, hists, searched)]
+    return TreeSplit(feature=feats[j], threshold=float(cuts[j, k]), left=children[0], right=children[1])
 
 
-def _best_split(consts, pseudo, y, idx, min_child):
-    """Exact greedy scan over all features and midpoints of one node at once.
+def _best_split(hist, y, min_child):
+    """The best cut of one node over all features at once, from its histogram.
 
-    consts are fit_tree's per-tree constants: flat = cols.ravel(), a view of
-    the tree's C-contiguous (F, N) feature-major matrix, offsets = each
-    feature's f * N as an (F, 1) column, and sizes = np.arange(N + 1) as
-    floats. idx is the node's (F, n) rows sorted per feature and y the
-    node's pseudo-responses in row order. The cumulative sums run over all n
-    sorted rows, since the last one is the node total, but gains are scored
-    only on the window of cuts that leave min_child rows on each side: after
-    sorted position i for i in [min_child - 1, n - min_child). Only that
-    window's sorted values are gathered, as one take from flat at idx plus
-    offsets: the same gather as take_along_axis at less than half its cost.
-    The gain cl²/m + (T - cl)²/(n - m) - T²/n is computed in place in that
-    operation order, with m and n - m read off sizes, a slice and a reversed
-    slice of exact integers, so the divisions keep their bits; T²/n stays,
-    because the per-feature totals differ in the last bits. A cut between
-    equal values, or next to a NaN, gets gain -inf from one np.putmask. The
-    row-major argmax of the (F, window) gains resolves equal gains to the
-    lower feature index first and the lower threshold second. Returns (local
-    feature index, threshold) or None when no split has positive gain.
+    hist holds the node's (F, BINS) sums of the scaled pseudo-responses over
+    its (F, BINS) counts, and y its scaled pseudo-responses. Cut k of feature
+    f sends the codes up to k left. Its gain cl²/m + (T - cl)²/(n - m) - T²/n
+    is computed over the cumulative sums and counts of the bins, in that
+    operation order, with T each feature's own total. A cut gets -inf that
+    leaves fewer than min_child rows on a side (padding cuts leave none on
+    the left) or that follows an empty bin, so that of the cuts giving one
+    partition only the lowest competes. The row-major argmax of the (F, BINS
+    - 1) gains resolves equal gains to the lower feature index first and the
+    lower threshold second. Returns (local feature index, cut index), or None
+    when no cut has a gain above 1e-12 times the node's sum of y².
     """
-    flat, offsets, sizes = consts
-    n = idx.shape[1]
-    lo, hi = min_child - 1, n - min_child
-    csum = pseudo.take(idx).cumsum(axis=1)
-    total = csum[:, -1:]
-    xs = flat.take(idx[:, lo : hi + 1] + offsets)
-    cl = csum[:, lo:hi]
+    n = y.shape[0]
+    csum = hist.cumsum(axis=2)
+    cl, m = csum[0, :, :-1], csum[1, :, :-1]
+    total = csum[0, :, -1:]
     gains = cl * cl
-    gains /= sizes[lo + 1 : hi + 1]                 # the left sizes m
+    gains /= m
     right = total - cl
     right *= right
-    right /= sizes[n - lo - 1 : n - hi - 1 : -1]    # n - m
+    right /= n - m
     gains += right
     gains -= total * total / n
-    np.putmask(gains, ~(xs[:, :-1] < xs[:, 1:]), -np.inf)
-    best_j, best_i = divmod(int(gains.argmax()), hi - lo)
-    best_gain = float(gains[best_j, best_i])
-    floor = 1e-12 * (float((y * y).sum()) + 1e-300)
-    if not math.isfinite(best_gain) or best_gain <= floor:
+    ok = (m >= min_child) & (m <= n - min_child) & (hist[1, :, :-1] > 0)
+    np.putmask(gains, ~ok, -np.inf)
+    best = int(gains.argmax())
+    gain = float(gains.flat[best])
+    if not math.isfinite(gain) or gain <= 1e-12 * (float((y * y).sum()) + 1e-300):
         return None
-    below, above = float(xs[best_j, best_i]), float(xs[best_j, best_i + 1])
-    thr = 0.5 * (below + above)
-    if not below < thr <= above:    # next to -inf, on overflow or between adjacent floats
-        thr = above
-    return best_j, thr
+    return divmod(best, BINS - 1)
 
 
-def fit_learner(columns: SortedColumns, pseudo, spec: LearnerSpec) -> FittedLearner:
+def fit_learner(columns: BinnedColumns, pseudo, spec: LearnerSpec) -> FittedLearner:
     """Fit the learner kind of spec to pseudo on columns; a constant reads only pseudo."""
     if spec.kind == "constant":
         return fit_constant(pseudo)

@@ -26,10 +26,10 @@ from gbmixed.data import GroupBlock, GroupedDataset, split_by_groups
 from gbmixed.errors import ConfigError, DataError, NumericalError
 from gbmixed import boosting, learners, simulate
 from gbmixed.learners import (
+    BinnedColumns,
     ConstantLearner,
     LearnerSpec,
     LinearLearner,
-    SortedColumns,
     TreeLeaf,
     TreeLearner,
     fit_learner,
@@ -572,13 +572,13 @@ class TestFit:
         # the mean and R share the rows' restriction, and a set that only constant
         # learners read (G under rboost and base) is not restricted at all
         parents = []
-        real = SortedColumns.restrict
+        real = BinnedColumns.restrict
 
         def counted(self, rows, features):
             parents.append(id(self))
             return real(self, rows, features)
 
-        monkeypatch.setattr(SortedColumns, "restrict", counted)
+        monkeypatch.setattr(BinnedColumns, "restrict", counted)
         spec = LearnerSpec(kind="tree", tree_min_parent=4, tree_min_child=2)
         cfg = config_for_variant(variant, spec, n_iterations=6, group_fraction=0.5,
                                  early_stopping=False)
@@ -589,17 +589,17 @@ class TestFit:
 
 
 class TestPresort:
-    """fit stably sorts each group set at most once, and only when a tree needs it."""
+    """fit bins (and so sorts) each group set at most once, and only when a tree needs it."""
 
     def sorted_shapes(self, monkeypatch, variant, kind, n_iterations, min_parent=4):
         shapes = []
-        real = learners._stable_argsort
+        real = learners._bin
 
         def counted(cols):
             shapes.append(cols.shape)
             return real(cols)
 
-        monkeypatch.setattr(learners, "_stable_argsort", counted)
+        monkeypatch.setattr(learners, "_bin", counted)
         ds = clustered_dataset(np.random.default_rng(21), n_groups=40, n_per=3, p=4,
                                mean_fn=lambda X: X[:, 0])
         spec = LearnerSpec(kind=kind, tree_min_parent=min_parent, tree_min_child=2)
@@ -627,7 +627,7 @@ class TestPresort:
 
 
 class TestFitTreesEqualTheOracle:
-    """Every tree a real fit grows equals the per-node argsort search (==)."""
+    """Every tree a real fit grows equals the brute-force scan over its set's cuts (==)."""
 
     def tree_roots(self, monkeypatch, ds, cfg):
         real = boosting.fit_learner
@@ -635,7 +635,8 @@ class TestFitTreesEqualTheOracle:
 
         def compared(columns, pseudo, spec):
             got = real(columns, pseudo, spec)
-            assert got == reference_tree(columns.X, pseudo, columns.features, spec)
+            cuts = columns.binned()[0]
+            assert got == reference_tree(columns.X, pseudo, columns.features, spec, cuts)
             roots.append(got.root)
             return got
 
@@ -708,7 +709,7 @@ class TestReferenceLoop:
                 sl = slice(start, start + n_i)
                 pseudo[sl] = np.linalg.solve(sigma(n_i), yb[sl] - mu[sl])
                 start += n_i
-            h = fit_learner(SortedColumns(Xb, (0, 1)), pseudo, tree)
+            h = fit_learner(BinnedColumns(Xb, (0, 1)), pseudo, tree)
             mu = mu + cfg.lr_mean * h.predict(Xb)
             mu_eval = mu_eval + cfg.lr_mean * h.predict(Xe)
             mus_eval.append(mu_eval.copy())
@@ -744,7 +745,7 @@ class TestEnsembleSum:
         tree = LearnerSpec(kind="tree", tree_max_depth=4, tree_min_parent=4, tree_min_child=2)
         linear = LearnerSpec(kind="linear")
         learners = [
-            fit_learner(SortedColumns(X, feats), y + k * X[:, 3], spec)
+            fit_learner(BinnedColumns(X, feats), y + k * X[:, 3], spec)
             for k, (feats, spec) in enumerate(
                 [((0, 1, 2), tree), ((1, 3), linear), ((0, 2, 3), tree), ((0, 1, 3), linear),
                  ((3,), tree)]

@@ -1,6 +1,7 @@
 """Base learners: exact fits on crafted data plus behavioral invariants."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from gbmixed import learners
 from gbmixed.errors import ConfigError, DataError
 from gbmixed.learners import (
+    BinnedColumns,
     ConstantLearner,
     LearnerSpec,
-    SortedColumns,
     TreeLeaf,
     TreeLearner,
     TreeSplit,
@@ -21,7 +22,7 @@ from gbmixed.learners import (
     fit_linear,
     fit_tree,
 )
-from util import reference_tree
+from util import reference_cuts, reference_tree, tree_depth
 
 
 def tree_spec(**kw):
@@ -75,7 +76,7 @@ class TestLinear:
         X = np.array([[0.0], [1.0]])
         y = np.array([1.0, 3.0])
         spec = LearnerSpec(kind="linear", ridge_epsilon=0.0)
-        learner = fit_linear(SortedColumns(X, (0,)), y, spec)
+        learner = fit_linear(BinnedColumns(X, (0,)), y, spec)
         assert learner.coef[0] == pytest.approx(2.0, abs=1e-12)
         assert learner.intercept == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(learner.predict(X), y, atol=1e-12)
@@ -85,7 +86,7 @@ class TestLinear:
         X = rng.standard_normal((50, 4))
         y = 3.0 * X[:, 2] - 1.0
         spec = LearnerSpec(kind="linear", ridge_epsilon=0.0)
-        learner = fit_linear(SortedColumns(X, (2, 0)), y, spec)
+        learner = fit_linear(BinnedColumns(X, (2, 0)), y, spec)
         assert learner.features == (0, 2)
         assert learner.n_features == 4
         np.testing.assert_allclose(learner.predict(X), y, atol=1e-10)
@@ -96,7 +97,7 @@ class TestLinear:
         X = np.column_stack([np.arange(4.0), np.arange(4.0)])
         y = np.arange(4.0)
         spec = LearnerSpec(kind="linear", ridge_epsilon=0.0)
-        learner = fit_linear(SortedColumns(X, (0, 1)), y, spec)
+        learner = fit_linear(BinnedColumns(X, (0, 1)), y, spec)
         np.testing.assert_allclose(learner.predict(X), y, atol=1e-8)
 
 
@@ -104,14 +105,14 @@ class TestTree:
     def test_single_split_recovery(self):
         X = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
         y = np.array([1.0, 1.0, 1.0, 5.0, 5.0, 5.0])
-        learner = fit_tree(SortedColumns(X, (0,)), y, tree_spec())
+        learner = fit_tree(BinnedColumns(X, (0,)), y, tree_spec())
         splits = collect_splits(learner.root, [])
         assert splits == [(0, 0.5)]
         np.testing.assert_allclose(learner.predict(X), y)
 
     def test_constant_pseudo_single_leaf(self):
         X = np.arange(10.0)[:, None]
-        learner = fit_tree(SortedColumns(X, (0,)), np.full(10, 2.5), tree_spec())
+        learner = fit_tree(BinnedColumns(X, (0,)), np.full(10, 2.5), tree_spec())
         assert isinstance(learner.root, TreeLeaf)
         assert learner.root.value == pytest.approx(2.5)
 
@@ -119,7 +120,7 @@ class TestTree:
         x = np.array([1.0, 2.0, 3.0, 4.0])
         X = np.column_stack([x, x])     # identical gains in both columns
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        learner = fit_tree(SortedColumns(X, (0, 1)), y, tree_spec(tree_max_depth=1))
+        learner = fit_tree(BinnedColumns(X, (0, 1)), y, tree_spec(tree_max_depth=1))
         splits = collect_splits(learner.root, [])
         assert splits == [(0, 2.5)]
 
@@ -127,7 +128,7 @@ class TestTree:
         # gains at the first and last cut are equal by symmetry
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
-        learner = fit_tree(SortedColumns(X, (0,)), y, tree_spec(tree_max_depth=1))
+        learner = fit_tree(BinnedColumns(X, (0,)), y, tree_spec(tree_max_depth=1))
         splits = collect_splits(learner.root, [])
         assert splits == [(0, 1.5)]
 
@@ -135,7 +136,7 @@ class TestTree:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((40, 5))
         y = np.where(X[:, 3] < 0.0, -2.0, 2.0)
-        learner = fit_tree(SortedColumns(X, (3, 4)), y, tree_spec(tree_max_depth=1))
+        learner = fit_tree(BinnedColumns(X, (3, 4)), y, tree_spec(tree_max_depth=1))
         splits = collect_splits(learner.root, [])
         assert splits[0][0] == 3
         counts = learner.split_counts(5)
@@ -144,14 +145,14 @@ class TestTree:
     def test_min_parent_blocks_split(self):
         X = np.arange(6.0)[:, None]
         y = np.array([0.0, 0.0, 0.0, 9.0, 9.0, 9.0])
-        learner = fit_tree(SortedColumns(X, (0,)), y, tree_spec(tree_min_parent=7))
+        learner = fit_tree(BinnedColumns(X, (0,)), y, tree_spec(tree_min_parent=7))
         assert isinstance(learner.root, TreeLeaf)
 
     def test_min_child_restricts_cuts(self):
         X = np.arange(10.0)[:, None]
         y = np.array([0.0] * 2 + [5.0] * 8)    # best unrestricted cut is at 2 rows
         learner = fit_tree(
-            SortedColumns(X, (0,)), y, tree_spec(tree_min_child=5, tree_max_depth=1)
+            BinnedColumns(X, (0,)), y, tree_spec(tree_min_child=5, tree_max_depth=1)
         )
         splits = collect_splits(learner.root, [])
         assert splits == [(0, 4.5)]    # forced to the 5/5 cut
@@ -161,31 +162,32 @@ class TestTree:
         X = rng.standard_normal((200, 3))
         y = rng.standard_normal(200)
         for depth in (1, 2, 3):
-            learner = fit_tree(SortedColumns(X, (0, 1, 2)), y, tree_spec(tree_max_depth=depth))
-            assert learner.depth() <= depth
+            learner = fit_tree(BinnedColumns(X, (0, 1, 2)), y, tree_spec(tree_max_depth=depth))
+            assert tree_depth(learner.root) <= depth
 
     def test_duplicate_values_never_split_between(self):
         X = np.array([[1.0], [1.0], [1.0], [2.0]])
         y = np.array([0.0, 5.0, 0.0, 5.0])
-        learner = fit_tree(SortedColumns(X, (0,)), y, tree_spec())
+        learner = fit_tree(BinnedColumns(X, (0,)), y, tree_spec())
         for f, thr in collect_splits(learner.root, []):
             assert thr == pytest.approx(1.5)
 
     def test_thresholds_are_midpoints(self):
-        # within each node, the threshold is the midpoint of two adjacent
-        # distinct values among the rows that reach the node
+        # every threshold is one of its column's cuts: the midpoint of two adjacent
+        # distinct values of the whole column, with rows of the node on both sides
         rng = np.random.default_rng(3)
         X = rng.standard_normal((100, 2))
         y = rng.standard_normal(100)
-        learner = fit_tree(SortedColumns(X, (0, 1)), y, tree_spec())
+        learner = fit_tree(BinnedColumns(X, (0, 1)), y, tree_spec())
+        vals = [np.unique(X[:, f]) for f in range(2)]
 
         def walk(node, rows):
             if isinstance(node, TreeLeaf):
                 return
-            vals = np.unique(X[rows, node.feature])
-            mids = 0.5 * (vals[:-1] + vals[1:])
-            assert np.min(np.abs(mids - node.threshold)) < 1e-12
+            assert node.threshold in reference_cuts(X[:, node.feature])
+            assert node.threshold in 0.5 * (vals[node.feature][:-1] + vals[node.feature][1:])
             go_left = X[rows, node.feature] < node.threshold
+            assert 0 < go_left.sum() < rows.size
             walk(node.left, rows[go_left])
             walk(node.right, rows[~go_left])
 
@@ -200,16 +202,43 @@ class TestTree:
     def test_threshold_separates_the_two_values(self, below, above):
         X = np.array([[below], [below], [above], [above]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        root = fit_tree(SortedColumns(X, (0,)), y, tree_spec(tree_max_depth=1)).root
+        root = fit_tree(BinnedColumns(X, (0,)), y, tree_spec(tree_max_depth=1)).root
         assert below < root.threshold <= above
         assert (root.left.value, root.right.value) == (0.0, 1.0)
+
+    def test_a_power_of_two_scales_the_leaves_and_keeps_the_splits(self):
+        # the squared sums of y * 2**600 overflow unless the search scales y back by a
+        # power of two; the leaves are means of the unscaled values
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((300, 3))
+        y = np.sin(3.0 * X[:, 0]) + rng.standard_normal(300)
+        spec = tree_spec(tree_min_child=5, tree_min_parent=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = fit_tree(BinnedColumns(X, (0, 1, 2)), y, spec)
+            for factor in (2.0**600, 2.0**-600):
+                got = fit_tree(BinnedColumns(X, (0, 1, 2)), y * factor, spec)
+                assert collect_splits(got.root, []) == collect_splits(base.root, [])
+                assert np.array_equal(got.predict(X), base.predict(X) * factor)
+        assert len(collect_splits(base.root, [])) == 7
+
+    def test_a_cut_after_an_empty_bin_never_wins(self):
+        # a parent-minus-sibling histogram can leave a rounding residue in a bin that
+        # holds no row; the cut after that bin splits the node as the cut before it
+        # does, and must not win on the residue
+        hist = np.zeros((2, 1, learners.BINS))
+        hist[0, 0, :3] = 3.0, 2.0**-50, -3.0    # sums of the scaled pseudo-responses
+        hist[1, 0, :3] = 5, 0, 5                # counts
+        y = np.repeat([0.6, -0.6], 5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert learners._best_split(hist, y, 1) == (0, 0)
 
 
 class TestDispatcher:
     def test_kinds(self):
         X = np.arange(12.0).reshape(6, 2)
         y = np.arange(6.0)
-        columns = SortedColumns(X, (0, 1))
+        columns = BinnedColumns(X, (0, 1))
         assert isinstance(fit_learner(columns, y, LearnerSpec(kind="constant")), ConstantLearner)
         assert fit_learner(columns, y, LearnerSpec(kind="linear")).features == (0, 1)
         assert fit_learner(columns, y, tree_spec()).n_features == 2
@@ -217,21 +246,21 @@ class TestDispatcher:
     def test_feature_validation(self):
         X = np.zeros((5, 2))
         with pytest.raises(ConfigError, match="at least one feature"):
-            SortedColumns(X, ())
+            BinnedColumns(X, ())
         with pytest.raises(ConfigError, match="duplicate"):
-            SortedColumns(X, (0, 0))
+            BinnedColumns(X, (0, 0))
         for feats in ((2,), (-1, 0)):
             with pytest.raises(ConfigError, match="out of range"):
-                SortedColumns(X, feats)
+                BinnedColumns(X, feats)
         with pytest.raises(DataError, match="2-dimensional"):
-            SortedColumns(np.zeros(5), (0,))
-        feats = SortedColumns(X, np.array([1, 0])).features
+            BinnedColumns(np.zeros(5), (0,))
+        feats = BinnedColumns(X, np.array([1, 0])).features
         assert feats == (0, 1) and all(type(f) is int for f in feats)
 
     @pytest.mark.parametrize("index", [1.7, True, "1", np.float64(1.0)], ids=repr)
     def test_feature_indices_are_checked_not_truncated(self, index):
         with pytest.raises(ConfigError, match="feature index must be an integer"):
-            SortedColumns(np.zeros((5, 3)), (0, index))
+            BinnedColumns(np.zeros((5, 3)), (0, index))
 
 
 def oracle_case(rng, kind, n, p):
@@ -270,7 +299,7 @@ def oracle_case(rng, kind, n, p):
 
 
 class TestTreeOracle:
-    """fit_tree against the per-node argsort search, compared with ==."""
+    """fit_tree against the brute-force scan of every node over the same cuts, compared with ==."""
 
     @pytest.mark.parametrize(
         "kind", ["ties", "integers", "duplicates", "pairs", "same_partition", "coarsened",
@@ -291,7 +320,7 @@ class TestTreeOracle:
                     tree_min_child=min_child,
                     tree_min_parent=max(2, 2 * min_child),
                 )
-                got = fit_tree(SortedColumns(X, feats), y, spec)
+                got = fit_tree(BinnedColumns(X, feats), y, spec)
                 assert got == reference_tree(X, y, feats, spec)
 
     def test_subsets_not_starting_at_zero(self):
@@ -299,7 +328,7 @@ class TestTreeOracle:
         X, y = oracle_case(rng, "ties", 200, 6)
         spec = tree_spec(tree_max_depth=4)
         for feats in [(1, 2), (3, 5), (5,), (2, 4, 5)]:
-            got = fit_tree(SortedColumns(X, feats), y, spec)
+            got = fit_tree(BinnedColumns(X, feats), y, spec)
             assert got == reference_tree(X, y, feats, spec)
             assert got.split_counts(6)[: min(feats)].sum() == 0.0
 
@@ -307,7 +336,7 @@ class TestTreeOracle:
         rng = np.random.default_rng(12)
         X, _ = oracle_case(rng, "ties", 50, 3)
         y = np.full(50, -1.25)
-        got = fit_tree(SortedColumns(X, (0, 1, 2)), y, tree_spec())
+        got = fit_tree(BinnedColumns(X, (0, 1, 2)), y, tree_spec())
         assert got == reference_tree(X, y, (0, 1, 2), tree_spec())
         assert isinstance(got.root, TreeLeaf)
 
@@ -315,41 +344,41 @@ class TestTreeOracle:
         rng = np.random.default_rng(13)
         X, y = oracle_case(rng, "duplicates", 150, 5)
         feats = (1, 3, 4)
-        shared = SortedColumns(X, feats)
+        shared = BinnedColumns(X, feats)
         spec = tree_spec(tree_max_depth=3, tree_min_child=5, tree_min_parent=10)
         for target in (y, -2.0 * y, np.sin(X[:, 2])):
-            assert fit_tree(shared, target, spec) == fit_tree(SortedColumns(X, feats), target, spec)
+            assert fit_tree(shared, target, spec) == fit_tree(BinnedColumns(X, feats), target, spec)
 
     def test_sort_is_lazy(self):
         X = np.arange(12.0).reshape(6, 2)
         y = np.arange(6.0)
-        shared = SortedColumns(X, (0, 1))
+        shared = BinnedColumns(X, (0, 1))
         fit_learner(shared, y, LearnerSpec(kind="constant"))
         fit_learner(shared, y, LearnerSpec(kind="linear"))
-        assert shared._sorted is None
+        assert shared._codes is None
         fit_learner(shared, y, tree_spec())
-        assert shared._sorted is not None
+        assert shared._codes is not None
 
 
 class TestUnsplittableRoot:
-    """A root too small to split is the mean leaf and sorts nothing."""
+    """A root too small to split is the mean leaf and bins nothing."""
 
     @pytest.mark.parametrize("spec", [
         tree_spec(tree_min_parent=9, tree_min_child=1),    # n < min_parent
         tree_spec(tree_min_parent=2, tree_min_child=5),    # n < 2 * min_child
     ])
     def test_mean_leaf_without_a_sort(self, monkeypatch, spec):
-        sorts = []
-        monkeypatch.setattr(learners, "_stable_argsort", lambda cols: sorts.append(cols))
+        binned = []
+        monkeypatch.setattr(learners, "_bin", lambda cols: binned.append(cols))
         rng = np.random.default_rng(41)
         X, y = rng.standard_normal((8, 3)), rng.standard_normal(8)
-        presort = SortedColumns(rng.standard_normal((20, 3)), (0, 1, 2)).restrict(
+        restricted = BinnedColumns(rng.standard_normal((20, 3)), (0, 1, 2)).restrict(
             np.arange(0, 16, 2), (0, 2))
-        for got in (fit_tree(SortedColumns(X, (0, 2)), y, spec),
-                    fit_tree(presort, y, spec)):
+        for got in (fit_tree(BinnedColumns(X, (0, 2)), y, spec),
+                    fit_tree(restricted, y, spec)):
             assert got == TreeLearner(root=TreeLeaf(float(np.mean(y))), n_features=3)
             assert got == reference_tree(X, y, (0, 2), spec)
-        assert sorts == [] and presort._order is None
+        assert binned == [] and restricted._codes is None
 
 
 SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 0.5])
@@ -383,7 +412,7 @@ def test_min_child_window_edges_and_special_values(min_child, size, max_depth, s
         tree_min_child=min_child,
         tree_min_parent=int(rng.integers(2, 2 * min_child + 3)),
     )
-    assert fit_tree(SortedColumns(X, feats), y, spec) == reference_tree(X, y, feats, spec)
+    assert fit_tree(BinnedColumns(X, feats), y, spec) == reference_tree(X, y, feats, spec)
 
 
 @settings(max_examples=60)
@@ -392,10 +421,11 @@ def test_min_child_window_edges_and_special_values(min_child, size, max_depth, s
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_restricted_order_is_the_stable_argsort(kind, seed):
-    """Filtering a presort to ascending rows gives the stable argsort of those
-    rows, ties and signed zeros included, and the tree the per-node oracle grows."""
+    """A restriction keeps its parent's cuts and gathers the parent's codes at its
+    rows and features, in any row order, repeats, ties and signed zeros included,
+    and grows the tree that the brute-force oracle grows over those cuts."""
     rng = np.random.default_rng(seed)
-    N = int(rng.integers(2, 120))
+    N = int(rng.integers(2, 200))
     p = int(rng.integers(1, 6))
     X, y = oracle_case(rng, kind, N, p)
     zeros = rng.random(X.shape) < 0.3
@@ -404,36 +434,91 @@ def test_restricted_order_is_the_stable_argsort(kind, seed):
     feats = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
     held = np.union1d(feats, rng.choice(p, size=int(rng.integers(0, p + 1)), replace=False))
 
-    sub = SortedColumns(X, held).restrict(rows, feats)
-    fresh = SortedColumns(X[rows], feats)
-    assert np.array_equal(sub.X, fresh.X)
-    for got, want in zip(sub.arrays(), fresh.arrays()):
-        assert np.array_equal(got, want)
+    cuts, codes = BinnedColumns(X, held).binned()
+    for row, f in zip(cuts, held):
+        assert np.array_equal(row[row > -np.inf], reference_cuts(X[:, f]))
+    at = np.searchsorted(held, np.sort(feats))
     spec = tree_spec(tree_max_depth=3, tree_min_child=2, tree_min_parent=4)
-    assert fit_tree(sub, y[rows], spec) == reference_tree(X[rows], y[rows], feats, spec)
-
-    if rows.size > 1:
-        for bad in (rows[::-1], np.sort(np.append(rows, rows[-1]))):
-            with pytest.raises(DataError):
-                SortedColumns(X, held).restrict(bad, feats)
+    for picked in (rows, rows[::-1], np.append(rows, rows[-1])):
+        sub = BinnedColumns(X, held).restrict(picked, feats)
+        assert np.array_equal(sub.X, X[picked])
+        got_cuts, got_codes = sub.binned()
+        assert np.array_equal(got_cuts, cuts[at])
+        assert np.array_equal(got_codes, codes[at][:, picked])
+        assert fit_tree(sub, y[picked], spec) == reference_tree(X[picked], y[picked], feats, spec,
+                                                                 got_cuts)
 
 
 def test_restrict_rejects_foreign_rows_and_features():
     X = np.arange(12.0).reshape(6, 2)
-    full = SortedColumns(X, (0, 1))
+    full = BinnedColumns(X, (0, 1))
     for rows in ([-1, 2], [3, 6], [[0, 1]], [0.0, 1.0]):
         with pytest.raises(DataError):
             full.restrict(rows, (0,))
     with pytest.raises(DataError):
-        SortedColumns(X, (1,)).restrict([0, 2], (0,))
+        BinnedColumns(X, (1,)).restrict([0, 2], (0,))
 
+
+def awkward_column(rng, distinct, n):
+    """n >= distinct entries over exactly distinct non-NaN values, led by 0.0, -inf,
+    +inf and a run of adjacent floats, with -0.0 for some zeros and some NaN."""
+    lead = [0.0, -np.inf, np.inf, 1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0),
+            5e-324]
+    pool = np.concatenate([lead, np.setdiff1d(rng.standard_normal(distinct), lead)])
+    x = pool[:distinct][np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)])]
+    x[distinct:][rng.random(n - distinct) < 0.1] = np.nan     # every value keeps one entry
+    x[(x == 0.0) & (rng.random(n) < 0.5)] = -0.0
+    return rng.permutation(x)
+
+
+@settings(max_examples=80)
+@given(
+    distinct=st.sampled_from([2, 5, learners.BINS - 1, learners.BINS, 300]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_rows_code_side_is_its_threshold_side(distinct, seed):
+    """Every row is below a cut exactly when its code is at most the cut's index, and
+    a fitted tree's rows reach, by x < threshold, the leaves the code partition gave
+    them. boosting.fit's cache update walks raw X, so it must land every training row
+    in the leaf that was fitted on it: NaN, +-inf, -0.0 next to 0.0, adjacent floats
+    and features with BINS - 1 and BINS distinct values included."""
+    rng = np.random.default_rng(seed)
+    n = distinct + int(rng.integers(0, 200))
+    X = np.column_stack([awkward_column(rng, distinct, n) for _ in range(3)])
+    y = rng.standard_normal(n) + np.nan_to_num(X[:, 0], posinf=3.0, neginf=-3.0) % 1.0
+    columns = BinnedColumns(X, (0, 1, 2))
+    cuts, codes = columns.binned()
+    for f in range(3):
+        assert (cuts[f] > -np.inf).sum() == min(distinct, learners.BINS) - 1
+        assert np.all(codes[f, np.isnan(X[:, f])] == learners.BINS - 1)
+        for k, c in enumerate(cuts[f]):
+            assert np.array_equal(X[:, f] < c, codes[f] <= k)
+    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    sub = columns.restrict(rows, (0, 1, 2))
+    spec = tree_spec(tree_max_depth=4, tree_min_child=int(rng.integers(1, 4)))
+    tree = fit_tree(sub, y[rows], spec)
+    sub_codes = sub.binned()[1]
+    fitted = tree.predict(X[rows])
+
+    def walk(node, at):
+        if isinstance(node, TreeLeaf):
+            assert np.array_equal(fitted[at], np.full(at.size, node.value))
+            assert node.value == np.mean(y[rows][at])
+            return
+        k = int(np.flatnonzero(cuts[node.feature] == node.threshold)[0])
+        by_code = sub_codes[node.feature, at] <= k
+        assert np.array_equal(X[rows[at], node.feature] < node.threshold, by_code)
+        walk(node.left, at[by_code])
+        walk(node.right, at[~by_code])
+
+    walk(tree.root, np.arange(rows.size))
 
 def columns_of(how, features):
-    """SortedColumns of features over a 6 x 3 matrix, built directly or by restrict."""
+    """BinnedColumns of features over a 6 x 3 matrix, built directly or by restrict."""
     X = np.arange(18.0).reshape(6, 3)
     if how == "construct":
-        return SortedColumns(X, features)
-    return SortedColumns(X, range(3)).restrict(np.arange(1, 5), features)
+        return BinnedColumns(X, features)
+    return BinnedColumns(X, range(3)).restrict(np.arange(1, 5), features)
 
 
 @pytest.mark.parametrize("how", ["construct", "restrict"])
@@ -525,7 +610,7 @@ class TestTreePrediction:
         p = 4
         for _ in range(3):
             tree = TreeLearner(root=random_tree(rng, depth, p), n_features=p)
-            assert tree.depth() == depth
+            assert tree_depth(tree.root) == depth
             for n in (0, 1, 2000):
                 X = awkward_rows(rng, n, p)
                 got = tree.predict(X)
@@ -537,7 +622,7 @@ class TestTreePrediction:
     def test_fitted_trees_equal_reference(self, depth):
         rng = np.random.default_rng(20 + depth)
         X, y = oracle_case(rng, "ties", 600, 5)
-        tree = fit_tree(SortedColumns(X, range(5)), y, tree_spec(tree_max_depth=depth))
+        tree = fit_tree(BinnedColumns(X, range(5)), y, tree_spec(tree_max_depth=depth))
         Xnew = np.vstack([X, awkward_rows(rng, 300, 5)])
         assert np.array_equal(tree.predict(Xnew), reference_predict(tree, Xnew))
 
@@ -577,14 +662,14 @@ def test_tree_invariants_property(seed):
     X = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
     spec = tree_spec()
-    learner = fit_tree(SortedColumns(X, tuple(range(p))), y, spec)
+    learner = fit_tree(BinnedColumns(X, tuple(range(p))), y, spec)
     pred = learner.predict(X)
     const_se = float(np.sum((y - np.mean(y)) ** 2))
     tree_se = float(np.sum((y - pred) ** 2))
     assert tree_se <= const_se + 1e-9
     assert pred.min() >= y.min() - 1e-12
     assert pred.max() <= y.max() + 1e-12
-    again = fit_tree(SortedColumns(X, tuple(range(p))), y, spec)
+    again = fit_tree(BinnedColumns(X, tuple(range(p))), y, spec)
     np.testing.assert_array_equal(pred, again.predict(X))
 
 

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from gbmixed.boosting import eval_gcov_rows, eval_mean, eval_resid_var, factors_from_entries
 from gbmixed.data import GroupBlock, GroupedDataset
-from gbmixed.learners import TreeLeaf, TreeLearner, TreeSplit
+from gbmixed.learners import BINS, TreeLeaf, TreeLearner, TreeSplit
 from gbmixed.likelihood import group_loglik, marginal_covariance
 
 
@@ -73,52 +75,119 @@ def deep_tree_text(depth: int) -> str:
     return '{"f":0,"l":' * depth + '{"v":0.0}' + ',"r":{"v":0.0},"t":0.5}' * depth
 
 
-def reference_tree(X, y, features, spec):
-    """The exact greedy search that sorts again at every node.
+def tree_depth(node) -> int:
+    """The number of splits on the longest path from node to a leaf."""
+    if isinstance(node, TreeLeaf):
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
-    fit_tree sorts once per tree and partitions; this per-node argsort
-    version is its oracle: both must build equal trees, bit for bit.
+
+def reference_cuts(x):
+    """learners._bin's cuts of one column, gap by gap in Python floats.
+
+    The gaps between consecutive distinct non-NaN values are all cut when
+    there are at most BINS - 1 of them; otherwise, for k = 1 .. BINS - 1, the
+    first gap with at least k / BINS of the non-NaN entries below it (the last
+    gap when none has). A cut is the midpoint, or the upper value where the
+    midpoint does not separate the two values.
     """
-    feats = np.asarray(sorted(features), dtype=np.int64)
-    root = _reference_grow(X[:, feats], y, feats, 0, spec)
+    v = [float(a) for a in x if a == a]
+    distinct = sorted(set(v))
+    gaps = range(len(distinct) - 1)
+    if len(gaps) > BINS - 1:
+        below = [sum(a <= distinct[i] for a in v) for i in gaps]
+        gaps = sorted({next((i for i in gaps if below[i] * BINS >= k * len(v)), gaps[-1])
+                       for k in range(1, BINS)})
+    cuts = []
+    for i in gaps:
+        lo, hi = distinct[i], distinct[i + 1]
+        mid = 0.5 * (lo + hi)
+        cuts.append(mid if lo < mid <= hi else hi)
+    return cuts
+
+
+def reference_tree(X, y, features, spec, cuts=None):
+    """The binned greedy search, scanned by brute force at every node.
+
+    cuts holds one row of BINS - 1 cut values per feature, by default
+    reference_cuts of each column after -inf padding. A value's bin is the
+    number of its feature's cuts that it is not below, so NaN's is BINS - 1,
+    and a cut splits off the bins up to its own position. The
+    pseudo-responses are scaled by the power of two that brings the largest
+    |y| into [0.5, 1). At every node, each bin's sum adds the node's scaled
+    pseudo-responses one by one in row order, and a cut's left sum is the
+    running sum of the bins up to it, as np.bincount and cumsum add. Like
+    fit_tree, the oracle histograms the smaller child of a split (the left
+    on equal sizes) and takes the other's histogram as its parent's minus
+    it. Rows go left when x < threshold. fit_tree and this oracle must build
+    equal trees, bit for bit.
+    """
+    feats = sorted(features)
+    if cuts is None:
+        cuts = [reference_cuts(X[:, f]) for f in feats]
+        cuts = [[-math.inf] * (BINS - 1 - len(cs)) + cs for cs in cuts]
+    cuts = [[float(c) for c in row] for row in cuts]
+    Xn = X[:, feats]
+    bins = [[sum(not a < c for c in cs) for a in Xn[:, j]] for j, cs in enumerate(cuts)]
+    scaled = np.ldexp(y, -math.frexp(float(np.abs(y).max()))[1])
+    rows = list(range(len(y)))
+    hist = _reference_histogram(bins, scaled, rows)
+    root = _reference_grow(Xn, y, scaled, bins, cuts, feats, rows, hist, 0, spec)
     return TreeLearner(root=root, n_features=X.shape[1])
 
 
-def _reference_grow(Xn, y, feats, depth, spec):
-    n = y.shape[0]
-    value = float(np.mean(y))
-    if depth >= spec.tree_max_depth or n < spec.tree_min_parent or n < 2 * spec.tree_min_child:
+def _reference_histogram(bins, scaled, rows):
+    sums = [[0.0] * BINS for _ in bins]
+    counts = [[0] * BINS for _ in bins]
+    for i in rows:
+        for j, b in enumerate(bins):
+            sums[j][b[i]] += float(scaled[i])
+            counts[j][b[i]] += 1
+    return sums, counts
+
+
+def _searched(n, depth, spec):
+    return depth < spec.tree_max_depth and n >= spec.tree_min_parent and n >= 2 * spec.tree_min_child
+
+
+def _reference_grow(Xn, y, scaled, bins, cuts, feats, rows, hist, depth, spec):
+    value = float(np.mean(y[rows]))
+    if not _searched(len(rows), depth, spec):
         return TreeLeaf(value)
-    found = _reference_best_split(Xn, y, spec.tree_min_child)
+    found = _reference_best_split(hist, cuts, scaled[rows], spec.tree_min_child)
     if found is None:
         return TreeLeaf(value)
-    j, thr = found
-    go_left = Xn[:, j] < thr
-    left = _reference_grow(Xn[go_left], y[go_left], feats, depth + 1, spec)
-    right = _reference_grow(Xn[~go_left], y[~go_left], feats, depth + 1, spec)
+    j, k = found
+    thr = cuts[j][k]
+    parts = [i for i in rows if Xn[i, j] < thr], [i for i in rows if not Xn[i, j] < thr]
+    small = int(len(parts[1]) < len(parts[0]))
+    sums, counts = _reference_histogram(bins, scaled, parts[small])
+    rest = ([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(hist[0], sums)],
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(hist[1], counts)])
+    hists = [None, None]
+    hists[small], hists[1 - small] = (sums, counts), rest
+    left, right = (_reference_grow(Xn, y, scaled, bins, cuts, feats, part, h, depth + 1, spec)
+                   for part, h in zip(parts, hists))
     return TreeSplit(feature=int(feats[j]), threshold=thr, left=left, right=right)
 
 
-def _reference_best_split(Xn, y, min_child):
-    n, F = Xn.shape
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    total = csum[-1]
-    m = np.arange(1, n, dtype=float)[:, None]
-    cl = csum[:-1]
-    gains = cl**2 / m + (total - cl) ** 2 / (n - m) - total**2 / n
-    valid = xs[:-1] < xs[1:]
-    if min_child > 1:
-        valid[: min_child - 1] = False
-        valid[n - min_child :] = False
-    gains = np.where(valid, gains, -np.inf)
-    best_j, best_i = divmod(int(np.argmax(gains.ravel(order="F"))), n - 1)
-    best_gain = gains[best_i, best_j]
-    floor = 1e-12 * (float(np.sum(y * y)) + 1e-300)
-    if not np.isfinite(best_gain) or best_gain <= floor:
+def _reference_best_split(hist, cuts, ys, min_child):
+    n = len(ys)
+    best = None
+    for j, (sums, counts) in enumerate(zip(*hist)):
+        csum, m, total = [], [], 0.0
+        for s, c in zip(sums, counts):
+            total += s
+            csum.append(total)
+            m.append(c + (m[-1] if m else 0))
+        for k in range(len(cuts[j])):
+            if counts[k] == 0 or m[k] < min_child or n - m[k] < min_child:
+                continue
+            cl = csum[k]
+            gain = cl * cl / m[k] + (total - cl) * (total - cl) / (n - m[k]) - total * total / n
+            if best is None or gain > best[0]:
+                best = gain, j, k
+    floor = 1e-12 * (float((ys * ys).sum()) + 1e-300)
+    if best is None or not math.isfinite(best[0]) or best[0] <= floor:
         return None
-    below, above = float(xs[best_i, best_j]), float(xs[best_i + 1, best_j])
-    thr = 0.5 * (below + above)
-    return best_j, thr if below < thr <= above else above
+    return best[1:]
