@@ -186,8 +186,16 @@ class FittedModel:
     categorical_features: tuple[int, ...]
     ensembles: dict[str, Ensemble]
     history: list
-    best_iteration: int
-    n_iterations_run: int
+
+    @property
+    def best_iteration(self) -> int:
+        """The iteration fit cut every ensemble at, so the mean's learner count."""
+        return len(self.ensembles["mean"].learners[0])
+
+    @property
+    def n_iterations_run(self) -> int:
+        """history holds the eval log-likelihood before the first iteration and after each."""
+        return len(self.history) - 1
 
 
 def _ensemble_grid_sum(learners, cols, grid, lr, out):
@@ -527,6 +535,4 @@ def fit(train: GroupedDataset, config: FitConfig) -> FittedModel:
         ensembles={name: Ensemble(init, tuple(ls[:best] for ls in learners[name]))
                    for name, init in inits.items()},
         history=history,
-        best_iteration=best,
-        n_iterations_run=len(history) - 1,
     )

@@ -2,7 +2,7 @@
 
 A model file is a sequence of tagged lines:
 
-    gbmixed-model 1
+    gbmixed-model 2
     config {...}
     meta {...}
     mean_learner {...}
@@ -15,8 +15,14 @@ Python's shortest round-trip repr, so a loaded model predicts bit-identically
 to the one that was saved, and saving the same model twice yields identical
 bytes. The version number on the first line gates loading: unknown versions
 are rejected, not guessed at. Learner records follow the meta record, and
-load_model checks each against it (feature count, split and linear feature
-indices) as it rebuilds them.
+load_model checks each against it (split and linear feature indices) as it
+rebuilds them.
+
+A file states each fact once: it stores no iteration count (the ensembles'
+common length and the history give them) and no constant of the package
+(learners.BINS, learners.RIDGE_EPSILON). Version 1 files still load: the
+readers skip their learners' n_features and their meta's best_iteration and
+n_iterations_run, and _RETIRED drops their learner specs' ridge_epsilon.
 
 Each learner tag holds one component's boosting.Ensemble (_RECORDS): the
 mean, G (whose records number the factor entry, in tril_indices order) and
@@ -38,6 +44,7 @@ from .data import ColumnSchema
 from .errors import ConfigError, DataError, check_type, field_types
 from .learners import (
     ConstantLearner,
+    LearnerSpec,
     LinearLearner,
     TreeLeaf,
     TreeLearner,
@@ -45,7 +52,7 @@ from .learners import (
 )
 
 FORMAT_NAME = "gbmixed-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2     # load_model reads versions 1 to FORMAT_VERSION
 
 # learner record tag -> (component, meta key of its start values, whether the component
 # has one output per factor entry, which its start values list and its records number)
@@ -54,6 +61,8 @@ _RECORDS = {
     "gcov_learner": ("G", "gcov_init", True),
     "rvar_learner": ("R", "logrvar_init", False),
 }
+# fields that records written before their removal carry, which _from_record drops
+_RETIRED = {FitConfig: ("verbose", "variant"), LearnerSpec: ("ridge_epsilon",)}
 
 
 def _dump(obj) -> str:
@@ -61,8 +70,9 @@ def _dump(obj) -> str:
 
 
 def _from_record(cls, record: dict):
-    """Rebuild a dataclass written with asdict: JSON lists become tuples again
-    and nested records the dataclasses their fields are annotated with."""
+    """Rebuild a dataclass written with asdict: JSON lists become tuples again,
+    nested records the dataclasses their fields are annotated with, and the
+    class's _RETIRED fields are dropped."""
     if not isinstance(record, dict):
         raise TypeError(f"expected a {cls.__name__} record, got {record!r}")
     types = field_types(cls)
@@ -72,7 +82,8 @@ def _from_record(cls, record: dict):
             return _from_record(types[key][0], v)
         return tuple(v) if isinstance(v, list) else v
 
-    return cls(**{k: value(k, v) for k, v in record.items()})
+    retired = _RETIRED.get(cls, ())
+    return cls(**{k: value(k, v) for k, v in record.items() if k not in retired})
 
 
 def _node_payload(node):
@@ -124,10 +135,9 @@ def _learner_payload(h) -> dict:
             "features": list(h.features),
             "coef": [float(c) for c in h.coef],
             "intercept": h.intercept,
-            "n_features": h.n_features,
         }
     if isinstance(h, TreeLearner):
-        return {"kind": "tree", "root": _node_payload(h.root), "n_features": h.n_features}
+        return {"kind": "tree", "root": _node_payload(h.root)}
     raise DataError(f"cannot serialize learner of type {type(h).__name__}")
 
 
@@ -136,11 +146,6 @@ def _learner_from(payload: dict, p: int):
     kind = payload["kind"]
     if kind == "constant":
         return ConstantLearner(value=_finite("constant value", payload["value"]))
-    if kind not in ("linear", "tree"):
-        raise ValueError(f"unknown learner kind {kind!r}")
-    n_features = check_type("n_features", payload["n_features"])
-    if n_features != p:
-        raise ValueError(f"learner has n_features {n_features}, the model {p} features")
     if kind == "linear":
         features = tuple(check_type("linear feature", f) for f in payload["features"])
         _check_features(features, p, "linear feature")
@@ -151,9 +156,10 @@ def _learner_from(payload: dict, p: int):
             features=features,
             coef=coef,
             intercept=_finite("linear intercept", payload["intercept"]),
-            n_features=p,
         )
-    return TreeLearner(root=_node_from(payload["root"], p), n_features=p)
+    if kind == "tree":
+        return TreeLearner(root=_node_from(payload["root"], p))
+    raise ValueError(f"unknown learner kind {kind!r}")
 
 
 def _model_from(config, meta: dict, found: dict):
@@ -187,8 +193,6 @@ def _model_from(config, meta: dict, found: dict):
         categorical_features=categorical,
         ensembles=ensembles,
         history=[_finite("history entry", v) for v in meta["history"]],
-        best_iteration=check_type("best_iteration", meta["best_iteration"]),
-        n_iterations_run=check_type("n_iterations_run", meta["n_iterations_run"]),
     )
     stored = meta.get("schema")
     if stored is None:
@@ -206,8 +210,6 @@ def save_model(path: str, model: FittedModel, schema: ColumnSchema | None = None
         "treatment_index": model.treatment_index,
         "categorical_features": list(model.categorical_features),
         "history": [float(v) for v in model.history],
-        "best_iteration": model.best_iteration,
-        "n_iterations_run": model.n_iterations_run,
         # the feature columns are the model's feature_names
         "schema": None
         if schema is None
@@ -242,9 +244,9 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
         version = int(head[1])
     except ValueError:
         raise DataError(f"{path}: bad version {head[1]!r}") from None
-    if version != FORMAT_VERSION:
+    if not 1 <= version <= FORMAT_VERSION:
         raise DataError(
-            f"{path}: unsupported model format version {version} (supported: {FORMAT_VERSION})"
+            f"{path}: unsupported model format version {version} (supported: 1 to {FORMAT_VERSION})"
         )
 
     config = None
@@ -262,12 +264,7 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
             raise DataError(f"{path}: {tag} record at line {line_no} repeats line {seen[tag]}")
         try:
             if tag == "config":
-                record = json.loads(rest)
-                if isinstance(record, dict):
-                    # fields that files written before their removal carry
-                    record.pop("verbose", None)
-                    record.pop("variant", None)
-                config, seen[tag] = _from_record(FitConfig, record), line_no
+                config, seen[tag] = _from_record(FitConfig, json.loads(rest)), line_no
             elif tag == "meta":
                 meta, seen[tag] = json.loads(rest), line_no
                 p = len(meta["feature_names"])
@@ -294,25 +291,21 @@ def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
         model, schema = _model_from(config, meta, found)
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: malformed record at line {meta_line}: {exc}") from None
-    # fit records the eval log-likelihood before each iteration and after the last
-    n_history = len(model.history)
-    if n_history != model.n_iterations_run + 1 or model.best_iteration >= n_history:
-        raise DataError(
-            f"{path}: history at line {meta_line} has {n_history} entries, but n_iterations_run "
-            f"is {model.n_iterations_run} and best_iteration is {model.best_iteration}"
-        )
-    # fit writes every ensemble cut to best_iteration, one per output
+    # fit cuts every ensemble, one per output, to best_iteration learners
     for (tag, t), (line_no, _) in found.items():
         n = len(model.ensembles[_RECORDS[tag][0]].learners)
         if not 0 <= t < n:
             raise DataError(f"{path}: {tag} entry {t} at line {line_no} is outside 0..{n - 1}")
+    best = model.best_iteration
     # the one-output ensembles first, then G's entries: the order the loader reports in
     for tag, (name, _, entries) in sorted(_RECORDS.items(), key=lambda r: r[1][2]):
         for t, learners in enumerate(model.ensembles[name].learners):
             label = tag.removesuffix("_learner") + (f" entry {t}" if entries else "")
-            if len(learners) != model.best_iteration:
-                raise DataError(
-                    f"{path}: {label} ensemble has {len(learners)} learners, but best_iteration "
-                    f"at line {meta_line} is {model.best_iteration}"
-                )
+            if len(learners) != best:
+                raise DataError(f"{path}: {label} ensemble has {len(learners)} learners, "
+                                f"but the mean ensemble has {best}")
+    # and records the eval log-likelihood before each iteration and after the last
+    if len(model.history) <= best:
+        raise DataError(f"{path}: history at line {meta_line} has {len(model.history)} entries, "
+                        f"too few for ensembles of {best} learners")
     return model, schema

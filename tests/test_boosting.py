@@ -503,6 +503,20 @@ class TestFit:
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             fit(ds, cfg)
 
+    def test_a_non_finite_gradient_is_a_numerical_error(self, monkeypatch):
+        real = boosting.lik.batched_quantities
+
+        def nan_gradient(*args, **kwargs):
+            ll, g_mu, g_F, g_logr = real(*args, **kwargs)
+            if g_mu is not None:
+                g_mu[0] = np.nan
+            return ll, g_mu, g_F, g_logr
+
+        monkeypatch.setattr(boosting.lik, "batched_quantities", nan_gradient)
+        ds = clustered_dataset(np.random.default_rng(14), n_groups=20)
+        with pytest.raises(NumericalError, match="^non-finite gradient at iteration 1$"):
+            fit(ds, small_config(n_iterations=3))
+
     @pytest.mark.parametrize("scale,message", [
         (0.0, "response is constant"),     # signed zeros, all equal
         # y**2 underflows, so np.var of these distinct values is 0
@@ -761,10 +775,10 @@ class TestEnsembleSum:
         orders = [learners, learners[::-1], learners[2:] + learners[:2]]
         model = FittedModel(
             config=FitConfig(lr_mean=0.1, lr_gcov=0.1), feature_names=("a", "b", "c", "d"), q=2,
-            treatment_index=None, categorical_features=(), history=[0.0], best_iteration=6,
-            n_iterations_run=6, ensembles={"mean": Ensemble(np.array([1.5]), (learners,)),
-                                           "G": Ensemble(np.array([1.5, 0.0, 1.5]), tuple(orders)),
-                                           "R": Ensemble(np.array([0.0]), ([],))})
+            treatment_index=None, categorical_features=(), history=[0.0],
+            ensembles={"mean": Ensemble(np.array([1.5]), (learners,)),
+                       "G": Ensemble(np.array([1.5, 0.0, 1.5]), tuple(orders)),
+                       "R": Ensemble(np.array([0.0]), ([],))})
         assert np.array_equal(eval_mean(model, Xf), expected)
         G_sums = boosting._sums(model, "G", Xf, None, None)
         for t, (start, ls) in enumerate(zip(model.ensembles["G"].init, orders)):

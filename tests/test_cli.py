@@ -403,6 +403,13 @@ class TestPredict:
             ]
         )
 
+    def test_model_without_a_schema_exits_2(self, workdir, capsys):
+        bare = workdir / "bare.txt"
+        model_io.save_model(bare, model_io.load_model(fit_model(workdir))[0])
+        assert self.predict_rc(workdir, bare) == 2
+        assert ("model file carries no data schema; refit with this version or pass data "
+                "through the library API") in capsys.readouterr().err
+
     def test_model_not_utf8_is_data_error(self, workdir, capsys):
         model = fit_model(workdir)
         model.write_bytes(model.read_bytes().replace(b"end\n", b"\xff\xfe\nend\n"))
@@ -424,7 +431,8 @@ class TestPredict:
         del lines[next(i for i, line in enumerate(lines) if line.startswith("mean_learner "))]
         model.write_text("\n".join(lines) + "\n")
         assert self.predict_rc(workdir, model) == 3
-        assert "mean ensemble has 14 learners" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "rvar ensemble has 15 learners, but the mean ensemble has 14" in err
 
     def test_split_feature_past_the_features_exits_3(self, workdir, capsys):
         model = fit_model(workdir)
@@ -686,7 +694,6 @@ class TestSimulate:
         "tree_max_depth": "2",
         "tree_min_parent": "12",
         "tree_min_child": "3",
-        "ridge_epsilon": "1e-4",
     }
 
     def test_set_values_cover_every_set_key(self):
@@ -718,6 +725,7 @@ class TestSimulate:
             (["iterations"], "--set iterations: expected 'key = value'"),
             (["iterations=3", "iterations=4"], "--set iterations=4: duplicate key 'iterations'"),
             (["seed=3"], "--set seed=3: unknown key 'seed'"),
+            (["ridge_epsilon=1e-4"], "--set ridge_epsilon=1e-4: unknown key 'ridge_epsilon'"),
         ],
     )
     def test_set_errors_name_the_item(self, sets, message):

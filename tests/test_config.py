@@ -59,6 +59,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 1: unknown key 'verbose'"):
             parse_config_text("verbose = true\n")
 
+    def test_ridge_epsilon_is_not_a_key(self):
+        # the ridge of linear learners is the constant learners.RIDGE_EPSILON
+        with pytest.raises(ConfigError, match="line 2: unknown key 'ridge_epsilon'"):
+            parse_config_text("group_col = g\nridge_epsilon = 1e-4\n")
+
     def test_bool_spellings(self):
         for raw, expected in [("true", True), ("Yes", True), ("1", True), ("false", False), ("no", False), ("0", False)]:
             assert parse_config_text(f"early_stopping = {raw}\n")["early_stopping"] is expected

@@ -111,6 +111,8 @@ class TestContainers:
             GroupBlock(group_id=1, y=np.zeros(0), X=np.zeros((0, 1)), Z=np.zeros((0, 1)))
         with pytest.raises(DataError):
             GroupBlock(group_id=1, y=np.zeros(2), X=np.zeros((3, 1)), Z=np.ones((2, 1)))
+        with pytest.raises(DataError, match="^group 1: Z must have one row per observation$"):
+            GroupBlock(group_id=1, y=np.zeros(2), X=np.zeros((2, 1)), Z=np.ones((3, 1)))
 
     @pytest.mark.parametrize("field, value, message", [
         ("y", ["1", "2"], "group 7: y must hold numbers"),          # read as numbers before
@@ -118,14 +120,15 @@ class TestContainers:
         ("y", ["a", "b"], "group 7: y must hold numbers"),          # a raw ValueError before
         ("y", np.array([1j, 2.0]), "group 7: y must hold numbers"),  # a raw TypeError before
         ("X", [["a"], ["b"]], "group 7: X must hold numbers"),
+        ("X", [[0.5], [0.5, 1.0]], "group 7: X must hold numbers, got object entries"),
         ("Z", [[1.0], [None]], "group 7: Z must hold numbers"),
         ("x_tilde", ["a"], "group 7: x_tilde must hold numbers"),
         ("y", [np.inf, 1.0], "group 7: y must be finite, or NaN"),
         ("y", [0.0, -np.inf], "group 7: y must be finite, or NaN"),
         ("Z", [[1.0], [np.nan]], "group 7: Z must be finite"),
         ("Z", [[np.inf], [1.0]], "group 7: Z must be finite"),
-    ], ids=["y_numeric_strings", "y_none", "y_strings", "y_complex", "X_strings", "Z_none",
-            "x_tilde_strings", "y_inf", "y_minus_inf", "Z_nan", "Z_inf"])
+    ], ids=["y_numeric_strings", "y_none", "y_strings", "y_complex", "X_strings", "X_ragged",
+            "Z_none", "x_tilde_strings", "y_inf", "y_minus_inf", "Z_nan", "Z_inf"])
     def test_block_arrays_are_numbers_and_responses_and_designs_finite(self, field, value, message):
         arrays = dict(y=np.zeros(2), X=np.zeros((2, 1)), Z=np.ones((2, 1)), x_tilde=None)
         arrays[field] = value
@@ -186,6 +189,20 @@ class TestContainers:
         with pytest.raises(DataError):
             GroupedDataset(groups=(mk(1), mk(1)), feature_names=("x1",))
 
+    @pytest.mark.parametrize("x_widths,z_widths,treatment_index,message", [
+        ((), (), None, "dataset has no groups"),
+        ((1, 2), (1, 1), None, "group 1: expected 1 feature columns"),
+        ((1, 1), (1, 2), None, "group 1: expected 1 z columns"),
+        ((1,), (1,), 1, "treatment_index out of range"),
+    ], ids=["no_groups", "mixed_x_widths", "mixed_z_widths", "treatment_index_past_the_features"])
+    def test_dataset_shape_rules(self, x_widths, z_widths, treatment_index, message):
+        blocks = tuple(
+            GroupBlock(group_id=i, y=np.zeros(2), X=np.zeros((2, p)), Z=np.ones((2, q)))
+            for i, (p, q) in enumerate(zip(x_widths, z_widths))
+        )
+        with pytest.raises(DataError, match=f"^{message}$"):
+            GroupedDataset(groups=blocks, feature_names=("x1",), treatment_index=treatment_index)
+
     def test_fractional_treatment_index_is_config_error(self):
         rng = np.random.default_rng(0)
         ds = toy_dataset(rng, p=2)
@@ -225,6 +242,15 @@ class TestCsv:
             np.testing.assert_array_equal(a.y, b.y)
             np.testing.assert_array_equal(a.X, b.X)
             np.testing.assert_array_equal(a.Z, b.Z)
+
+    def test_schema_of_other_features_is_config_error(self, tmp_path):
+        ds = toy_dataset(np.random.default_rng(0), p=2)
+        schema = ColumnSchema(group_col="g", response_col="y", feature_cols=("x1", "x3"))
+        path = tmp_path / "d.csv"
+        with pytest.raises(ConfigError,
+                           match="^schema feature columns do not match dataset feature names$"):
+            save_csv(path, ds, schema)
+        assert not path.exists()
 
     def test_z_columns_from_features(self, tmp_path):
         path = tmp_path / "z.csv"

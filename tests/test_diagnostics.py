@@ -53,17 +53,14 @@ def build_model(mean=(), G=([],), R=(), p=3, lr=0.5):
             "R": Ensemble(np.array([0.0]), (list(R),)),
         },
         history=[0.0],
-        best_iteration=len(mean),
-        n_iterations_run=len(mean),
     )
 
 
-def stump(feature, threshold=0.0, left=-1.0, right=1.0, p=3):
+def stump(feature, threshold=0.0, left=-1.0, right=1.0):
     return TreeLearner(
         root=TreeSplit(
             feature=feature, threshold=threshold, left=TreeLeaf(left), right=TreeLeaf(right)
         ),
-        n_features=p,
     )
 
 
@@ -98,9 +95,7 @@ class TestImportance:
         assert variable_importance(model, "R")["x2"] == 1.0
 
     def test_linear_counts_nonzero_coefficients(self):
-        h = LinearLearner(
-            features=(0, 2), coef=np.array([0.5, 0.0]), intercept=1.0, n_features=3
-        )
+        h = LinearLearner(features=(0, 2), coef=np.array([0.5, 0.0]), intercept=1.0)
         model = build_model(mean=[h])
         assert variable_importance(model, "mean") == {"x1": 1.0, "x2": 0.0, "x3": 0.0}
 
@@ -326,7 +321,7 @@ def hand_built_tree(draw):
         root = split(leaf(), leaf())
     else:
         root = split(split(leaf(), leaf()), split(leaf(), leaf()))
-    return TreeLearner(root=root, n_features=3)
+    return TreeLearner(root=root)
 
 
 @settings(max_examples=150)
@@ -381,7 +376,6 @@ def depth2(feature, thresholds):
     t0, t1, t2 = thresholds
     return TreeLearner(
         root=TreeSplit(feature, t0, left=stump(feature, t1).root, right=stump(feature, t2).root),
-        n_features=3,
     )
 
 
@@ -394,7 +388,7 @@ def test_each_tree_is_walked_once_per_occupied_interval(component, monkeypatch):
         depth2(0, (0.1, 0.1, 0.1)),        # one distinct threshold, repeated
         depth2(2, (0.0, -1.0, 1.0)),
         stump(0, 9.0),                     # above the whole grid
-        TreeLearner(root=TreeLeaf(0.7), n_features=3),
+        TreeLearner(root=TreeLeaf(0.7)),
     ]
     model = build_model(**{component: (trees,) if component == "G" else trees})
     walks = Counter()
@@ -424,8 +418,8 @@ def test_a_linear_learner_is_called_per_grid_value_only_when_it_reads_the_featur
     """In one chunk, a linear learner whose features hold the plotted one is called once per
     grid value, even at a zero coefficient (inf * 0 is NaN); any other is called once and
     gives per-value evaluation bit for bit."""
-    reads = LinearLearner(features=(0, 2), coef=np.array([0.0, -1.0]), intercept=0.2, n_features=3)
-    blind = LinearLearner(features=(1, 2), coef=np.array([0.3, 0.7]), intercept=-0.1, n_features=3)
+    reads = LinearLearner(features=(0, 2), coef=np.array([0.0, -1.0]), intercept=0.2)
+    blind = LinearLearner(features=(1, 2), coef=np.array([0.3, 0.7]), intercept=-0.1)
     calls = Counter()
     real = LinearLearner.predict
 

@@ -49,8 +49,6 @@ class TestSpec:
             LearnerSpec(tree_min_parent=1)
         with pytest.raises(ConfigError):
             LearnerSpec(tree_min_child=0)
-        with pytest.raises(ConfigError):
-            LearnerSpec(ridge_epsilon=-1.0)
         for field in ("tree_max_depth", "tree_min_parent", "tree_min_child"):
             for value in (2.5, True):
                 with pytest.raises(ConfigError, match=f"{field} must be an integer"):
@@ -71,33 +69,45 @@ class TestConstant:
             fit_constant(np.array([]))
 
 
+def ridge_closed_form(X, y):
+    """solve(D'D + RIDGE_EPSILON I, D'y) for D = [X, 1]: (coefficients, intercept)."""
+    D = np.column_stack([X, np.ones(len(X))])
+    beta = np.linalg.solve(D.T @ D + learners.RIDGE_EPSILON * np.eye(D.shape[1]), D.T @ y)
+    return beta[:-1], beta[-1]
+
+
 class TestLinear:
     def test_two_point_exact(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([1.0, 3.0])
-        spec = LearnerSpec(kind="linear", ridge_epsilon=0.0)
-        learner = fit_linear(BinnedColumns(X, (0,)), y, spec)
-        assert learner.coef[0] == pytest.approx(2.0, abs=1e-12)
-        assert learner.intercept == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(learner.predict(X), y, atol=1e-12)
+        learner = fit_linear(BinnedColumns(X, (0,)), y)
+        coef, intercept = ridge_closed_form(X, y)
+        assert np.array_equal(learner.coef, coef) and learner.intercept == intercept
 
     def test_global_indices_survive_subsampling(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((50, 4))
         y = 3.0 * X[:, 2] - 1.0
-        spec = LearnerSpec(kind="linear", ridge_epsilon=0.0)
-        learner = fit_linear(BinnedColumns(X, (2, 0)), y, spec)
+        learner = fit_linear(BinnedColumns(X, (2, 0)), y)
         assert learner.features == (0, 2)
-        assert learner.n_features == 4
-        np.testing.assert_allclose(learner.predict(X), y, atol=1e-10)
+        coef, intercept = ridge_closed_form(X[:, [0, 2]], y)
+        assert np.array_equal(learner.coef, coef) and learner.intercept == intercept
         counts = learner.split_counts(4)
         assert counts[2] > 0 and counts[1] == 0 and counts[3] == 0
 
     def test_collinear_falls_back(self):
-        X = np.column_stack([np.arange(4.0), np.arange(4.0)])
-        y = np.arange(4.0)
-        spec = LearnerSpec(kind="linear", ridge_epsilon=0.0)
-        learner = fit_linear(BinnedColumns(X, (0, 1)), y, spec)
+        """A duplicated column at scale 1e5 leaves the ridged Gram matrix singular to
+        np.linalg.solve, so the fit is lstsq's minimum norm solution."""
+        x = 1e5 * np.random.default_rng(0).uniform(0.0, 1.0, 50)
+        X = np.column_stack([x, x])
+        y = 0.5 * x + 2.0
+        D = np.column_stack([X, np.ones(50)])
+        A, b = D.T @ D + learners.RIDGE_EPSILON * np.eye(3), D.T @ y
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.solve(A, b)
+        learner = fit_linear(BinnedColumns(X, (0, 1)), y)
+        beta = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert np.array_equal(learner.coef, beta[:-1]) and learner.intercept == beta[-1]
         np.testing.assert_allclose(learner.predict(X), y, atol=1e-8)
 
 
@@ -241,7 +251,13 @@ class TestDispatcher:
         columns = BinnedColumns(X, (0, 1))
         assert isinstance(fit_learner(columns, y, LearnerSpec(kind="constant")), ConstantLearner)
         assert fit_learner(columns, y, LearnerSpec(kind="linear")).features == (0, 1)
-        assert fit_learner(columns, y, tree_spec()).n_features == 2
+        assert isinstance(fit_learner(columns, y, tree_spec()), TreeLearner)
+
+    @pytest.mark.parametrize("kind", ["linear", "tree"])
+    def test_a_pseudo_response_of_the_wrong_length(self, kind):
+        columns = BinnedColumns(np.zeros((4, 2)), (0, 1))
+        with pytest.raises(DataError, match="^feature matrix must have one row per pseudo-response$"):
+            fit_learner(columns, np.zeros(3), tree_spec(kind=kind))
 
     def test_feature_validation(self):
         X = np.zeros((5, 2))
@@ -376,7 +392,7 @@ class TestUnsplittableRoot:
             np.arange(0, 16, 2), (0, 2))
         for got in (fit_tree(BinnedColumns(X, (0, 2)), y, spec),
                     fit_tree(restricted, y, spec)):
-            assert got == TreeLearner(root=TreeLeaf(float(np.mean(y))), n_features=3)
+            assert got == TreeLearner(root=TreeLeaf(float(np.mean(y))))
             assert got == reference_tree(X, y, (0, 2), spec)
         assert binned == [] and restricted._codes is None
 
@@ -609,7 +625,7 @@ class TestTreePrediction:
         rng = np.random.default_rng(depth)
         p = 4
         for _ in range(3):
-            tree = TreeLearner(root=random_tree(rng, depth, p), n_features=p)
+            tree = TreeLearner(root=random_tree(rng, depth, p))
             assert tree_depth(tree.root) == depth
             for n in (0, 1, 2000):
                 X = awkward_rows(rng, n, p)
@@ -627,7 +643,7 @@ class TestTreePrediction:
         assert np.array_equal(tree.predict(Xnew), reference_predict(tree, Xnew))
 
     def test_root_leaf(self):
-        tree = TreeLearner(root=TreeLeaf(-0.75), n_features=2)
+        tree = TreeLearner(root=TreeLeaf(-0.75))
         for n in (0, 1, 7):
             X = awkward_rows(np.random.default_rng(n), n, 2)
             assert np.array_equal(tree.predict(X), np.full(n, -0.75))
@@ -636,7 +652,6 @@ class TestTreePrediction:
     def test_nan_goes_right_and_threshold_is_strict(self):
         stump = TreeLearner(
             root=TreeSplit(feature=1, threshold=0.5, left=TreeLeaf(1.0), right=TreeLeaf(2.0)),
-            n_features=2,
         )
         X = np.array([[0.0, np.nan], [0.0, 0.5], [0.0, np.nextafter(0.5, 0.0)],
                       [0.0, -np.inf], [0.0, np.inf], [0.0, -0.0]])
@@ -644,7 +659,7 @@ class TestTreePrediction:
 
     def test_memory_layouts_and_integer_input(self):
         rng = np.random.default_rng(30)
-        tree = TreeLearner(root=random_tree(rng, 5, 3), n_features=3)
+        tree = TreeLearner(root=random_tree(rng, 5, 3))
         X = awkward_rows(rng, 500, 6)
         ints = rng.integers(-3, 4, size=(400, 3))
         for Xv in (np.asfortranarray(X[:, :3]), X[::3, ::2], X[::-2, 1:4], ints):
@@ -682,7 +697,7 @@ def balanced_tree(depth, feature):
             return TreeLeaf(lo + 0.25)
         half = size // 2
         return TreeSplit(feature, float(lo + half), grow(lo, half), grow(lo + half, half))
-    return TreeLearner(root=grow(0, 2**depth), n_features=2)
+    return TreeLearner(root=grow(0, 2**depth))
 
 
 def traverse(node, x):

@@ -88,6 +88,10 @@ class TestLoglikValues:
             marginal_covariance(np.ones((3, 1)), np.eye(1), np.ones(2))
         with pytest.raises(DataError):
             group_loglik(np.ones(3), np.ones(2), np.eye(3))
+        with pytest.raises(DataError, match="^Z must be a matrix$"):
+            marginal_covariance(np.ones(3), np.eye(1), np.ones(3))
+        with pytest.raises(DataError, match="^Sigma must be square matching y$"):
+            group_loglik(np.ones(3), np.ones(3), np.eye(2))
 
 
 class TestMeanGradient:

@@ -112,8 +112,18 @@ class TestRoundTrip:
         assert back.treatment_col is None
 
 
-# The config record of one fixed FitConfig, as files of format version 1 hold it.
+# The config record of one fixed FitConfig, as files of format version 2 hold it.
 GOLDEN_CONFIG_LINE = (
+    'config {"early_stopping":false,"eval_fraction":0.3,"feature_fraction":1.0,'
+    '"force_include":[2,0],"gcov_learner":{"kind":"constant","tree_max_depth":4,'
+    '"tree_min_child":5,"tree_min_parent":10},"group_fraction":0.5,"lookback":9,'
+    '"lr_gcov":0.0,"lr_mean":0.25,"lr_rvar":0.125,"mean_learner":{"kind":"linear",'
+    '"tree_max_depth":4,"tree_min_child":5,"tree_min_parent":10},"n_iterations":7,'
+    '"rvar_learner":{"kind":"linear","tree_max_depth":4,"tree_min_child":5,'
+    '"tree_min_parent":10},"seed":3,"tolerance":0.0001}'
+)
+# The same record as version 1 files hold it, with each learner spec's ridge_epsilon.
+GOLDEN_CONFIG_LINE_V1 = (
     'config {"early_stopping":false,"eval_fraction":0.3,"feature_fraction":1.0,'
     '"force_include":[2,0],"gcov_learner":{"kind":"constant","ridge_epsilon":0.5,'
     '"tree_max_depth":4,"tree_min_child":5,"tree_min_parent":10},"group_fraction":0.5,'
@@ -124,10 +134,11 @@ GOLDEN_CONFIG_LINE = (
 )
 
 
-def test_config_record_golden(tmp_path):
+def golden_config_file(tmp_path):
+    """The config of GOLDEN_CONFIG_LINE on a one-iteration model, saved; (path, config)."""
     cfg = config_for_variant(
         "rboost",
-        LearnerSpec(kind="linear", tree_max_depth=4, ridge_epsilon=0.5),
+        LearnerSpec(kind="linear", tree_max_depth=4),
         n_iterations=7,
         lr_mean=0.25,
         lr_gcov=0.0,
@@ -144,8 +155,26 @@ def test_config_record_golden(tmp_path):
     model, _ = fitted("base", "constant", np.random.default_rng(9), n_iterations=1)
     path = tmp_path / "m.txt"
     save_model(path, replace(model, config=cfg))
+    return path, cfg
+
+
+def test_config_record_golden(tmp_path):
+    path, cfg = golden_config_file(tmp_path)
     assert path.read_text().splitlines()[1] == GOLDEN_CONFIG_LINE
     assert load_model(path)[0].config == cfg
+
+
+def test_config_record_golden_version_1(tmp_path):
+    """A version 1 config record loads without its ridge_epsilon and saves as version 2."""
+    path, cfg = golden_config_file(tmp_path)
+    _, _, *rest = path.read_text().splitlines()
+    old = tmp_path / "v1.txt"
+    old.write_text("\n".join(["gbmixed-model 1", GOLDEN_CONFIG_LINE_V1, *rest]) + "\n")
+    back, _ = load_model(old)
+    assert back.config == cfg
+    resaved = tmp_path / "resaved.txt"
+    save_model(resaved, back)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 # A q = 2 model written out by hand: a tree mean learner, G's factor entries
@@ -153,6 +182,31 @@ def test_config_record_golden(tmp_path):
 # and a schema. Every number is a dyadic fraction, so the evaluations below
 # are exact.
 GOLDEN_MODEL_LINES = [
+    "gbmixed-model 2",
+    'config {"early_stopping":false,"eval_fraction":0.25,"feature_fraction":0.7,'
+    '"force_include":[],"gcov_learner":{"kind":"tree","tree_max_depth":3,'
+    '"tree_min_child":5,"tree_min_parent":10},"group_fraction":0.2,"lookback":25,'
+    '"lr_gcov":0.25,"lr_mean":0.5,"lr_rvar":0.125,"mean_learner":{"kind":"tree",'
+    '"tree_max_depth":3,"tree_min_child":5,"tree_min_parent":10},'
+    '"n_iterations":2,"rvar_learner":{"kind":"linear","tree_max_depth":3,'
+    '"tree_min_child":5,"tree_min_parent":10},"seed":0,"tolerance":0.001}',
+    'meta {"categorical_features":[1],"feature_names":["a","b","c"],'
+    '"gcov_init":[1.0,0.0,0.5],"history":[-10.5,-9.25,-9.75],"logrvar_init":-0.5,'
+    '"mean_init":1.5,"q":2,"schema":{"categorical_cols":["b"],'
+    '"group_col":"site","response_col":"y","treatment_col":"c","z_cols":["intercept","b"]},'
+    '"treatment_index":2}',
+    'mean_learner {"kind":"tree","root":{"f":0,"l":{"v":-1.0},'
+    '"r":{"f":2,"l":{"v":0.5},"r":{"v":2.0},"t":1.5},"t":0.25}}',
+    'gcov_learner 0 {"kind":"constant","value":0.5}',
+    'gcov_learner 1 {"coef":[0.25],"features":[1],"intercept":-0.5,"kind":"linear"}',
+    'gcov_learner 2 {"kind":"tree","root":{"f":1,"l":{"v":0.0},"r":{"v":1.0},"t":0.5}}',
+    'rvar_learner {"coef":[0.5,-0.25],"features":[0,2],"intercept":0.125,"kind":"linear"}',
+    "end",
+]
+# The same model as version 1 wrote it: every tree and linear record carries the
+# feature count, the meta record the iteration counts, and each learner spec its
+# ridge_epsilon.
+GOLDEN_MODEL_LINES_V1 = [
     "gbmixed-model 1",
     'config {"early_stopping":false,"eval_fraction":0.25,"feature_fraction":0.7,'
     '"force_include":[],"gcov_learner":{"kind":"tree","ridge_epsilon":1e-08,"tree_max_depth":3,'
@@ -178,13 +232,12 @@ GOLDEN_MODEL_LINES = [
 ]
 
 
-def test_model_file_golden(tmp_path):
-    """The hand-written file loads into the model it spells out and saves back
-    to the same bytes. The model is built through its file, so the test reads
-    the model only through the public evaluators and fields."""
-    golden = "\n".join(GOLDEN_MODEL_LINES) + "\n"
+def load_golden(tmp_path, lines):
+    """Load the golden text lines and check the model and schema they spell out. The
+    model is built through its file, so this reads it only through the public
+    evaluators and fields."""
     path = tmp_path / "golden.txt"
-    path.write_text(golden)
+    path.write_text("\n".join(lines) + "\n")
     model, schema = load_model(path)
     assert model.config == config_for_variant(
         "grboost", LearnerSpec(kind="tree"), n_iterations=2, lr_mean=0.5, lr_gcov=0.25,
@@ -208,13 +261,28 @@ def test_model_file_golden(tmp_path):
     G = np.stack([np.stack([np.full(3, e0 * e0), e0 * e1], -1),
                   np.stack([e0 * e1, e1 * e1 + e2 * e2], -1)], 1)
     np.testing.assert_array_equal(eval_gcov_rows(model, X), G)
+    return model, schema
 
+
+def saves_as_golden(tmp_path, model, schema):
+    """model and schema save as the version 2 golden text, and again to the same bytes."""
     saved = tmp_path / "saved.txt"
     save_model(saved, model, schema)
-    assert saved.read_text() == golden
+    assert saved.read_text() == "\n".join(GOLDEN_MODEL_LINES) + "\n"
     again = tmp_path / "again.txt"
     save_model(again, *load_model(saved))
     assert again.read_bytes() == saved.read_bytes()
+
+
+def test_model_file_golden(tmp_path):
+    """The hand-written file loads into the model it spells out and saves back
+    to the same bytes."""
+    saves_as_golden(tmp_path, *load_golden(tmp_path, GOLDEN_MODEL_LINES))
+
+
+def test_model_file_golden_version_1(tmp_path):
+    """The version 1 text loads into the same model, which saves as version 2."""
+    saves_as_golden(tmp_path, *load_golden(tmp_path, GOLDEN_MODEL_LINES_V1))
 
 
 def test_retired_verbose_key_is_dropped_on_load(tmp_path):
@@ -251,10 +319,28 @@ class TestFormatGuards:
     def test_version_gate(self, tmp_path):
         path = self.write_model(tmp_path)
         lines = path.read_text().splitlines()
+        assert lines[0] == f"gbmixed-model {FORMAT_VERSION}" == "gbmixed-model 2"
         lines[0] = f"gbmixed-model {FORMAT_VERSION + 1}"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="version"):
+        with pytest.raises(DataError,
+                           match=r"unsupported model format version 3 \(supported: 1 to 2\)"):
             load_model(path)
+
+    def test_version_not_an_integer(self, tmp_path):
+        path = self.write_model(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[0] = "gbmixed-model 2.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"{path.name}: bad version '2\.0'"):
+            load_model(path)
+
+    def test_a_foreign_learner_is_not_saved(self, tmp_path):
+        model, _ = fitted("base", "constant", np.random.default_rng(8), n_iterations=2)
+        model.ensembles["mean"].learners[0][1] = object()
+        path = tmp_path / "m.txt"
+        with pytest.raises(DataError, match="^cannot serialize learner of type object$"):
+            save_model(path, model)
+        assert not path.exists()
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "junk.txt"
@@ -351,8 +437,6 @@ DAMAGED_META = {
     "treatment_index_boolean": lambda m: m.update(treatment_index=True),
     "treatment_index_a_string": lambda m: m.update(treatment_index="1"),
     "categorical_feature_fractional": lambda m: m.update(categorical_features=[0.5]),
-    "best_iteration_a_float": lambda m: m.update(best_iteration=float(m["best_iteration"])),
-    "n_iterations_run_a_float": lambda m: m.update(n_iterations_run=float(m["n_iterations_run"])),
     # numbers that fit always writes finite, and strings that float() would once have taken
     "mean_init_infinite": lambda m: m.update(mean_init=math.inf),
     "mean_init_a_string": lambda m: m.update(mean_init="1.5"),
@@ -407,21 +491,15 @@ DAMAGED_LEARNER = {
                                  "split feature must be an integer, got 1.5"),
     "split_feature_boolean": ("tree", lambda h: h["root"].update(f=True),
                               "split feature must be an integer, got True"),
-    "tree_n_features_fractional": ("tree", lambda h: h.update(n_features=3.9),
-                                   "n_features must be an integer, got 3.9"),
     "linear_feature_a_float": ("linear", lambda h: h["features"].__setitem__(0, 0.0),
                                "linear feature must be an integer, got 0.0"),
     "unknown_kind": ("tree", lambda h: h.update(kind="forest"), "unknown learner kind 'forest'"),
-    "tree_n_features": ("tree", lambda h: h.update(n_features=2),
-                        "learner has n_features 2, the model 3 features"),
     "linear_feature_past_the_features": ("linear", lambda h: h["features"].__setitem__(0, 3),
                                          "linear feature 3 outside 0..2"),
     "linear_coef_one_long": ("linear", lambda h: h["coef"].append(0.5),
                              "4 linear coefficients for 3 features"),
     "linear_coef_one_short": ("linear", lambda h: h["coef"].pop(),
                               "2 linear coefficients for 3 features"),
-    "linear_n_features": ("linear", lambda h: h.update(n_features=4),
-                          "learner has n_features 4, the model 3 features"),
     "tree_nested_too_deeply": ("tree", lambda h: h.update(root=DEEP_MARK),
                                "maximum recursion depth exceeded"),
     # numbers that fit always writes finite (a threshold may be +inf), and strings float() took
@@ -510,7 +588,8 @@ def test_meta_that_is_not_an_object(tmp_path):
 
 
 class TestEnsembleGuards:
-    """fit writes each ensemble cut to best_iteration, one per factor entry."""
+    """fit cuts every ensemble, one per factor entry, to best_iteration learners, the
+    mean ensemble's count, and records one more history entry than that at least."""
 
     def write_model(self, tmp_path):
         model, _ = fitted("grboost", "tree", np.random.default_rng(10), n_iterations=3)
@@ -528,13 +607,18 @@ class TestEnsembleGuards:
         with pytest.raises(DataError, match=rf"entry {entry} at line {i + 2} is outside 0\.\.0"):
             load_model(path)
 
-    @pytest.mark.parametrize("tag", ["mean_learner", "gcov_learner 0", "rvar_learner"])
-    def test_ensemble_shorter_than_best_iteration(self, tmp_path, tag):
+    # with the mean ensemble cut short, the first other one reported is rvar's
+    @pytest.mark.parametrize("tag,message", [
+        ("mean_learner", "rvar ensemble has 3 learners, but the mean ensemble has 2"),
+        ("gcov_learner 0", "gcov entry 0 ensemble has 2 learners, but the mean ensemble has 3"),
+        ("rvar_learner", "rvar ensemble has 2 learners, but the mean ensemble has 3"),
+    ], ids=["mean_learner", "gcov_learner 0", "rvar_learner"])
+    def test_ensemble_shorter_than_best_iteration(self, tmp_path, tag, message):
         path, lines = self.write_model(tmp_path)
         i = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
         del lines[i]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="has 2 learners, but best_iteration at line 3 is 3"):
+        with pytest.raises(DataError, match=message):
             load_model(path)
 
     def test_ensemble_longer_than_best_iteration(self, tmp_path):
@@ -542,26 +626,19 @@ class TestEnsembleGuards:
         i = next(i for i, line in enumerate(lines) if line.startswith("rvar_learner "))
         lines.insert(i, lines[i])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="rvar ensemble has 4 learners"):
+        with pytest.raises(DataError,
+                           match="rvar ensemble has 4 learners, but the mean ensemble has 3"):
             load_model(path)
 
     # the model ran 3 iterations and kept all 3: history holds 4 log-likelihoods
-    @pytest.mark.parametrize(
-        "change,entries,run",
-        [
-            (lambda m: m.update(history=m["history"][:2]), 2, 3),
-            (lambda m: m.update(n_iterations_run=99), 4, 99),
-            (lambda m: m.update(history=m["history"][:3], n_iterations_run=2), 3, 2),
-        ],
-        ids=["history_cut_short", "run_count_too_high", "best_iteration_past_the_history"],
-    )
-    def test_history_disagrees_with_the_iteration_counts(self, tmp_path, change, entries, run):
+    @pytest.mark.parametrize("entries", [2, 3], ids=["history_cut_short",
+                                                     "best_iteration_past_the_history"])
+    def test_history_disagrees_with_the_iteration_counts(self, tmp_path, entries):
         path, _ = self.write_model(tmp_path)
-        edit_record(path, "meta", change)
+        edit_record(path, "meta", lambda m: m.update(history=m["history"][:entries]))
         with pytest.raises(
             DataError,
-            match=rf"history at line 3 has {entries} entries, but n_iterations_run is {run} "
-            "and best_iteration is 3",
+            match=rf"history at line 3 has {entries} entries, too few for ensembles of 3 learners",
         ):
             load_model(path)
 

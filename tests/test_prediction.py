@@ -67,8 +67,6 @@ def const_model(
             "R": Ensemble(np.array([logr0]), ([],)),
         },
         history=[0.0],
-        best_iteration=len(mean),
-        n_iterations_run=len(mean),
     )
 
 
@@ -458,7 +456,7 @@ def test_staged_prefixes_equal_truncated_evaluation(slope_model):
 
 class TestTreatmentEffects:
     def linear_model(self, beta_t=0.8, lr=0.5, p=3, t=2, **kw):
-        h = LinearLearner(features=(t,), coef=np.array([beta_t]), intercept=0.0, n_features=p)
+        h = LinearLearner(features=(t,), coef=np.array([beta_t]), intercept=0.0)
         return const_model(
             f0=0.0, p=p, treatment_index=t, lr_mean=lr, mean=(h,), **kw
         )

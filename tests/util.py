@@ -133,7 +133,7 @@ def reference_tree(X, y, features, spec, cuts=None):
     rows = list(range(len(y)))
     hist = _reference_histogram(bins, scaled, rows)
     root = _reference_grow(Xn, y, scaled, bins, cuts, feats, rows, hist, 0, spec)
-    return TreeLearner(root=root, n_features=X.shape[1])
+    return TreeLearner(root=root)
 
 
 def _reference_histogram(bins, scaled, rows):
