@@ -50,6 +50,22 @@ head. A tree whose sampled rows are too few to split is the mean leaf
 without touching the codes, so a group set that is always sampled below
 tree_min_parent is never binned. Tree leaves and constant learners take
 the one mean rule of learners.py.
+
+fit is the one caller of every learner fit, and learners check none of
+their inputs, so fit guarantees each one where it is made:
+  - the two instances cover range(p) of a float stack, built after the
+    once-per-fit checks that p >= 1 (feature_fraction samples at least one
+    feature) and that every force_include index is below p (FitConfig
+    makes them distinct and nonnegative integers);
+  - each iteration's features come from sample_iteration: a draw without
+    replacement from range(p), unioned with force_include through a set
+    and sorted, so they are distinct, ascending and within the instances';
+  - its rows are the sampled groups' row indices into the stack's head
+    (row_idx, from the group starts and sizes), and its groups distinct
+    indices below Cb;
+  - its pseudo-responses are the kernel's float gradients, one per sampled
+    row or group, and pass the finiteness check before any learner sees
+    them.
 """
 
 from __future__ import annotations

@@ -14,9 +14,13 @@ _refuse_non_finite_reads.
 Every kind fits from one training input, a BinnedColumns: the feature
 matrix X, the sorted list of columns the learner may use, and the cuts and
 codes of those columns, which it computes only when a tree whose root can
-split asks for them. Its constructor is the one place where X and the
-feature list are checked. One mean rule (_mean) gives every tree leaf and
-every constant learner.
+split asks for them. Fitting checks nothing either: boosting.fit is the one
+caller of every fit, and what it passes is valid by construction (see the
+boosting module docstring): X is a float matrix of its stack, the features
+are distinct, ascending, in range and among the ones the instance was
+restricted from, the rows are indices of X, and the pseudo-response is a
+finite float vector with one entry per row. One mean rule (_mean) gives
+every tree leaf and every constant learner.
 
 Trees search splits over histograms (Ke et al. 2017, LightGBM; Chen &
 Guestrin 2016, XGBoost's tree_method="hist"). Each feature of a group set is
@@ -118,7 +122,7 @@ from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_fields, check_index
+from .errors import ConfigError, check_fields
 
 LEARNER_KINDS = ("constant", "linear", "tree")
 
@@ -256,16 +260,6 @@ def _leaf_numbers(node: TreeNode, cols, values: list, fixed=None):
 FittedLearner = Union[ConstantLearner, LinearLearner, TreeLearner]
 
 
-def _check_pseudo(pseudo, n: int | None = None) -> np.ndarray:
-    """pseudo as a float vector: nonempty, and of length n when n is given."""
-    pseudo = np.asarray(pseudo, dtype=float)
-    if pseudo.ndim != 1 or pseudo.shape[0] == 0:
-        raise DataError("pseudo-response must be a nonempty vector")
-    if n is not None and pseudo.shape[0] != n:
-        raise DataError("feature matrix must have one row per pseudo-response")
-    return pseudo
-
-
 def _mean(y) -> float:
     """The one mean rule of leaves and constants: np.mean's add.reduce and one true
     divide, without its wrapper."""
@@ -273,7 +267,7 @@ def _mean(y) -> float:
 
 
 def fit_constant(pseudo: np.ndarray) -> ConstantLearner:
-    return ConstantLearner(value=_mean(_check_pseudo(pseudo)))
+    return ConstantLearner(value=_mean(np.asarray(pseudo, dtype=float)))
 
 
 RIDGE_EPSILON = 1e-8    # added to the Gram diagonal of every linear fit; no model file records it
@@ -288,7 +282,7 @@ def fit_linear(columns: BinnedColumns, pseudo) -> LinearLearner:
     never at scales 1 and 1e3) takes lstsq's minimum norm solution.
     """
     X, feats = columns.X, list(columns.features)
-    pseudo = _check_pseudo(pseudo, X.shape[0])
+    pseudo = np.asarray(pseudo, dtype=float)
     D = np.column_stack([X[:, feats], np.ones(X.shape[0])])
     A = D.T @ D + RIDGE_EPSILON * np.eye(D.shape[1])
     b = D.T @ pseudo
@@ -342,14 +336,12 @@ class BinnedColumns:
     feature list a learner may use, and, once a tree asks, the cuts and codes
     of those columns (_bin).
 
-    The constructor is the one place where X and the feature list are
-    checked: X must be 2-dimensional (a DataError otherwise), and the features
-    a nonempty list of distinct integer column indices of X (NumPy integers
-    count; floats, bools and strings do not), a ConfigError otherwise. A 1-D
-    integer array, as boosting's feature sample is, is sorted into Python ints
-    in one call and skips the per-element index check; any other list is
-    checked element by element (so a True in a tuple is refused). The
-    messages are the same either way.
+    It checks nothing, as a learner's predict checks nothing: its one caller,
+    boosting.fit, builds every instance from a checked dataset, X as a float
+    matrix and the features as a nonempty set of column indices of X, and
+    restricts it to row indices of X and to a subset of its features. The
+    constructor only turns any integer sequence (a range, a tuple or a NumPy
+    array) into the ascending tuple of its Python ints.
 
     Nothing is binned until a tree whose root can split asks for arrays(), so
     constant and linear learners, and trees whose root cannot split, never pay
@@ -362,39 +354,15 @@ class BinnedColumns:
 
     def __init__(self, X, features: Sequence[int]):
         self.X = np.asarray(X, dtype=float)
-        if self.X.ndim != 2:
-            raise DataError("feature matrix must be 2-dimensional")
-        if isinstance(features, np.ndarray) and features.ndim == 1 and features.dtype.kind in "iu":
-            feats = np.sort(features).tolist()      # Python ints, so none to check one by one
-        else:
-            feats = sorted(check_index("feature index", f) for f in features)
-        p = self.X.shape[1]
-        if len(feats) == 0:
-            raise ConfigError("need at least one feature")
-        if len(set(feats)) != len(feats):
-            raise ConfigError("duplicate feature indices")
-        if feats[0] < 0 or feats[-1] >= p:
-            raise ConfigError(f"feature index out of range for {p} columns")
-        self.features = tuple(feats)
+        self.features = tuple(np.sort(features).tolist())   # Python ints, ascending
         self._source = None     # (parent, rows, positions of features in the parent's)
         self._codes = None
         self._arrays = None
 
     def restrict(self, rows, features: Sequence[int]) -> "BinnedColumns":
         """The columns features of the rows X[rows], in any order, at this instance's cuts."""
-        rows = np.asarray(rows)
-        if (
-            rows.ndim != 1
-            or rows.dtype.kind not in "iu"
-            or rows.size and (rows.min() < 0 or rows.max() >= self.X.shape[0])
-        ):
-            raise DataError(f"restricted rows must be indices of {self.X.shape[0]} rows")
         sub = BinnedColumns(self.X[rows], features)
-        known = np.asarray(self.features)
-        at = np.searchsorted(known, sub.features)
-        if not (np.all(at < known.size) and np.array_equal(known[at], sub.features)):
-            raise DataError("restricted features must be among the binned ones")
-        sub._source = self, rows, at
+        sub._source = self, rows, np.searchsorted(self.features, sub.features)
         return sub
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -428,7 +396,7 @@ def fit_tree(columns: BinnedColumns, pseudo, spec: LearnerSpec) -> TreeLearner:
     it is the mean leaf (_mean, the rule of every leaf and constant).
     """
     n = columns.X.shape[0]
-    pseudo = _check_pseudo(pseudo, n)
+    pseudo = np.asarray(pseudo, dtype=float)
     if not _searched(n, 0, spec):
         return TreeLearner(root=TreeLeaf(_mean(pseudo)))
     cuts, keys = columns.arrays()

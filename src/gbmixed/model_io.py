@@ -231,7 +231,7 @@ def save_model(path: str, model: FittedModel, schema: ColumnSchema | None = None
 def load_model(path: str) -> tuple[FittedModel, ColumnSchema | None]:
     """Read a model file back; returns the model and the stored schema, if any."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:   # skips a byte-order mark
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a UTF-8 text file ({exc})") from None

@@ -3,7 +3,7 @@
     PYTHONHASHSEED=0 python tests/model_digest.py
 
 Run it from the root of a checkout; gbmixed comes from that checkout's src/.
-It prints one "<sha256>  <name>" line per item, forty in all:
+It prints one "<sha256>  <name>" line per item, forty-five in all:
 
   - the perfbench/workloads.py prepare() draws of seeds 1-3 of both
     workloads, each fitted with its own config and saved with its schema;
@@ -12,9 +12,11 @@ It prints one "<sha256>  <name>" line per item, forty in all:
     cate and ite_variance;
   - every TestRoundTrip variant/learner pair (tests/test_model_io.py),
     fitted as that test fits it;
-  - every simulate scenario: its generate draw of SIM_N_OBS rows at seed
-    SIM_SEED (the dataset's stacked arrays, group ids and summaries, and
-    every GroundTruth field) and its default_config();
+  - every simulate scenario, on two lines: its generate draw of SIM_N_OBS
+    rows at seed SIM_SEED (the dataset's stacked arrays, group ids,
+    summaries and feature names, and every GroundTruth field), then the
+    repr of its default_config(), so that a removed or renamed setting
+    changes only the config line and a changed draw only the draw line;
   - for each of the six benchmark models, what the workload's _explain
     computes over the test rows: the importance and the default-grid
     partial dependence of the mean and of R on the features of EXPLAINED;
@@ -105,7 +107,7 @@ SIM_SEED = 3
 
 
 def scenario_digests():
-    """(name, sha256) of each scenario's draw and default config, in a fixed order."""
+    """(name, sha256) of each scenario's draw, then of its default config, in a fixed order."""
     for name in sorted(simulate.SCENARIOS):
         sc = simulate.scenario_by_name(name, seed=SIM_SEED)
         ds, truth = simulate.generate(sc, SIM_N_OBS)
@@ -113,7 +115,8 @@ def scenario_digests():
         arrays = [st.y, st.X, st.Z, st.sizes, np.asarray(ds.group_ids()), ds.x_tilde_matrix()]
         arrays += [getattr(truth, f.name) for f in fields(truth)]
         names = (ds.feature_names, ds.treatment_index, ds.categorical_features)
-        yield f"simulate-{name}", array_digest(arrays, repr((names, sc.default_config())))
+        yield f"simulate-{name}", array_digest(arrays, repr(names))
+        yield f"simulate-{name}-config", hashlib.sha256(repr(sc.default_config()).encode()).hexdigest()
 
 
 def csv_digests(tmp: Path):

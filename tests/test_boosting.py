@@ -680,6 +680,90 @@ class TestFitTreesEqualTheOracle:
         assert not all(isinstance(r, TreeLeaf) for r in roots[0::3])
 
 
+def learner_input_case(name):
+    """(dataset, config) of one fit shape whose learner inputs TestLearnerInputs checks."""
+    rng = np.random.default_rng(31)
+    ds = clustered_dataset(rng, n_groups=40, n_per=3, p=5, mean_fn=lambda X: X[:, 0])
+    tree = LearnerSpec(kind="tree", tree_min_parent=4, tree_min_child=2)
+    kw = dict(n_iterations=6, group_fraction=0.5, feature_fraction=0.6, early_stopping=False,
+              eval_fraction=0.25)
+    if name == "subsampled_with_force_include":
+        return ds, config_for_variant("grboost", tree, **dict(kw, feature_fraction=0.3),
+                                      force_include=(4,))
+    if name == "slope_q2":
+        return slope_dataset(26), config_for_variant("grboost", tree, **kw)
+    if name == "linear":
+        return ds, config_for_variant("grboost", LearnerSpec(kind="linear"), **kw)
+    if name == "base":
+        return ds, config_for_variant("base", tree, **kw)
+    if name == "groups_below_min_parent":
+        spec = LearnerSpec(kind="tree", tree_min_parent=20, tree_min_child=2)
+        return ds, config_for_variant("grboost", spec, **kw)
+    one = clustered_dataset(rng, n_groups=40, n_per=3, p=1, mean_fn=lambda X: X[:, 0])
+    return one, config_for_variant("grboost", tree, **dict(kw, feature_fraction=1.0))
+
+
+class TestLearnerInputs:
+    """Learners check none of their inputs, because fit, their one caller, guarantees
+    them: every restriction and every fit_learner call of real fits is checked here."""
+
+    def checked_fit(self, monkeypatch, ds, cfg):
+        """fit(ds, cfg) with its inputs to BinnedColumns.restrict and fit_learner checked;
+        returns the heads restricted, the restrictions and the kinds of the learners
+        fitted, in call order."""
+        p = ds.n_features
+        restrict, fit_learner_ = BinnedColumns.restrict, boosting.fit_learner
+        heads, subs, kinds = [], [], []
+
+        def checked_restrict(head, rows, features):
+            # a head: a float matrix over all p features, and not itself a restriction
+            assert head._source is None and head.features == tuple(range(p))
+            assert head.X.dtype == np.float64 and head.X.shape[1] == p
+            # rows: 1-D integer indices of the head's rows
+            rows_ = np.asarray(rows)
+            assert rows_.ndim == 1 and rows_.dtype.kind in "iu" and rows_.size > 0
+            assert rows_.min() >= 0 and rows_.max() < head.X.shape[0]
+            # features: a nonempty ascending (so distinct) subset of the head's
+            feats = np.asarray(features)
+            assert feats.ndim == 1 and feats.dtype.kind in "iu" and feats.size > 0
+            assert np.all(np.diff(feats) > 0) and set(feats.tolist()) <= set(head.features)
+            sub = restrict(head, rows, features)
+            assert sub.features == tuple(feats.tolist())
+            assert all(type(f) is int for f in sub.features)
+            if not any(head is h for h in heads):
+                heads.append(head)
+            subs.append(sub)
+            return sub
+
+        def checked_fit_learner(columns, pseudo, spec):
+            assert isinstance(pseudo, np.ndarray) and pseudo.dtype == np.float64
+            assert pseudo.ndim == 1 and pseudo.size > 0 and np.all(np.isfinite(pseudo))
+            if columns is None:     # a set that only constants read is not restricted
+                assert spec.kind == "constant"
+            else:                   # one of this iteration's restrictions, one entry per row
+                assert any(columns is sub for sub in subs[-2:])
+                assert pseudo.shape[0] == columns.X.shape[0]
+            kinds.append(spec.kind)
+            return fit_learner_(columns, pseudo, spec)
+
+        monkeypatch.setattr(BinnedColumns, "restrict", checked_restrict)
+        monkeypatch.setattr(boosting, "fit_learner", checked_fit_learner)
+        fit(ds, cfg)
+        return heads, subs, kinds
+
+    @pytest.mark.parametrize("name", ["subsampled_with_force_include", "slope_q2", "linear",
+                                      "base", "groups_below_min_parent", "one_feature"])
+    def test_every_learner_input_is_what_learners_trust(self, monkeypatch, name):
+        ds, cfg = learner_input_case(name)
+        heads, subs, kinds = self.checked_fit(monkeypatch, ds, cfg)
+        T = ds.q * (ds.q + 1) // 2
+        assert len(kinds) == cfg.n_iterations * (2 + T)
+        if name == "subsampled_with_force_include":     # 1 of 5 sampled, plus feature 4
+            assert all(4 in sub.features and len(sub.features) <= 2 for sub in subs)
+        # base's G set is read only by constants, so only the rows head is restricted
+        assert len(heads) == (1 if name == "base" else 2)
+
+
 class TestReferenceLoop:
     def test_matches_frozen_variance_mean_boosting(self):
         """With zero variance learning rates the engine reduces to plain

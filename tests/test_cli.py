@@ -294,6 +294,19 @@ class TestPredict:
         ratio = outs["0.05"] / outs["0.1"]
         np.testing.assert_allclose(ratio, np.full_like(ratio, Z95 / Z90), rtol=1e-10)
 
+    def test_a_model_file_with_a_byte_order_mark(self, workdir):
+        model = fit_model(workdir)
+        marked = workdir / "bom_model.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+        outs = []
+        for path in (model, marked):
+            out = workdir / f"pred_{path.stem}.csv"
+            rc = main(["predict", "--model", str(path), "--data", str(workdir / "train.csv"),
+                       "--out", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_cate_columns(self, workdir):
         model = fit_model(workdir)
         out = workdir / "pred_cate.csv"

@@ -671,3 +671,15 @@ def test_not_utf8_is_data_error(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"end\n", b"\xff\xfe\nend\n"))
     with pytest.raises(DataError, match=rf"{path.name}: not a UTF-8 text file"):
         load_model(path)
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    """A model file that an editor saved again with a UTF-8 byte-order mark loads as the
+    unmarked file does."""
+    model, ds = fitted("grboost", "tree", np.random.default_rng(13), n_iterations=3)
+    plain, marked = tmp_path / "m.txt", tmp_path / "bom.txt"
+    save_model(plain, model)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    (want, want_schema), (got, got_schema) = load_model(plain), load_model(marked)
+    assert got_schema == want_schema and got.history == want.history
+    assert_same_predictions(want, got, ds)
